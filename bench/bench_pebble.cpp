@@ -128,6 +128,21 @@ int main(int argc, char** argv) {
     });
   }
 
+  {
+    // The CI ratchet size (bench/baselines/BENCH_pebble.json): 3.1 M ops
+    // on butterfly(4), large enough that holdings and receive matching
+    // dominate the validator.
+    const Emitted e = emit(1296, 4, 16, 9);
+    harness.measure("validate_protocol/n=1296,d=4", [&] {
+      const ValidationResult result = validate_protocol(e.protocol, e.guest, e.host);
+      upn::bench::keep(result.ok);
+    });
+    harness.measure("build_metrics/n=1296,d=4", [&] {
+      const ProtocolMetrics metrics{e.protocol};
+      upn::bench::keep(metrics.total_placements());
+    });
+  }
+
   for (const std::uint32_t n : {64u, 128u}) {
     Rng rng{3};
     const Graph guest = make_random_regular(n, kGuestDegree, rng);

@@ -69,6 +69,7 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
   const NodeId* guest_adj = guest.adjacency().data();
   std::vector<Config> received(guest.adjacency().size());
   std::vector<char> received_ok(guest.adjacency().size(), 0);
+  std::vector<NodeId> sender_of;  ///< packet index -> sending guest (emission only)
   // Directed guest edge (v <- u) to v's CSR slot for u.
   auto slot_in = [&](NodeId v, NodeId u) -> std::uint32_t {
     const NodeId* first = guest_adj + guest_off[v];
@@ -116,13 +117,19 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
         // send at the source plus a receive at the target, carrying the
         // pebble (P_u, t-1).  The single-port router guarantees the
         // transfers of a step form a matching, hence one op per processor.
+        // Each hop looks up its packet's sender in a compact copy of the
+        // tags rather than in the wide Packet records.
+        sender_of.resize(routed.packets.size());
+        for (std::size_t i = 0; i < routed.packets.size(); ++i) {
+          sender_of[i] = routed.packets[i].tag;
+        }
         std::size_t cursor = 0;
         for (std::uint32_t step = 0; step < routed.steps; ++step) {
           result.protocol->begin_step();
           for (; cursor < routed.transfers.size() && routed.transfers[cursor].step == step;
                ++cursor) {
             const Transfer& tr = routed.transfers[cursor];
-            const PebbleType pebble{routed.packets[tr.packet].tag, t - 1};
+            const PebbleType pebble{sender_of[tr.packet], t - 1};
             result.protocol->add(Op{OpKind::kSend, tr.from, pebble, tr.to});
             result.protocol->add(Op{OpKind::kReceive, tr.to, pebble, tr.from});
           }
@@ -164,6 +171,14 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
                 Op{OpKind::kGenerate, q, PebbleType{guests_of_[q][round], t}, 0});
           }
         }
+      }
+      if (t == 1) {
+        // Every guest step routes the same h-relation and runs the same
+        // rounds, so step 1 times T sizes the whole protocol: one allocation
+        // instead of doubling growth, which would briefly hold the old and
+        // the new op array together.
+        result.protocol->reserve(result.protocol->num_ops() * guest_steps,
+                                 std::uint64_t{result.protocol->host_steps()} * guest_steps);
       }
     }
   }

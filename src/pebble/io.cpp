@@ -12,9 +12,9 @@ namespace upn {
 void write_protocol(std::ostream& os, const Protocol& protocol) {
   os << "upn-protocol 1 " << protocol.num_guests() << ' ' << protocol.num_hosts() << ' '
      << protocol.guest_steps() << '\n';
-  for (const auto& step : protocol.steps()) {
+  for (std::uint32_t s = 0; s < protocol.host_steps(); ++s) {
     os << "step\n";
-    for (const Op& op : step) {
+    for (const Op& op : protocol.step(s)) {
       switch (op.kind) {
         case OpKind::kGenerate:
           os << "G " << op.proc << ' ' << op.pebble.node << ' ' << op.pebble.time << '\n';
@@ -101,19 +101,19 @@ Protocol read_protocol(std::istream& is) {
     }
     if (!in_step) fail(line_no, "operation before first 'step'");
     if (tokens[0].size() != 1) fail(line_no, "unknown op kind");
-    Op op;
+    OpKind kind = OpKind::kGenerate;
     std::size_t expected_fields = 0;
     switch (tokens[0][0]) {
       case 'G':
-        op.kind = OpKind::kGenerate;
+        kind = OpKind::kGenerate;
         expected_fields = 4;
         break;
       case 'S':
-        op.kind = OpKind::kSend;
+        kind = OpKind::kSend;
         expected_fields = 5;
         break;
       case 'R':
-        op.kind = OpKind::kReceive;
+        kind = OpKind::kReceive;
         expected_fields = 5;
         break;
       default:
@@ -124,15 +124,19 @@ Protocol read_protocol(std::istream& is) {
                                          : "send/receive missing partner");
     }
     if (tokens.size() > expected_fields) fail(line_no, "trailing garbage");
-    op.proc = parse_u32(tokens[1], line_no, "processor");
-    op.pebble.node = parse_u32(tokens[2], line_no, "pebble node");
-    op.pebble.time = parse_u32(tokens[3], line_no, "pebble time");
+    // Parsed unpacked: Protocol::add range-checks the full 32-bit
+    // processor id before Op packs it.
+    const std::uint32_t proc = parse_u32(tokens[1], line_no, "processor");
+    PebbleType pebble;
+    pebble.node = parse_u32(tokens[2], line_no, "pebble node");
+    pebble.time = parse_u32(tokens[3], line_no, "pebble time");
+    std::uint32_t partner = 0;
     if (expected_fields == 5) {
-      op.partner = parse_u32(tokens[4], line_no, "partner");
-      if (op.partner >= m) fail(line_no, "partner out of range");
+      partner = parse_u32(tokens[4], line_no, "partner");
+      if (partner >= m) fail(line_no, "partner out of range");
     }
     try {
-      protocol.add(op);
+      protocol.add(kind, proc, pebble, partner);
     } catch (const std::exception& e) {
       fail(line_no, e.what());
     }

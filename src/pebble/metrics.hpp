@@ -73,10 +73,13 @@ class ProtocolMetrics {
   std::uint32_t T_;
   std::uint32_t host_steps_ = 0;
   std::uint64_t placements_ = 0;
-  /// holders_[(t-1)*n + i] for t >= 1: sorted procs holding (P_i, t).
-  std::vector<std::vector<std::uint32_t>> holders_;
-  /// generators_[(t)*n + i] for t <= T-1: procs generating (P_i, t+1).
-  std::vector<std::vector<std::uint32_t>> generators_;
+  /// CSR over cells (t-1)*n + i for t >= 1: holders_[holder_offsets_[c] ..
+  /// holder_offsets_[c+1]) are the sorted procs holding (P_i, t).
+  std::vector<std::size_t> holder_offsets_;
+  std::vector<std::uint32_t> holders_;
+  /// CSR over cells t*n + i for t <= T-1: sorted procs generating (P_i, t+1).
+  std::vector<std::size_t> generator_offsets_;
+  std::vector<std::uint32_t> generators_;
   /// first_gen_[(t-1)*n + i]: earliest step count after which (P_i,t) exists.
   std::vector<std::uint32_t> first_gen_;
 };

@@ -14,13 +14,21 @@
 // After T' host steps, every final pebble (P_i, T) must have been generated
 // somewhere.  A Protocol is the full listing of operations; the validator
 // (validator.hpp) replays it against the guest and host graphs.
+//
+// Layout: one flat array of 16-byte ops plus a CSR `step_offsets` array
+// (host step s owns ops [step_offsets[s], step_offsets[s+1])), so emitting,
+// replaying and indexing a protocol are single passes over contiguous memory.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "src/topology/graph.hpp"
+#include "src/util/contracts.hpp"
+#include "src/util/mapped_allocator.hpp"
 
 namespace upn {
 
@@ -34,35 +42,76 @@ struct PebbleType {
 
 enum class OpKind : std::uint8_t { kGenerate, kSend, kReceive };
 
+/// Host processors a Protocol can address: Op packs the processor id into
+/// the 30 bits next to its 2-bit kind.
+inline constexpr std::uint32_t kMaxProtocolHosts = 1u << 30;
+
+/// One operation, packed to 16 bytes: kind and processor share a word.
 struct Op {
-  OpKind kind = OpKind::kGenerate;
-  std::uint32_t proc = 0;     ///< host processor performing the operation
-  PebbleType pebble;          ///< the pebble generated / sent / received
-  std::uint32_t partner = 0;  ///< send: receiver; receive: sender; else unused
+  OpKind kind : 2;
+  std::uint32_t proc : 30;  ///< host processor performing the operation
+  PebbleType pebble;        ///< the pebble generated / sent / received
+  std::uint32_t partner;    ///< send: receiver; receive: sender; else unused
+
+  constexpr Op() noexcept : kind(OpKind::kGenerate), proc(0), partner(0) {}
+  /// `op_proc` must be below kMaxProtocolHosts; higher bits are dropped.
+  /// Protocol::add's unpacked overload range-checks untrusted ids first.
+  constexpr Op(OpKind op_kind, std::uint32_t op_proc, PebbleType op_pebble,
+               std::uint32_t op_partner) noexcept
+      : kind(op_kind),
+        proc(op_proc & (kMaxProtocolHosts - 1)),
+        pebble(op_pebble),
+        partner(op_partner) {}
 };
+static_assert(sizeof(Op) <= 16, "Op must stay packed: a protocol is an array of them");
 
 /// A simulation protocol S: host steps, each a list of operations (at most
-/// one per processor -- enforced at insertion).
+/// one per processor -- enforced at insertion and again by the validator).
 class Protocol {
  public:
   Protocol(std::uint32_t num_guests, std::uint32_t num_hosts, std::uint32_t guest_steps);
 
   /// Opens a new host time step.
-  void begin_step();
+  void begin_step() {
+    UPN_REQUIRE(host_steps() < std::numeric_limits<std::uint32_t>::max(),
+                "Protocol::begin_step: host step count overflows uint32");
+    step_offsets_.push_back(step_offsets_.back());
+  }
 
   /// Adds an operation to the current host step.
-  void add(const Op& op);
+  void add(const Op& op) { add(op.kind, op.proc, op.pebble, op.partner); }
+
+  /// add(Op) on unpacked fields: the full 32-bit processor id is
+  /// range-checked before it is packed (read_protocol's entry point).
+  void add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint32_t partner);
+
+  /// Pre-sizes the flat arrays to hold `total_ops` operations in
+  /// `total_steps` host steps, so an emitter that knows its size appends
+  /// without reallocating (and never holds two copies of a large array).
+  void reserve(std::uint64_t total_ops, std::uint64_t total_steps);
 
   [[nodiscard]] std::uint32_t num_guests() const noexcept { return num_guests_; }
   [[nodiscard]] std::uint32_t num_hosts() const noexcept { return num_hosts_; }
   [[nodiscard]] std::uint32_t guest_steps() const noexcept { return guest_steps_; }
   /// T': number of host steps.
   [[nodiscard]] std::uint32_t host_steps() const noexcept {
-    return static_cast<std::uint32_t>(steps_.size());
+    return static_cast<std::uint32_t>(step_offsets_.size() - 1);
   }
-  [[nodiscard]] const std::vector<std::vector<Op>>& steps() const noexcept { return steps_; }
 
-  [[nodiscard]] std::uint64_t num_ops() const noexcept;
+  /// Every operation, in step order.
+  [[nodiscard]] std::span<const Op> ops() const {
+    UPN_ENSURE(step_offsets_.back() == ops_.size(), "Protocol: step offsets must close on ops");
+    return ops_;
+  }
+
+  /// The operations of host step `s`.
+  [[nodiscard]] std::span<const Op> step(std::uint32_t s) const {
+    UPN_REQUIRE(s < host_steps(), "Protocol::step: host step out of range");
+    return std::span<const Op>{ops_}.subspan(step_offsets_[s],
+                                             step_offsets_[s + 1] - step_offsets_[s]);
+  }
+
+  [[nodiscard]] std::uint64_t num_ops() const noexcept { return ops_.size(); }
 
   /// Slowdown s = T' / T.
   [[nodiscard]] double slowdown() const noexcept {
@@ -79,7 +128,8 @@ class Protocol {
   std::uint32_t num_guests_;
   std::uint32_t num_hosts_;
   std::uint32_t guest_steps_;
-  std::vector<std::vector<Op>> steps_;
+  std::vector<Op, MappedAllocator<Op>> ops_;
+  std::vector<std::uint64_t, MappedAllocator<std::uint64_t>> step_offsets_{0};
   std::vector<std::uint32_t> proc_used_step_;  ///< proc -> last step index + 1
 };
 

@@ -5,21 +5,19 @@ namespace upn {
 ProtocolStats protocol_stats(const Protocol& protocol) {
   ProtocolStats stats;
   std::vector<std::uint64_t> per_proc(protocol.num_hosts(), 0);
-  for (const auto& step : protocol.steps()) {
-    for (const Op& op : step) {
-      switch (op.kind) {
-        case OpKind::kGenerate:
-          ++stats.generates;
-          break;
-        case OpKind::kSend:
-          ++stats.sends;
-          break;
-        case OpKind::kReceive:
-          ++stats.receives;
-          break;
-      }
-      ++per_proc[op.proc];
+  for (const Op& op : protocol.ops()) {
+    switch (op.kind) {
+      case OpKind::kGenerate:
+        ++stats.generates;
+        break;
+      case OpKind::kSend:
+        ++stats.sends;
+        break;
+      case OpKind::kReceive:
+        ++stats.receives;
+        break;
     }
+    ++per_proc[op.proc];
   }
   const std::uint64_t ops = stats.generates + stats.sends + stats.receives;
   const std::uint64_t slots =

@@ -1,6 +1,7 @@
 #include "src/pebble/validator.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/obs/obs.hpp"
@@ -10,11 +11,6 @@ namespace upn {
 
 namespace {
 
-/// Pebble key within one processor's holdings: node * (T+1) + time.
-std::uint64_t key_of(const PebbleType& p, std::uint32_t guest_steps) noexcept {
-  return static_cast<std::uint64_t>(p.node) * (guest_steps + 1) + p.time;
-}
-
 std::string describe(const Op& op) {
   const char* kind = op.kind == OpKind::kGenerate ? "generate"
                      : op.kind == OpKind::kSend   ? "send"
@@ -22,6 +18,112 @@ std::string describe(const Op& op) {
   return std::string{kind} + "(P" + std::to_string(op.pebble.node) + "," +
          std::to_string(op.pebble.time) + ") at proc " + std::to_string(op.proc);
 }
+
+/// The pebbles every host processor holds: one n-bit row per (processor,
+/// guest time t >= 1), allocated the first time that processor places a
+/// pebble of time t.  Time-0 pebbles are initial -- held by everyone -- and
+/// need no row.  Rows are found through an open-addressing table keyed by
+/// (processor, time), fronted by a per-processor memo of the last time
+/// looked up (a routing phase moves pebbles of a single time), so memory
+/// follows the rows the protocol touches: about m * n * T bits when every
+/// pair is touched, never that much up front.
+class Holdings {
+ public:
+  Holdings(std::uint32_t num_guests, std::uint32_t num_hosts)
+      : words_per_row_((std::size_t{num_guests} + 63) / 64),
+        memo_time_(num_hosts, 0),
+        memo_row_(num_hosts, 0),
+        keys_(kInitialSlots, kEmpty),
+        rows_(kInitialSlots, 0) {}
+
+  /// The row of (proc, time >= 1); nullptr when proc holds no such pebble.
+  /// Valid until the next place().
+  [[nodiscard]] const std::uint64_t* find(std::uint32_t proc, std::uint32_t time) {
+    UPN_REQUIRE(time >= 1 && proc < memo_time_.size(), "Holdings::find: no row for this pebble");
+    const std::size_t row = lookup(proc, time);
+    return row == kNoRow ? nullptr : bits_.data() + row * words_per_row_;
+  }
+
+  [[nodiscard]] static bool test(const std::uint64_t* row, NodeId node) noexcept {
+    return ((row[node / 64] >> (node % 64)) & 1u) != 0;
+  }
+
+  [[nodiscard]] bool holds(std::uint32_t proc, const PebbleType& p) {
+    if (p.time == 0) return true;
+    const std::uint64_t* row = find(proc, p.time);
+    return row != nullptr && test(row, p.node);
+  }
+
+  void place(std::uint32_t proc, const PebbleType& p) {
+    if (p.time == 0) return;
+    std::size_t row = lookup(proc, p.time);
+    if (row == kNoRow) row = insert(proc, p.time);
+    bits_[row * words_per_row_ + p.node / 64] |= std::uint64_t{1} << (p.node % 64);
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 64;
+  static constexpr std::size_t kNoRow = ~std::size_t{0};
+  /// Key 0 is (processor 0, time 0), which never gets a row.
+  static constexpr std::uint64_t kEmpty = 0;
+
+  static std::uint64_t key_of(std::uint32_t proc, std::uint32_t time) noexcept {
+    return (std::uint64_t{proc} << 32) | time;
+  }
+
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & (keys_.size() - 1);
+  }
+
+  [[nodiscard]] std::size_t lookup(std::uint32_t proc, std::uint32_t time) {
+    if (memo_time_[proc] == time) return memo_row_[proc];
+    const std::uint64_t key = key_of(proc, time);
+    for (std::size_t slot = slot_of(key); keys_[slot] != kEmpty;
+         slot = (slot + 1) & (keys_.size() - 1)) {
+      if (keys_[slot] == key) {
+        memo_time_[proc] = time;
+        memo_row_[proc] = rows_[slot];
+        return rows_[slot];
+      }
+    }
+    return kNoRow;
+  }
+
+  std::size_t insert(std::uint32_t proc, std::uint32_t time) {
+    if (2 * (num_rows_ + 1) > keys_.size()) grow();
+    const std::size_t row = num_rows_++;
+    put(key_of(proc, time), row);
+    bits_.resize(num_rows_ * words_per_row_, 0);
+    memo_time_[proc] = time;
+    memo_row_[proc] = row;
+    return row;
+  }
+
+  void put(std::uint64_t key, std::size_t row) {
+    std::size_t slot = slot_of(key);
+    while (keys_[slot] != kEmpty) slot = (slot + 1) & (keys_.size() - 1);
+    keys_[slot] = key;
+    rows_[slot] = row;
+  }
+
+  void grow() {
+    const std::vector<std::uint64_t> old_keys = std::move(keys_);
+    const std::vector<std::size_t> old_rows = std::move(rows_);
+    keys_.assign(2 * old_keys.size(), kEmpty);
+    rows_.assign(keys_.size(), 0);
+    for (std::size_t slot = 0; slot < old_keys.size(); ++slot) {
+      if (old_keys[slot] != kEmpty) put(old_keys[slot], old_rows[slot]);
+    }
+  }
+
+  std::size_t words_per_row_;
+  std::size_t num_rows_ = 0;
+  std::vector<std::uint64_t> bits_;         ///< num_rows_ rows of words_per_row_
+  std::vector<std::uint32_t> memo_time_;    ///< proc -> last time found (0: none)
+  std::vector<std::size_t> memo_row_;       ///< proc -> its row
+  std::vector<std::uint64_t> keys_;         ///< open addressing, power-of-two size
+  std::vector<std::size_t> rows_;           ///< slot -> row
+};
 
 }  // namespace
 
@@ -42,55 +144,71 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
   }
   const std::uint32_t T = protocol.guest_steps();
 
-  // holdings[q]: keys of pebbles processor q holds.  Time-0 pebbles are
-  // implicitly held by everyone ("at the beginning, each processor of M
-  // contains all the initial pebbles").
-  std::vector<std::unordered_set<std::uint64_t>> holdings(protocol.num_hosts());
-  auto holds = [&](std::uint32_t proc, const PebbleType& p) {
-    return p.time == 0 || holdings[proc].count(key_of(p, T)) != 0;
-  };
-
+  Holdings holdings{protocol.num_guests(), protocol.num_hosts()};
   std::vector<char> final_generated(protocol.num_guests(), 0);
+  // acted_in[q]: 1 + the last host step in which q acted; acted_op[q]: the
+  // index of that op within its step.  A receive finds its send in O(1).
+  std::vector<std::uint32_t> acted_in(protocol.num_hosts(), 0);
+  std::vector<std::uint32_t> acted_op(protocol.num_hosts(), 0);
+  // Host links straight from the CSR: Protocol::add keeps procs and
+  // partners below num_hosts, which the size check above ties to the host.
+  const std::uint32_t* host_off = host.offsets().data();
+  const NodeId* host_adj = host.adjacency().data();
+  auto adjacent = [&](std::uint32_t u, std::uint32_t v) {
+    return std::binary_search(host_adj + host_off[u], host_adj + host_off[u + 1], v);
+  };
 
   for (std::uint32_t step = 0; step < protocol.host_steps(); ++step) {
     UPN_OBS_STEP(step);
-    const auto& ops = protocol.steps()[step];
-    // First pass: verify sends (content must already be held).
-    for (const Op& op : ops) {
+    const std::span<const Op> ops = protocol.step(step);
+    const std::uint32_t stamp = step + 1;
+    // First pass: one operation per processor (Protocol::add only logs a
+    // repeat under UPN_CONTRACT_MODE=log), and sends -- whose content must
+    // already be held at the start of the step.
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+      const Op& op = ops[k];
+      if (acted_in[op.proc] == stamp) {
+        return fail("step " + std::to_string(step) + ": " + describe(op) +
+                    ": processor already acted this step (at most one operation per "
+                    "processor per host step)");
+      }
+      acted_in[op.proc] = stamp;
+      acted_op[op.proc] = static_cast<std::uint32_t>(k);
       if (op.kind != OpKind::kSend) continue;
-      if (!host.has_edge(op.proc, op.partner)) {
+      if (!adjacent(op.proc, op.partner)) {
         return fail("step " + std::to_string(step) + ": " + describe(op) +
                     ": partner is not a host neighbor");
       }
-      if (!holds(op.proc, op.pebble)) {
+      if (!holdings.holds(op.proc, op.pebble)) {
         return fail("step " + std::to_string(step) + ": " + describe(op) +
                     ": sender does not hold the pebble");
       }
       ++result.pebbles_sent;
     }
-    // Second pass: receives and generates.
+    // Second pass: receives and generates.  Each processor acts once, so
+    // a placement never changes what another op of this step may use.
     for (const Op& op : ops) {
       switch (op.kind) {
         case OpKind::kSend:
           break;
         case OpKind::kReceive: {
-          if (!host.has_edge(op.proc, op.partner)) {
+          bool matched = false;
+          if (acted_in[op.partner] == stamp) {
+            const Op& send = ops[acted_op[op.partner]];
+            matched = send.kind == OpKind::kSend && send.partner == op.proc &&
+                      send.pebble == op.pebble;
+          }
+          // A matched send already passed the neighbor check on this
+          // (undirected) link; only a failed match needs the lookup.
+          if (!matched && !adjacent(op.proc, op.partner)) {
             return fail("step " + std::to_string(step) + ": " + describe(op) +
                         ": partner is not a host neighbor");
-          }
-          bool matched = false;
-          for (const Op& other : ops) {
-            if (other.kind == OpKind::kSend && other.proc == op.partner &&
-                other.partner == op.proc && other.pebble == op.pebble) {
-              matched = true;
-              break;
-            }
           }
           if (!matched) {
             return fail("step " + std::to_string(step) + ": " + describe(op) +
                         ": no matching send from partner");
           }
-          holdings[op.proc].insert(key_of(op.pebble, T));
+          holdings.place(op.proc, op.pebble);
           ++result.pebbles_received;
           break;
         }
@@ -100,18 +218,22 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
             return fail("step " + std::to_string(step) + ": " + describe(op) +
                         ": generated time out of range");
           }
-          const PebbleType own{op.pebble.node, t - 1};
-          if (!holds(op.proc, own)) {
+          // Every predecessor is a time t-1 pebble of this processor: one row.
+          const std::uint64_t* prev = t == 1 ? nullptr : holdings.find(op.proc, t - 1);
+          auto held = [&](NodeId node) {
+            return t == 1 || (prev != nullptr && Holdings::test(prev, node));
+          };
+          if (!held(op.pebble.node)) {
             return fail("step " + std::to_string(step) + ": " + describe(op) +
                         ": missing own predecessor");
           }
           for (const NodeId j : guest.neighbors(op.pebble.node)) {
-            if (!holds(op.proc, PebbleType{j, t - 1})) {
+            if (!held(j)) {
               return fail("step " + std::to_string(step) + ": " + describe(op) +
                           ": missing neighbor predecessor P" + std::to_string(j));
             }
           }
-          holdings[op.proc].insert(key_of(op.pebble, T));
+          holdings.place(op.proc, op.pebble);
           if (t == T) final_generated[op.pebble.node] = 1;
           ++result.pebbles_generated;
           break;

@@ -29,9 +29,9 @@ bool protocols_equal(const Protocol& a, const Protocol& b) {
       a.guest_steps() != b.guest_steps() || a.host_steps() != b.host_steps()) {
     return false;
   }
-  for (std::size_t s = 0; s < a.steps().size(); ++s) {
-    const auto& sa = a.steps()[s];
-    const auto& sb = b.steps()[s];
+  for (std::uint32_t s = 0; s < a.host_steps(); ++s) {
+    const auto sa = a.step(s);
+    const auto sb = b.step(s);
     if (sa.size() != sb.size()) return false;
     for (std::size_t i = 0; i < sa.size(); ++i) {
       if (sa[i].kind != sb[i].kind || sa[i].proc != sb[i].proc ||

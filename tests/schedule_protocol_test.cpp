@@ -72,9 +72,9 @@ TEST(ScheduleProtocol, SinglePortStepsAreMatchings) {
       make_offline_universal_protocol(guest, d, embedding, 2);
   // The Protocol class enforces one-op-per-proc structurally; spot-check
   // that sends and receives pair up inside steps.
-  for (const auto& step : result.protocol.steps()) {
+  for (std::uint32_t s = 0; s < result.protocol.host_steps(); ++s) {
     std::size_t sends = 0, receives = 0;
-    for (const Op& op : step) {
+    for (const Op& op : result.protocol.step(s)) {
       sends += op.kind == OpKind::kSend;
       receives += op.kind == OpKind::kReceive;
     }

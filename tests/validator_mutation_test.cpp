@@ -42,9 +42,9 @@ Protocol rebuild_with(const Protocol& original,
                       const std::function<bool(std::size_t, Op&)>& mutate) {
   Protocol out{original.num_guests(), original.num_hosts(), original.guest_steps()};
   std::size_t index = 0;
-  for (const auto& step : original.steps()) {
+  for (std::uint32_t s = 0; s < original.host_steps(); ++s) {
     out.begin_step();
-    for (Op op : step) {
+    for (Op op : original.step(s)) {
       if (mutate(index++, op)) out.add(op);
     }
   }
@@ -53,12 +53,9 @@ Protocol rebuild_with(const Protocol& original,
 
 /// Flat index of the first op satisfying `pred`.
 std::size_t find_op(const Protocol& protocol, const std::function<bool(const Op&)>& pred) {
-  std::size_t index = 0;
-  for (const auto& step : protocol.steps()) {
-    for (const Op& op : step) {
-      if (pred(op)) return index;
-      ++index;
-    }
+  const auto ops = protocol.ops();
+  for (std::size_t index = 0; index < ops.size(); ++index) {
+    if (pred(ops[index])) return index;
   }
   return static_cast<std::size_t>(-1);
 }
@@ -79,16 +76,13 @@ TEST_F(MutationTest, DroppingReceivesBreaksValidityMostly) {
   // generate must fail.  Scan the first receives and require that most
   // mutations are caught.
   std::size_t tested = 0, rejected = 0;
-  std::size_t index = 0;
   std::vector<std::size_t> receive_indices;
-  for (const auto& step : fx_.protocol.steps()) {
-    for (const Op& op : step) {
-      // Time-0 pebbles are initial (held by everyone), so dropping their
-      // receives is legal; only generated pebbles' receives are load-bearing.
-      if (op.kind == OpKind::kReceive && op.pebble.time >= 1) {
-        receive_indices.push_back(index);
-      }
-      ++index;
+  const auto ops = fx_.protocol.ops();
+  for (std::size_t index = 0; index < ops.size(); ++index) {
+    // Time-0 pebbles are initial (held by everyone), so dropping their
+    // receives is legal; only generated pebbles' receives are load-bearing.
+    if (ops[index].kind == OpKind::kReceive && ops[index].pebble.time >= 1) {
+      receive_indices.push_back(index);
     }
   }
   ASSERT_FALSE(receive_indices.empty());
@@ -207,13 +201,10 @@ TEST_F(FaultMutationTest, LostReceiveIsRejected) {
   // load-bearing, but at least one must be -- and every rejection must name
   // the missing holding.
   std::vector<std::size_t> receive_indices;
-  std::size_t index = 0;
-  for (const auto& step : protocol_.steps()) {
-    for (const Op& op : step) {
-      if (op.kind == OpKind::kReceive && op.pebble.time >= 1) {
-        receive_indices.push_back(index);
-      }
-      ++index;
+  const auto ops = protocol_.ops();
+  for (std::size_t index = 0; index < ops.size(); ++index) {
+    if (ops[index].kind == OpKind::kReceive && ops[index].pebble.time >= 1) {
+      receive_indices.push_back(index);
     }
   }
   ASSERT_FALSE(receive_indices.empty());
