@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/core/embedding.hpp"
+#include "src/core/guest_step.hpp"
 #include "src/util/rng.hpp"
 
 namespace upn {
@@ -55,35 +56,27 @@ CompleteSimResult run_complete_simulation(std::uint32_t n, const Graph& host,
     const auto perm = complete_step_permutation(n, t, pattern_seed);
     // Each guest sends exactly one message: a ceil(n/m)-relation on hosts
     // whose pattern is only known now -- the online-routing case.
-    std::vector<Packet> packets;
-    packets.reserve(n);
+    std::vector<GuestDemand> demands;
+    std::vector<Config> payloads;
     for (NodeId i = 0; i < n; ++i) {
-      const NodeId target_guest = perm[i];
-      if (embedding[i] == embedding[target_guest]) {
-        received[target_guest] = configs[i];  // local delivery
-        continue;
+      const NodeId j = perm[i];
+      if (embedding[i] == embedding[j]) {
+        received[j] = configs[i];  // local delivery
+      } else {
+        demands.push_back(GuestDemand{i, j, embedding[i], embedding[j], j});
+        payloads.push_back(configs[i]);
       }
-      Packet p;
-      p.src = embedding[i];
-      p.dst = embedding[target_guest];
-      p.via = p.dst;
-      p.payload = configs[i];
-      p.tag = i;
-      p.tag2 = target_guest;
-      packets.push_back(p);
     }
-    if (!packets.empty()) {
-      const RouteResult routed = router.route(std::move(packets), policy);
-      result.host_steps += routed.steps;
-      for (const Packet& p : routed.packets) received[p.tag2] = p.payload;
-    }
+    const DeliverFn deliver = [&](std::uint32_t d, Config payload) {
+      received[demands[d].receiver] = payload;
+    };
+    result.host_steps += route_demands(router, policy, false, {demands, payloads}, deliver).steps;
     for (NodeId j = 0; j < n; ++j) next[j] = complete_next_config(configs[j], received[j]);
     configs.swap(next);
     result.host_steps += load;
   }
 
-  result.slowdown =
-      guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
+  result.slowdown = per_guest_step(result.host_steps, guest_steps);
   result.inefficiency = n == 0 ? 0.0 : result.slowdown * m / n;
   result.configs_match =
       run_complete_reference(n, seed, pattern_seed, guest_steps) == configs;

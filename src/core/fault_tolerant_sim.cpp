@@ -1,40 +1,15 @@
 #include "src/core/fault_tolerant_sim.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "src/compute/machine.hpp"
 #include "src/core/embedding.hpp"
+#include "src/core/guest_step.hpp"
 #include "src/obs/obs.hpp"
 
 namespace upn {
-
-namespace {
-
-constexpr NodeId kNoSurvivorHost = 0xffffffffu;
-
-/// Emits one protocol step per router step: every successful transfer is a
-/// send plus the mirrored receive of the pebble (P_tag, pebble_time);
-/// dropped transfers emit the send only -- the copy was lost in flight.
-void emit_route_ops(Protocol& protocol, const RouteResult& routed, std::uint32_t pebble_time) {
-  std::size_t cursor = 0;
-  for (std::uint32_t step = 0; step < routed.steps; ++step) {
-    protocol.begin_step();
-    for (; cursor < routed.transfers.size() && routed.transfers[cursor].step == step;
-         ++cursor) {
-      const Transfer& tr = routed.transfers[cursor];
-      const PebbleType pebble{routed.packets[tr.packet].tag, pebble_time};
-      protocol.add(Op{OpKind::kSend, tr.from, pebble, tr.to});
-      if (tr.dropped == 0) {
-        protocol.add(Op{OpKind::kReceive, tr.to, pebble, tr.from});
-      }
-    }
-  }
-}
-
-}  // namespace
 
 FaultTolerantSimulator::FaultTolerantSimulator(const Graph& guest, const Graph& host,
                                                const FaultPlan& plan,
@@ -74,78 +49,52 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
   std::vector<char> host_dead(m, 0);
 
   auto guests_of = invert_embedding(embedding_, m);
-  auto update_load = [&]() {
-    for (const auto& bucket : guests_of) {
-      result.load = std::max(result.load, static_cast<std::uint32_t>(bucket.size()));
-    }
-  };
-  update_load();
+  result.load = embedding_load(embedding_, m);
 
-  FaultRouteOptions route_opts;
-  route_opts.plan = &revealed;
-  route_opts.max_retries = options.max_retries;
-  route_opts.backoff_base = options.backoff_base;
+  FaultRouteOptions route_opts{.plan = &revealed,
+                               .max_retries = options.max_retries,
+                               .backoff_base = options.backoff_base};
 
-  // Routes `packets` at the current host step, re-injecting lost packets a
+  // Routes `demands` at the current host step, re-injecting lost packets a
   // bounded number of times.  Returns false when packets remain lost (the
-  // surviving host cannot deliver them).  On success `deliver` has been
-  // called once per packet.
-  auto route_phase = [&](std::vector<Packet> packets, std::uint32_t pebble_time,
-                         auto&& deliver) -> bool {
+  // surviving host cannot deliver them).  On success every demand has been
+  // delivered once.
+  auto route_phase = [&](StepPayloads step, std::uint32_t pebble_time,
+                         const DeliverFn& deliver) -> bool {
     UPN_OBS_SPAN("sim.fault.route");
-    std::uint32_t attempts = 0;
-    while (!packets.empty()) {
-      result.packets_routed += packets.size();
-      UPN_OBS_COUNT("sim.fault.packets_routed", packets.size());
+    std::vector<std::uint32_t> ids(step.demands.size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    for (std::uint32_t attempt = 0; !ids.empty(); ++attempt) {
+      if (attempt > 0) {
+        UPN_OBS_COUNT("sim.fault.reinjections", ids.size());
+        if (attempt > options.reinject_attempts) return false;
+      }
+      result.packets_routed += ids.size();
+      UPN_OBS_COUNT("sim.fault.packets_routed", ids.size());
       route_opts.step_offset = H;
-      const bool log = options.emit_protocol;
       const RouteResult routed =
-          router.route_with_faults(std::move(packets), route_opts, options.policy, log);
+          route_demands_with_faults(router, route_opts, options.policy, options.emit_protocol,
+                                    step, ids, deliver);
       H += routed.steps;
       result.comm_steps += routed.steps;
       result.retransmissions += routed.retransmissions;
       result.reroutes += routed.reroutes;
       if (options.emit_protocol) emit_route_ops(*result.protocol, routed, pebble_time);
-      packets.clear();
-      for (const Packet& p : routed.packets) {
-        if (p.lost != 0) {
-          Packet retry;
-          retry.src = p.src;
-          retry.dst = p.dst;
-          retry.via = p.dst;
-          retry.payload = p.payload;
-          retry.tag = p.tag;
-          retry.tag2 = p.tag2;
-          packets.push_back(retry);
-        } else {
-          deliver(p);
-        }
+      std::size_t kept = 0;  // the lost packets, re-injected next attempt
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (routed.packets[i].lost != 0) ids[kept++] = ids[i];
       }
-      if (packets.empty()) return true;
-      UPN_OBS_COUNT("sim.fault.reinjections", packets.size());
-      if (++attempts > options.reinject_attempts) return false;
+      ids.resize(kept);
     }
     return true;
   };
 
-  // Emits the computation phase of guest time `t` for the given per-host
-  // guest lists; every host generates its pebbles sequentially.
+  // The computation phase of guest time `t` for the given per-host guest
+  // lists; every host generates its pebbles sequentially.
+  Protocol* protocol = result.protocol ? &*result.protocol : nullptr;
   auto generate_rounds = [&](const std::vector<std::vector<NodeId>>& lists,
                              std::uint32_t t) -> std::uint32_t {
-    std::uint32_t rounds = 0;
-    for (const auto& bucket : lists) {
-      rounds = std::max(rounds, static_cast<std::uint32_t>(bucket.size()));
-    }
-    if (options.emit_protocol) {
-      for (std::uint32_t round = 0; round < rounds; ++round) {
-        result.protocol->begin_step();
-        for (std::uint32_t q = 0; q < m; ++q) {
-          if (round < lists[q].size()) {
-            result.protocol->add(Op{OpKind::kGenerate, q, PebbleType{lists[q][round], t}, 0});
-          }
-        }
-      }
-    }
+    const std::uint32_t rounds = emit_generate_rounds(protocol, lists, t);
     H += rounds;
     result.compute_steps += rounds;
     return rounds;
@@ -160,28 +109,24 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
     UPN_OBS_HIST("sim.fault.replay_depth", upto);
     std::vector<std::vector<NodeId>> lists(m);
     for (const NodeId u : lost) lists[embedding_[u]].push_back(u);
+    // Pebble copies only: the history is regenerated, not read.
+    std::vector<GuestDemand> copies;
+    std::unordered_set<std::uint64_t> seen;  // (guest j) -> (dest host)
+    for (const NodeId u : lost) {
+      for (const NodeId j : guest.neighbors(u)) {
+        const NodeId holder = embedding_[j];
+        const NodeId dest = embedding_[u];
+        if (holder == dest) continue;
+        const std::uint64_t key = (static_cast<std::uint64_t>(j) << 32) | dest;
+        if (seen.insert(key).second) copies.push_back(GuestDemand{j, u, holder, dest, 0});
+      }
+    }
+    const std::vector<Config> no_payloads(copies.size());
+    const DeliverFn discard = [](std::uint32_t, Config) {};
     for (std::uint32_t tau = 1; tau <= upto; ++tau) {
       if (tau >= 2) {  // tau == 1 needs only initial pebbles, held by all
-        std::vector<Packet> packets;
-        std::unordered_set<std::uint64_t> seen;  // (guest j) -> (dest host)
-        for (const NodeId u : lost) {
-          for (const NodeId j : guest.neighbors(u)) {
-            const NodeId holder = embedding_[j];
-            const NodeId dest = embedding_[u];
-            if (holder == dest) continue;
-            const std::uint64_t key = (static_cast<std::uint64_t>(j) << 32) | dest;
-            if (!seen.insert(key).second) continue;
-            Packet p;
-            p.src = holder;
-            p.dst = dest;
-            p.via = dest;
-            p.tag = j;
-            p.tag2 = u;
-            packets.push_back(p);
-          }
-        }
         const std::uint32_t before = result.comm_steps;
-        if (!route_phase(std::move(packets), tau - 1, [](const Packet&) {})) return false;
+        if (!route_phase({copies, no_payloads}, tau - 1, discard)) return false;
         result.replay_steps += result.comm_steps - before;
       }
       result.replay_steps += generate_rounds(lists, tau);
@@ -189,12 +134,8 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
     return true;
   };
 
-  // Current guest configurations (time t-1 while simulating step t).
-  std::vector<Config> configs(n), next(n);
-  for (NodeId u = 0; u < n; ++u) configs[u] = initial_config(options.seed, u);
-
-  // received[v] -> (neighbor u -> u's configuration) for the current step.
-  std::vector<std::unordered_map<NodeId, Config>> received(n);
+  GuestStepKernel kernel{guest, embedding_, options.seed};
+  const DeliverFn deliver = std::bind_front(&GuestStepKernel::deliver, &kernel);
 
   auto finish = [&](bool completed) -> FaultSimResult {
     UPN_OBS_SPAN("sim.fault.validate");
@@ -202,14 +143,10 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
     UPN_OBS_COUNT("sim.fault.fault_epochs", result.fault_epochs);
     UPN_OBS_COUNT("sim.fault.reembedded_guests", result.reembedded_guests);
     result.host_steps = result.comm_steps + result.compute_steps;
-    result.slowdown =
-        guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
+    result.slowdown = per_guest_step(result.host_steps, guest_steps);
     result.inefficiency = n == 0 ? 0.0 : result.slowdown * m / n;
     result.completed = completed;
-    if (completed) {
-      const std::vector<Config> reference = run_reference(guest, options.seed, guest_steps);
-      result.configs_match = reference == configs;
-    }
+    result.configs_match = completed && kernel.configs_match();
     return result;
   };
 
@@ -235,70 +172,33 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
         if (host_dead[embedding_[u]] != 0) lost.push_back(u);
       }
       if (!lost.empty()) {
+        constexpr std::uint32_t kDead = 0xffffffffu;  // never the least loaded
         std::vector<std::uint32_t> load(m, 0);
+        for (NodeId q = 0; q < m; ++q) load[q] = host_dead[q] != 0 ? kDead : 0;
         for (NodeId u = 0; u < n; ++u) {
           if (host_dead[embedding_[u]] == 0) ++load[embedding_[u]];
         }
-        bool any_survivor = false;
-        for (NodeId q = 0; q < m; ++q) any_survivor |= host_dead[q] == 0;
-        if (!any_survivor) return finish(false);
+        if (*std::min_element(load.begin(), load.end()) == kDead) return finish(false);
         for (const NodeId u : lost) {
-          NodeId best = kNoSurvivorHost;
-          for (NodeId q = 0; q < m; ++q) {
-            if (host_dead[q] != 0) continue;
-            if (best == kNoSurvivorHost || load[q] < load[best]) best = q;
-          }
-          embedding_[u] = best;
-          ++load[best];
+          const auto best = std::min_element(load.begin(), load.end()) - load.begin();
+          embedding_[u] = static_cast<NodeId>(best);
+          ++load[static_cast<std::size_t>(best)];
         }
         guests_of = invert_embedding(embedding_, m);
-        update_load();
+        result.load = std::max(result.load, embedding_load(embedding_, m));
         result.reembedded_guests += static_cast<std::uint32_t>(lost.size());
+        kernel.rebuild_demands();
         if (!replay(lost, t - 1)) return finish(false);
       }
     }
 
     // ---- Phase 1: communication (the h-h routing of Theorem 2.1). ----
-    std::vector<Packet> packets;
-    for (NodeId u = 0; u < n; ++u) {
-      for (const NodeId v : guest.neighbors(u)) {
-        if (embedding_[u] == embedding_[v]) continue;
-        Packet p;
-        p.src = embedding_[u];
-        p.dst = embedding_[v];
-        p.via = p.dst;
-        p.payload = configs[u];
-        p.tag = u;
-        p.tag2 = v;
-        packets.push_back(p);
-      }
-    }
-    for (auto& bucket : received) bucket.clear();
-    if (!route_phase(std::move(packets), t - 1,
-                     [&](const Packet& p) { received[p.tag2].emplace(p.tag, p.payload); })) {
+    if (!route_phase(kernel.step_payloads(), t - 1, deliver)) {
       return finish(false);
     }
 
     // ---- Phase 2: computation (sequential per host, parallel across). ----
-    std::vector<Config> neighbor_configs;
-    neighbor_configs.reserve(guest.max_degree());
-    for (NodeId v = 0; v < n; ++v) {
-      neighbor_configs.clear();
-      for (const NodeId w : guest.neighbors(v)) {
-        if (embedding_[w] == embedding_[v]) {
-          neighbor_configs.push_back(configs[w]);  // local guest, no packet
-        } else {
-          const auto it = received[v].find(w);
-          if (it == received[v].end()) {
-            throw std::logic_error{"FaultTolerantSimulator: missing routed configuration" +
-                                   obs::context_suffix()};
-          }
-          neighbor_configs.push_back(it->second);
-        }
-      }
-      next[v] = next_config(configs[v], neighbor_configs);
-    }
-    configs.swap(next);
+    kernel.compute_lossless("FaultTolerantSimulator");
     generate_rounds(guests_of, t);
   }
 

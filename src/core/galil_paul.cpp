@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "src/compute/machine.hpp"
 #include "src/core/embedding.hpp"
+#include "src/core/guest_step.hpp"
 #include "src/routing/hh_problem.hpp"
 #include "src/sorting/bitonic.hpp"
 #include "src/sorting/sort_route.hpp"
@@ -19,11 +18,7 @@ GalilPaulCost galil_paul_step_cost(const Graph& guest, std::uint32_t m) {
   const ComparatorNetwork sorter = make_bitonic_sorter(std::max(2u, sorter_size));
 
   const std::vector<NodeId> embedding = make_block_embedding(guest.num_nodes(), m);
-  const HhProblem step_relation = guest_step_relation(guest, embedding, m);
-  HhProblem relation{sorter.wires()};
-  for (const Demand& d : step_relation.demands()) {
-    relation.add(d.src, d.dst);
-  }
+  const HhProblem relation = guest_step_relation(guest, embedding, sorter.wires());
   const SortRouteStats stats = route_relation_by_sorting(relation, sorter);
 
   GalilPaulCost cost;
@@ -39,82 +34,25 @@ GalilPaulCost galil_paul_step_cost(const Graph& guest, std::uint32_t m) {
 GalilPaulSimResult run_galil_paul(const Graph& guest, std::uint32_t m,
                                   std::uint32_t guest_steps, std::uint64_t seed) {
   if (m == 0) throw std::invalid_argument{"run_galil_paul: m must be positive"};
-  const std::uint32_t n = guest.num_nodes();
   const auto wires = std::max(2u, static_cast<std::uint32_t>(next_power_of_two(m)));
   const ComparatorNetwork sorter = make_bitonic_sorter(wires);
-  const std::vector<NodeId> embedding = make_block_embedding(n, m);
+  const std::vector<NodeId> embedding = make_block_embedding(guest.num_nodes(), m);
   const std::uint32_t load = embedding_load(embedding, m);
 
-  // The per-step relation and the sender/receiver of each demand are fixed.
-  HhProblem relation{wires};
-  std::vector<NodeId> senders, receivers;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : guest.neighbors(u)) {
-      if (embedding[u] == embedding[v]) continue;
-      relation.add(embedding[u], embedding[v]);
-      senders.push_back(u);
-      receivers.push_back(v);
-    }
-  }
+  // The per-step relation is fixed; demand d is relation entry d.  Each
+  // step the sorting network physically moves the configurations.
+  GuestStepKernel kernel{guest, embedding, seed};
+  const HhProblem relation = guest_step_relation(guest, embedding, wires);
 
   GalilPaulSimResult result;
   result.guest_steps = guest_steps;
-  std::vector<Config> configs(n), next(n);
-  for (NodeId u = 0; u < n; ++u) configs[u] = initial_config(seed, u);
-  std::vector<std::unordered_map<NodeId, Config>> received(n);
-
+  const DeliverFn deliver = std::bind_front(&GuestStepKernel::deliver, &kernel);
   for (std::uint32_t t = 1; t <= guest_steps; ++t) {
-    // Payload d encodes (sending guest, its configuration) -- the sort
-    // network physically moves these records to the destination host.
-    std::vector<std::uint64_t> payloads(senders.size());
-    for (std::size_t d = 0; d < senders.size(); ++d) payloads[d] = senders[d];
-    const SortRouteDelivery delivery =
-        deliver_relation_by_sorting(relation, payloads, sorter);
-    if (!delivery.stats.delivered) {
-      throw std::logic_error{"run_galil_paul: sort routing failed to deliver"};
-    }
-    result.host_steps += delivery.stats.comparator_steps + load;
-
-    // Cross-check the physical delivery: the multiset of sender ids that
-    // the sorting network dropped at each host must equal the demand
-    // list's.  Only then is the configs hand-off below justified.
-    {
-      std::vector<std::vector<std::uint64_t>> expected(wires);
-      for (std::size_t d = 0; d < senders.size(); ++d) {
-        expected[embedding[receivers[d]]].push_back(senders[d]);
-      }
-      for (std::uint32_t host_node = 0; host_node < wires; ++host_node) {
-        auto got = delivery.delivered[host_node];
-        auto want = expected[host_node];
-        std::sort(got.begin(), got.end());
-        std::sort(want.begin(), want.end());
-        if (got != want) {
-          throw std::logic_error{"run_galil_paul: sort routing delivered wrong records"};
-        }
-      }
-    }
-    for (auto& bucket : received) bucket.clear();
-    for (std::size_t d = 0; d < senders.size(); ++d) {
-      received[receivers[d]].emplace(senders[d], configs[senders[d]]);
-    }
-    std::vector<Config> neighbor_configs;
-    neighbor_configs.reserve(guest.max_degree());
-    for (NodeId v = 0; v < n; ++v) {
-      neighbor_configs.clear();
-      for (const NodeId w : guest.neighbors(v)) {
-        if (embedding[w] == embedding[v]) {
-          neighbor_configs.push_back(configs[w]);
-        } else {
-          neighbor_configs.push_back(received[v].at(w));
-        }
-      }
-      next[v] = next_config(configs[v], neighbor_configs);
-    }
-    configs.swap(next);
+    result.host_steps += sort_demands(relation, sorter, kernel.step_payloads(), deliver) + load;
+    kernel.compute_lossless("run_galil_paul");
   }
-  result.slowdown =
-      guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
-  result.configs_match = run_reference(guest, seed, guest_steps) == configs;
+  result.slowdown = per_guest_step(result.host_steps, guest_steps);
+  result.configs_match = kernel.configs_match();
   return result;
 }
 

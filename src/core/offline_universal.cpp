@@ -1,10 +1,9 @@
 #include "src/core/offline_universal.hpp"
 
 #include <stdexcept>
-#include <unordered_map>
 
-#include "src/compute/machine.hpp"
 #include "src/core/embedding.hpp"
+#include "src/core/guest_step.hpp"
 #include "src/routing/offline_butterfly.hpp"
 #include "src/topology/butterfly.hpp"
 
@@ -14,26 +13,16 @@ OfflineUniversalResult run_offline_universal(const Graph& guest,
                                              std::uint32_t butterfly_dimension,
                                              const std::vector<NodeId>& embedding,
                                              std::uint32_t guest_steps, std::uint64_t seed) {
-  const ButterflyLayout layout{butterfly_dimension, /*wrapped=*/false};
-  const std::uint32_t n = guest.num_nodes();
-  const std::uint32_t m = layout.num_nodes();
-  if (embedding.size() != n) {
+  const std::uint32_t m = ButterflyLayout{butterfly_dimension, /*wrapped=*/false}.num_nodes();
+  if (embedding.size() != guest.num_nodes()) {
     throw std::invalid_argument{"run_offline_universal: embedding size != guest size"};
   }
 
-  // The communication relation is per-(G, f) fixed: demand d carries the
-  // configuration of guest `senders[d]` to the host of `receivers[d]`.
-  HhProblem relation{m};
-  std::vector<NodeId> senders, receivers;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : guest.neighbors(u)) {
-      if (embedding[u] == embedding[v]) continue;
-      relation.add(embedding[u], embedding[v]);
-      senders.push_back(u);
-      receivers.push_back(v);
-    }
-  }
-  // Schedule once, replay every step ("known in advance").
+  // The communication relation is per-(G, f) fixed: schedule it once and
+  // replay it every guest step ("known in advance").  Packet d of the
+  // schedule is the kernel's demand d.
+  GuestStepKernel kernel{guest, embedding, seed};
+  const HhProblem relation = guest_step_relation(guest, embedding, m);
   const OfflineSchedule schedule = route_relation_offline(butterfly_dimension, relation);
   if (!validate_schedule(schedule, relation)) {
     throw std::logic_error{"run_offline_universal: schedule failed validation"};
@@ -45,43 +34,19 @@ OfflineUniversalResult run_offline_universal(const Graph& guest,
   result.schedule_steps = schedule.num_steps;
   result.num_batches = schedule.num_batches;
 
-  std::vector<Config> configs(n), next(n);
-  for (NodeId u = 0; u < n; ++u) configs[u] = initial_config(seed, u);
-  std::vector<std::unordered_map<NodeId, Config>> received(n);
-
+  const DeliverFn deliver = std::bind_front(&GuestStepKernel::deliver, &kernel);
   for (std::uint32_t t = 1; t <= guest_steps; ++t) {
-    // The schedule's packet index d is the d-th demand; its payload is the
-    // current configuration of senders[d].  Delivery is by construction of
-    // the validated schedule, so we can hand the payload over directly.
-    for (auto& bucket : received) bucket.clear();
-    for (std::size_t d = 0; d < senders.size(); ++d) {
-      received[receivers[d]].emplace(senders[d], configs[senders[d]]);
-    }
-    std::vector<Config> neighbor_configs;
-    neighbor_configs.reserve(guest.max_degree());
-    for (NodeId v = 0; v < n; ++v) {
-      neighbor_configs.clear();
-      for (const NodeId w : guest.neighbors(v)) {
-        if (embedding[w] == embedding[v]) {
-          neighbor_configs.push_back(configs[w]);
-        } else {
-          neighbor_configs.push_back(received[v].at(w));
-        }
-      }
-      next[v] = next_config(configs[v], neighbor_configs);
-    }
-    configs.swap(next);
+    result.host_steps +=
+        replay_schedule(schedule.moves, schedule.num_steps, kernel.step_payloads(), deliver) +
+        load;
+    kernel.compute_lossless("run_offline_universal");
   }
 
   result.compute_steps = load;
-  result.host_steps = guest_steps * (schedule.num_steps + load);
   result.host_steps_single_port = guest_steps * (2 * schedule.num_steps + load);
-  result.slowdown =
-      guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
-  result.slowdown_single_port =
-      guest_steps == 0 ? 0.0
-                       : static_cast<double>(result.host_steps_single_port) / guest_steps;
-  result.configs_match = run_reference(guest, seed, guest_steps) == configs;
+  result.slowdown = per_guest_step(result.host_steps, guest_steps);
+  result.slowdown_single_port = per_guest_step(result.host_steps_single_port, guest_steps);
+  result.configs_match = kernel.configs_match();
   return result;
 }
 

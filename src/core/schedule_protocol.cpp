@@ -1,42 +1,16 @@
 #include "src/core/schedule_protocol.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <vector>
 
 #include "src/core/embedding.hpp"
+#include "src/core/guest_step.hpp"
 #include "src/routing/offline_butterfly.hpp"
 #include "src/topology/butterfly.hpp"
 
 namespace upn {
-
-namespace {
-
-/// Greedy edge coloring of one multiport step's moves: two moves sharing a
-/// processor get different colors.  Returns per-move colors and the count.
-std::uint32_t color_moves(const std::vector<const ScheduledMove*>& moves,
-                          std::uint32_t num_nodes, std::vector<std::uint32_t>& colors) {
-  constexpr std::uint32_t kMaxColors = 16;
-  colors.assign(moves.size(), 0);
-  // node_used[v] is a bitmask of colors already incident to v.
-  std::vector<std::uint32_t> node_used(num_nodes, 0);
-  std::uint32_t max_color = 0;
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    const std::uint32_t used = node_used[moves[i]->from] | node_used[moves[i]->to];
-    std::uint32_t color = 0;
-    while (color < kMaxColors && ((used >> color) & 1u)) ++color;
-    if (color == kMaxColors) {
-      throw std::logic_error{"color_moves: degree exceeded expectations"};
-    }
-    colors[i] = color;
-    node_used[moves[i]->from] |= 1u << color;
-    node_used[moves[i]->to] |= 1u << color;
-    max_color = std::max(max_color, color + 1);
-  }
-  return max_color;
-}
-
-}  // namespace
 
 OfflineProtocolResult make_offline_universal_protocol(const Graph& guest,
                                                       std::uint32_t butterfly_dimension,
@@ -49,48 +23,42 @@ OfflineProtocolResult make_offline_universal_protocol(const Graph& guest,
     throw std::invalid_argument{"make_offline_universal_protocol: embedding size mismatch"};
   }
 
-  // The fixed per-step relation: demand d ships guest senders[d]'s pebble.
-  HhProblem relation{m};
-  std::vector<NodeId> senders;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : guest.neighbors(u)) {
-      if (embedding[u] == embedding[v]) continue;
-      relation.add(embedding[u], embedding[v]);
-      senders.push_back(u);
-    }
-  }
+  // The fixed per-step relation: demand d ships its sender's pebble.
+  const std::vector<GuestDemand> demands = guest_step_demands(guest, embedding);
+  const HhProblem relation = guest_step_relation(guest, embedding, m);
   const OfflineSchedule schedule = route_relation_offline(butterfly_dimension, relation);
   if (!validate_schedule(schedule, relation)) {
     throw std::logic_error{"make_offline_universal_protocol: invalid schedule"};
   }
   const auto guests_of = invert_embedding(embedding, m);
-  const std::uint32_t load = embedding_load(embedding, m);
 
-  // Pre-split every multiport step into colored single-port sub-steps; the
-  // split is schedule-wide, so compute it once.
-  std::vector<std::vector<std::vector<const ScheduledMove*>>> sub_steps;  // [step][color]
-  {
-    std::size_t i = 0;
-    std::vector<std::uint32_t> colors;
-    while (i < schedule.moves.size()) {
-      const std::uint32_t step = schedule.moves[i].step;
-      std::vector<const ScheduledMove*> moves;
-      for (; i < schedule.moves.size() && schedule.moves[i].step == step; ++i) {
-        moves.push_back(&schedule.moves[i]);
-      }
-      const std::uint32_t num_colors = color_moves(moves, m, colors);
-      std::vector<std::vector<const ScheduledMove*>> by_color(num_colors);
-      for (std::size_t j = 0; j < moves.size(); ++j) by_color[colors[j]].push_back(moves[j]);
-      sub_steps.push_back(std::move(by_color));
+  // Split every multiport step into single-port sub-steps by greedy edge
+  // coloring: moves sharing a processor get different colors, and each color
+  // class is one sub-step.  The split is schedule-wide, so compute it once.
+  constexpr std::uint32_t kMaxColors = 16;
+  std::vector<std::vector<const ScheduledMove*>> sub_steps;
+  std::vector<std::uint32_t> node_used(m);  // colors incident to each processor
+  std::size_t first = 0;                    // sub-step of the current step's color 0
+  for (std::size_t i = 0; i < schedule.moves.size(); ++i) {
+    const ScheduledMove& move = schedule.moves[i];
+    if (i == 0 || move.step != schedule.moves[i - 1].step) {
+      std::fill(node_used.begin(), node_used.end(), 0u);
+      first = sub_steps.size();
     }
+    const auto color =
+        static_cast<std::uint32_t>(std::countr_one(node_used[move.from] | node_used[move.to]));
+    if (color >= kMaxColors) {
+      throw std::logic_error{"make_offline_universal_protocol: degree exceeded expectations"};
+    }
+    node_used[move.from] |= 1u << color;
+    node_used[move.to] |= 1u << color;
+    if (first + color == sub_steps.size()) sub_steps.emplace_back();
+    sub_steps[first + color].push_back(&move);
   }
-  std::uint32_t single_port_steps = 0;
-  for (const auto& by_color : sub_steps) {
-    single_port_steps += static_cast<std::uint32_t>(by_color.size());
-  }
+  const auto single_port_steps = static_cast<std::uint32_t>(sub_steps.size());
 
   OfflineProtocolResult result{Protocol{n, m, guest_steps}, schedule.num_steps,
-                               single_port_steps + load, 0.0};
+                               single_port_steps + embedding_load(embedding, m), 0.0};
   result.expansion_factor =
       schedule.num_steps == 0
           ? 1.0
@@ -98,26 +66,17 @@ OfflineProtocolResult make_offline_universal_protocol(const Graph& guest,
 
   for (std::uint32_t t = 1; t <= guest_steps; ++t) {
     // Communication: replay the colored schedule; demand d carries the
-    // pebble (senders[d], t-1).
-    for (const auto& by_color : sub_steps) {
-      for (const auto& matching : by_color) {
-        result.protocol.begin_step();
-        for (const ScheduledMove* move : matching) {
-          const PebbleType pebble{senders[move->packet], t - 1};
-          result.protocol.add(Op{OpKind::kSend, move->from, pebble, move->to});
-          result.protocol.add(Op{OpKind::kReceive, move->to, pebble, move->from});
-        }
+    // pebble (its sender, t-1).
+    for (const auto& matching : sub_steps) {
+      result.protocol.begin_step();
+      for (const ScheduledMove* move : matching) {
+        const PebbleType pebble{demands[move->packet].sender, t - 1};
+        result.protocol.add(Op{OpKind::kSend, move->from, pebble, move->to});
+        result.protocol.add(Op{OpKind::kReceive, move->to, pebble, move->from});
       }
     }
     // Computation: one generate per hosted guest, round-robin across hosts.
-    for (std::uint32_t round = 0; round < load; ++round) {
-      result.protocol.begin_step();
-      for (std::uint32_t q = 0; q < m; ++q) {
-        if (round < guests_of[q].size()) {
-          result.protocol.add(Op{OpKind::kGenerate, q, PebbleType{guests_of[q][round], t}, 0});
-        }
-      }
-    }
+    emit_generate_rounds(&result.protocol, guests_of, t);
   }
   return result;
 }

@@ -7,13 +7,10 @@
 // generates a packet with destination f(P').  The desired communication
 // forms a ceil(n/m)-ceil(n/m) routing problem."
 //
-// Each guest step is simulated in two phases:
-//   1. COMMUNICATION: one packet per directed guest edge crossing hosts,
-//      carrying the sender's configuration, routed by the synchronous
-//      router (single-port by default, so the emitted protocol obeys the
-//      pebble game's one-operation-per-step rule);
-//   2. COMPUTATION: every host applies the guest transition to each of its
-//      guests sequentially (max load steps, in parallel across hosts).
+// Each guest step routes one packet per directed guest edge crossing hosts
+// through the synchronous router (single-port by default, so the emitted
+// protocol obeys the pebble game's one-operation-per-step rule), then every
+// host computes its guests sequentially (core/guest_step.hpp).
 //
 // The simulator optionally emits the full Section 3.1 pebble protocol
 // (validated by pebble/validator.hpp) and always checks the resulting

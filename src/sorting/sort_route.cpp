@@ -77,7 +77,7 @@ SortRouteStats route_relation_by_sorting(const HhProblem& problem,
 }
 
 SortRouteDelivery deliver_relation_by_sorting(const HhProblem& problem,
-                                              const std::vector<std::uint64_t>& payloads,
+                                              std::span<const std::uint64_t> payloads,
                                               const ComparatorNetwork& sorter) {
   const std::uint32_t n = problem.num_nodes();
   if (n != sorter.wires()) {
@@ -96,7 +96,7 @@ SortRouteDelivery deliver_relation_by_sorting(const HhProblem& problem,
   }
 
   SortRouteDelivery delivery;
-  delivery.delivered.resize(n);
+  delivery.records.reserve(problem.size());
   delivery.stats.delivered = true;
   std::vector<std::uint64_t> keys(n), slots(n);
   for (const PermutationRound& round : decompose_into_permutations(problem)) {
@@ -128,7 +128,8 @@ SortRouteDelivery deliver_relation_by_sorting(const HhProblem& problem,
         continue;
       }
       if (slots[j] != kDummy) {
-        delivery.delivered[j].push_back(payloads[slots[j]]);
+        delivery.records.push_back(
+            SortRecord{static_cast<std::uint32_t>(slots[j]), j, payloads[slots[j]]});
       }
     }
     delivery.stats.rounds += 1;

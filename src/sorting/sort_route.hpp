@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/routing/hh_problem.hpp"
@@ -37,16 +38,24 @@ struct SortRouteStats {
 [[nodiscard]] SortRouteStats route_relation_by_sorting(const HhProblem& problem,
                                                        const ComparatorNetwork& sorter);
 
+/// One record the sort delivered: the demand index that rode through the
+/// comparators, the node it landed on, and that demand's payload.
+struct SortRecord {
+  std::uint32_t demand = 0;
+  std::uint32_t node = 0;
+  std::uint64_t payload = 0;
+};
+
 /// One payload-carrying delivery: `payloads[i]` is the data of the i-th
-/// demand; on return, `delivered[v]` holds the payloads that arrived at
-/// node v (in round order).  This makes sorting-based routing a real data
-/// mover, so the Galil-Paul simulator can be verified end to end.
+/// demand; on return, `records` lists every record that arrived (in round
+/// order).  This makes sorting-based routing a real data mover, so the
+/// Galil-Paul simulator can be verified end to end.
 struct SortRouteDelivery {
   SortRouteStats stats;
-  std::vector<std::vector<std::uint64_t>> delivered;  ///< per destination node
+  std::vector<SortRecord> records;
 };
 [[nodiscard]] SortRouteDelivery deliver_relation_by_sorting(
-    const HhProblem& problem, const std::vector<std::uint64_t>& payloads,
+    const HhProblem& problem, std::span<const std::uint64_t> payloads,
     const ComparatorNetwork& sorter);
 
 }  // namespace upn

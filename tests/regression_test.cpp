@@ -3,10 +3,18 @@
 // behavioral change that needs a deliberate decision, not an accident.
 #include <gtest/gtest.h>
 
+#include "src/core/complete_sim.hpp"
 #include "src/core/embedding.hpp"
+#include "src/core/fault_tolerant_sim.hpp"
+#include "src/core/galil_paul.hpp"
+#include "src/core/offline_universal.hpp"
+#include "src/core/online_adaptive_sim.hpp"
+#include "src/core/scheduled_universal.hpp"
 #include "src/core/universal_sim.hpp"
 #include "src/compute/machine.hpp"
+#include "src/fault/fault_plan.hpp"
 #include "src/routing/benes.hpp"
+#include "src/routing/policies.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/topology/torus.hpp"
@@ -59,7 +67,8 @@ TEST(Regression, SimulatorCountsPinnedForFixedSeed) {
   Rng rng{1000};
   const Graph guest = make_random_regular(48, 8, rng);
   const Graph host = make_butterfly(2);
-  UniversalSimulator sim{guest, host, make_random_embedding(48, 12, rng)};
+  const std::vector<NodeId> embedding = make_random_embedding(48, 12, rng);
+  UniversalSimulator sim{guest, host, embedding};
   UniversalSimOptions options;
   options.emit_protocol = true;
   options.seed = 555;
@@ -70,6 +79,80 @@ TEST(Regression, SimulatorCountsPinnedForFixedSeed) {
   EXPECT_EQ(r1.host_steps, r2.host_steps);
   EXPECT_EQ(r1.packets_routed, r2.packets_routed);
   EXPECT_EQ(r1.protocol->num_ops(), r2.protocol->num_ops());
+
+  // Literal counts of every simulator on the same guest, host and embedding
+  // (T = 3, configuration seed 555).
+  EXPECT_EQ(r1.host_steps, 684u);
+  EXPECT_EQ(r1.comm_steps, 672u);
+  EXPECT_EQ(r1.compute_steps, 12u);
+  EXPECT_EQ(r1.packets_routed, 1056u);
+  EXPECT_EQ(r1.slowdown, 228.0);
+  EXPECT_EQ(r1.protocol->num_ops(), 5160u);
+
+  const OfflineUniversalResult offline = run_offline_universal(guest, 2, embedding, 3, 555);
+  EXPECT_TRUE(offline.configs_match);
+  EXPECT_EQ(offline.host_steps, 651u);
+  EXPECT_EQ(offline.host_steps_single_port, 1290u);
+  EXPECT_EQ(offline.schedule_steps, 213u);
+  EXPECT_EQ(offline.compute_steps, 4u);
+  EXPECT_EQ(offline.slowdown, 217.0);
+
+  const ScheduledUniversalResult scheduled =
+      run_scheduled_universal(guest, host, embedding, 3, 555);
+  EXPECT_TRUE(scheduled.configs_match);
+  EXPECT_EQ(scheduled.host_steps, 111u);
+  EXPECT_EQ(scheduled.schedule_steps, 33u);
+  EXPECT_EQ(scheduled.compute_steps, 4u);
+  EXPECT_EQ(scheduled.slowdown, 37.0);
+
+  const GalilPaulSimResult galil_paul = run_galil_paul(guest, 12, 3, 555);
+  EXPECT_TRUE(galil_paul.configs_match);
+  EXPECT_EQ(galil_paul.host_steps, 972u);
+  EXPECT_EQ(galil_paul.slowdown, 324.0);
+
+  // Host 3 dies during guest step 2 (replayed at the step-3 boundary) while
+  // every link drops a tenth of its packets.
+  FaultPlan fault_plan = make_uniform_drops(host, 0.1, 7);
+  fault_plan.add_node_fault(NodeFault{3, 300});
+  FaultTolerantSimulator fault_sim{guest, host, fault_plan, embedding};
+  FaultSimOptions fault_options;
+  fault_options.seed = 555;
+  const FaultSimResult fault = fault_sim.run(3, fault_options);
+  EXPECT_TRUE(fault.completed);
+  EXPECT_TRUE(fault.configs_match);
+  EXPECT_EQ(fault.fault_epochs, 1u);
+  EXPECT_EQ(fault.host_steps, 791u);
+  EXPECT_EQ(fault.comm_steps, 776u);
+  EXPECT_EQ(fault.compute_steps, 15u);
+  EXPECT_EQ(fault.packets_routed, 1074u);
+  EXPECT_EQ(fault.slowdown, 791.0 / 3);
+  EXPECT_EQ(fault.replay_steps, 24u);
+  EXPECT_EQ(fault.retransmissions, 251u);
+
+  // Churn plus a 48-step routing ceiling per guest step: some packets are
+  // lost and their receivers read stale configurations.
+  const FaultPlan churn = make_link_churn(host, 0.3, 9, 1u << 14);
+  OnlineAdaptiveSimulator online_sim{guest, host, embedding, churn};
+  OnlineAdaptiveSimOptions online_options;
+  online_options.seed = 555;
+  online_options.warmup_rounds = 256;
+  online_options.max_comm_steps = 48;
+  const OnlineAdaptiveSimResult online = online_sim.run(3, online_options);
+  EXPECT_FALSE(online.configs_match);
+  EXPECT_EQ(online.host_steps, 156u);
+  EXPECT_EQ(online.comm_steps, 144u);
+  EXPECT_EQ(online.compute_steps, 12u);
+  EXPECT_EQ(online.packets_routed, 1056u);
+  EXPECT_EQ(online.slowdown, 52.0);
+  EXPECT_EQ(online.stale_reads, 49u);
+  EXPECT_EQ(online.packets_lost, 49u);
+
+  GreedyPolicy policy{host};
+  const CompleteSimResult complete =
+      run_complete_simulation(48, host, embedding, 3, policy, PortModel::kSinglePort, 555);
+  EXPECT_TRUE(complete.configs_match);
+  EXPECT_EQ(complete.host_steps, 110u);
+  EXPECT_EQ(complete.slowdown, 110.0 / 3);
 }
 
 TEST(Regression, BenesPathsDeterministic) {
