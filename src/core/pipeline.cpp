@@ -1,9 +1,12 @@
 #include "src/core/pipeline.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/embedding.hpp"
 #include "src/core/universal_sim.hpp"
+#include "src/lowerbound/dependency_tree.hpp"
 #include "src/pebble/fragment.hpp"
 #include "src/pebble/validator.hpp"
 #include "src/topology/butterfly.hpp"
@@ -22,6 +25,15 @@ PipelineReport run_paper_pipeline(const PipelineConfig& config) {
   report.a = g0_block_parameter(report.m);
   report.n = g0_round_guest_size(config.guest_size_hint, report.a);
   const G0 g0 = make_g0(report.n, report.m, rng);
+  // Lemma 3.12 needs a horizon longer than its dependency trees are deep;
+  // fail here rather than after the whole simulation.
+  const std::uint32_t depth = build_block_dependency_tree(g0.layout, 0, g0.block(0)[0]).depth;
+  if (config.guest_steps <= depth) {
+    throw std::invalid_argument{"run_paper_pipeline: guest_steps (" +
+                                std::to_string(config.guest_steps) +
+                                ") must exceed the Lemma 3.12 dependency-tree depth (" +
+                                std::to_string(depth) + ")"};
+  }
   report.expander_beta = g0.expander.beta;
   const Graph guest = make_random_regular_with_subgraph(g0.graph, kGuestDegree, rng);
 

@@ -20,6 +20,9 @@
 //                  occupied slots of occupied nodes; the SinglePort matching
 //                  pass batches the greedy maximal matching over flat busy /
 //                  buffered / round-robin-cursor arrays.
+//  * Route memo    A fault-free GreedyPolicy call with the previous call's
+//                  endpoints replays the stored schedule instead of running
+//                  the step loop (docs/ROUTER_ENGINE.md, "Route memo").
 //
 // The engine is bit-identical to the pre-rewrite implementation, which is
 // preserved verbatim as tests/support/reference_router.{hpp,cpp}: the
@@ -172,21 +175,117 @@ RouteResult SyncRouter::route_with_faults(std::vector<Packet> packets,
   return route_impl(std::move(packets), policy, &faults, record_transfers, max_steps);
 }
 
+bool SyncRouter::memo_matches(const std::vector<Packet>& packets, const RoutingPolicy* policy,
+                              bool record_transfers, std::uint32_t max_steps) const {
+  const RouteMemo& m = memo_;
+  if (m.policy == nullptr || m.policy != policy || packets.size() != m.endpoints.size()) {
+    return false;
+  }
+  if (m.step_max_queue.size() > max_steps || (record_transfers && !m.has_transfers)) return false;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    if (packets[i].src != m.endpoints[i].first || packets[i].dst != m.endpoints[i].second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+RouteResult SyncRouter::replay_memo(std::vector<Packet> packets, bool record_transfers) const {
+  const RouteMemo& m = memo_;
+  RouteResult result;
+  result.steps = static_cast<std::uint32_t>(m.step_max_queue.size());
+  result.total_transfers = m.total_transfers;
+  result.max_queue = m.max_queue;
+  for (std::uint32_t i = 0; i < packets.size(); ++i) {
+    packets[i].id = i;
+    packets[i].lost = 0;
+    packets[i].retries = 0;
+    packets[i].delivered_at = m.delivered_at[i];
+  }
+  result.packets = std::move(packets);
+  if (record_transfers) result.transfers = m.transfers;
+  for (const std::uint32_t queue : m.step_max_queue) {
+    UPN_OBS_HIST("routing.sync.step_max_queue", queue);
+  }
+  UPN_OBS_COUNT("routing.sync.memo_hits", 1);
+  return result;
+}
+
+void SyncRouter::remember_route(const RouteResult& result, const RoutingPolicy* policy,
+                                bool record_transfers, std::vector<std::uint32_t> step_log) {
+  RouteMemo& m = memo_;
+  m.policy = policy;
+  m.endpoints.resize(result.packets.size());
+  m.delivered_at.resize(result.packets.size());
+  for (std::size_t i = 0; i < result.packets.size(); ++i) {
+    const Packet& p = result.packets[i];
+    m.endpoints[i] = {p.src, p.dst};
+    // Fault-free routing delivers every packet, within max_steps < 2^32.
+    m.delivered_at[i] = static_cast<std::uint32_t>(p.delivered_at);
+  }
+  m.step_max_queue = std::move(step_log);
+  m.total_transfers = result.total_transfers;
+  m.max_queue = result.max_queue;
+  m.has_transfers = record_transfers;
+  if (record_transfers) m.transfers = result.transfers;
+}
+
 RouteResult SyncRouter::route_impl(std::vector<Packet> packets, RoutingPolicy* policy,
                                    const FaultRouteOptions* faults, bool record_transfers,
                                    std::uint32_t max_steps) {
   UPN_OBS_SPAN("routing.sync.route");
   UPN_OBS_STEP(0);
-  const Graph& g = *graph_;
-  const std::uint32_t n = g.num_nodes();
+  const std::uint32_t n = graph_->num_nodes();
   UPN_OBS_COUNT("routing.sync.route_calls", 1);
   UPN_OBS_COUNT("routing.sync.packets_submitted", packets.size());
   for (const Packet& p : packets) {
     UPN_REQUIRE(p.src < n && p.dst < n, "SyncRouter: packet endpoints must be host nodes");
     UPN_REQUIRE(p.via < n, "SyncRouter: Valiant via must be a host node");
   }
-  if (policy != nullptr) policy->prepare(g, packets);
+  if (policy != nullptr) policy->prepare(*graph_, packets);
 
+  // Route memo (docs/ROUTER_ENGINE.md): only a fault-free GreedyPolicy route
+  // with every packet heading straight for its destination is a function of
+  // the endpoints alone.  A memoizable miss releases the old memo first and
+  // builds the new one after the kernel's scratch arrays are gone.
+  const bool memoizable =
+      faults == nullptr && dynamic_cast<const GreedyPolicy*>(policy) != nullptr &&
+      std::all_of(packets.begin(), packets.end(), [](const Packet& p) { return p.phase == 1; });
+  RouteResult result;
+  if (!memoizable) {
+    result = run_steps(std::move(packets), policy, faults, record_transfers, max_steps, nullptr);
+  } else if (memo_matches(packets, policy, record_transfers, max_steps)) {
+    result = replay_memo(std::move(packets), record_transfers);
+  } else {
+    memo_ = RouteMemo{};
+    std::vector<std::uint32_t> step_log;
+    result = run_steps(std::move(packets), policy, faults, record_transfers, max_steps, &step_log);
+    remember_route(result, policy, record_transfers, std::move(step_log));
+  }
+
+  UPN_ENSURE(result.steps <= max_steps, "router must respect its step budget");
+  std::uint64_t delivered = 0;
+  for (const Packet& p : result.packets) {
+    if (p.delivered_at >= 0) ++delivered;
+  }
+  UPN_ENSURE(delivered + result.packets_lost == result.packets.size(),
+             "every packet is delivered or accounted lost");
+  UPN_ENSURE(faults != nullptr || result.packets_lost == 0,
+             "fault-free routing cannot lose packets");
+  UPN_OBS_COUNT("routing.sync.steps", result.steps);
+  UPN_OBS_COUNT("routing.sync.transfers", result.total_transfers);
+  UPN_OBS_COUNT("routing.sync.retransmissions", result.retransmissions);
+  UPN_OBS_COUNT("routing.sync.reroutes", result.reroutes);
+  UPN_OBS_COUNT("routing.sync.packets_lost", result.packets_lost);
+  UPN_OBS_GAUGE_MAX("routing.sync.max_queue_depth", result.max_queue);
+  return result;
+}
+
+RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* policy,
+                                  const FaultRouteOptions* faults, bool record_transfers,
+                                  std::uint32_t max_steps, std::vector<std::uint32_t>* step_log) {
+  const Graph& g = *graph_;
+  const std::uint32_t n = g.num_nodes();
   const std::uint32_t num_packets = static_cast<std::uint32_t>(packets.size());
   const std::uint32_t* off = csr_offsets_;
   const NodeId* adj = csr_adjacency_;
@@ -542,27 +641,13 @@ RouteResult SyncRouter::route_impl(std::vector<Packet> packets, RoutingPolicy* p
     // Queue-depth-per-step distribution: bucket adds commute, so the merged
     // histogram is identical for serial and pool-swept callers.
     UPN_OBS_HIST("routing.sync.step_max_queue", step_max_queue);
+    if (step_log != nullptr) step_log->push_back(step_max_queue);
     ++step;
   }
 
   result.steps = step;
   for (std::uint32_t i = 0; i < num_packets; ++i) packets[i].retries = pk_retries[i];
   result.packets = std::move(packets);
-  UPN_ENSURE(result.steps <= max_steps, "router must respect its step budget");
-  std::uint64_t delivered = 0;
-  for (const Packet& p : result.packets) {
-    if (p.delivered_at >= 0) ++delivered;
-  }
-  UPN_ENSURE(delivered + result.packets_lost == result.packets.size(),
-             "every packet is delivered or accounted lost");
-  UPN_ENSURE(faults != nullptr || result.packets_lost == 0,
-             "fault-free routing cannot lose packets");
-  UPN_OBS_COUNT("routing.sync.steps", result.steps);
-  UPN_OBS_COUNT("routing.sync.transfers", result.total_transfers);
-  UPN_OBS_COUNT("routing.sync.retransmissions", result.retransmissions);
-  UPN_OBS_COUNT("routing.sync.reroutes", result.reroutes);
-  UPN_OBS_COUNT("routing.sync.packets_lost", result.packets_lost);
-  UPN_OBS_GAUGE_MAX("routing.sync.max_queue_depth", result.max_queue);
   return result;
 }
 

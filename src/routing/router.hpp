@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/topology/graph.hpp"
@@ -125,9 +126,37 @@ class SyncRouter {
   [[nodiscard]] PortModel port_model() const noexcept { return port_model_; }
 
  private:
+  /// The last fault-free GreedyPolicy route on this router, replayed when a
+  /// later call brings the same endpoints (docs/ROUTER_ENGINE.md, "Route
+  /// memo").  Greedy hops depend only on the graph, the current node, the
+  /// target and the packet index, so equal endpoints in equal order give an
+  /// identical schedule.
+  struct RouteMemo {
+    const RoutingPolicy* policy = nullptr;  ///< nullptr: nothing stored
+    std::vector<std::pair<NodeId, NodeId>> endpoints;  ///< (src, dst) per packet
+    std::vector<std::uint32_t> delivered_at;           ///< per packet
+    std::vector<std::uint32_t> step_max_queue;         ///< per router step
+    std::uint64_t total_transfers = 0;
+    std::uint32_t max_queue = 0;
+    bool has_transfers = false;
+    std::vector<Transfer> transfers;  ///< the hop log, when has_transfers
+  };
+
+  [[nodiscard]] bool memo_matches(const std::vector<Packet>& packets, const RoutingPolicy* policy,
+                                  bool record_transfers, std::uint32_t max_steps) const;
+  [[nodiscard]] RouteResult replay_memo(std::vector<Packet> packets,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
+                                        bool record_transfers) const;
+  void remember_route(const RouteResult& result, const RoutingPolicy* policy,
+                      bool record_transfers,
+                      std::vector<std::uint32_t> step_log);  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the memo in the .cpp)
+
   [[nodiscard]] RouteResult route_impl(std::vector<Packet> packets, RoutingPolicy* policy,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
                                        const FaultRouteOptions* faults, bool record_transfers,
                                        std::uint32_t max_steps);
+  [[nodiscard]] RouteResult run_steps(std::vector<Packet> packets, RoutingPolicy* policy,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
+                                      const FaultRouteOptions* faults, bool record_transfers,
+                                      std::uint32_t max_steps,
+                                      std::vector<std::uint32_t>* step_log);
 
   const Graph* graph_;
   PortModel port_model_;
@@ -135,6 +164,7 @@ class SyncRouter {
   const std::uint32_t* csr_offsets_ = nullptr;
   const NodeId* csr_adjacency_ = nullptr;
   std::uint32_t csr_slots_ = 0;  ///< 2 * num_edges(): number of directed-link slots
+  RouteMemo memo_;
 };
 
 /// route_M(h) measurement: routes `instances` random h-relations and returns

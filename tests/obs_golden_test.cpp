@@ -26,6 +26,7 @@ counter   pebble.validator.receives       672
 counter   pebble.validator.sends          672
 counter   pebble.validator.validations    1
 gauge     routing.sync.max_queue_depth    value=0 max=16
+counter   routing.sync.memo_hits          2
 counter   routing.sync.packets_lost       0
 counter   routing.sync.packets_submitted  288
 counter   routing.sync.reroutes           0

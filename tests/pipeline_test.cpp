@@ -1,10 +1,17 @@
 // Full-pipeline API tests (and the Galil-Paul end-to-end simulator).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/core/galil_paul.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/lowerbound/dependency_tree.hpp"
+#include "src/obs/obs.hpp"
 #include "src/sorting/sort_route.hpp"
 #include "src/sorting/bitonic.hpp"
+#include "src/topology/butterfly.hpp"
+#include "src/topology/g0.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/topology/torus.hpp"
 
@@ -35,6 +42,41 @@ TEST(Pipeline, DeterministicForFixedSeed) {
   EXPECT_DOUBLE_EQ(a.slowdown, b.slowdown);
   EXPECT_EQ(a.protocol_ops, b.protocol_ops);
   EXPECT_EQ(a.fragment_sum_b, b.fragment_sum_b);
+}
+
+/// The Lemma 3.12 dependency-tree depth of the G_0 that `config` builds,
+/// derived the way run_paper_pipeline and verify_lemma312 derive it.
+std::uint32_t lemma312_tree_depth(const PipelineConfig& config) {
+  Rng rng{config.seed};
+  const std::uint32_t m = make_butterfly(config.butterfly_dimension).num_nodes();
+  const std::uint32_t a = g0_block_parameter(m);
+  const G0 g0 = make_g0(g0_round_guest_size(config.guest_size_hint, a), m, rng);
+  return build_block_dependency_tree(g0.layout, 0, g0.block(0)[0]).depth;
+}
+
+TEST(Pipeline, HorizonNoLongerThanTreeDepthFailsUpFront) {
+  PipelineConfig config;
+  const std::uint32_t depth = lemma312_tree_depth(config);
+  ASSERT_GT(depth, 0u);
+  obs::set_enabled(true);
+  obs::registry().reset();
+  for (const std::uint32_t steps : {0u, depth}) {
+    config.guest_steps = steps;
+    try {
+      static_cast<void>(run_paper_pipeline(config));
+      FAIL() << "guest_steps=" << steps << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("guest_steps (" + std::to_string(steps) + ")"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("depth (" + std::to_string(depth) + ")"), std::string::npos) << what;
+    }
+  }
+  // Rejected before the simulator ran: nothing was routed.
+  EXPECT_EQ(obs::registry().counter("routing.sync.route_calls").value(), 0u);
+  obs::set_enabled(false);
+  config.guest_steps = depth + 1;
+  EXPECT_TRUE(run_paper_pipeline(config).all_checks_pass());
 }
 
 TEST(SortRouteDelivery, MovesPayloadsCorrectly) {

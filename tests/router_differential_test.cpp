@@ -7,11 +7,13 @@
 // dump_route_result() strings so a failure names the first diverging field.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/fault/fault_plan.hpp"
+#include "src/obs/obs.hpp"
 #include "src/routing/hh_problem.hpp"
 #include "src/routing/policies.hpp"
 #include "src/routing/router.hpp"
@@ -191,6 +193,202 @@ TEST(RouterDifferential, LivelockDiagnosticsMatch) {
     }
     ASSERT_FALSE(fast_what.empty());
     ASSERT_EQ(fast_what, ref_what);
+  }
+}
+
+// ---- Route memo ----------------------------------------------------------
+// A SyncRouter replays its last fault-free GreedyPolicy route when the next
+// call brings the same endpoints.  Every result below is checked against a
+// fresh router (no memo) and, where the engines are compared, against the
+// reference engine; `routing.sync.memo_hits` shows whether a call replayed.
+
+class RouterMemo : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::set_enabled(true);
+    obs::registry().reset();
+  }
+  void TearDown() override { obs::set_enabled(false); }
+
+  static std::uint64_t memo_hits() {
+    return obs::registry().counter("routing.sync.memo_hits").value();
+  }
+
+  /// A 2-relation on `host` plus one packet whose source is its destination.
+  static std::vector<Packet> relation(const Graph& host, std::uint64_t seed) {
+    Rng rng{seed};
+    std::vector<Packet> packets = make_packets(random_h_relation(host.num_nodes(), 2, rng));
+    Packet local;
+    local.src = local.dst = local.via = host.num_nodes() / 2;
+    local.payload = 77;
+    packets.push_back(local);
+    return packets;
+  }
+
+  /// What a router that has never routed before returns for this call.
+  static std::string fresh_route(const Graph& host, PortModel model,
+                                 const std::vector<Packet>& packets, bool record_transfers) {
+    GreedyPolicy policy{host};
+    SyncRouter router{host, model};
+    return dump_route_result(router.route(packets, policy, record_transfers));
+  }
+};
+
+TEST_F(RouterMemo, RepeatedRelationMatchesFreshAndReferenceRouters) {
+  for (const Graph& host : differential_hosts()) {
+    for (const PortModel model : {PortModel::kMultiPort, PortModel::kSinglePort}) {
+      SCOPED_TRACE(host.name() + (model == PortModel::kMultiPort ? " multiport" : " singleport"));
+      GreedyPolicy policy{host};
+      SyncRouter router{host, model};
+      const std::uint64_t hits_before = memo_hits();
+      for (std::uint32_t call = 0; call < 3; ++call) {
+        // Same endpoints every call; payloads and tags ride along untouched.
+        std::vector<Packet> packets = relation(host, 17);
+        for (Packet& p : packets) {
+          p.payload += call;
+          p.tag2 += call;
+        }
+        const std::string memo = dump_route_result(router.route(packets, policy, true));
+        ASSERT_EQ(memo, fresh_route(host, model, packets, true)) << "call " << call;
+        GreedyPolicy ref_policy{host};
+        ReferenceRouter ref{host, model};
+        ASSERT_EQ(memo, dump_route_result(ref.route(packets, ref_policy, true))) << "call " << call;
+      }
+      // A hit without a requested log returns none, like a fresh router.
+      const std::vector<Packet> packets = relation(host, 17);
+      ASSERT_EQ(dump_route_result(router.route(packets, policy, false)),
+                fresh_route(host, model, packets, false));
+      EXPECT_EQ(memo_hits() - hits_before, 3u);
+    }
+  }
+}
+
+TEST_F(RouterMemo, ObsSnapshotMatchesFreshRoutersApartFromMemoHits) {
+  const Graph host = make_butterfly(3);
+  const std::vector<Packet> packets = relation(host, 23);
+  constexpr std::uint32_t kCalls = 3;
+  const auto snapshot_without_memo_hits = [] {
+    std::istringstream text{
+        obs::snapshot_text(obs::registry().snapshot(obs::MetricKind::kDeterministic))};
+    std::string kept;
+    for (std::string line; std::getline(text, line);) {
+      if (line.find("routing.sync.memo_hits") == std::string::npos) kept += line + "\n";
+    }
+    return kept;
+  };
+  for (const PortModel model : {PortModel::kMultiPort, PortModel::kSinglePort}) {
+    GreedyPolicy policy{host};
+    obs::registry().reset();
+    SyncRouter router{host, model};
+    for (std::uint32_t call = 0; call < kCalls; ++call) {
+      static_cast<void>(router.route(packets, policy, true));
+    }
+    EXPECT_EQ(memo_hits(), kCalls - 1);
+    const std::string reused = snapshot_without_memo_hits();
+
+    obs::registry().reset();
+    for (std::uint32_t call = 0; call < kCalls; ++call) {
+      SyncRouter fresh{host, model};
+      static_cast<void>(fresh.route(packets, policy, true));
+    }
+    EXPECT_EQ(memo_hits(), 0u);
+    EXPECT_NE(reused.find("routing.sync.step_max_queue"), std::string::npos) << reused;
+    EXPECT_EQ(reused, snapshot_without_memo_hits());
+  }
+}
+
+TEST_F(RouterMemo, ChangedInputsMissAndReroute) {
+  const Graph host = make_butterfly(3);
+  const std::vector<Packet> packets = relation(host, 31);
+  for (const PortModel model : {PortModel::kMultiPort, PortModel::kSinglePort}) {
+    SCOPED_TRACE(model == PortModel::kMultiPort ? "multiport" : "singleport");
+    {  // One endpoint changed.
+      GreedyPolicy policy{host};
+      SyncRouter router{host, model};
+      static_cast<void>(router.route(packets, policy, true));
+      std::vector<Packet> moved = packets;
+      moved[3].dst = (moved[3].dst + 1) % host.num_nodes();
+      moved[3].via = moved[3].dst;
+      const std::uint64_t hits = memo_hits();
+      EXPECT_EQ(dump_route_result(router.route(moved, policy, true)),
+                fresh_route(host, model, moved, true));
+      EXPECT_EQ(memo_hits(), hits) << "endpoint change";
+    }
+    {  // A different GreedyPolicy object.
+      GreedyPolicy first{host};
+      GreedyPolicy second{host};
+      SyncRouter router{host, model};
+      static_cast<void>(router.route(packets, first, true));
+      const std::uint64_t hits = memo_hits();
+      EXPECT_EQ(dump_route_result(router.route(packets, second, true)),
+                fresh_route(host, model, packets, true));
+      EXPECT_EQ(memo_hits(), hits) << "policy object";
+    }
+    {  // A transfer log asked for after an unrecorded call.
+      GreedyPolicy policy{host};
+      SyncRouter router{host, model};
+      static_cast<void>(router.route(packets, policy, false));
+      const std::uint64_t hits = memo_hits();
+      EXPECT_EQ(dump_route_result(router.route(packets, policy, true)),
+                fresh_route(host, model, packets, true));
+      EXPECT_EQ(memo_hits(), hits) << "record_transfers";
+      // The reroute stored the log, so the next recorded call replays it.
+      EXPECT_EQ(dump_route_result(router.route(packets, policy, true)),
+                fresh_route(host, model, packets, true));
+      EXPECT_EQ(memo_hits(), hits + 1) << "recorded replay";
+    }
+    {  // ValiantPolicy: phase 0 after prepare, never memoized.
+      ValiantPolicy policy{host, 5};
+      ValiantPolicy fresh_policy{host, 5};  // same random stream, fresh routers
+      SyncRouter router{host, model};
+      const std::uint64_t hits = memo_hits();
+      for (std::uint32_t call = 0; call < 2; ++call) {
+        SyncRouter fresh{host, model};
+        EXPECT_EQ(dump_route_result(router.route(packets, policy, true)),
+                  dump_route_result(fresh.route(packets, fresh_policy, true)))
+            << "call " << call;
+      }
+      EXPECT_EQ(memo_hits(), hits) << "valiant";
+    }
+    {  // A fault plan: the schedule depends on the plan, never memoized.
+      const FaultPlan plan = make_uniform_drops(host, 0.1, 9, 0, 8);
+      FaultRouteOptions options;
+      options.plan = &plan;
+      GreedyPolicy policy{host};
+      SyncRouter router{host, model};
+      const std::uint64_t hits = memo_hits();
+      for (std::uint32_t call = 0; call < 2; ++call) {
+        SyncRouter fresh{host, model};
+        EXPECT_EQ(dump_route_result(router.route_with_faults(packets, options, &policy, true)),
+                  dump_route_result(fresh.route_with_faults(packets, options, &policy, true)))
+            << "call " << call;
+      }
+      EXPECT_EQ(memo_hits(), hits) << "fault plan";
+    }
+  }
+}
+
+TEST_F(RouterMemo, StepLimitBelowMemoizedStepsStillThrows) {
+  const Graph host = make_butterfly(3);
+  const std::vector<Packet> packets = relation(host, 41);
+  for (const PortModel model : {PortModel::kMultiPort, PortModel::kSinglePort}) {
+    GreedyPolicy policy{host};
+    SyncRouter router{host, model};
+    const std::uint32_t steps = router.route(packets, policy).steps;
+    ASSERT_GT(steps, 1u);
+    try {
+      static_cast<void>(router.route(packets, policy, false, steps - 1));
+      FAIL() << "a " << steps - 1 << "-step budget must not replay a " << steps << "-step route";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("step limit exceeded"), std::string::npos) << e.what();
+    }
+    // A miss releases the memo before routing, so the failed call left none:
+    // the exact budget re-routes, and the call after it replays.
+    const std::uint64_t hits = memo_hits();
+    EXPECT_EQ(router.route(packets, policy, false, steps).steps, steps);
+    EXPECT_EQ(memo_hits(), hits);
+    EXPECT_EQ(router.route(packets, policy, false, steps).steps, steps);
+    EXPECT_EQ(memo_hits(), hits + 1);
   }
 }
 
