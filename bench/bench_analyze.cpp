@@ -4,8 +4,8 @@
 // The bench collects the real repo tree once (IO measured separately from
 // analysis) and then times the full pass stack -- IR construction, layering,
 // contract coverage, concurrency, determinism taint, hot-path, include
-// hygiene, and the whole-program call graph with its interprocedural
-// passes -- at --jobs {1, 2, 7}, the same thread counts the determinism
+// hygiene, artifacts, and the whole-program call graph with its
+// interprocedural passes -- at --jobs {1, 2, 7}, the same thread counts the determinism
 // tests pin.  Scaling flattening out here means a pass serialized.  The IR
 // cache round-trip is timed on its own: it bounds what --ir-cache can save
 // the CI --diff gate.
@@ -66,9 +66,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- call graph + interprocedural stack, isolated from the other passes.
+  // Artifacts get no IR; they take no part in the call graph.
+  std::vector<const upn::analyze::SourceFile*> sources;
   std::vector<upn::analyze::Unit> units;
-  units.reserve(input.files.size());
   for (const auto& file : input.files) {
+    if (upn::analyze::is_artifact_path(file.path)) continue;
+    sources.push_back(&file);
     units.push_back(upn::analyze::build_unit(file.path, file.content));
   }
 
@@ -102,8 +105,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < units.size(); ++i) {
       const std::string serialized = upn::analyze::serialize_unit(units[i]);
       upn::analyze::Unit loaded;
-      if (upn::analyze::deserialize_unit(input.files[i].path, input.files[i].content,
-                                         serialized, loaded)) {
+      if (upn::analyze::deserialize_unit(sources[i]->path, sources[i]->content, serialized,
+                                         loaded)) {
         bytes += serialized.size();
       }
     }

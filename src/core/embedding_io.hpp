@@ -6,7 +6,7 @@
 //   <host id of guest 1>
 //   ...
 // The header declares the load bound the producer claims (max guests per
-// host).  tools/upn_lint statically re-derives the actual load and rejects
+// host).  upn_analyze statically re-derives the actual load and rejects
 // files whose contents exceed their declaration, so a stored embedding can
 // be trusted without re-running the embedder.
 #pragma once

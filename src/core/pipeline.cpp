@@ -24,6 +24,15 @@ PipelineReport run_paper_pipeline(const PipelineConfig& config) {
   report.m = host.num_nodes();
   report.a = g0_block_parameter(report.m);
   report.n = g0_round_guest_size(config.guest_size_hint, report.a);
+  // The guest is kGuestDegree-regular, which needs more than kGuestDegree
+  // nodes; the smallest G_0 (side 2a = 4) has only 16.
+  if (report.n <= kGuestDegree) {
+    throw std::invalid_argument{"run_paper_pipeline: guest_size_hint (" +
+                                std::to_string(config.guest_size_hint) + ") rounds to n = " +
+                                std::to_string(report.n) + ", but a " +
+                                std::to_string(kGuestDegree) + "-regular guest needs n > " +
+                                std::to_string(kGuestDegree)};
+  }
   const G0 g0 = make_g0(report.n, report.m, rng);
   // Lemma 3.12 needs a horizon longer than its dependency trees are deep;
   // fail here rather than after the whole simulation.

@@ -32,8 +32,8 @@
 namespace upn::obs {
 
 /// Monotonic clock reading in nanoseconds.  The single sanctioned timing
-/// primitive outside bench/harness (the upn_lint no-raw-timing rule bans
-/// raw std::chrono elsewhere).
+/// primitive outside bench/harness (upn_analyze's taint-timing rule rejects
+/// clock readings that reach a deterministic output anywhere else).
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 
 /// Opens a span for the current scope.  `name` must outlive the span --

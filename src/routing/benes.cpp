@@ -31,8 +31,8 @@ void solve(std::uint32_t n, std::uint32_t d, std::vector<std::uint32_t>& ids,
       // Base case: one switch per pair; send each packet to its target bit.
       // Masked to one bit before each cast.
       for (std::uint32_t base = 0; base < n; base += 2) {
-        choice[ids[base] * d + depth] = static_cast<std::uint8_t>(lout[base] & 1u);          // upn-lint-allow(narrowing-cast)
-        choice[ids[base + 1] * d + depth] = static_cast<std::uint8_t>(lout[base + 1] & 1u);  // upn-lint-allow(narrowing-cast)
+        choice[ids[base] * d + depth] = static_cast<std::uint8_t>(lout[base] & 1u);          // upn-analyze-waive(narrowing-cast: masked to one bit)
+        choice[ids[base + 1] * d + depth] = static_cast<std::uint8_t>(lout[base + 1] & 1u);  // upn-analyze-waive(narrowing-cast: masked to one bit)
       }
       break;
     }

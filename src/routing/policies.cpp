@@ -36,7 +36,7 @@ const std::vector<std::uint16_t>& DistanceOracle::compute(NodeId dst) {
       std::uint8_t bits = 0;
       for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
         // p < degree <= 8, so the bit fits u8:
-        if (narrow[nbrs[p]] == best) bits |= static_cast<std::uint8_t>(1u << p);  // upn-lint-allow(narrowing-cast)
+        if (narrow[nbrs[p]] == best) bits |= static_cast<std::uint8_t>(1u << p);  // upn-analyze-waive(narrowing-cast: p < degree <= 8)
       }
       mask[at] = bits;
     }
@@ -66,7 +66,7 @@ std::uint32_t greedy_next_port(const Graph& graph, DistanceOracle& oracle, NodeI
                                      : static_cast<std::uint32_t>(hash % count);
       std::uint8_t m = mask;
       // Clearing the lowest set bit keeps the value within u8:
-      for (std::uint32_t c = skip; c > 0; --c) m = static_cast<std::uint8_t>(m & (m - 1));  // upn-lint-allow(narrowing-cast)
+      for (std::uint32_t c = skip; c > 0; --c) m = static_cast<std::uint8_t>(m & (m - 1));  // upn-analyze-waive(narrowing-cast: clearing a bit stays in u8)
       return static_cast<std::uint32_t>(std::countr_zero(m));
     }
     throw std::logic_error{"greedy_next_hop: no neighbor found"};

@@ -553,7 +553,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
         result.transfers.push_back(
             Transfer{step, v, w, packet_index,
                      // Bool to byte, range {0,1}:
-                     static_cast<std::uint8_t>(dropped ? 1 : 0)});  // upn-lint-allow(narrowing-cast)
+                     static_cast<std::uint8_t>(dropped ? 1 : 0)});  // upn-analyze-waive(narrowing-cast: bool to byte)
       }
       if (!dropped) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -7,7 +7,7 @@
 //   ...
 // One `step` line per schedule step.  The header declares the congestion
 // (max uses of one directed link) and dilation (max per-packet hops) the
-// producer claims for the whole schedule; tools/upn_lint re-derives both
+// producer claims for the whole schedule; upn_analyze re-derives both
 // from the moves WITHOUT replaying the schedule on a host and rejects files
 // that exceed their declaration.  This is the static well-formedness story
 // of Baral et al.'s connection schedules applied to our LMR-style greedy.

@@ -1,11 +1,12 @@
 // Engine-level tests for upn_analyze: IR construction (stripping, includes,
-// declaration indexing), each pass family against in-memory inputs and the
-// committed fixture trees, SARIF structural validity, and the determinism
-// contract -- text and SARIF reports are byte-identical at --jobs {1, 2, 7}.
+// declaration indexing), each source pass family against in-memory inputs
+// and the committed fixture trees, the one baseline, SARIF
+// structural validity, and the determinism contract -- text and SARIF
+// reports are byte-identical at --jobs {1, 2, 7}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,10 +30,14 @@ bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
                      [&](const Finding& f) { return f.rule == rule; });
 }
 
-Report analyze_tree(const std::string& root, unsigned jobs = 0) {
+/// The bad tree's inputs: sources and the corrupted artifacts.
+const std::vector<std::string> kBadTreePaths = {"src", "artifacts"};
+
+Report analyze_tree(const std::string& root, const std::vector<std::string>& paths,
+                    unsigned jobs = 0) {
   TreeOptions options;
   options.root = root;
-  options.paths = {"src"};
+  options.paths = paths;
   options.excludes.clear();  // fixture trees live under tests/fixtures-*
   options.jobs = jobs;
   Input input;
@@ -79,7 +84,7 @@ TEST(AnalyzeIr, ModuleOfMapsSrcSubdirectories) {
   // parent module.
   EXPECT_EQ(module_of("src/routing/online/route_table.hpp"), "routing/online");
   EXPECT_EQ(module_of("src/routing/router.cpp"), "routing");
-  EXPECT_EQ(module_of("tools/lint/lint.cpp"), "");
+  EXPECT_EQ(module_of("tools/analyze/ir.cpp"), "");
   EXPECT_EQ(module_of("tests/util_test.cpp"), "");
 }
 
@@ -151,16 +156,50 @@ TEST(AnalyzeIr, PrivateMembersAreNotPublic) {
   EXPECT_TRUE(saw_private);
 }
 
-// ---- single-file rules (ported + flow) ------------------------------------
+// ---- single-file rules (banned patterns + flow) ---------------------------
 
-TEST(AnalyzeRules, PortedLintRulesStillFire) {
-  const Unit unit = build_unit(
-      "src/util/demo.cpp",
-      "int r = rand();\n"
-      "std::cout << x << std::endl;\n");
-  const std::vector<Finding> findings = run_single_file_rules(unit);
-  EXPECT_TRUE(has_rule(findings, "no-std-rand"));
-  EXPECT_TRUE(has_rule(findings, "no-endl"));
+std::vector<Finding> rules_on(const std::string& path, const std::string& text) {
+  return run_single_file_rules(build_unit(path, text));
+}
+
+TEST(AnalyzeRules, BannedPatternsFire) {
+  const std::vector<Finding> findings = rules_on("src/util/demo.cpp",
+                                                 "int a = rand();\n"
+                                                 "int b = std::rand();\n"
+                                                 "std::mt19937 gen;\n"
+                                                 "upn::Rng rng{42};\n"
+                                                 "std::cout << x << std::endl;\n");
+  EXPECT_EQ(rules_of(findings), (std::vector<std::string>{"no-std-rand", "no-std-rand",
+                                                          "no-unseeded-rng", "no-endl"}));
+  EXPECT_EQ(findings[2].line, 3u);
+}
+
+TEST(AnalyzeRules, BannedWordsInCommentsStringsAndIdentifiersAreFine) {
+  const std::vector<Finding> findings = rules_on("src/util/demo.cpp",
+                                                 "// never call rand() here\n"
+                                                 "const char* s = \"rand()\";\n"
+                                                 "int mirand = my_rand(); (void)operand;\n"
+                                                 "/* std::endl in a block\n"
+                                                 "   comment */ int x = 0;\n");
+  EXPECT_TRUE(findings.empty()) << findings.front().format();
+}
+
+TEST(AnalyzeRules, FloatLiteralComparisonFires) {
+  for (const char* text : {"if (x == 1.0) return;\n", "if (x != 0.5f) return;\n",
+                           "bool b = 2e9 == y;\n"}) {
+    EXPECT_TRUE(has_rule(rules_on("x.cpp", text), "float-equality")) << text;
+  }
+  for (const char* text : {"if (k == 0 || k == n) return;\n", "if (x <= 1.0) return;\n",
+                           "double y = 1.0;\n"}) {
+    EXPECT_FALSE(has_rule(rules_on("x.cpp", text), "float-equality")) << text;
+  }
+}
+
+TEST(AnalyzeRules, PragmaOnceRequiredInHeadersOnly) {
+  const std::string body = "namespace x {}\n";
+  EXPECT_TRUE(has_rule(rules_on("a.hpp", body), "pragma-once"));
+  EXPECT_FALSE(has_rule(rules_on("a.cpp", body), "pragma-once"));
+  EXPECT_FALSE(has_rule(rules_on("a.hpp", "#pragma once\n" + body), "pragma-once"));
 }
 
 TEST(AnalyzeRules, RngByValueFiresAndReferenceIsQuiet) {
@@ -209,14 +248,13 @@ TEST(AnalyzeRules, ThreadDetachFires) {
   EXPECT_TRUE(has_rule(run_single_file_rules(unit), "thread-detach"));
 }
 
-TEST(AnalyzeRules, SuppressionSilencesExactlyTheNamedRule) {
-  const Unit unit = build_unit(
-      "src/core/demo.cpp",
-      "int r = rand();  // upn-lint-allow(no-std-rand)\n"
-      "std::cout << x << std::endl;  // upn-lint-allow(no-std-rand)\n");
-  const std::vector<Finding> findings = run_single_file_rules(unit);
-  EXPECT_FALSE(has_rule(findings, "no-std-rand"));
-  EXPECT_TRUE(has_rule(findings, "no-endl"));
+TEST(AnalyzeRules, WaiverSilencesExactlyTheNamedRuleAndNeedsAReason) {
+  const std::vector<Finding> findings =
+      rules_on("src/core/demo.cpp",
+               "int r = rand();  // upn-analyze-waive(no-std-rand: seeded upstream)\n"
+               "std::cout << std::endl;  // upn-analyze-waive(no-std-rand: wrong rule)\n"
+               "if (b == 0.0) return;  // upn-analyze-waive(float-equality: )\n");
+  EXPECT_EQ(rules_of(findings), (std::vector<std::string>{"no-endl", "float-equality"}));
 }
 
 // ---- layering -------------------------------------------------------------
@@ -330,13 +368,6 @@ TEST(AnalyzeContracts, ContractedWaivedAndTrivialFunctionsAreQuiet) {
   input.jobs = 1;
   const Report report = analyze(input);
   EXPECT_FALSE(has_rule(report.findings, "contract-coverage")) << report.render_text();
-}
-
-TEST(AnalyzeContracts, BaselineParserSkipsCommentsAndBlanks) {
-  const std::set<std::string> entries =
-      parse_baseline("# header\n\nsrc/a.hpp:f\nsrc/b.hpp:g\n");
-  EXPECT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries.count("src/a.hpp:f"), 1u);
 }
 
 // ---- include hygiene ------------------------------------------------------
@@ -479,6 +510,36 @@ TEST(AnalyzeTaint, UnorderedOrderFlowsToSinkButSortSanitizes) {
       "  UPN_OBS_COUNT(\"demo.first\", values.empty() ? 0 : values[0]);\n"
       "}\n");
   EXPECT_TRUE(run_determinism_taint_pass(sorted).empty());
+
+  // Quiet too: the same iteration with no sink, an unordered container
+  // nested inside a vector (iterating the vector is deterministic), and an
+  // ordered std::map.
+  for (const char* text : {"void f() {\n"
+                           "  std::unordered_map<int, int> counts;\n"
+                           "  long total = 0;\n"
+                           "  for (const auto& [k, v] : counts) {\n"
+                           "    total += v;\n"
+                           "  }\n"
+                           "}\n",
+                           "void f() {\n"
+                           "  std::vector<std::unordered_map<int, int>> buckets;\n"
+                           "  long n = 0;\n"
+                           "  for (const auto& bucket : buckets) {\n"
+                           "    n += 1;\n"
+                           "  }\n"
+                           "  UPN_OBS_COUNT(\"demo.n\", n);\n"
+                           "}\n",
+                           "void f() {\n"
+                           "  std::map<int, int> counts;\n"
+                           "  long total = 0;\n"
+                           "  for (const auto& [k, v] : counts) {\n"
+                           "    total += v;\n"
+                           "  }\n"
+                           "  UPN_OBS_COUNT(\"demo.total\", total);\n"
+                           "}\n"}) {
+    EXPECT_TRUE(run_determinism_taint_pass(build_unit("src/core/stats.cpp", text)).empty())
+        << text;
+  }
 }
 
 TEST(AnalyzeTaint, ThreadIdAndAddressSourcesFlowToSinks) {
@@ -509,6 +570,23 @@ TEST(AnalyzeTaint, TimingFlowFiresOutsideObsButObsAndHarnessAreExempt) {
                        "taint-timing"));
   EXPECT_TRUE(run_determinism_taint_pass(build_unit("src/obs/t.cpp", body)).empty());
   EXPECT_TRUE(run_determinism_taint_pass(build_unit("bench/harness.cpp", body)).empty());
+  EXPECT_TRUE(run_determinism_taint_pass(build_unit("bench/harness.hpp", body)).empty());
+
+  const std::string posix =
+      "clock_gettime(CLOCK_MONOTONIC, &ts);\n"
+      "UPN_OBS_COUNT(\"demo.sec\", ts.tv_sec);";
+  EXPECT_TRUE(has_rule(run_determinism_taint_pass(build_unit("src/core/t.cpp", posix + "\n")),
+                       "taint-timing"));
+  // A waiver with a reason silences the sink line.
+  EXPECT_TRUE(run_determinism_taint_pass(
+                  build_unit("src/core/t.cpp",
+                             posix + "  // upn-analyze-waive(taint-timing: fixture)\n"))
+                  .empty());
+  // A clock read that stays on the timing side is quiet.
+  EXPECT_TRUE(run_determinism_taint_pass(
+                  build_unit("src/core/t.cpp",
+                             "const auto t0 = std::chrono::steady_clock::now();\n"))
+                  .empty());
 }
 
 // ---- hot-path performance -------------------------------------------------
@@ -575,95 +653,6 @@ TEST(AnalyzeHotpath, ByValueContainerParamFiresUnlessItIsAMoveSink) {
       << sink.render_text();
 }
 
-TEST(AnalyzeHotpath, BaselineAbsorbsFindingsAndStaleEntriesFireTheRatchet) {
-  Input input = hotpath_input("src/hot/engine.hpp",
-                              "#pragma once\n"
-                              "struct Engine {\n"
-                              "  std::deque<int> pending;\n"
-                              "};\n");
-  const Report live = analyze(input);
-  std::vector<Finding> hotpath_findings;
-  for (const Finding& f : live.findings) {
-    if (f.rule.compare(0, 8, "hotpath-") == 0) hotpath_findings.push_back(f);
-  }
-  ASSERT_FALSE(hotpath_findings.empty()) << live.render_text();
-
-  // Keyed into the baseline, the finding moves to the baselined bucket.
-  input.hotpath_text = render_hotpath_baseline(hotpath_findings);
-  input.hotpath_path = "tools/analyze/hotpath.baseline";
-  const Report absorbed = analyze(input);
-  EXPECT_FALSE(has_rule(absorbed.findings, "hotpath-container"));
-  EXPECT_TRUE(has_rule(absorbed.baselined, "hotpath-container"));
-  EXPECT_FALSE(has_rule(absorbed.findings, "baseline-stale-entry"));
-
-  // An entry that matches nothing must be deleted: the ratchet only shrinks.
-  input.hotpath_text += "src/hot/gone.hpp:hotpath-container:map\n";
-  const Report stale = analyze(input);
-  ASSERT_TRUE(has_rule(stale.findings, "baseline-stale-entry")) << stale.render_text();
-  for (const Finding& f : stale.findings) {
-    if (f.rule != "baseline-stale-entry") continue;
-    EXPECT_EQ(f.file, "tools/analyze/hotpath.baseline");
-    EXPECT_EQ(f.line, 0u);
-    EXPECT_NE(f.message.find("src/hot/gone.hpp:hotpath-container:map"),
-              std::string::npos);
-  }
-}
-
-TEST(AnalyzeInterproc, BaselineAbsorbsFindingsAndStaleEntriesFireTheRatchet) {
-  Input input;
-  input.files.push_back({"src/core/orphan.cpp",
-                         "namespace demo {\n"
-                         "int orphaned_scale(int value) {\n"
-                         "  return value * 3;\n"
-                         "}\n"
-                         "}  // namespace demo\n"});
-  input.jobs = 1;
-  const Report live = analyze(input);
-  std::vector<Finding> interproc_findings;
-  for (const Finding& f : live.findings) {
-    if (is_interproc_rule(f.rule)) interproc_findings.push_back(f);
-  }
-  ASSERT_TRUE(has_rule(interproc_findings, "dead-function")) << live.render_text();
-
-  // Keyed into the baseline, the finding moves to the baselined bucket.
-  input.interproc_text = render_interproc_baseline(interproc_findings);
-  input.interproc_path = "tools/analyze/interproc.baseline";
-  const Report absorbed = analyze(input);
-  EXPECT_FALSE(has_rule(absorbed.findings, "dead-function"));
-  EXPECT_TRUE(has_rule(absorbed.baselined, "dead-function"));
-  EXPECT_FALSE(has_rule(absorbed.findings, "baseline-stale-entry"));
-
-  // An entry that matches nothing must be deleted: the ratchet only shrinks.
-  input.interproc_text += "src/core/gone.cpp:dead-function:vanished\n";
-  const Report stale = analyze(input);
-  ASSERT_TRUE(has_rule(stale.findings, "baseline-stale-entry")) << stale.render_text();
-  for (const Finding& f : stale.findings) {
-    if (f.rule != "baseline-stale-entry") continue;
-    EXPECT_EQ(f.file, "tools/analyze/interproc.baseline");
-    EXPECT_EQ(f.line, 0u);
-    EXPECT_NE(f.message.find("src/core/gone.cpp:dead-function:vanished"),
-              std::string::npos);
-  }
-}
-
-TEST(AnalyzeHotpath, KeyUsesTheQuotedDetailAndBaselineRendersSortedUnique) {
-  const Finding f{"src/hot/a.hpp", 12, "hotpath-container",
-                  "'deque' (std::deque) used in hot-path module 'hot'"};
-  EXPECT_EQ(hotpath_key(f), "src/hot/a.hpp:hotpath-container:deque");
-
-  const Finding g{"src/hot/a.hpp", 40, "hotpath-container",
-                  "'deque' (std::deque) used in hot-path module 'hot'"};
-  const Finding h{"src/hot/a.hpp", 7, "hotpath-alloc",
-                  "'new' allocation inside a loop in hot-path module 'hot'"};
-  const std::string rendered = render_hotpath_baseline({f, g, h});
-  // Same file+rule+detail dedupes to one line; keys come out sorted.
-  const std::string expected_keys =
-      "src/hot/a.hpp:hotpath-alloc:new\n"
-      "src/hot/a.hpp:hotpath-container:deque\n";
-  EXPECT_NE(rendered.find(expected_keys), std::string::npos) << rendered;
-  EXPECT_EQ(rendered.find('#'), 0u) << "baseline starts with its comment header";
-}
-
 TEST(AnalyzeHotpath, DirectiveMustNameADeclaredModule) {
   Input input;
   input.layers_path = "docs/ARCHITECTURE.layers";
@@ -687,6 +676,103 @@ TEST(AnalyzeHotpath, DirectiveParsingRejectsMalformedAndDuplicateLines) {
                        "layers-malformed"));
 }
 
+// ---- baseline -------------------------------------------------------------
+
+TEST(AnalyzeBaseline, ParserSkipsCommentsAndBlanksAndKeepsLines) {
+  const std::map<std::string, std::size_t> entries =
+      parse_baseline("# header\n\nsrc/a.hpp:contract-coverage:f  # why\n  src/b.hpp:x:g\n");
+  EXPECT_EQ(entries, (std::map<std::string, std::size_t>{
+                         {"src/a.hpp:contract-coverage:f", 3}, {"src/b.hpp:x:g", 4}}));
+}
+
+TEST(AnalyzeBaseline, KeyUsesTheQuotedDetailAndRenderKeepsOnlyRatchetedRules) {
+  const Finding f{"src/hot/a.hpp", 12, "hotpath-container",
+                  "'deque' (std::deque) used in hot-path module 'hot'"};
+  EXPECT_EQ(baseline_key(f), "src/hot/a.hpp:hotpath-container:deque");
+
+  const Finding g{"src/hot/a.hpp", 40, "hotpath-container",
+                  "'deque' (std::deque) used in hot-path module 'hot'"};
+  const Finding h{"src/hot/a.hpp", 7, "contract-coverage",
+                  "public function 'drain' has no UPN_REQUIRE/UPN_ENSURE"};
+  const Finding not_ratcheted{"src/hot/a.hpp", 3, "no-endl", "std::endl 'x'"};
+  const std::string rendered = render_baseline({f, g, h, not_ratcheted});
+  // Same file+rule+detail dedupes to one line; keys come out sorted.
+  const std::string expected_keys =
+      "src/hot/a.hpp:contract-coverage:drain\n"
+      "src/hot/a.hpp:hotpath-container:deque\n";
+  EXPECT_EQ(rendered.substr(rendered.size() - expected_keys.size()), expected_keys)
+      << rendered;
+  EXPECT_EQ(rendered.find('#'), 0u) << "baseline starts with its comment header";
+  EXPECT_EQ(parse_baseline(rendered).size(), 2u);
+}
+
+TEST(AnalyzeBaseline, AbsorbsEveryRatchetedFamilyAndStaleEntriesFire) {
+  // One finding from each ratcheted family: hot path, interprocedural and
+  // contract coverage.
+  Input input = hotpath_input("src/hot/engine.hpp",
+                              "#pragma once\n"
+                              "struct Engine {\n"
+                              "  std::deque<int> pending;\n"
+                              "};\n");
+  input.files.push_back({"src/core/orphan.cpp",
+                         "namespace demo {\n"
+                         "int orphaned_scale(int value) {\n"
+                         "  return value * 3;\n"
+                         "}\n"
+                         "}  // namespace demo\n"});
+  input.files.push_back({"src/core/demo.hpp",
+                         "#pragma once\n"
+                         "namespace demo {\n"
+                         "inline int clamp_add(int a, int b) {\n"
+                         "  int sum = a + b;\n"
+                         "  return sum < 0 ? 0 : sum;\n"
+                         "}\n"
+                         "}  // namespace demo\n"});
+  const Report live = analyze(input);
+  const std::vector<std::string> families = {"hotpath-container", "dead-function",
+                                             "contract-coverage"};
+  for (const std::string& rule : families) {
+    ASSERT_TRUE(has_rule(live.findings, rule)) << rule << "\n" << live.render_text();
+  }
+
+  // Keyed into the baseline, every ratcheted finding moves to the baselined
+  // bucket; nothing else does.
+  input.baseline_text = render_baseline(live.findings);
+  const Report absorbed = analyze(input);
+  for (const std::string& rule : families) {
+    EXPECT_FALSE(has_rule(absorbed.findings, rule)) << rule;
+    EXPECT_TRUE(has_rule(absorbed.baselined, rule)) << rule;
+  }
+  for (const Finding& f : absorbed.baselined) EXPECT_TRUE(is_baselineable(f.rule)) << f.rule;
+  EXPECT_FALSE(has_rule(absorbed.findings, "baseline-stale-entry"));
+
+  // An entry that matches nothing must be deleted: the ratchet only shrinks.
+  input.baseline_text += "src/core/gone.cpp:dead-function:vanished\n";
+  const Report stale = analyze(input);
+  ASSERT_TRUE(has_rule(stale.findings, "baseline-stale-entry")) << stale.render_text();
+  for (const Finding& f : stale.findings) {
+    if (f.rule != "baseline-stale-entry") continue;
+    EXPECT_EQ(f.file, "tools/analyze/analyze.baseline");
+    EXPECT_EQ(f.line, static_cast<std::size_t>(std::count(input.baseline_text.begin(),
+                                                          input.baseline_text.end(), '\n')));
+    EXPECT_NE(f.message.find("src/core/gone.cpp:dead-function:vanished"), std::string::npos);
+  }
+}
+
+TEST(AnalyzeBaseline, StaleContractCoverageEntryFires) {
+  // A contract-coverage key that matches no finding is stale like any other.
+  Input input;
+  input.files.push_back({"src/core/pipeline.hpp", "#pragma once\nnamespace upn {}\n"});
+  input.baseline_text = "src/core/pipeline.hpp:contract-coverage:no_such_function\n";
+  input.jobs = 1;
+  const Report report = analyze(input);
+  ASSERT_EQ(report.findings.size(), 1u) << report.render_text();
+  EXPECT_EQ(report.findings[0].format(),
+            "tools/analyze/analyze.baseline:1: [baseline-stale-entry] baseline entry "
+            "'src/core/pipeline.hpp:contract-coverage:no_such_function' matches no current "
+            "finding; delete it (the ratchet only shrinks)");
+}
+
 // ---- diff restriction -----------------------------------------------------
 
 TEST(AnalyzeDiff, RestrictToFilesKeepsOnlyTheNamedFiles) {
@@ -706,32 +792,35 @@ TEST(AnalyzeDiff, RestrictToFilesKeepsOnlyTheNamedFiles) {
 // ---- fixture trees --------------------------------------------------------
 
 TEST(AnalyzeFixtures, CleanTreeIsClean) {
-  const Report report = analyze_tree(UPN_ANALYZE_CLEAN_DIR);
+  const Report report = analyze_tree(UPN_ANALYZE_CLEAN_DIR, {"src"});
   EXPECT_TRUE(report.findings.empty()) << report.render_text();
   EXPECT_GE(report.files, 3u);
 }
 
-TEST(AnalyzeFixtures, BadTreeFiresEveryPassFamily) {
-  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR);
-  for (const char* rule :
-       {"layering-declared-cycle", "layering-undeclared-edge", "layering-stale-waiver",
-        "layering-undeclared-module", "include-cycle", "contract-coverage",
-        "rng-by-value", "narrowing-cast", "no-raw-thread", "thread-detach",
-        "unused-include", "pragma-once", "par-shared-mutation", "par-shared-rng",
-        "taint-unordered-order", "taint-timing", "taint-thread-id", "taint-address",
-        "hotpath-container", "hotpath-alloc", "hotpath-virtual",
-        "hotpath-by-value-param", "baseline-stale-entry", "lock-order-cycle",
-        "task-blocking-call", "task-blocking-io", "contract-violated-call",
-        "hotpath-unchecked-entry", "noexcept-may-throw", "dtor-may-throw",
-        "dead-function"}) {
-    EXPECT_TRUE(has_rule(report.findings, rule)) << rule;
+TEST(AnalyzeFixtures, BadTreeFiresEveryCatalogRuleAndRejectsEveryArtifact) {
+  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths);
+  for (const RuleInfo& rule : rule_catalog()) {
+    EXPECT_TRUE(has_rule(report.findings, rule.id)) << rule.id;
+  }
+  TreeOptions options;
+  options.root = UPN_ANALYZE_BAD_DIR;
+  options.paths = {"artifacts"};
+  options.excludes.clear();
+  Input artifacts;
+  std::string error;
+  ASSERT_TRUE(collect_tree(options, artifacts, error)) << error;
+  EXPECT_GE(artifacts.files.size(), 8u);
+  for (const SourceFile& file : artifacts.files) {
+    EXPECT_TRUE(std::any_of(report.findings.begin(), report.findings.end(),
+                            [&](const Finding& f) { return f.file == file.path; }))
+        << file.path << " was expected to be flagged";
   }
 }
 
 // ---- SARIF ----------------------------------------------------------------
 
 TEST(AnalyzeSarif, EmittedReportValidatesStructurally) {
-  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR);
+  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths);
   const std::string sarif = write_sarif(report.findings);
   EXPECT_EQ(validate_sarif(sarif), "");
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
@@ -764,9 +853,9 @@ TEST(AnalyzeSarif, FileScopedFindingsClampToLineOne) {
 // ---- determinism across thread counts -------------------------------------
 
 TEST(AnalyzeDeterminism, ReportsAreByteIdenticalAtJobs127) {
-  const Report one = analyze_tree(UPN_ANALYZE_BAD_DIR, 1);
-  const Report two = analyze_tree(UPN_ANALYZE_BAD_DIR, 2);
-  const Report seven = analyze_tree(UPN_ANALYZE_BAD_DIR, 7);
+  const Report one = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths, 1);
+  const Report two = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths, 2);
+  const Report seven = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths, 7);
   EXPECT_EQ(one.render_text(), two.render_text());
   EXPECT_EQ(one.render_text(), seven.render_text());
   EXPECT_EQ(write_sarif(one.findings), write_sarif(two.findings));
@@ -781,7 +870,7 @@ TEST(AnalyzeCatalog, SortedUniqueAndCoversEmittedRules) {
   for (std::size_t i = 1; i < catalog.size(); ++i) {
     EXPECT_LT(std::string{catalog[i - 1].id}, std::string{catalog[i].id});
   }
-  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR);
+  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths);
   for (const Finding& f : report.findings) {
     const bool known = std::any_of(catalog.begin(), catalog.end(),
                                    [&](const RuleInfo& r) { return f.rule == r.id; });

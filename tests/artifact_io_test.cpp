@@ -2,7 +2,8 @@
 // embeddings (.upne) and path schedules (.upns).  Both mirror pebble/io's
 // philosophy -- parsers enforce structural well-formedness and throw
 // std::runtime_error with a line number; declared BOUNDS are deliberately
-// not verified here (that is upn_lint's job, tested in lint_test.cpp).
+// not verified here (that is upn_analyze's artifact pass, tested in
+// analyze_test.cpp).
 #include <gtest/gtest.h>
 
 #include <sstream>

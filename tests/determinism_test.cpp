@@ -1,7 +1,8 @@
 // Determinism regression tests: the protocol / schedule / fault-plan
 // emitters must be bit-reproducible run to run.  Each test executes the
 // producer twice from identical inputs and compares the SERIALIZED bytes,
-// which is exactly what upn_lint and the committed fixtures depend on.
+// which is exactly what upn_analyze's artifact pass and the committed
+// fixtures depend on.
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -3,7 +3,7 @@
 namespace demo {
 
 int reseed() {
-  return half_of(4) + rand();  // upn-lint-allow(no-std-rand)
+  return half_of(4) + rand();  // upn-analyze-waive(no-std-rand: fixture exercises the waiver marker)
 }
 
 }  // namespace demo

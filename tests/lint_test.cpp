@@ -1,337 +1,152 @@
-// Engine-level tests for upn_lint: every source rule fires on a seeded
-// string and stays quiet on the idiomatic spelling, suppressions work, and
-// the artifact checks accept the committed clean fixtures while rejecting
-// every corrupted one with a file:line diagnostic.
+// Artifact lint: Pass 12 of upn_analyze checks the serialized artifact
+// formats (.upnp protocols, .upne embeddings, .upns schedules, .upnf fault
+// plans) against the invariants their headers declare.  In-memory inputs
+// pin each rule id and the line it reports; the committed clean fixtures
+// must pass the whole engine untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "tools/lint/lint.hpp"
+#include "tools/analyze/engine.hpp"
+#include "tools/analyze/passes.hpp"
 
-namespace fs = std::filesystem;
-
-namespace upn::lint {
+namespace upn::analyze {
 namespace {
 
-std::vector<std::string> rules_of(const std::vector<Diagnostic>& diags) {
+std::vector<std::string> rules_of(const std::vector<Finding>& findings) {
   std::vector<std::string> rules;
-  rules.reserve(diags.size());
-  for (const auto& d : diags) rules.push_back(d.rule);
+  rules.reserve(findings.size());
+  for (const Finding& f : findings) rules.push_back(f.rule);
   return rules;
 }
 
-bool has_rule(const std::vector<Diagnostic>& diags, const std::string& rule) {
-  return std::any_of(diags.begin(), diags.end(),
-                     [&](const Diagnostic& d) { return d.rule == rule; });
+bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
+  return std::any_of(findings.begin(), findings.end(),
+                     [&](const Finding& f) { return f.rule == rule; });
 }
 
-std::string slurp(const fs::path& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+Report analyze_fixtures() {
+  TreeOptions options;
+  options.root = UPN_FIXTURES_DIR;
+  options.paths = {"."};
+  options.excludes.clear();  // the fixtures live under tests/
+  Input input;
+  std::string error;
+  EXPECT_TRUE(collect_tree(options, input, error)) << error;
+  return analyze(input);
 }
 
-// ---- diagnostics ----------------------------------------------------------
-
-TEST(LintDiagnostic, FormatIsFileLineRuleMessage) {
-  const Diagnostic d{"a/b.cpp", 12, "no-endl", "use '\\n'"};
-  EXPECT_EQ(d.format(), "a/b.cpp:12: [no-endl] use '\\n'");
+std::vector<Finding> check(const std::string& path, const std::string& content) {
+  return run_artifact_pass(SourceFile{path, content});
 }
 
-TEST(LintPaths, ExtensionClassification) {
-  EXPECT_TRUE(is_source_path("src/util/math.cpp"));
-  EXPECT_TRUE(is_source_path("src/util/math.hpp"));
-  EXPECT_FALSE(is_source_path("notes.md"));
-  EXPECT_TRUE(is_artifact_path("p.upnp"));
-  EXPECT_TRUE(is_artifact_path("e.upne"));
-  EXPECT_TRUE(is_artifact_path("s.upns"));
-  EXPECT_TRUE(is_artifact_path("f.upnf"));
-  EXPECT_FALSE(is_artifact_path("p.txt"));
-}
-
-// ---- source rules ---------------------------------------------------------
-
-TEST(LintSource, FlagsRandAndUnseededRngs) {
-  const auto diags = lint_source("x.cpp",
-                                 "int a = rand();\n"
-                                 "int b = std::rand();\n"
-                                 "std::mt19937 gen;\n"
-                                 "upn::Rng rng{42};\n");
-  EXPECT_EQ(rules_of(diags),
-            (std::vector<std::string>{"no-std-rand", "no-std-rand", "no-unseeded-rng"}));
-  EXPECT_EQ(diags[0].line, 1u);
-  EXPECT_EQ(diags[2].line, 3u);
-}
-
-TEST(LintSource, RandInCommentsStringsAndIdentifiersIsFine) {
-  const auto diags = lint_source("x.cpp",
-                                 "// never call rand() here\n"
-                                 "const char* s = \"rand()\";\n"
-                                 "int mirand = my_rand(); (void)operand;\n"
-                                 "/* std::endl in a block\n"
-                                 "   comment */ int x = 0;\n");
-  EXPECT_TRUE(diags.empty()) << diags.front().format();
-}
-
-TEST(LintSource, FlagsEndl) {
-  const auto diags = lint_source("x.cpp", "os << value << std::endl;\n");
-  EXPECT_EQ(rules_of(diags), std::vector<std::string>{"no-endl"});
-}
-
-TEST(LintSource, FlagsFloatLiteralComparison) {
-  EXPECT_TRUE(has_rule(lint_source("x.cpp", "if (x == 1.0) return;\n"), "float-equality"));
-  EXPECT_TRUE(has_rule(lint_source("x.cpp", "if (x != 0.5f) return;\n"), "float-equality"));
-  EXPECT_TRUE(has_rule(lint_source("x.cpp", "bool b = 2e9 == y;\n"), "float-equality"));
-  EXPECT_FALSE(has_rule(lint_source("x.cpp", "if (k == 0 || k == n) return;\n"),
-                        "float-equality"));
-  EXPECT_FALSE(has_rule(lint_source("x.cpp", "if (x <= 1.0) return;\n"), "float-equality"));
-  EXPECT_FALSE(has_rule(lint_source("x.cpp", "double y = 1.0;\n"), "float-equality"));
-}
-
-TEST(LintSource, UnorderedIterationFlaggedOnlyWhenItReachesASink) {
-  // The old token-level unordered-iteration rule is retired; its taint-flow
-  // successor fires only when the iteration order can actually leak into a
-  // deterministic output.
-  const std::string flagged =
-      "std::unordered_map<int, int> counts;\n"
-      "long total = 0;\n"
-      "for (const auto& [k, v] : counts) {\n"
-      "  total += v;\n"
-      "}\n"
-      "UPN_OBS_COUNT(\"demo.total\", total);\n";
-  EXPECT_TRUE(has_rule(lint_source("x.cpp", flagged), "taint-unordered-order"));
-
-  // Same iteration, no sink: quiet.
-  const std::string no_sink =
-      "std::unordered_map<int, int> counts;\n"
-      "long total = 0;\n"
-      "for (const auto& [k, v] : counts) {\n"
-      "  total += v;\n"
-      "}\n";
-  EXPECT_FALSE(has_rule(lint_source("x.cpp", no_sink), "taint-unordered-order"));
-
-  // The unordered container nested INSIDE a vector: iterating the vector
-  // is deterministic, so this must stay quiet.
-  const std::string nested =
-      "std::vector<std::unordered_map<int, int>> buckets;\n"
-      "long n = 0;\n"
-      "for (const auto& bucket : buckets) {\n"
-      "  n += 1;\n"
-      "}\n"
-      "UPN_OBS_COUNT(\"demo.n\", n);\n";
-  EXPECT_FALSE(has_rule(lint_source("x.cpp", nested), "taint-unordered-order"));
-
-  const std::string ordered =
-      "std::map<int, int> counts;\n"
-      "long total = 0;\n"
-      "for (const auto& [k, v] : counts) {\n"
-      "  total += v;\n"
-      "}\n"
-      "UPN_OBS_COUNT(\"demo.total\", total);\n";
-  EXPECT_FALSE(has_rule(lint_source("x.cpp", ordered), "taint-unordered-order"));
-}
-
-TEST(LintSource, RawTimingFlaggedOnlyWhenItReachesASink) {
-  // no-raw-timing is retired in favor of taint-timing: reading a clock is
-  // fine (the obs kTiming side exists for that); feeding the reading into a
-  // deterministic output is the bug.
-  const std::string flows =
-      "const auto t0 = std::chrono::steady_clock::now().time_since_epoch().count();\n"
-      "UPN_OBS_COUNT(\"demo.t0\", t0);\n";
-  EXPECT_TRUE(has_rule(lint_source("src/core/universal_sim.cpp", flows), "taint-timing"));
-  EXPECT_TRUE(has_rule(lint_source("x.cpp",
-                                   "clock_gettime(CLOCK_MONOTONIC, &ts);\n"
-                                   "UPN_OBS_COUNT(\"demo.sec\", ts.tv_sec);\n"),
-                       "taint-timing"));
-
-  // A clock read that stays on the timing side is quiet.
-  const std::string read_only = "const auto t0 = std::chrono::steady_clock::now();\n";
-  EXPECT_FALSE(has_rule(lint_source("src/core/universal_sim.cpp", read_only),
-                        "taint-timing"));
-
-  // The obs layer and the bench harness are the two sanctioned clock users.
-  EXPECT_FALSE(has_rule(lint_source("src/obs/span.cpp", flows), "taint-timing"));
-  EXPECT_FALSE(has_rule(lint_source("bench/harness.cpp", flows), "taint-timing"));
-  EXPECT_FALSE(has_rule(lint_source("bench/harness.hpp", flows), "taint-timing"));
-
-  const auto suppressed = lint_source(
-      "x.cpp",
-      "clock_gettime(CLOCK_MONOTONIC, &ts);\n"
-      "UPN_OBS_COUNT(\"demo.sec\", ts.tv_sec);  "
-      "// upn-analyze-waive(taint-timing: fixture exercises the waiver syntax)\n");
-  EXPECT_FALSE(has_rule(suppressed, "taint-timing"));
-}
-
-TEST(LintSource, ConcurrencyPassRunsThroughLintAlias) {
-  // upn_lint is a thin alias over the analyze engine's per-file passes, so
-  // the concurrency-safety rules fire here too.
-  const std::string race =
-      "void f(Pool& pool, long& total) {\n"
-      "  pool.parallel_for(8, [&](std::size_t i) {\n"
-      "    total += static_cast<long>(i);\n"
-      "  });\n"
-      "}\n";
-  EXPECT_TRUE(has_rule(lint_source("x.cpp", race), "par-shared-mutation"));
-
-  const std::string disjoint =
-      "void f(Pool& pool, std::vector<long>& out) {\n"
-      "  pool.parallel_for(out.size(), [&](std::size_t i) {\n"
-      "    out[i] = static_cast<long>(i);\n"
-      "  });\n"
-      "}\n";
-  EXPECT_FALSE(has_rule(lint_source("x.cpp", disjoint), "par-shared-mutation"));
-}
-
-TEST(LintSource, PragmaOnceRequiredInHeadersOnly) {
-  const std::string body = "namespace x {}\n";
-  EXPECT_TRUE(has_rule(lint_source("a.hpp", body), "pragma-once"));
-  EXPECT_FALSE(has_rule(lint_source("a.cpp", body), "pragma-once"));
-  EXPECT_FALSE(has_rule(lint_source("a.hpp", "#pragma once\n" + body), "pragma-once"));
-}
-
-TEST(LintSource, SuppressionCommentSilencesTheRule) {
-  const auto suppressed = lint_source(
-      "x.cpp", "if (b == 0.0) return;  // upn-lint-allow(float-equality)\n");
-  EXPECT_TRUE(suppressed.empty());
-  // The wrong rule name does not suppress.
-  const auto still_flagged =
-      lint_source("x.cpp", "if (b == 0.0) return;  // upn-lint-allow(no-endl)\n");
-  EXPECT_TRUE(has_rule(still_flagged, "float-equality"));
-}
-
-// ---- artifact checks ------------------------------------------------------
-
-TEST(LintArtifact, CleanProtocolPasses) {
-  const std::string protocol =
-      "upn-protocol 1 2 2 1\n"
-      "step\n"
-      "G 0 0 1\n"
-      "G 1 1 1\n"
-      "step\n"
-      "S 0 0 1 1\n"
-      "R 1 0 1 0\n";
-  EXPECT_TRUE(lint_artifact("p.upnp", protocol).empty());
-}
-
-TEST(LintArtifact, MalformedProtocolIsRejectedWithDiagnostic) {
-  const auto diags = lint_artifact("p.upnp", "upn-protocol 9 junk\n");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "artifact-malformed");
-  EXPECT_NE(diags[0].message.find("line 1"), std::string::npos) << diags[0].message;
-}
-
-TEST(LintArtifact, UnmatchedReceiveIsFlaggedWithItsLine) {
-  const std::string protocol =
-      "upn-protocol 1 2 2 1\n"
-      "step\n"
-      "G 0 0 1\n"
-      "G 1 1 1\n"
-      "step\n"
-      "R 1 0 1 0\n";
-  const auto diags = lint_artifact("p.upnp", protocol);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "protocol-unmatched-receive");
-  EXPECT_EQ(diags[0].line, 6u);
-}
-
-TEST(LintArtifact, MissingFinalPebbleIsFlagged) {
-  const auto diags = lint_artifact("p.upnp",
-                                   "upn-protocol 1 2 2 1\n"
-                                   "step\n"
-                                   "G 0 0 1\n");
-  EXPECT_TRUE(has_rule(diags, "protocol-final-coverage"));
-}
-
-TEST(LintArtifact, EmbeddingLoadCheckedAgainstDeclaration) {
-  EXPECT_TRUE(lint_artifact("e.upne", "upn-embedding 1 4 4 1\n0\n1\n2\n3\n").empty());
-  const auto diags = lint_artifact("e.upne", "upn-embedding 1 4 4 1\n0\n0\n1\n2\n");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "embedding-load-exceeds-declaration");
-}
-
-TEST(LintArtifact, ScheduleBoundsCheckedAgainstDeclaration) {
-  const std::string ok =
-      "upn-schedule 1 2 1 1 1\n"
-      "step\n"
-      "M 0 0 1\n"
-      "M 1 2 3\n";
-  EXPECT_TRUE(lint_artifact("s.upns", ok).empty());
-
-  const std::string over =
-      "upn-schedule 1 2 1 1 2\n"
-      "step\n"
-      "M 0 0 1\n"
-      "step\n"
-      "M 0 1 2\n"
-      "M 1 0 1\n";
-  const auto diags = lint_artifact("s.upns", over);
-  EXPECT_TRUE(has_rule(diags, "schedule-congestion-exceeds-declaration"));
-  EXPECT_TRUE(has_rule(diags, "schedule-dilation-exceeds-declaration"));
-}
-
-TEST(LintArtifact, ScheduleConflictAndBrokenPath) {
-  const auto conflict = lint_artifact("s.upns",
-                                      "upn-schedule 1 2 2 1 1\n"
-                                      "step\n"
-                                      "M 0 0 1\n"
-                                      "M 1 0 1\n");
-  EXPECT_TRUE(has_rule(conflict, "schedule-link-conflict"));
-
-  const auto broken = lint_artifact("s.upns",
-                                    "upn-schedule 1 1 1 2 2\n"
-                                    "step\n"
-                                    "M 0 0 1\n"
-                                    "step\n"
-                                    "M 0 3 4\n");
-  EXPECT_TRUE(has_rule(broken, "schedule-broken-path"));
-}
-
-TEST(LintArtifact, FaultPlanDuplicatesFlagged) {
-  const auto diags = lint_artifact("f.upnf",
-                                   "upn-faultplan 1 0 2 0 0\n"
-                                   "L 0 1 0\n"
-                                   "L 1 0 5\n");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "faultplan-duplicate-fault");
-  EXPECT_EQ(diags[0].line, 3u);
-}
-
-// ---- the committed fixtures -----------------------------------------------
-
-TEST(LintFixtures, CleanFixturesAllPass) {
-  std::size_t checked = 0;
-  for (const auto& entry : fs::directory_iterator{UPN_FIXTURES_DIR}) {
-    if (!is_artifact_path(entry.path().string())) continue;
-    const auto diags = lint_artifact(entry.path().string(), slurp(entry.path()));
-    EXPECT_TRUE(diags.empty()) << diags.front().format();
-    ++checked;
+TEST(AnalyzeArtifacts, ExtensionClassification) {
+  for (const char* path : {"p.upnp", "e.upne", "s.upns", "f.upnf"}) {
+    EXPECT_TRUE(is_artifact_path(path)) << path;
   }
-  EXPECT_GE(checked, 4u) << "expected one clean fixture per artifact format";
+  for (const char* path : {"p.txt", "src/util/math.cpp", "upnp"}) {
+    EXPECT_FALSE(is_artifact_path(path)) << path;
+  }
 }
 
-TEST(LintFixtures, EveryBadFixtureIsRejected) {
-  std::size_t checked = 0;
-  for (const auto& entry : fs::directory_iterator{UPN_FIXTURES_BAD_DIR}) {
-    const std::string path = entry.path().string();
-    std::vector<Diagnostic> diags;
-    if (is_artifact_path(path)) {
-      diags = lint_artifact(path, slurp(entry.path()));
-    } else if (is_source_path(path)) {
-      diags = lint_source(path, slurp(entry.path()));
-    } else {
-      continue;
-    }
-    EXPECT_FALSE(diags.empty()) << path << " was expected to be flagged";
-    ++checked;
-  }
-  EXPECT_GE(checked, 10u);
+TEST(AnalyzeArtifacts, CleanProtocolPasses) {
+  EXPECT_TRUE(check("p.upnp",
+                    "upn-protocol 1 2 2 1\n"
+                    "step\n"
+                    "G 0 0 1\n"
+                    "G 1 1 1\n"
+                    "step\n"
+                    "S 0 0 1 1\n"
+                    "R 1 0 1 0\n")
+                  .empty());
+}
+
+TEST(AnalyzeArtifacts, MalformedProtocolIsRejectedFileScoped) {
+  const std::vector<Finding> findings = check("p.upnp", "upn-protocol 9 junk\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].format(),
+            "p.upnp:0: [artifact-malformed] " + findings[0].message);
+  EXPECT_NE(findings[0].message.find("line 1"), std::string::npos) << findings[0].message;
+}
+
+TEST(AnalyzeArtifacts, UnmatchedReceiveIsFlaggedWithItsLine) {
+  const std::vector<Finding> findings = check("p.upnp",
+                                              "upn-protocol 1 2 2 1\n"
+                                              "step\n"
+                                              "G 0 0 1\n"
+                                              "G 1 1 1\n"
+                                              "step\n"
+                                              "R 1 0 1 0\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "protocol-unmatched-receive");
+  EXPECT_EQ(findings[0].line, 6u);
+}
+
+TEST(AnalyzeArtifacts, MissingFinalPebbleIsFlagged) {
+  EXPECT_TRUE(has_rule(check("p.upnp",
+                             "upn-protocol 1 2 2 1\n"
+                             "step\n"
+                             "G 0 0 1\n"),
+                       "protocol-final-coverage"));
+}
+
+TEST(AnalyzeArtifacts, EmbeddingLoadCheckedAgainstDeclaration) {
+  EXPECT_TRUE(check("e.upne", "upn-embedding 1 4 4 1\n0\n1\n2\n3\n").empty());
+  EXPECT_EQ(rules_of(check("e.upne", "upn-embedding 1 4 4 1\n0\n0\n1\n2\n")),
+            std::vector<std::string>{"embedding-load-exceeds-declaration"});
+}
+
+TEST(AnalyzeArtifacts, ScheduleBoundsCheckedAgainstDeclaration) {
+  EXPECT_TRUE(check("s.upns",
+                    "upn-schedule 1 2 1 1 1\n"
+                    "step\n"
+                    "M 0 0 1\n"
+                    "M 1 2 3\n")
+                  .empty());
+  const std::vector<Finding> over = check("s.upns",
+                                          "upn-schedule 1 2 1 1 2\n"
+                                          "step\n"
+                                          "M 0 0 1\n"
+                                          "step\n"
+                                          "M 0 1 2\n"
+                                          "M 1 0 1\n");
+  EXPECT_TRUE(has_rule(over, "schedule-congestion-exceeds-declaration"));
+  EXPECT_TRUE(has_rule(over, "schedule-dilation-exceeds-declaration"));
+}
+
+TEST(AnalyzeArtifacts, ScheduleConflictAndBrokenPath) {
+  EXPECT_TRUE(has_rule(check("s.upns",
+                             "upn-schedule 1 2 2 1 1\n"
+                             "step\n"
+                             "M 0 0 1\n"
+                             "M 1 0 1\n"),
+                       "schedule-link-conflict"));
+  EXPECT_TRUE(has_rule(check("s.upns",
+                             "upn-schedule 1 1 1 2 2\n"
+                             "step\n"
+                             "M 0 0 1\n"
+                             "step\n"
+                             "M 0 3 4\n"),
+                       "schedule-broken-path"));
+}
+
+TEST(AnalyzeArtifacts, FaultPlanDuplicatesFlagged) {
+  const std::vector<Finding> findings = check("f.upnf",
+                                              "upn-faultplan 1 0 2 0 0\n"
+                                              "L 0 1 0\n"
+                                              "L 1 0 5\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "faultplan-duplicate-fault");
+  EXPECT_EQ(findings[0].line, 3u);
+}
+
+TEST(AnalyzeFixtures, CleanArtifactsPass) {
+  const Report report = analyze_fixtures();
+  EXPECT_TRUE(report.findings.empty()) << report.render_text();
+  EXPECT_GE(report.files, 4u) << "expected one clean fixture per artifact format";
 }
 
 }  // namespace
-}  // namespace upn::lint
+}  // namespace upn::analyze

@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/core/galil_paul.hpp"
 #include "src/core/pipeline.hpp"
@@ -77,6 +78,36 @@ TEST(Pipeline, HorizonNoLongerThanTreeDepthFailsUpFront) {
   obs::set_enabled(false);
   config.guest_steps = depth + 1;
   EXPECT_TRUE(run_paper_pipeline(config).all_checks_pass());
+}
+
+TEST(Pipeline, GuestTooSmallForTheGuestDegreeFailsUpFront) {
+  // butterfly(1) and butterfly(2) both give a = 2, so G_0's side is a
+  // multiple of 4 and every hint up to 16 rounds to n = 16: too few nodes
+  // for a 16-regular guest.
+  const std::pair<std::uint32_t, std::uint32_t> hint_and_dimension[] = {{0, 2}, {5, 1}, {16, 2}};
+  for (const auto& [hint, dimension] : hint_and_dimension) {
+    PipelineConfig config;
+    config.guest_size_hint = hint;
+    config.butterfly_dimension = dimension;
+    try {
+      static_cast<void>(run_paper_pipeline(config));
+      FAIL() << "guest_size_hint=" << hint << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("guest_size_hint (" + std::to_string(hint) + ")"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("n = 16"), std::string::npos) << what;
+      EXPECT_NE(what.find("needs n > " + std::to_string(kGuestDegree)), std::string::npos)
+          << what;
+    }
+  }
+  // The smallest accepted hint rounds up to the next side, 8.
+  PipelineConfig config;
+  config.guest_size_hint = 17;
+  const PipelineReport report = run_paper_pipeline(config);
+  EXPECT_EQ(report.n, 64u);
+  EXPECT_TRUE(report.all_checks_pass());
 }
 
 TEST(SortRouteDelivery, MovesPayloadsCorrectly) {

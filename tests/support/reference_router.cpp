@@ -338,7 +338,7 @@ RouteResult ReferenceRouter::route_impl(std::vector<Packet> packets, RoutingPoli
         result.transfers.push_back(
             Transfer{step, v, w, packet_index,
                      // Bool to byte, range {0,1}:
-                     static_cast<std::uint8_t>(dropped ? 1 : 0)});  // upn-lint-allow(narrowing-cast)
+                     static_cast<std::uint8_t>(dropped ? 1 : 0)});  // upn-analyze-waive(narrowing-cast: bool to byte)
       }
       if (!dropped) {
         arrivals.emplace_back(packet_index, w);

@@ -11,9 +11,9 @@
 //   * private members (not API surface).
 //
 // Findings are reported at the header declaration line and keyed as
-// "<header>:<function>" against the committed baseline
-// (tools/analyze/contracts.baseline), so existing debt is frozen and
-// coverage can only ratchet up: new uncontracted functions fail CI, removing
+// "<header>:contract-coverage:<function>" in the committed baseline
+// (tools/analyze/analyze.baseline), so existing debt is frozen and coverage
+// can only ratchet up: new uncontracted functions fail CI, removing
 // contracts fails CI, and paying debt down means deleting baseline lines.
 #include <algorithm>
 #include <map>
@@ -77,50 +77,6 @@ std::vector<Finding> run_contract_coverage_pass(const std::vector<Unit>& units) 
     }
   }
   std::sort(out.begin(), out.end(), finding_less);
-  return out;
-}
-
-std::set<std::string> parse_baseline(const std::string& content) {
-  std::set<std::string> entries;
-  for (const std::string& raw_line : split_lines(content)) {
-    std::string line = raw_line;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    while (!line.empty() && (line.back() == ' ' || line.back() == '\t' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    std::size_t b = 0;
-    while (b < line.size() && (line[b] == ' ' || line[b] == '\t')) ++b;
-    if (b > 0) line = line.substr(b);
-    if (!line.empty()) entries.insert(line);
-  }
-  return entries;
-}
-
-std::string baseline_key(const Finding& finding) {
-  // "public function 'name' has no ..." -> name.
-  const auto open = finding.message.find('\'');
-  const auto close = open == std::string::npos ? std::string::npos
-                                               : finding.message.find('\'', open + 1);
-  const std::string name = close == std::string::npos
-                               ? ""
-                               : finding.message.substr(open + 1, close - open - 1);
-  return finding.file + ":" + name;
-}
-
-std::string render_baseline(const std::vector<Finding>& findings) {
-  std::string out =
-      "# upn_analyze contract-coverage baseline.\n"
-      "# One frozen `header:function` per line; the ratchet only goes down.\n"
-      "# Regenerate with `upn_analyze --write-baseline ...` after paying debt,\n"
-      "# then review the diff: the file may only shrink.\n";
-  std::vector<std::string> keys;
-  for (const Finding& f : findings) {
-    if (f.rule == "contract-coverage") keys.push_back(baseline_key(f));
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  for (const std::string& k : keys) out += k + "\n";
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Determinism-taint pass: per-file flow analysis from nondeterminism
 // sources to deterministic sinks.  This subsumes the retired token-level
-// `unordered-iteration` / `no-raw-timing` rules: instead of banning the
+// unordered-iteration and raw-timing rules: instead of banning the
 // constructs outright, the pass tracks WHERE their values go and fires only
 // when one reaches an output that must be byte-stable across runs and
 // thread counts.

@@ -18,11 +18,7 @@ namespace upn::analyze {
 namespace {
 
 bool is_source_path(const std::string& path) {
-  auto ends = [&](const char* suffix) {
-    const std::size_t n = std::char_traits<char>::length(suffix);
-    return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
-  };
-  return ends(".cpp") || ends(".hpp");
+  return path.ends_with(".cpp") || path.ends_with(".hpp");
 }
 
 bool read_file(const fs::path& path, std::string& out) {
@@ -48,6 +44,14 @@ std::string Report::render_text() const {
 Report analyze(const Input& input) {
   ThreadPool pool{input.jobs};
 
+  // Artifacts (.upnp/.upne/.upns/.upnf) get the artifact pass; every other
+  // file is C++ and becomes a Unit.
+  std::vector<const SourceFile*> sources;
+  std::vector<const SourceFile*> artifacts;
+  for (const SourceFile& file : input.files) {
+    (is_artifact_path(file.path) ? artifacts : sources).push_back(&file);
+  }
+
   // Per-file work fans out on the pool; results are collected BY INDEX so
   // the merge below is independent of scheduling (src/util/par contract).
   // With --ir-cache, each task first tries its content-keyed cache entry
@@ -57,29 +61,29 @@ Report analyze(const Input& input) {
   // to build_unit, and cache IO errors are deliberately non-fatal.
   std::vector<Unit> units;
   if (input.ir_cache_dir.empty()) {
-    units = pool.parallel_map<Unit>(input.files.size(), [&](std::size_t i) {
-      return build_unit(input.files[i].path, input.files[i].content);
+    units = pool.parallel_map<Unit>(sources.size(), [&](std::size_t i) {
+      return build_unit(sources[i]->path, sources[i]->content);
     });
   } else {
     const fs::path cache_dir{input.ir_cache_dir};
     std::error_code ec;
     fs::create_directories(cache_dir, ec);
-    std::vector<fs::path> entries(input.files.size());
-    for (std::size_t i = 0; i < input.files.size(); ++i) {
-      entries[i] = cache_dir / (unit_cache_key(input.files[i].path,
-                                               input.files[i].content) +
+    std::vector<fs::path> entries(sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      entries[i] = cache_dir / (unit_cache_key(sources[i]->path,
+                                               sources[i]->content) +
                                 ".upnir");
     }
-    std::vector<char> hit(input.files.size(), 0);  // index-disjoint writes
-    units = pool.parallel_map<Unit>(input.files.size(), [&](std::size_t i) {
+    std::vector<char> hit(sources.size(), 0);  // index-disjoint writes
+    units = pool.parallel_map<Unit>(sources.size(), [&](std::size_t i) {
       std::string serialized;
       Unit unit;
       if (read_file(entries[i], serialized) &&
-          deserialize_unit(input.files[i].path, input.files[i].content, serialized, unit)) {
+          deserialize_unit(sources[i]->path, sources[i]->content, serialized, unit)) {
         hit[i] = 1;
         return unit;
       }
-      return build_unit(input.files[i].path, input.files[i].content);
+      return build_unit(sources[i]->path, sources[i]->content);
     });
     std::size_t hits = 0;
     for (std::size_t i = 0; i < units.size(); ++i) {
@@ -105,9 +109,15 @@ Report analyze(const Input& input) {
         return findings;
       });
 
+  const std::vector<std::vector<Finding>> per_artifact =
+      pool.parallel_map<std::vector<Finding>>(
+          artifacts.size(), [&](std::size_t i) { return run_artifact_pass(*artifacts[i]); });
+
   std::vector<Finding> all;
-  for (const std::vector<Finding>& findings : per_unit) {
-    all.insert(all.end(), findings.begin(), findings.end());
+  for (const auto* fan_out : {&per_unit, &per_artifact}) {
+    for (const std::vector<Finding>& findings : *fan_out) {
+      all.insert(all.end(), findings.begin(), findings.end());
+    }
   }
 
   LayerSpec spec;  // empty (no hotpath modules) when no layers file is given
@@ -135,51 +145,30 @@ Report analyze(const Input& input) {
     all.insert(all.end(), findings.begin(), findings.end());
   }
 
-  const std::set<std::string> baseline = parse_baseline(input.baseline_text);
-  const std::set<std::string> hotpath_baseline = parse_baseline(input.hotpath_text);
-  const std::set<std::string> interproc_baseline = parse_baseline(input.interproc_text);
-  std::set<std::string> hotpath_seen;
-  std::set<std::string> interproc_seen;
+  // One shrink-only baseline for every ratcheted rule.  An entry matching no
+  // current finding is debt already paid, so a stale entry is itself a
+  // finding, reported at its line in the baseline file.
+  const std::map<std::string, std::size_t> baseline = parse_baseline(input.baseline_text);
+  std::set<std::string> matched;
   Report report;
   report.files = input.files.size();
   for (Finding& f : all) {
-    const bool is_hotpath = f.rule.compare(0, 8, "hotpath-") == 0 &&
-                            !is_interproc_rule(f.rule);
-    const bool is_interproc = is_interproc_rule(f.rule);
-    if (is_hotpath) hotpath_seen.insert(hotpath_key(f));
-    if (is_interproc) interproc_seen.insert(interproc_key(f));
-    if (f.rule == "contract-coverage" && baseline.count(baseline_key(f)) != 0) {
-      report.baselined.push_back(std::move(f));
-    } else if (is_hotpath && hotpath_baseline.count(hotpath_key(f)) != 0) {
-      report.baselined.push_back(std::move(f));
-    } else if (is_interproc && interproc_baseline.count(interproc_key(f)) != 0) {
-      report.baselined.push_back(std::move(f));
-    } else {
-      report.findings.push_back(std::move(f));
+    if (is_baselineable(f.rule)) {
+      std::string key = baseline_key(f);
+      if (baseline.count(key) != 0) {
+        matched.insert(std::move(key));
+        report.baselined.push_back(std::move(f));
+        continue;
+      }
     }
+    report.findings.push_back(std::move(f));
   }
-  // A baseline entry matching no current finding is debt already paid: the
-  // ratchet only shrinks, so a stale entry is itself a finding.
-  const std::string hotpath_path =
-      input.hotpath_path.empty() ? "tools/analyze/hotpath.baseline" : input.hotpath_path;
-  for (const std::string& entry : hotpath_baseline) {
-    if (hotpath_seen.count(entry) != 0) continue;
+  for (const auto& [entry, line] : baseline) {
+    if (matched.count(entry) != 0) continue;
     report.findings.push_back(
-        Finding{hotpath_path, 0, "baseline-stale-entry",
-                "hotpath baseline entry '" + entry +
-                    "' matches no current finding; delete it (the ratchet only "
-                    "shrinks)"});
-  }
-  const std::string interproc_path = input.interproc_path.empty()
-                                         ? "tools/analyze/interproc.baseline"
-                                         : input.interproc_path;
-  for (const std::string& entry : interproc_baseline) {
-    if (interproc_seen.count(entry) != 0) continue;
-    report.findings.push_back(
-        Finding{interproc_path, 0, "baseline-stale-entry",
-                "interproc baseline entry '" + entry +
-                    "' matches no current finding; delete it (the ratchet only "
-                    "shrinks)"});
+        Finding{input.baseline_path, line, "baseline-stale-entry",
+                "baseline entry '" + entry +
+                    "' matches no current finding; delete it (the ratchet only shrinks)"});
   }
   std::sort(report.findings.begin(), report.findings.end(), finding_less);
   std::sort(report.baselined.begin(), report.baselined.end(), finding_less);
@@ -232,7 +221,7 @@ bool collect_tree(const TreeOptions& options, Input& input, std::string& error) 
         if (ec) break;
         if (!it->is_regular_file()) continue;
         const std::string path = it->path().generic_string();
-        if (is_source_path(path)) files.push_back(it->path());
+        if (is_source_path(path) || is_artifact_path(path)) files.push_back(it->path());
       }
       if (ec) {
         error = "cannot walk " + p.generic_string() + ": " + ec.message();
@@ -267,47 +256,24 @@ bool collect_tree(const TreeOptions& options, Input& input, std::string& error) 
     input.files.push_back(std::move(file));
   }
 
-  // The layers file: explicit path, or the conventional location when present.
-  fs::path layers = options.layers_file.empty() ? root / "docs/ARCHITECTURE.layers"
-                                                : fs::path{options.layers_file};
-  if (!options.layers_file.empty() || fs::exists(layers)) {
-    if (!read_file(layers, input.layers_text)) {
-      error = "cannot read layers file " + layers.generic_string();
+  // The layers file and the baseline: an explicit path, or the conventional
+  // location when present.
+  auto load = [&](const std::string& given, const char* conventional, const char* what,
+                  std::string& text, std::string& rel) {
+    const fs::path path = given.empty() ? root / conventional : fs::path{given};
+    if (given.empty() && !fs::exists(path)) return true;
+    if (!read_file(path, text)) {
+      error = std::string{"cannot read "} + what + " file " + path.generic_string();
       return false;
     }
-    input.layers_path = rel_of(layers);
-  }
-
-  fs::path baseline = options.baseline_file.empty()
-                          ? root / "tools/analyze/contracts.baseline"
-                          : fs::path{options.baseline_file};
-  if (!options.baseline_file.empty() || fs::exists(baseline)) {
-    if (!read_file(baseline, input.baseline_text)) {
-      error = "cannot read baseline file " + baseline.generic_string();
-      return false;
-    }
-  }
-
-  fs::path hotpath = options.hotpath_file.empty()
-                         ? root / "tools/analyze/hotpath.baseline"
-                         : fs::path{options.hotpath_file};
-  if (!options.hotpath_file.empty() || fs::exists(hotpath)) {
-    if (!read_file(hotpath, input.hotpath_text)) {
-      error = "cannot read hotpath baseline file " + hotpath.generic_string();
-      return false;
-    }
-    input.hotpath_path = rel_of(hotpath);
-  }
-
-  fs::path interproc = options.interproc_file.empty()
-                           ? root / "tools/analyze/interproc.baseline"
-                           : fs::path{options.interproc_file};
-  if (!options.interproc_file.empty() || fs::exists(interproc)) {
-    if (!read_file(interproc, input.interproc_text)) {
-      error = "cannot read interproc baseline file " + interproc.generic_string();
-      return false;
-    }
-    input.interproc_path = rel_of(interproc);
+    rel = rel_of(path);
+    return true;
+  };
+  if (!load(options.layers_file, "docs/ARCHITECTURE.layers", "layers", input.layers_text,
+            input.layers_path) ||
+      !load(options.baseline_file, kBaselinePath, "baseline", input.baseline_text,
+            input.baseline_path)) {
+    return false;
   }
 
   input.ir_cache_dir = options.ir_cache_dir;

@@ -1,5 +1,6 @@
-// The upn_analyze engine: collects sources, builds the IR per file on the
-// util/par ThreadPool, runs every pass, and merges findings in deterministic
+// The upn_analyze engine: collects sources and artifacts, builds the IR per
+// C++ file on the util/par ThreadPool, runs every pass, filters the result
+// through the one baseline, and merges findings in deterministic
 // (file, line, rule, message) order -- the report is byte-identical at every
 // --jobs value (tests pin {1, 2, 7}).
 //
@@ -16,17 +17,19 @@
 
 namespace upn::analyze {
 
+/// Where the baseline lives, relative to the repo root.
+inline constexpr const char* kBaselinePath = "tools/analyze/analyze.baseline";
+
 /// Everything one analysis run consumes, fully in memory so tests can drive
 /// the engine without touching disk.
 struct Input {
-  std::vector<SourceFile> files;  ///< repo-relative paths, forward slashes
+  /// Repo-relative paths, forward slashes.  Files with an artifact extension
+  /// (is_artifact_path) get the artifact pass; the rest are C++.
+  std::vector<SourceFile> files;
   std::string layers_path;        ///< "" skips the layering + hotpath passes
   std::string layers_text;
-  std::string baseline_text;      ///< contract baseline; "" means empty
-  std::string hotpath_text;       ///< hotpath baseline; "" means empty
-  std::string hotpath_path;       ///< reported path for stale-entry findings
-  std::string interproc_text;     ///< interproc baseline; "" means empty
-  std::string interproc_path;     ///< reported path for stale-entry findings
+  std::string baseline_text;      ///< the baseline; "" means empty
+  std::string baseline_path = kBaselinePath;  ///< reported on stale entries
   std::string ir_cache_dir;       ///< "" disables the IR cache (--ir-cache)
   bool want_callgraph = false;    ///< fill Report::callgraph_dump
   unsigned jobs = 0;              ///< 0 picks ThreadPool::default_threads()
@@ -34,7 +37,7 @@ struct Input {
 
 struct Report {
   std::vector<Finding> findings;   ///< actionable, sorted
-  std::vector<Finding> baselined;  ///< matched the contract baseline, sorted
+  std::vector<Finding> baselined;  ///< matched the baseline, sorted
   std::size_t files = 0;
   /// The `--dump-callgraph` text (tools/analyze/callgraph.hpp); filled only
   /// when Input::want_callgraph is set.
@@ -53,17 +56,15 @@ struct Report {
 /// testable.  `report.files` (the analyzed count) is left untouched.
 void restrict_to_files(Report& report, const std::set<std::string>& files);
 
-/// Disk-walking front half: loads .cpp/.hpp files under `paths` (relative to
-/// `root` unless absolute), skipping paths that contain any `excludes`
-/// substring, plus the layers and baseline files when present.  On IO
-/// failure returns false and sets `error`.
+/// Disk-walking front half: loads the .cpp/.hpp and artifact files under
+/// `paths` (relative to `root` unless absolute), skipping paths that contain
+/// any `excludes` substring, plus the layers and baseline files when present.
+/// On IO failure returns false and sets `error`.
 struct TreeOptions {
   std::string root = ".";
   std::vector<std::string> paths;
   std::string layers_file;    ///< "" -> root/docs/ARCHITECTURE.layers when present
-  std::string baseline_file;  ///< "" -> root/tools/analyze/contracts.baseline when present
-  std::string hotpath_file;   ///< "" -> root/tools/analyze/hotpath.baseline when present
-  std::string interproc_file; ///< "" -> root/tools/analyze/interproc.baseline when present
+  std::string baseline_file;  ///< "" -> root/kBaselinePath when present
   std::string ir_cache_dir;   ///< "" disables the IR cache
   std::vector<std::string> excludes = {"fixtures-bad", "fixtures-clean", "build"};
   unsigned jobs = 0;

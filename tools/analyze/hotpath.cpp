@@ -12,11 +12,8 @@
 //                           (the sink idiom -- by value then std::move'd in
 //                           the same unit -- is exempt)
 //
-// Existing debt is frozen in tools/analyze/hotpath.baseline and can only
-// shrink: the ratchet key is `file:rule:detail` (detail = the first quoted
-// token of the message), so findings survive line drift, and entries that
-// no longer match anything are themselves findings (baseline-stale-entry,
-// emitted by the engine).
+// Existing debt is frozen in tools/analyze/analyze.baseline and can only
+// shrink (the engine owns the ratchet; passes.hpp describes the key).
 #include <algorithm>
 #include <set>
 #include <string>
@@ -219,33 +216,6 @@ std::vector<Finding> run_hotpath_pass(const std::vector<Unit>& units,
     audit_unit(unit, unit.module, out);
   }
   std::sort(out.begin(), out.end(), finding_less);
-  return out;
-}
-
-std::string hotpath_key(const Finding& finding) {
-  const auto open = finding.message.find('\'');
-  const auto close = open == std::string::npos ? std::string::npos
-                                               : finding.message.find('\'', open + 1);
-  const std::string detail = close == std::string::npos
-                                 ? ""
-                                 : finding.message.substr(open + 1, close - open - 1);
-  return finding.file + ":" + finding.rule + ":" + detail;
-}
-
-std::string render_hotpath_baseline(const std::vector<Finding>& findings) {
-  std::string out =
-      "# upn_analyze hot-path performance baseline.\n"
-      "# One frozen `file:rule:detail` per line; the ratchet only goes down.\n"
-      "# Regenerate with `upn_analyze --write-baseline ...` after paying debt,\n"
-      "# then review the diff: the file may only shrink.  Stale entries are\n"
-      "# themselves findings (baseline-stale-entry).\n";
-  std::vector<std::string> keys;
-  for (const Finding& f : findings) {
-    if (f.rule.compare(0, 8, "hotpath-") == 0) keys.push_back(hotpath_key(f));
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  for (const std::string& k : keys) out += k + "\n";
   return out;
 }
 

@@ -11,7 +11,7 @@
 //     their declarations);
 //   * a .cpp including its own header (the API anchor, always intentional);
 //   * headers whose closure exports nothing we can index (nothing to judge);
-//   * `upn-lint-allow(unused-include)` on the include line.
+//   * `upn-analyze-waive(unused-include: <reason>)` on the include line.
 #include <algorithm>
 #include <map>
 #include <set>

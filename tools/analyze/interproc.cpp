@@ -1,7 +1,7 @@
 // Interprocedural pass families 8-11 over the whole-program call graph
 // (tools/analyze/callgraph.hpp).  All four are pure (graph + units in,
-// findings out); the engine owns ordering and the interproc ratchet
-// (tools/analyze/interproc.baseline, keyed like the hotpath baseline).
+// findings out); the engine owns ordering and the baseline ratchet
+// (tools/analyze/analyze.baseline).
 //
 //   (8)  lock order / task blocking -- per-function acquired-lock summaries
 //        propagated over resolved edges; a cycle in the observed
@@ -459,31 +459,6 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
   }
 
   std::sort(out.begin(), out.end(), finding_less);
-  return out;
-}
-
-bool is_interproc_rule(const std::string& rule) {
-  static const std::set<std::string> rules = {
-      "contract-violated-call", "dead-function",   "dtor-may-throw",
-      "hotpath-unchecked-entry", "lock-order-cycle", "noexcept-may-throw",
-      "task-blocking-call",      "task-blocking-io"};
-  return rules.count(rule) != 0;
-}
-
-std::string interproc_key(const Finding& finding) { return hotpath_key(finding); }
-
-std::string render_interproc_baseline(const std::vector<Finding>& findings) {
-  std::set<std::string> keys;
-  for (const Finding& f : findings) {
-    if (is_interproc_rule(f.rule)) keys.insert(interproc_key(f));
-  }
-  std::string out =
-      "# upn_analyze interprocedural baseline (shrink-only ratchet).\n"
-      "# One `file:rule:detail` key per tolerated finding from pass families\n"
-      "# 8-11 (lock order, contract propagation, exception safety, dead code).\n"
-      "# Keys are line-independent; regenerate with --write-baseline, but only\n"
-      "# ever commit deletions.\n";
-  for (const std::string& key : keys) out += key + "\n";
   return out;
 }
 

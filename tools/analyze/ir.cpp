@@ -96,7 +96,6 @@ bool contains_word(const std::string& code, const std::string& word) {
 }
 
 bool suppressed(const std::string& raw_line, const std::string& rule) {
-  if (raw_line.find("upn-lint-allow(" + rule + ")") != std::string::npos) return true;
   // upn-analyze-waive(<rule>: <reason>) -- the reason is mandatory, so a
   // waiver always records WHY the rule does not apply at this site.
   const std::string marker = "upn-analyze-waive(" + rule + ":";

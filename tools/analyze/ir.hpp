@@ -1,7 +1,6 @@
 // upn_analyze: shared translation-unit IR for whole-program static analysis.
 //
-// upn_lint (PR 2) analyzed one file at a time with ad-hoc string scans; the
-// passes in this directory need cross-file facts -- the #include graph of
+// The passes in this directory need cross-file facts -- the #include graph of
 // src/, which header declares which name, where a public function's
 // definition lives.  This header defines the one intermediate representation
 // every pass consumes:
@@ -108,11 +107,9 @@ struct Unit {
 /// True iff `word` occurs anywhere in `code` as a whole identifier.
 [[nodiscard]] bool contains_word(const std::string& code, const std::string& word);
 
-/// True iff `raw_line` carries a suppression for `rule`.  Two syntaxes, one
-/// engine (upn_lint delegates here):
-///   upn-lint-allow(<rule>)            bare suppression (PR 2 syntax)
-///   upn-analyze-waive(<rule>: <why>)  suppression with a MANDATORY reason;
-///                                     an empty reason does not suppress
+/// True iff `raw_line` carries `upn-analyze-waive(<rule>: <why>)`, the one
+/// line-suppression marker.  The reason is mandatory: an empty reason does
+/// not suppress.
 [[nodiscard]] bool suppressed(const std::string& raw_line, const std::string& rule);
 
 /// The module a repo-relative path belongs to: the full directory path under

@@ -1,19 +1,15 @@
 // upn_analyze CLI: whole-program static analysis with layering DAG
-// enforcement, contract-coverage audit (baseline-ratcheted), flow-sensitive
-// token rules, concurrency-safety and determinism-taint passes, the
-// hot-path performance pass (baseline-ratcheted), include hygiene, and
-// SARIF 2.1.0 output for CI annotation.
+// enforcement, contract-coverage audit, flow-sensitive token rules,
+// concurrency-safety and determinism-taint passes, the hot-path performance
+// pass, include hygiene, the interprocedural passes, artifact checks for
+// .upnp/.upne/.upns/.upnf files, one shrink-only baseline, and SARIF 2.1.0
+// output for CI annotation.
 //
 // Usage:
 //   upn_analyze [options] PATH...
 //     --root DIR        repo root; reported paths are relative to it (default .)
 //     --layers FILE     module DAG (default ROOT/docs/ARCHITECTURE.layers if present)
-//     --baseline FILE   contract baseline (default ROOT/tools/analyze/contracts.baseline)
-//     --hotpath-baseline FILE
-//                       hot-path baseline (default ROOT/tools/analyze/hotpath.baseline)
-//     --interproc-baseline FILE
-//                       interprocedural baseline (default
-//                       ROOT/tools/analyze/interproc.baseline)
+//     --baseline FILE   the baseline (default ROOT/tools/analyze/analyze.baseline)
 //     --ir-cache DIR    cache parsed TU IR in DIR, keyed by content hash, so
 //                       back-to-back runs (the CI --diff gate + full run)
 //                       parse each unchanged file once
@@ -26,11 +22,10 @@
 //                       GIT_REF` lists (the fast PR gate; analysis itself
 //                       still runs over every PATH so cross-file passes see
 //                       the whole tree)
-//     --write-baseline  rewrite all three baselines at the current debt level
+//     --write-baseline  rewrite the baseline at the current debt level
 //
 // Exit codes: 0 clean, 1 findings, 2 usage / IO error.  The text report and
 // the SARIF document are byte-identical at every --jobs value.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -46,7 +41,6 @@ namespace {
 
 int usage() {
   std::cerr << "usage: upn_analyze [--root DIR] [--layers FILE] [--baseline FILE]\n"
-               "                   [--hotpath-baseline FILE] [--interproc-baseline FILE]\n"
                "                   [--ir-cache DIR] [--dump-callgraph] [--sarif FILE]\n"
                "                   [--jobs N] [--exclude SUBSTR]... [--diff GIT_REF]\n"
                "                   [--write-baseline] PATH...\n";
@@ -106,14 +100,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       options.baseline_file = v;
-    } else if (arg == "--hotpath-baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.hotpath_file = v;
-    } else if (arg == "--interproc-baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.interproc_file = v;
     } else if (arg == "--ir-cache") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -159,47 +145,20 @@ int main(int argc, char** argv) {
   upn::analyze::Report report = upn::analyze::analyze(input);
 
   if (write_baseline) {
-    // The new frozen sets are everything currently flagged, whether or not
-    // the old baselines covered it.
-    std::vector<upn::analyze::Finding> uncontracted;
-    std::vector<upn::analyze::Finding> hotpath_debt;
-    std::vector<upn::analyze::Finding> interproc_debt;
-    for (const std::vector<upn::analyze::Finding>* bucket :
-         {&report.baselined, &report.findings}) {
-      for (const upn::analyze::Finding& f : *bucket) {
-        if (f.rule == "contract-coverage") uncontracted.push_back(f);
-        if (upn::analyze::is_interproc_rule(f.rule)) {
-          interproc_debt.push_back(f);
-        } else if (f.rule.compare(0, 8, "hotpath-") == 0) {
-          hotpath_debt.push_back(f);
-        }
-      }
-    }
-    std::sort(uncontracted.begin(), uncontracted.end(), upn::analyze::finding_less);
-    std::sort(hotpath_debt.begin(), hotpath_debt.end(), upn::analyze::finding_less);
-    std::sort(interproc_debt.begin(), interproc_debt.end(), upn::analyze::finding_less);
-    const std::string contracts_path =
-        options.baseline_file.empty() ? options.root + "/tools/analyze/contracts.baseline"
-                                      : options.baseline_file;
-    const std::string hotpath_path =
-        options.hotpath_file.empty() ? options.root + "/tools/analyze/hotpath.baseline"
-                                     : options.hotpath_file;
-    const std::string interproc_path =
-        options.interproc_file.empty() ? options.root + "/tools/analyze/interproc.baseline"
-                                       : options.interproc_file;
-    std::ofstream contracts_out{contracts_path, std::ios::binary};
-    std::ofstream hotpath_out{hotpath_path, std::ios::binary};
-    std::ofstream interproc_out{interproc_path, std::ios::binary};
-    if (!contracts_out || !hotpath_out || !interproc_out) {
-      std::cerr << "upn_analyze: cannot write baseline " << contracts_path << " / "
-                << hotpath_path << " / " << interproc_path << "\n";
+    // The new frozen set is everything currently flagged, whether or not the
+    // old baseline covered it.
+    std::vector<upn::analyze::Finding> debt = report.baselined;
+    debt.insert(debt.end(), report.findings.begin(), report.findings.end());
+    const std::string path = options.baseline_file.empty()
+                                 ? options.root + "/" + upn::analyze::kBaselinePath
+                                 : options.baseline_file;
+    std::ofstream out{path, std::ios::binary};
+    if (!out) {
+      std::cerr << "upn_analyze: cannot write baseline " << path << "\n";
       return 2;
     }
-    contracts_out << upn::analyze::render_baseline(uncontracted);
-    hotpath_out << upn::analyze::render_hotpath_baseline(hotpath_debt);
-    interproc_out << upn::analyze::render_interproc_baseline(interproc_debt);
-    std::cerr << "upn_analyze: baselines rewritten: " << contracts_path << ", "
-              << hotpath_path << ", " << interproc_path << "\n";
+    out << upn::analyze::render_baseline(debt);
+    std::cerr << "upn_analyze: baseline rewritten: " << path << "\n";
   }
 
   if (!diff_ref.empty()) {

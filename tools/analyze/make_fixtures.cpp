@@ -1,12 +1,11 @@
 // Regenerates the CLEAN artifact fixtures under tests/fixtures/ and the
-// upn_analyze source-fixture trees under tests/fixtures-clean/analyze/ and
-// tests/fixtures-bad/analyze/.  Artifacts are produced deterministically
-// (fixed seeds, library generators) so a rerun after a format change yields
-// reviewable diffs.  The corrupted ARTIFACT fixtures under tests/fixtures-bad/
-// are hand-written and NOT regenerated here: each encodes one specific
-// violation upn_lint must catch.  The analyze trees ARE regenerated: one
-// table below is the single source of truth for both, pairing each clean
-// construct with its deliberate violation.
+// upn_analyze fixture trees under tests/fixtures-clean/analyze/ and
+// tests/fixtures-bad/analyze/.  Clean artifacts are produced
+// deterministically (fixed seeds, library writers) so a rerun after a format
+// change yields reviewable diffs.  One table below is the single source of
+// truth for both analyze trees, pairing each clean construct with its
+// deliberate violation; the bad tree's artifacts/ directory holds one
+// corrupted artifact per artifact rule.
 //
 // Usage: make_fixtures <artifact-dir> [<analyze-clean-dir> <analyze-bad-dir>]
 #include <filesystem>
@@ -56,16 +55,17 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "layer beta: alpha\n"
      "waive core -> alpha: legacy shim, removed long ago\n"
      "hotpath hot\n"
-     "hotpath ghost\n"},
+     "hotpath ghost\n"
+     "depend core on util\n"},
 
-    // Hot-path performance baseline for the `hot` module.  The clean tree
-    // freezes real deque debt (the finding moves to the baselined bucket);
-    // the bad tree lists debt that no longer exists, so the shrink-only
-    // ratchet itself fires (baseline-stale-entry).
-    {"tools/analyze/hotpath.baseline",
-     "# fixture hot-path baseline: frozen deque debt in the demo engine\n"
+    // The baseline.  The clean tree freezes real deque debt in the `hot`
+    // module (the finding moves to the baselined bucket); the bad tree lists
+    // debt that no longer exists, so the shrink-only ratchet itself fires
+    // (baseline-stale-entry).
+    {"tools/analyze/analyze.baseline",
+     "# fixture baseline: frozen deque debt in the demo engine\n"
      "src/hot/engine_demo.hpp:hotpath-container:deque\n",
-     "# fixture hot-path baseline: this debt was paid off long ago\n"
+     "# fixture baseline: this debt was paid off long ago\n"
      "src/hot/engine_demo.hpp:hotpath-container:deque\n"},
 
     // Contracted leaf header (util).
@@ -111,7 +111,8 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "namespace demo {\n"
      "\n"
      "int reseed() {\n"
-     "  return half_of(4) + rand();  // upn-lint-allow(no-std-rand)\n"
+     "  return half_of(4) + rand();  "
+     "// upn-analyze-waive(no-std-rand: fixture exercises the waiver marker)\n"
      "}\n"
      "\n"
      "}  // namespace demo\n",
@@ -122,6 +123,16 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "#pragma once\n"
      "\n"
      "#include \"src/core/loop_a.hpp\"\n"},
+
+    // A src/ module the layers file never declares (bad only).
+    {"src/stray/loose.hpp", nullptr,
+     "#pragma once\n"
+     "\n"
+     "namespace demo {\n"
+     "\n"
+     "struct Loose {};\n"
+     "\n"
+     "}  // namespace demo\n"},
 
     // File-level include cycle (bad only).
     {"src/core/loop_a.hpp", nullptr,
@@ -158,6 +169,20 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "  std::thread worker{[tiny] { (void)tiny; }};\n"
      "  worker.detach();\n"
      "  (void)rng;\n"
+     "}\n"
+     "\n"
+     "}  // namespace demo\n"},
+
+    // Banned patterns, one per line (bad only).
+    {"src/core/banned.cpp", nullptr,
+     "namespace demo {\n"
+     "\n"
+     "int roll_dice(double weight) {\n"
+     "  std::mt19937 gen;\n"
+     "  int r = rand();\n"
+     "  std::cout << r << std::endl;\n"
+     "  if (weight == 0.5) return 0;\n"
+     "  return r;\n"
      "}\n"
      "\n"
      "}  // namespace demo\n"},
@@ -481,12 +506,58 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "  lock_ab();\n"
      "  lock_ba();\n"
      "  return forty_two() + quiet_level() + clamp_add(1, 2) + hot_entry(3) +\n"
-     "         fast_half(5) + plan_budget();\n"
+     "         fast_half(5) + plan_budget() + roll_dice(0.5);\n"
      "}\n"
      "\n"
      "}  // namespace demo\n"
      "\n"
      "int main() { return demo::poke_everything(); }\n"},
+
+    // Artifacts (bad only), one violation each.  A bad header version is
+    // rejected by the reader itself.
+    {"artifacts/bad_header.upnp", nullptr,
+     "upn-protocol 9 2 2 1\n"
+     "step\n"
+     "G 0 0 1\n"},
+    {"artifacts/missing_final.upnp", nullptr,
+     "upn-protocol 1 2 2 1\n"
+     "step\n"
+     "G 0 0 1\n"},
+    {"artifacts/unmatched_receive.upnp", nullptr,
+     "upn-protocol 1 2 2 1\n"
+     "step\n"
+     "G 0 0 1\n"
+     "G 1 1 1\n"
+     "step\n"
+     "R 1 0 1 0\n"},
+    {"artifacts/load_exceeds.upne", nullptr,
+     "upn-embedding 1 4 4 1\n"
+     "0\n"
+     "0\n"
+     "1\n"
+     "2\n"},
+    {"artifacts/bounds_exceeded.upns", nullptr,
+     "upn-schedule 1 2 1 1 2\n"
+     "step\n"
+     "M 0 0 1\n"
+     "step\n"
+     "M 0 1 2\n"
+     "M 1 0 1\n"},
+    {"artifacts/broken_path.upns", nullptr,
+     "upn-schedule 1 1 1 2 2\n"
+     "step\n"
+     "M 0 0 1\n"
+     "step\n"
+     "M 0 3 4\n"},
+    {"artifacts/link_conflict.upns", nullptr,
+     "upn-schedule 1 2 2 1 1\n"
+     "step\n"
+     "M 0 0 1\n"
+     "M 1 0 1\n"},
+    {"artifacts/duplicate_fault.upnf", nullptr,
+     "upn-faultplan 1 0 2 0 0\n"
+     "L 0 1 0\n"
+     "L 1 0 5\n"},
 };
 
 void write_tree(const fs::path& root, bool bad) {

@@ -1,5 +1,6 @@
 #include "tools/analyze/passes.hpp"
 
+#include <set>
 #include <tuple>
 
 namespace upn::analyze {
@@ -13,11 +14,60 @@ bool finding_less(const Finding& a, const Finding& b) {
          std::tie(b.file, b.line, b.rule, b.message);
 }
 
+bool is_baselineable(const std::string& rule) {
+  static const std::set<std::string> interproc = {
+      "contract-violated-call", "dead-function",   "dtor-may-throw",
+      "hotpath-unchecked-entry", "lock-order-cycle", "noexcept-may-throw",
+      "task-blocking-call",      "task-blocking-io"};
+  return rule == "contract-coverage" || rule.compare(0, 8, "hotpath-") == 0 ||
+         interproc.count(rule) != 0;
+}
+
+std::string baseline_key(const Finding& finding) {
+  const auto open = finding.message.find('\'');
+  const auto close = open == std::string::npos ? std::string::npos
+                                               : finding.message.find('\'', open + 1);
+  const std::string detail = close == std::string::npos
+                                 ? ""
+                                 : finding.message.substr(open + 1, close - open - 1);
+  return finding.file + ":" + finding.rule + ":" + detail;
+}
+
+std::map<std::string, std::size_t> parse_baseline(const std::string& content) {
+  std::map<std::string, std::size_t> entries;
+  const std::vector<std::string> lines = split_lines(content);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string line = lines[i].substr(0, lines[i].find('#'));
+    const auto first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    line = line.substr(first, line.find_last_not_of(" \t\r") + 1 - first);
+    entries.emplace(line, i + 1);
+  }
+  return entries;
+}
+
+std::string render_baseline(const std::vector<Finding>& findings) {
+  std::set<std::string> keys;
+  for (const Finding& f : findings) {
+    if (is_baselineable(f.rule)) keys.insert(baseline_key(f));
+  }
+  std::string out =
+      "# upn_analyze baseline: frozen debt of the contract-coverage, hotpath-*\n"
+      "# and interprocedural rules, one `file:rule:detail` key per line.\n"
+      "# The ratchet only shrinks: an entry that matches no finding is itself a\n"
+      "# finding (baseline-stale-entry).  Regenerate with\n"
+      "# `upn_analyze --write-baseline ...` and commit only deletions.\n";
+  for (const std::string& key : keys) out += key + "\n";
+  return out;
+}
+
 const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> catalog = {
+      {"artifact-malformed",
+       "a .upnp/.upne/.upns/.upnf artifact that its library reader rejects"},
       {"baseline-stale-entry",
-       "a ratcheting baseline entry (hotpath or interproc) matches no current finding; the "
-       "ratchet only shrinks, so delete it"},
+       "a baseline entry matches no current finding; the ratchet only shrinks, so delete "
+       "it"},
       {"contract-coverage",
        "public header function whose definition carries no UPN_REQUIRE/UPN_ENSURE and no "
        "upn-contract-waive(reason) marker"},
@@ -30,6 +80,10 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"dtor-may-throw",
        "a destructor (implicitly noexcept) with a reachable throw path; an escaping "
        "exception terminates the process"},
+      {"embedding-load-exceeds-declaration",
+       "an embedding's actual load exceeds the bound its header declares"},
+      {"faultplan-duplicate-fault",
+       "a fault plan lists the same permanent link or node fault twice"},
       {"float-equality",
        "exact ==/!= against a floating-point literal; compare with a tolerance"},
       {"hotpath-alloc",
@@ -81,9 +135,22 @@ const std::vector<RuleInfo>& rule_catalog() {
        "an outer upn::Rng is used inside a parallel task; derive per-task sub-streams "
        "with Rng::stream(seed, index)"},
       {"pragma-once", "header is missing #pragma once"},
+      {"protocol-final-coverage",
+       "a final pebble (P_i, T) is never generated; the protocol does not finish the "
+       "simulation"},
+      {"protocol-unmatched-receive",
+       "a protocol receive has no matching send in the same step"},
       {"rng-by-value",
        "upn::Rng parameter taken by value forks the stream state; pass Rng& or derive a "
        "sub-stream with Rng::stream(seed, index)"},
+      {"schedule-broken-path",
+       "a path-schedule packet moves from a node it did not last arrive at"},
+      {"schedule-congestion-exceeds-declaration",
+       "a path schedule uses a directed link more often than its declared congestion"},
+      {"schedule-dilation-exceeds-declaration",
+       "a path-schedule packet takes more hops than its declared dilation"},
+      {"schedule-link-conflict",
+       "a path schedule uses one directed link twice in the same step"},
       {"taint-address",
        "a value derived from pointer identity flows into a deterministic sink; pointer "
        "values vary run to run"},

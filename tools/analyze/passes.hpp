@@ -1,12 +1,12 @@
 // upn_analyze pass families over the shared IR (tools/analyze/ir.hpp).
 //
-// Seven groups, one Finding vocabulary:
+// Eight groups, one Finding vocabulary:
 //
-//   * single-file rules (source_rules.cpp) -- the upn_lint source rules
-//     ported onto the IR plus the flow-sensitive token rules (Rng taken by
-//     value, narrowing static_cast without an adjacent contract, raw
-//     std::thread outside util/par).  upn_lint's lint_source delegates here,
-//     so there is exactly one engine and one suppression syntax.
+//   * single-file rules (source_rules.cpp) -- banned patterns (unseeded
+//     std:: RNGs, rand(), std::endl, missing #pragma once, float ==) plus
+//     the flow-sensitive token rules (Rng taken by value, narrowing
+//     static_cast without an adjacent contract, raw std::thread outside
+//     util/par).
 //   * concurrency safety (concurrency.cpp) -- lambdas handed to
 //     upn::ThreadPool's parallel_for/parallel_map: shared mutable state
 //     captured by reference without index-disjoint writes, atomics, or a
@@ -15,7 +15,7 @@
 //     from unordered-container iteration order, timing clocks, thread ids,
 //     or pointer identity, tracked per file until they flow into an
 //     artifact writer, snapshot exporter, or obs counter.  Subsumes the
-//     retired token-level unordered-iteration / no-raw-timing rules.
+//     retired token-level unordered-iteration and raw-timing rules.
 //   * layering conformance (layering.cpp) -- the observed #include graph of
 //     src/ checked against the declared module DAG in
 //     docs/ARCHITECTURE.layers, plus file-level include-cycle detection.
@@ -25,10 +25,15 @@
 //   * hot-path performance (hotpath.cpp) -- modules declared `hotpath` in
 //     the layers file audited for containers with per-node allocation
 //     (std::deque/map/list), in-loop heap allocation, virtual dispatch, and
-//     by-value container parameters; existing debt is frozen in a
-//     shrink-only baseline (tools/analyze/hotpath.baseline).
+//     by-value container parameters.
 //   * include hygiene (include_hygiene.cpp) -- quoted includes from whose
 //     transitive declaration set the includer uses nothing.
+//   * artifacts (artifacts.cpp) -- .upnp/.upne/.upns/.upnf files parse and
+//     stay within the bounds their headers declare.
+//
+// Existing debt of the ratcheted rules (contract coverage, hot path,
+// interprocedural) is frozen in one shrink-only baseline,
+// tools/analyze/analyze.baseline.
 //
 // Every pass is pure (IR in, findings out) and thread-safe by construction;
 // the engine owns ordering: findings are merged and sorted by
@@ -38,7 +43,6 @@
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,7 +77,7 @@ struct RuleInfo {
 
 // ---- single-file rules ----------------------------------------------------
 
-/// All rules that need only one unit.  Honors `upn-lint-allow(<rule>)` and
+/// All rules that need only one unit.  Honors
 /// `upn-analyze-waive(<rule>: <reason>)` on the finding's raw line.
 [[nodiscard]] std::vector<Finding> run_single_file_rules(const Unit& unit);
 
@@ -135,11 +139,6 @@ struct LayerSpec {
 /// with no definition in the analyzed set are skipped.
 [[nodiscard]] std::vector<Finding> run_contract_coverage_pass(const std::vector<Unit>& units);
 
-/// Baseline file IO: one "path:function" entry per line, '#' comments.
-[[nodiscard]] std::set<std::string> parse_baseline(const std::string& content);
-[[nodiscard]] std::string baseline_key(const Finding& finding);
-[[nodiscard]] std::string render_baseline(const std::vector<Finding>& findings);
-
 // ---- hot-path performance -------------------------------------------------
 
 /// For every unit whose module carries a `hotpath` directive in the layers
@@ -149,19 +148,8 @@ struct LayerSpec {
 ///                           malloc) inside a loop
 ///   hotpath-virtual         a virtual member function declaration
 ///   hotpath-by-value-param  a container/string parameter taken by value
-/// Findings are line-stable only per construct: the baseline key is
-/// `file:rule:detail` (the detail is the first quoted token of the message),
-/// so line drift never grows the committed baseline.
 [[nodiscard]] std::vector<Finding> run_hotpath_pass(const std::vector<Unit>& units,
                                                     const LayerSpec& spec);
-
-/// The ratchet key of a hotpath finding: "file:rule:detail".
-[[nodiscard]] std::string hotpath_key(const Finding& finding);
-
-/// Renders the shrink-only hotpath baseline (sorted unique keys, commented
-/// header).  Engine-side, entries that match no current finding are reported
-/// as `baseline-stale-entry` so the file cannot rot.
-[[nodiscard]] std::string render_hotpath_baseline(const std::vector<Finding>& findings);
 
 // ---- interprocedural (pass families 8-11, over the call graph) ------------
 
@@ -202,22 +190,47 @@ struct LayerSpec {
 [[nodiscard]] std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
                                                           const std::vector<Unit>& units);
 
-/// True for the eight rules ratcheted by tools/analyze/interproc.baseline.
-[[nodiscard]] bool is_interproc_rule(const std::string& rule);
-
-/// The ratchet key of an interprocedural finding: "file:rule:detail", the
-/// detail being the first quoted token of the message (same mechanism as the
-/// hotpath baseline, so keys survive line drift).
-[[nodiscard]] std::string interproc_key(const Finding& finding);
-
-/// Renders the shrink-only interproc baseline from the interproc-rule subset
-/// of `findings`.
-[[nodiscard]] std::string render_interproc_baseline(const std::vector<Finding>& findings);
-
 // ---- include hygiene ------------------------------------------------------
 
 /// Quoted includes that resolve inside the analyzed set but from whose
 /// transitive declaration closure the includer uses no name.
 [[nodiscard]] std::vector<Finding> run_include_hygiene_pass(const std::vector<Unit>& units);
+
+// ---- artifacts ------------------------------------------------------------
+
+/// True iff the path has an artifact extension: .upnp (protocol), .upne
+/// (embedding), .upns (path schedule) or .upnf (fault plan).
+[[nodiscard]] bool is_artifact_path(const std::string& path);
+
+/// Checks one artifact, kind decided by extension:
+///   artifact-malformed                       the library reader rejects it
+///                                            (file-scoped, line 0)
+///   protocol-unmatched-receive               a receive with no same-step send
+///   protocol-final-coverage                  a final pebble never generated
+///   embedding-load-exceeds-declaration       actual load over the header's
+///   schedule-link-conflict                   a directed link used twice in a step
+///   schedule-broken-path                     a packet leaves where it did not arrive
+///   schedule-congestion-exceeds-declaration  a link used more than declared
+///   schedule-dilation-exceeds-declaration    a packet moved more than declared
+///   faultplan-duplicate-fault                a permanent fault listed twice
+[[nodiscard]] std::vector<Finding> run_artifact_pass(const SourceFile& file);
+
+// ---- baseline -------------------------------------------------------------
+
+/// True for the rules the baseline may freeze: contract-coverage, the
+/// hotpath-* rules and the interprocedural rules of families 8-11.
+[[nodiscard]] bool is_baselineable(const std::string& rule);
+
+/// The ratchet key of a finding: "file:rule:detail", the detail being the
+/// first quoted token of the message, so keys survive line drift.
+[[nodiscard]] std::string baseline_key(const Finding& finding);
+
+/// Baseline entries mapped to their 1-based lines; '#' starts a comment and
+/// blank lines are skipped.
+[[nodiscard]] std::map<std::string, std::size_t> parse_baseline(const std::string& content);
+
+/// The baseline file for the baselineable subset of `findings`: a comment
+/// header, then sorted unique keys.
+[[nodiscard]] std::string render_baseline(const std::vector<Finding>& findings);
 
 }  // namespace upn::analyze

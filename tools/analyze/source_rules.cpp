@@ -1,6 +1,6 @@
-// Single-file rules over the shared IR: the upn_lint source rules of PR 2
-// ported onto Unit, plus the flow-sensitive token rules new in upn_analyze.
-// upn::lint::lint_source delegates here, so the two CLIs cannot drift.
+// Single-file rules over the shared IR: the banned-pattern rules (no-std-rand,
+// no-unseeded-rng, no-endl, pragma-once, float-equality) plus the
+// flow-sensitive token rules.
 #include <algorithm>
 #include <cctype>
 #include <string>
@@ -18,7 +18,7 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-// ---- float-equality helpers (moved verbatim from tools/lint) --------------
+// ---- float-equality helpers ----------------------------------------------
 
 /// A token that parses as a floating-point literal (1.0, .5f, 2e9, 0x1p-53).
 bool is_float_literal(const std::string& token) {
