@@ -6,9 +6,7 @@
 // contract coverage, concurrency, determinism taint, hot-path, include
 // hygiene, artifacts, and the whole-program call graph with its
 // interprocedural passes -- at --jobs {1, 2, 7}, the same thread counts the determinism
-// tests pin.  Scaling flattening out here means a pass serialized.  The IR
-// cache round-trip is timed on its own: it bounds what --ir-cache can save
-// the CI --diff gate.
+// tests pin.  Scaling flattening out here means a pass serialized.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -67,11 +65,9 @@ int main(int argc, char** argv) {
 
   // ---- call graph + interprocedural stack, isolated from the other passes.
   // Artifacts get no IR; they take no part in the call graph.
-  std::vector<const upn::analyze::SourceFile*> sources;
   std::vector<upn::analyze::Unit> units;
   for (const auto& file : input.files) {
     if (upn::analyze::is_artifact_path(file.path)) continue;
-    sources.push_back(&file);
     units.push_back(upn::analyze::build_unit(file.path, file.content));
   }
 
@@ -97,21 +93,6 @@ int main(int argc, char** argv) {
       upn::bench::keep(findings);
     });
   }
-
-  // The serialize -> deserialize round-trip every --ir-cache hit pays in
-  // place of re-tokenizing the unit from source.
-  harness.measure("ir_cache_roundtrip", [&] {
-    std::size_t bytes = 0;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      const std::string serialized = upn::analyze::serialize_unit(units[i]);
-      upn::analyze::Unit loaded;
-      if (upn::analyze::deserialize_unit(sources[i]->path, sources[i]->content, serialized,
-                                         loaded)) {
-        bytes += serialized.size();
-      }
-    }
-    upn::bench::keep(bytes);
-  });
 
   return harness.finish();
 }

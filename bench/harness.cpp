@@ -81,11 +81,17 @@ double BenchResult::mean_ms() const {
 
 Harness::Harness(std::string name, int argc, const char* const* argv)
     : name_(std::move(name)), json_path_("BENCH_" + name_ + ".json") {
+  const auto usage_exit = [&](const std::string& problem) {
+    std::cerr << "bench_" << name_ << ": " << problem << "\nusage: bench_" << name_
+              << " [--threads=N] [--reps=R] [--warmup=W] [--json=PATH] [--no-json]"
+                 " [--trace=PATH]\n";
+    std::exit(2);
+  };
   try {
     const Cli cli{argc, argv};
-    threads_ = static_cast<unsigned>(
-        cli.get_u64("threads", ThreadPool::default_threads()));
-    if (threads_ < 1) threads_ = 1;
+    threads_ = cli.has("threads") ? ThreadPool::parse_threads(cli.get("threads", "").c_str())
+                                  : ThreadPool::default_threads();
+    if (threads_ == 0) usage_exit("--threads must be an integer from 1 to 4096");
     reps_ = static_cast<std::size_t>(cli.get_u64("reps", 5));
     if (reps_ < 1) reps_ = 1;
     warmup_ = static_cast<std::size_t>(cli.get_u64("warmup", 1));
@@ -93,13 +99,7 @@ Harness::Harness(std::string name, int argc, const char* const* argv)
     trace_path_ = cli.get("trace", "");
     write_json_ = !cli.has("no-json");
     const std::vector<std::string> unused = cli.unused();
-    if (!unused.empty()) {
-      std::cerr << "bench_" << name_ << ": unknown flag --" << unused.front()
-                << "\nusage: bench_" << name_
-                << " [--threads=N] [--reps=R] [--warmup=W] [--json=PATH] [--no-json]"
-                   " [--trace=PATH]\n";
-      std::exit(2);
-    }
+    if (!unused.empty()) usage_exit("unknown flag --" + unused.front());
   } catch (const std::exception& error) {
     std::cerr << "bench_" << name_ << ": " << error.what() << "\n";
     std::exit(2);

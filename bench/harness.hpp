@@ -7,7 +7,8 @@
 // schema is documented in docs/BENCHMARKS.md.
 //
 // Flags (all optional):
-//   --threads=N   pool width for parallel sections (default: UPN_THREADS or 1)
+//   --threads=N   pool width for parallel sections, 1..4096 (default:
+//                 UPN_THREADS or 1)
 //   --reps=R      timed repetitions per measure() workload (default 5)
 //   --warmup=W    untimed warmup runs per measure() workload (default 1)
 //   --json=PATH   output path (default BENCH_<name>.json in the CWD)

@@ -33,7 +33,7 @@ BandwidthBound bandwidth_lower_bound(const Graph& guest, const Graph& host,
   // each advancing one packet by one hop.
   const double matchings = host.num_nodes() / 2.0;
   bound.single_port_bound =
-      matchings == 0 ? 0.0 : static_cast<double>(bound.total_demand) / matchings;
+      host.num_nodes() == 0 ? 0.0 : static_cast<double>(bound.total_demand) / matchings;
   bound.diameter_bound = max_distance;
   UPN_ENSURE(bound.multiport_bound >= 0.0 && bound.single_port_bound >= 0.0);
   return bound;

@@ -24,13 +24,13 @@ double log2_factorial(double x) noexcept {
 
 double log2_binomial(double n, double k) noexcept {
   if (k < 0 || k > n) return -std::numeric_limits<double>::infinity();
-  if (k == 0 || k == n) return 0.0;
+  if (k <= 0 || k >= n) return 0.0;  // k == 0 or k == n behind the guard above
   return log2_factorial(n) - log2_factorial(k) - log2_factorial(n - k);
 }
 
 double log2_add(double a, double b) noexcept {
-  if (a == -std::numeric_limits<double>::infinity()) return b;
-  if (b == -std::numeric_limits<double>::infinity()) return a;
+  if (std::isinf(a) && a < 0) return b;
+  if (std::isinf(b) && b < 0) return a;
   const double hi = a > b ? a : b;
   const double lo = a > b ? b : a;
   return hi + std::log2(1.0 + std::exp2(lo - hi));

@@ -16,13 +16,18 @@ thread_local bool g_inside_pool_task = false;
 
 }  // namespace
 
-unsigned ThreadPool::default_threads() noexcept {
-  const char* env = std::getenv("UPN_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
+unsigned ThreadPool::parse_threads(const char* text) noexcept {
+  // upn-contract-waive(total: every string maps to a width in [1, 4096] or to 0)
+  if (text == nullptr || *text == '\0') return 0;
   char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < 1 || parsed > 4096) return 1;
+  const long parsed = std::strtol(text, &end, 10);
+  if (*end != '\0' || parsed < 1 || parsed > 4096) return 0;
   return static_cast<unsigned>(parsed);
+}
+
+unsigned ThreadPool::default_threads() noexcept {
+  const unsigned parsed = parse_threads(std::getenv("UPN_THREADS"));
+  return parsed == 0 ? 1 : parsed;
 }
 
 ThreadPool::ThreadPool(unsigned num_threads)

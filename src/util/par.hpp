@@ -79,8 +79,13 @@ class ThreadPool {
   [[nodiscard]] ThreadPoolStats stats() const noexcept;
 
   /// Pool width used when a size is not given explicitly: the UPN_THREADS
-  /// environment variable when set to a positive integer, else 1 (serial).
+  /// environment variable when parse_threads accepts it, else 1 (serial).
   [[nodiscard]] static unsigned default_threads() noexcept;
+
+  /// The one thread-count parser (UPN_THREADS, `--jobs`, `--threads=`): the
+  /// whole string must be a decimal integer in [1, 4096].  Returns 0 when it
+  /// is not, including for null or empty input.
+  [[nodiscard]] static unsigned parse_threads(const char* text) noexcept;
 
  private:
   // One parallel_for invocation.  Heap-allocated and shared with workers so

@@ -1,12 +1,10 @@
 // Whole-program call-graph tests for upn_analyze: overload resolution by
 // arity, method resolution through typed receivers, ThreadPool task-body
 // edges, conservative open edges (virtual / indirect / ambiguous receiver),
-// the determinism contract for --dump-callgraph at --jobs {1, 2, 7}, and the
-// IR cache round-trip behind --ir-cache.
+// and the determinism contract for --dump-callgraph at --jobs {1, 2, 7}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +15,6 @@
 
 namespace upn::analyze {
 namespace {
-
-namespace fs = std::filesystem;
 
 CallGraph graph_of(const std::vector<std::pair<std::string, std::string>>& files) {
   std::vector<UnitFunctions> per_unit;
@@ -193,87 +189,6 @@ TEST(CallgraphDeterminism, DumpIsByteIdenticalAtJobs127) {
   EXPECT_EQ(reports[0].callgraph_dump.substr(0, 10), "callgraph:");
   EXPECT_EQ(reports[0].callgraph_dump, reports[1].callgraph_dump);
   EXPECT_EQ(reports[0].callgraph_dump, reports[2].callgraph_dump);
-}
-
-// ---- IR cache -------------------------------------------------------------
-
-TEST(IrCache, KeyIsStableAndSensitiveToPathAndContent) {
-  const std::string key = unit_cache_key("src/core/a.cpp", "int x;\n");
-  EXPECT_EQ(key.size(), 16u);
-  EXPECT_EQ(key.find_first_not_of("0123456789abcdef"), std::string::npos);
-  EXPECT_EQ(key, unit_cache_key("src/core/a.cpp", "int x;\n"));
-  EXPECT_NE(key, unit_cache_key("src/core/b.cpp", "int x;\n"));
-  EXPECT_NE(key, unit_cache_key("src/core/a.cpp", "int y;\n"));
-}
-
-TEST(IrCache, SerializedUnitsRoundTrip) {
-  const std::string path = "src/core/round.hpp";
-  const std::string content =
-      "#pragma once\n"
-      "#include \"src/util/math.hpp\"\n"
-      "namespace demo {\n"
-      "inline int twice(int v) { return v * 2; }  // doubles\n"
-      "}  // namespace demo\n";
-  const Unit unit = build_unit(path, content);
-  const std::string serialized = serialize_unit(unit);
-  Unit loaded;
-  ASSERT_TRUE(deserialize_unit(path, content, serialized, loaded));
-  EXPECT_EQ(loaded.path, unit.path);
-  EXPECT_EQ(loaded.raw, unit.raw);
-  EXPECT_EQ(loaded.code, unit.code);
-  EXPECT_EQ(loaded.module, unit.module);
-  EXPECT_EQ(loaded.is_header, unit.is_header);
-  ASSERT_EQ(loaded.tokens.size(), unit.tokens.size());
-  for (std::size_t i = 0; i < unit.tokens.size(); ++i) {
-    EXPECT_EQ(loaded.tokens[i].kind, unit.tokens[i].kind);
-    EXPECT_EQ(loaded.tokens[i].line, unit.tokens[i].line);
-    EXPECT_EQ(loaded.tokens[i].text, unit.tokens[i].text);
-  }
-  // Re-serializing the loaded unit proves nothing was lost in flight.
-  EXPECT_EQ(serialize_unit(loaded), serialized);
-}
-
-TEST(IrCache, DeserializeFailsClosedOnDamage) {
-  const std::string path = "src/core/d.cpp";
-  const std::string content = "int x = 1;\n";
-  const std::string good = serialize_unit(build_unit(path, content));
-  Unit out;
-  EXPECT_FALSE(deserialize_unit(path, content, "", out));
-  EXPECT_FALSE(deserialize_unit(path, content, "wrong magic\n", out));
-  // Truncation drops the trailing end marker.
-  EXPECT_FALSE(deserialize_unit(path, content, good.substr(0, good.size() / 2), out));
-  EXPECT_TRUE(deserialize_unit(path, content, good, out));
-}
-
-TEST(IrCache, EngineProducesIdenticalReportsWithAWarmCache) {
-  const fs::path dir = fs::path{::testing::TempDir()} / "upn_ir_cache_test";
-  fs::remove_all(dir);
-
-  auto run = [&](unsigned jobs) {
-    TreeOptions options;
-    options.root = UPN_ANALYZE_BAD_DIR;
-    options.paths = {"src"};
-    options.excludes.clear();
-    options.jobs = jobs;
-    options.ir_cache_dir = dir.string();
-    Input input;
-    std::string error;
-    EXPECT_TRUE(collect_tree(options, input, error)) << error;
-    return analyze(input);
-  };
-
-  const Report cold = run(2);
-  std::size_t cached_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".upnir") ++cached_files;
-  }
-  EXPECT_EQ(cached_files, cold.files);
-
-  const Report warm = run(2);
-  const Report warm7 = run(7);
-  EXPECT_EQ(cold.render_text(), warm.render_text());
-  EXPECT_EQ(cold.render_text(), warm7.render_text());
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -182,5 +182,15 @@ TEST(ThreadPool, DefaultThreadsReadsEnvironment) {
   EXPECT_EQ(ThreadPool::default_threads(), 1u);
 }
 
+TEST(ThreadPool, ParseThreadsTakesTheWholeStringFrom1To4096) {
+  EXPECT_EQ(ThreadPool::parse_threads("1"), 1u);
+  EXPECT_EQ(ThreadPool::parse_threads("7"), 7u);
+  EXPECT_EQ(ThreadPool::parse_threads("4096"), 4096u);
+  for (const char* bad : {"", "0", "-1", "4097", "5000000000", "2x", "x", "2 "}) {
+    EXPECT_EQ(ThreadPool::parse_threads(bad), 0u) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ThreadPool::parse_threads(nullptr), 0u);
+}
+
 }  // namespace
 }  // namespace upn

@@ -72,6 +72,19 @@ TEST(TraceCheck, SummaryGroupsByNameSortedByTotalDuration) {
   EXPECT_DOUBLE_EQ(phases[0].total_us, 40.0);
   EXPECT_DOUBLE_EQ(phases[0].max_us, 30.0);
   EXPECT_EQ(phases[1].name, "sim.universal.compute");
+
+  // Equal totals come out in name order, after every larger total.
+  auto event = [](const char* name, double dur_us) {
+    TraceEvent e;
+    e.name = name;
+    e.dur_us = dur_us;
+    return e;
+  };
+  const auto tied = summarize({event("mid", 10), event("big", 10), event("zzz", 20)});
+  ASSERT_EQ(tied.size(), 3u);
+  EXPECT_EQ(tied[0].name, "zzz");
+  EXPECT_EQ(tied[1].name, "big");
+  EXPECT_EQ(tied[2].name, "mid");
 }
 
 TEST(TraceCheck, RoundTripsARealObsTraceSession) {

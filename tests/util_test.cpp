@@ -107,6 +107,7 @@ TEST(Math, Log2BinomialDegenerate) {
   EXPECT_EQ(log2_binomial(5, -1), -std::numeric_limits<double>::infinity());
   EXPECT_NEAR(log2_binomial(5, 0), 0.0, 1e-12);
   EXPECT_NEAR(log2_binomial(5, 5), 0.0, 1e-12);
+  EXPECT_EQ(log2_binomial(5, -0.0), 0.0);  // -0.0 is k == 0, not k < 0
 }
 
 TEST(Math, Log2AddCommutesAndIsCorrect) {
@@ -115,6 +116,8 @@ TEST(Math, Log2AddCommutesAndIsCorrect) {
   EXPECT_NEAR(log2_add(10, 0), log2_add(0, 10), 1e-12);
   const double neg_inf = -std::numeric_limits<double>::infinity();
   EXPECT_NEAR(log2_add(neg_inf, 5.0), 5.0, 1e-12);
+  EXPECT_EQ(log2_add(5.0, neg_inf), 5.0);
+  EXPECT_EQ(log2_add(neg_inf, neg_inf), neg_inf);
 }
 
 TEST(Math, IntegerLogs) {

@@ -54,49 +54,10 @@ Report analyze(const Input& input) {
 
   // Per-file work fans out on the pool; results are collected BY INDEX so
   // the merge below is independent of scheduling (src/util/par contract).
-  // With --ir-cache, each task first tries its content-keyed cache entry
-  // (keys are computed serially so the fan-out only reads); misses are
-  // rebuilt and written back serially afterwards.  The cache can only ever
-  // skip work, never change a result: a failed read or parse falls through
-  // to build_unit, and cache IO errors are deliberately non-fatal.
-  std::vector<Unit> units;
-  if (input.ir_cache_dir.empty()) {
-    units = pool.parallel_map<Unit>(sources.size(), [&](std::size_t i) {
-      return build_unit(sources[i]->path, sources[i]->content);
-    });
-  } else {
-    const fs::path cache_dir{input.ir_cache_dir};
-    std::error_code ec;
-    fs::create_directories(cache_dir, ec);
-    std::vector<fs::path> entries(sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      entries[i] = cache_dir / (unit_cache_key(sources[i]->path,
-                                               sources[i]->content) +
-                                ".upnir");
-    }
-    std::vector<char> hit(sources.size(), 0);  // index-disjoint writes
-    units = pool.parallel_map<Unit>(sources.size(), [&](std::size_t i) {
-      std::string serialized;
-      Unit unit;
-      if (read_file(entries[i], serialized) &&
-          deserialize_unit(sources[i]->path, sources[i]->content, serialized, unit)) {
-        hit[i] = 1;
-        return unit;
-      }
-      return build_unit(sources[i]->path, sources[i]->content);
-    });
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      if (hit[i] != 0) {
-        ++hits;
-        continue;
-      }
-      std::ofstream out{entries[i], std::ios::binary};
-      if (out) out << serialize_unit(units[i]);
-    }
-    UPN_OBS_COUNT("analyze.ir_cache.hits", hits);
-    UPN_OBS_COUNT("analyze.ir_cache.misses", units.size() - hits);
-  }
+  const std::vector<Unit> units = pool.parallel_map<Unit>(sources.size(), [&](std::size_t i) {
+    return build_unit(sources[i]->path, sources[i]->content);
+  });
+
   // The per-unit pass trio (single-file rules, concurrency safety,
   // determinism taint) shares one fan-out; each worker owns exactly one unit.
   const std::vector<std::vector<Finding>> per_unit =
@@ -185,16 +146,6 @@ Report analyze(const Input& input) {
   return report;
 }
 
-void restrict_to_files(Report& report, const std::set<std::string>& files) {
-  auto drop = [&](std::vector<Finding>& findings) {
-    findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                  [&](const Finding& f) { return files.count(f.file) == 0; }),
-                   findings.end());
-  };
-  drop(report.findings);
-  drop(report.baselined);
-}
-
 bool collect_tree(const TreeOptions& options, Input& input, std::string& error) {
   const fs::path root{options.root};
   input.jobs = options.jobs;
@@ -269,15 +220,10 @@ bool collect_tree(const TreeOptions& options, Input& input, std::string& error) 
     rel = rel_of(path);
     return true;
   };
-  if (!load(options.layers_file, "docs/ARCHITECTURE.layers", "layers", input.layers_text,
-            input.layers_path) ||
-      !load(options.baseline_file, kBaselinePath, "baseline", input.baseline_text,
-            input.baseline_path)) {
-    return false;
-  }
-
-  input.ir_cache_dir = options.ir_cache_dir;
-  return true;
+  return load(options.layers_file, "docs/ARCHITECTURE.layers", "layers", input.layers_text,
+              input.layers_path) &&
+         load(options.baseline_file, kBaselinePath, "baseline", input.baseline_text,
+              input.baseline_path);
 }
 
 }  // namespace upn::analyze

@@ -4,12 +4,12 @@
 // (file, line, rule, message) order -- the report is byte-identical at every
 // --jobs value (tests pin {1, 2, 7}).
 //
-// The engine reports through the PR 4 obs registry (`analyze.*` counters:
-// files, units, findings, findings_baselined) when UPN_OBS collection is on.
+// The engine reports through the obs registry (`analyze.*` counters: runs,
+// files, findings, findings_baselined, callgraph.*) when UPN_OBS collection
+// is on.
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -30,7 +30,6 @@ struct Input {
   std::string layers_text;
   std::string baseline_text;      ///< the baseline; "" means empty
   std::string baseline_path = kBaselinePath;  ///< reported on stale entries
-  std::string ir_cache_dir;       ///< "" disables the IR cache (--ir-cache)
   bool want_callgraph = false;    ///< fill Report::callgraph_dump
   unsigned jobs = 0;              ///< 0 picks ThreadPool::default_threads()
 };
@@ -50,12 +49,6 @@ struct Report {
 /// Runs the full analysis.
 [[nodiscard]] Report analyze(const Input& input);
 
-/// Drops every finding (actionable and baselined) whose file is not in
-/// `files`.  Backs the `--diff <git-ref>` fast PR gate: the caller computes
-/// the changed-file set, the filtering itself stays deterministic and
-/// testable.  `report.files` (the analyzed count) is left untouched.
-void restrict_to_files(Report& report, const std::set<std::string>& files);
-
 /// Disk-walking front half: loads the .cpp/.hpp and artifact files under
 /// `paths` (relative to `root` unless absolute), skipping paths that contain
 /// any `excludes` substring, plus the layers and baseline files when present.
@@ -65,7 +58,6 @@ struct TreeOptions {
   std::vector<std::string> paths;
   std::string layers_file;    ///< "" -> root/docs/ARCHITECTURE.layers when present
   std::string baseline_file;  ///< "" -> root/kBaselinePath when present
-  std::string ir_cache_dir;   ///< "" disables the IR cache
   std::vector<std::string> excludes = {"fixtures-bad", "fixtures-clean", "build"};
   unsigned jobs = 0;
 };

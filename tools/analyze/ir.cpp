@@ -530,163 +530,4 @@ Unit build_unit(const std::string& path, const std::string& content) {
   return unit;
 }
 
-// ---- IR cache -------------------------------------------------------------
-
-namespace {
-
-constexpr const char* kCacheMagic = "upnir 1";
-
-void fnv_mix(unsigned long long& hash, const std::string& bytes) {
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  hash ^= 0xFFU;  // separator so ("ab","c") and ("a","bc") differ
-  hash *= 1099511628211ULL;
-}
-
-}  // namespace
-
-std::string unit_cache_key(const std::string& path, const std::string& content) {
-  unsigned long long hash = 1469598103934665603ULL;  // FNV-1a offset basis
-  fnv_mix(hash, kCacheMagic);
-  fnv_mix(hash, path);
-  fnv_mix(hash, content);
-  std::string hex(16, '0');
-  for (std::size_t i = 16; i-- > 0;) {
-    hex[i] = "0123456789abcdef"[hash & 0xFU];
-    hash >>= 4;
-  }
-  return hex;
-}
-
-std::string serialize_unit(const Unit& unit) {
-  std::string out = std::string(kCacheMagic) + "\n";
-  out += "tokens " + std::to_string(unit.tokens.size()) + "\n";
-  for (const Token& t : unit.tokens) {
-    out += std::string(1, static_cast<char>(t.kind)) + " " + std::to_string(t.line) + " " +
-           t.text + "\n";
-  }
-  out += "includes " + std::to_string(unit.includes.size()) + "\n";
-  for (const IncludeEdge& inc : unit.includes) {
-    out += std::to_string(inc.line) + " " + (inc.quoted ? "q" : "s") + " " + inc.target + "\n";
-  }
-  out += "decls " + std::to_string(unit.decls.size()) + "\n";
-  for (const Declaration& d : unit.decls) {
-    out += std::string(1, static_cast<char>(d.kind)) + " " + std::to_string(d.line) + " " +
-           (d.has_body ? "1" : "0") + (d.is_public ? "1" : "0") + (d.has_contract ? "1" : "0") +
-           (d.has_waiver ? "1" : "0") + " " + std::to_string(d.body_statements) + " " + d.name +
-           "\n";
-  }
-  out += "end\n";
-  return out;
-}
-
-bool deserialize_unit(const std::string& path, const std::string& content,
-                      const std::string& serialized, Unit& out) {
-  const std::vector<std::string> lines = split_lines(serialized);
-  std::size_t li = 0;
-  auto next = [&]() -> const std::string* {
-    return li < lines.size() ? &lines[li++] : nullptr;
-  };
-  auto parse_count = [](const std::string& line, const std::string& tag,
-                        std::size_t& count) -> bool {
-    if (line.compare(0, tag.size() + 1, tag + " ") != 0) return false;
-    count = 0;
-    for (std::size_t k = tag.size() + 1; k < line.size(); ++k) {
-      if (line[k] < '0' || line[k] > '9') return false;
-      count = count * 10 + static_cast<std::size_t>(line[k] - '0');
-    }
-    return true;
-  };
-  auto parse_size = [](const std::string& s, std::size_t b, std::size_t e,
-                       std::size_t& value) -> bool {
-    if (b >= e) return false;
-    value = 0;
-    for (std::size_t k = b; k < e; ++k) {
-      if (s[k] < '0' || s[k] > '9') return false;
-      value = value * 10 + static_cast<std::size_t>(s[k] - '0');
-    }
-    return true;
-  };
-
-  const std::string* line = next();
-  if (line == nullptr || *line != kCacheMagic) return false;
-
-  Unit unit;
-  unit.path = path;
-  unit.module = module_of(path);
-  unit.is_header = path.size() >= 4 && path.compare(path.size() - 4, 4, ".hpp") == 0;
-  unit.raw = split_lines(content);
-  unit.code = code_view(unit.raw);
-
-  std::size_t count = 0;
-  line = next();
-  if (line == nullptr || !parse_count(*line, "tokens", count)) return false;
-  unit.tokens.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    line = next();
-    if (line == nullptr || line->size() < 5 || (*line)[1] != ' ') return false;
-    const char kind = (*line)[0];
-    if (kind != 'i' && kind != 'n' && kind != 'p') return false;
-    const std::size_t space = line->find(' ', 2);
-    if (space == std::string::npos || space + 1 >= line->size()) return false;
-    std::size_t ln = 0;
-    if (!parse_size(*line, 2, space, ln)) return false;
-    unit.tokens.push_back(Token{line->substr(space + 1), ln, static_cast<TokenKind>(kind)});
-  }
-
-  line = next();
-  if (line == nullptr || !parse_count(*line, "includes", count)) return false;
-  unit.includes.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    line = next();
-    if (line == nullptr) return false;
-    const std::size_t s1 = line->find(' ');
-    if (s1 == std::string::npos || s1 + 2 >= line->size() || (*line)[s1 + 2] != ' ') {
-      return false;
-    }
-    const char q = (*line)[s1 + 1];
-    if (q != 'q' && q != 's') return false;
-    std::size_t ln = 0;
-    if (!parse_size(*line, 0, s1, ln)) return false;
-    unit.includes.push_back(IncludeEdge{line->substr(s1 + 3), ln, q == 'q'});
-  }
-
-  line = next();
-  if (line == nullptr || !parse_count(*line, "decls", count)) return false;
-  unit.decls.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    line = next();
-    if (line == nullptr || line->size() < 9 || (*line)[1] != ' ') return false;
-    const char kind = (*line)[0];
-    if (kind != 'f' && kind != 't' && kind != 'm' && kind != 'c') return false;
-    const std::size_t s1 = line->find(' ', 2);          // after the line number
-    if (s1 == std::string::npos || s1 + 5 >= line->size()) return false;
-    const std::size_t s2 = line->find(' ', s1 + 1);     // after the flag block
-    if (s2 == std::string::npos || s2 - s1 != 5) return false;
-    const std::size_t s3 = line->find(' ', s2 + 1);     // after the statement count
-    if (s3 == std::string::npos || s3 + 1 >= line->size()) return false;
-    Declaration d;
-    d.kind = static_cast<DeclKind>(kind);
-    if (!parse_size(*line, 2, s1, d.line)) return false;
-    for (std::size_t f = s1 + 1; f < s2; ++f) {
-      if ((*line)[f] != '0' && (*line)[f] != '1') return false;
-    }
-    d.has_body = (*line)[s1 + 1] == '1';
-    d.is_public = (*line)[s1 + 2] == '1';
-    d.has_contract = (*line)[s1 + 3] == '1';
-    d.has_waiver = (*line)[s1 + 4] == '1';
-    if (!parse_size(*line, s2 + 1, s3, d.body_statements)) return false;
-    d.name = line->substr(s3 + 1);
-    if (d.name.empty()) return false;
-    unit.decls.push_back(std::move(d));
-  }
-
-  line = next();
-  if (line == nullptr || *line != "end") return false;
-  out = std::move(unit);
-  return true;
-}
-
 }  // namespace upn::analyze

@@ -121,28 +121,4 @@ struct Unit {
 /// Builds the full IR for one file.
 [[nodiscard]] Unit build_unit(const std::string& path, const std::string& content);
 
-// ---- IR cache (--ir-cache) ------------------------------------------------
-//
-// The CI analyze job runs the engine twice (the --diff PR gate, then the
-// full tree); the cache lets the second run skip re-parsing every unchanged
-// file.  Entries are keyed by a content hash, so a stale directory can never
-// resurrect an old parse: a changed file simply misses.  The serialized form
-// stores only the derived views that are expensive to rebuild (tokens,
-// includes, declaration index); raw/code/module are recomputed from the
-// content that is in hand anyway.  Deserialization fails closed -- any
-// malformed or version-mismatched entry is ignored and the unit rebuilt.
-
-/// FNV-1a-64 over a version tag, the path, and the content: 16 hex chars,
-/// usable directly as the cache file name.
-[[nodiscard]] std::string unit_cache_key(const std::string& path, const std::string& content);
-
-/// The cache entry for a built unit (text, line-oriented, versioned).
-[[nodiscard]] std::string serialize_unit(const Unit& unit);
-
-/// Rebuilds `out` from a cache entry plus the file's path and content.
-/// Returns false (leaving `out` unspecified) when `serialized` is malformed
-/// or from another format version.
-[[nodiscard]] bool deserialize_unit(const std::string& path, const std::string& content,
-                                    const std::string& serialized, Unit& out);
-
 }  // namespace upn::analyze

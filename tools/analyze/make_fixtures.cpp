@@ -181,7 +181,6 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "  std::mt19937 gen;\n"
      "  int r = rand();\n"
      "  std::cout << r << std::endl;\n"
-     "  if (weight == 0.5) return 0;\n"
      "  return r;\n"
      "}\n"
      "\n"

@@ -84,8 +84,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "an embedding's actual load exceeds the bound its header declares"},
       {"faultplan-duplicate-fault",
        "a fault plan lists the same permanent link or node fault twice"},
-      {"float-equality",
-       "exact ==/!= against a floating-point literal; compare with a tolerance"},
       {"hotpath-alloc",
        "heap allocation inside a loop in a hotpath-declared module; hoist it or use a "
        "preallocated buffer"},

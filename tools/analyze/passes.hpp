@@ -3,7 +3,7 @@
 // Eight groups, one Finding vocabulary:
 //
 //   * single-file rules (source_rules.cpp) -- banned patterns (unseeded
-//     std:: RNGs, rand(), std::endl, missing #pragma once, float ==) plus
+//     std:: RNGs, rand(), std::endl, missing #pragma once) plus
 //     the flow-sensitive token rules (Rng taken by value, narrowing
 //     static_cast without an adjacent contract, raw std::thread outside
 //     util/par).
@@ -66,7 +66,7 @@ struct Finding {
 /// Deterministic report order: (file, line, rule, message).
 [[nodiscard]] bool finding_less(const Finding& a, const Finding& b);
 
-/// One catalog entry per rule id, for the SARIF rules array and the docs.
+/// One catalog entry per rule id, for the docs and the fixture tests.
 struct RuleInfo {
   const char* id;
   const char* summary;

@@ -1,8 +1,7 @@
 // Single-file rules over the shared IR: the banned-pattern rules (no-std-rand,
-// no-unseeded-rng, no-endl, pragma-once, float-equality) plus the
-// flow-sensitive token rules.
+// no-unseeded-rng, no-endl, pragma-once) plus the flow-sensitive token rules.
+// Exact floating-point ==/!= is the compiler's job (-Werror=float-equal).
 #include <algorithm>
-#include <cctype>
 #include <string>
 #include <vector>
 
@@ -11,70 +10,9 @@
 namespace upn::analyze {
 namespace {
 
-bool ident_char(char c) { return std::isalnum(static_cast<unsigned char>(c)) || c == '_'; }
-
 bool has_suffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// ---- float-equality helpers ----------------------------------------------
-
-/// A token that parses as a floating-point literal (1.0, .5f, 2e9, 0x1p-53).
-bool is_float_literal(const std::string& token) {
-  if (token.empty()) return false;
-  bool digit = false, point_or_exp = false;
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    const char c = token[i];
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      digit = true;
-    } else if (c == '.') {
-      point_or_exp = true;
-    } else if ((c == 'e' || c == 'E' || c == 'p' || c == 'P') && digit) {
-      point_or_exp = true;
-    } else if ((c == '+' || c == '-') && i > 0 &&
-               (token[i - 1] == 'e' || token[i - 1] == 'E' || token[i - 1] == 'p' ||
-                token[i - 1] == 'P')) {
-      // exponent sign
-    } else if ((c == 'f' || c == 'F' || c == 'l' || c == 'L') && i + 1 == token.size()) {
-      // suffix
-    } else if ((c == 'x' || c == 'X') && i == 1 && token[0] == '0') {
-      // hex float prefix
-    } else if (std::isxdigit(static_cast<unsigned char>(c)) && token.size() > 1 &&
-               token[0] == '0' && (token[1] == 'x' || token[1] == 'X')) {
-      digit = true;
-    } else {
-      return false;
-    }
-  }
-  return digit && point_or_exp;
-}
-
-std::string token_before(const std::string& code, std::size_t pos) {
-  std::size_t end = pos;
-  while (end > 0 && code[end - 1] == ' ') --end;
-  std::size_t start = end;
-  while (start > 0 && (ident_char(code[start - 1]) || code[start - 1] == '.' ||
-                       code[start - 1] == '+' || code[start - 1] == '-')) {
-    --start;
-  }
-  // Trim a leading sign that belongs to the expression, not the literal.
-  while (start < end && (code[start] == '+' || code[start] == '-')) ++start;
-  return code.substr(start, end - start);
-}
-
-std::string token_after(const std::string& code, std::size_t pos) {
-  std::size_t start = pos;
-  while (start < code.size() && code[start] == ' ') ++start;
-  if (start < code.size() && (code[start] == '+' || code[start] == '-')) ++start;
-  std::size_t end = start;
-  while (end < code.size() && (ident_char(code[end]) || code[end] == '.' ||
-                               ((code[end] == '+' || code[end] == '-') && end > start &&
-                                (code[end - 1] == 'e' || code[end - 1] == 'E' ||
-                                 code[end - 1] == 'p' || code[end - 1] == 'P')))) {
-    ++end;
-  }
-  return code.substr(start, end - start);
 }
 
 // ---- flow-sensitive token rules -------------------------------------------
@@ -217,27 +155,6 @@ std::vector<Finding> run_single_file_rules(const Unit& unit) {
     if (line.find("std::endl") != std::string::npos) {
       emit(line_no, "no-endl",
            "std::endl flushes on every call (quadratic in emission loops); use '\\n'");
-    }
-    for (std::size_t pos = 0; pos + 1 < line.size(); ++pos) {
-      const bool eq = line[pos] == '=' && line[pos + 1] == '=';
-      const bool neq = line[pos] == '!' && line[pos + 1] == '=';
-      if (!eq && !neq) continue;
-      if (pos > 0 && (line[pos - 1] == '=' || line[pos - 1] == '!' ||
-                      line[pos - 1] == '<' || line[pos - 1] == '>')) {
-        continue;  // tail of <=, >=, ==, !=
-      }
-      if (pos + 2 < line.size() && line[pos + 2] == '=') {
-        ++pos;
-        continue;  // head of a wider operator
-      }
-      const std::string lhs = token_before(line, pos);
-      const std::string rhs = token_after(line, pos + 2);
-      if (is_float_literal(lhs) || is_float_literal(rhs)) {
-        emit(line_no, "float-equality",
-             "exact comparison against a floating-point literal; compare with a "
-             "tolerance or restructure");
-        break;
-      }
     }
   }
 

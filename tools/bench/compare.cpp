@@ -13,11 +13,15 @@
 //     speedup = baseline_median_ms / current_median_ms
 //
 // and exits 1 if any gated section falls below --min-speedup (default 2.0),
-// or if a gated baseline section is missing from the current run.  CI runs
+// or if a gated baseline section is missing from the current run.  A
+// --min-speedup that is not a finite number > 0 would disable the gate, so
+// it exits 2 like any other usage error.  CI runs
 // this after bench-smoke with the committed pre-rewrite artifact in
 // bench/baselines/ as OLD, so the engine rewrite's speedup is a ratchet: a
 // change that gives back more than half the win fails the build.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -125,9 +129,12 @@ int run(int argc, char** argv) {
     } else if (arg == "--min-speedup") {
       const char* v = value();
       if (v == nullptr) return usage(2);
-      try {
-        min_speedup = std::stod(v);
-      } catch (...) {
+      // A floor that is not a finite positive number would pass every run.
+      char* end = nullptr;
+      min_speedup = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(min_speedup) || !(min_speedup > 0.0)) {
+        std::cerr << "bench_compare: --min-speedup must be a finite number > 0, got '" << v
+                  << "'\n";
         return usage(2);
       }
     } else if (arg == "--section") {

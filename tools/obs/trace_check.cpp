@@ -303,7 +303,9 @@ std::vector<PhaseSummary> summarize(const std::vector<TraceEvent>& events) {
   phases.reserve(by_name.size());
   for (auto& [name, phase] : by_name) phases.push_back(std::move(phase));
   std::sort(phases.begin(), phases.end(), [](const PhaseSummary& a, const PhaseSummary& b) {
-    return a.total_us != b.total_us ? a.total_us > b.total_us : a.name < b.name;
+    if (b.total_us < a.total_us) return true;
+    if (a.total_us < b.total_us) return false;
+    return a.name < b.name;
   });
   return phases;
 }
