@@ -143,15 +143,20 @@ int main(int argc, char** argv) {
     });
   }
 
-  for (const std::uint32_t n : {64u, 128u}) {
+  // Emission, ending with the protocol's release.  The n=1296 section (T=16,
+  // about 3 M ops in a ~50 MB op array) is large enough that the array takes
+  // the mapped, huge-page-backed allocation path.
+  for (const auto& [n, d, T] :
+       {std::tuple{64u, 2u, 2u}, std::tuple{128u, 2u, 2u}, std::tuple{1296u, 4u, 16u}}) {
     Rng rng{3};
     const Graph guest = make_random_regular(n, kGuestDegree, rng);
-    const Graph host = make_butterfly(2);
+    const Graph host = make_butterfly(d);
     UniversalSimulator sim{guest, host, make_random_embedding(n, host.num_nodes(), rng)};
     UniversalSimOptions options;
     options.emit_protocol = true;
-    harness.measure("emit_protocol/n=" + std::to_string(n), [&] {
-      const UniversalSimResult result = sim.run(2, options);
+    const std::string name = "emit_protocol/n=" + std::to_string(n);
+    harness.measure(d == 2 ? name : name + ",d=" + std::to_string(d), [&] {
+      const UniversalSimResult result = sim.run(T, options);
       upn::bench::keep(result.protocol->num_ops());
     });
   }

@@ -2,55 +2,34 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <stdexcept>
 
 namespace upn {
 
 namespace {
 
-/// Sorts and deduplicates every cell of a filled CSR in place, closing the
-/// gaps duplicates leave; drops the spare trailing offset.  Values are
-/// processor ids, so a cell whose ids span few 64-bit words is sorted by
-/// marking them in a bit row and reading the marks back in order -- linear
-/// in the cell; a sparse cell falls back to a comparison sort.
-void sort_unique_cells(std::vector<std::size_t>& offsets, std::vector<std::uint32_t>& data,
-                       std::uint32_t num_hosts) {
-  offsets.pop_back();
-  std::vector<std::uint64_t> marks((std::size_t{num_hosts} + 63) / 64, 0);
-  std::size_t write = 0;
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c + 1 < offsets.size(); ++c) {
-    const std::size_t end = offsets[c + 1];
-    offsets[c] = write;
-    std::uint32_t lo = ~std::uint32_t{0};
-    std::uint32_t hi = 0;
-    for (std::size_t k = begin; k < end; ++k) {
-      lo = std::min(lo, data[k] / 64);
-      hi = std::max(hi, data[k] / 64);
+/// Reads a CSR back from one m-bit row per cell: offsets by popcount, then
+/// each row's set bits in ascending order -- sorted, duplicate-free procs.
+void rows_to_csr(const std::vector<std::uint64_t>& rows, std::size_t cells,
+                 std::size_t words_per_row, std::vector<std::size_t>& offsets,
+                 std::vector<std::uint32_t>& data) {
+  offsets.assign(cells + 1, 0);
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < cells; ++c) {
+    offsets[c] = total;
+    for (std::size_t w = 0; w < words_per_row; ++w) {
+      total += static_cast<std::size_t>(std::popcount(rows[c * words_per_row + w]));
     }
-    if (begin < end && hi - lo < end - begin) {
-      for (std::size_t k = begin; k < end; ++k) {
-        marks[data[k] / 64] |= std::uint64_t{1} << (data[k] % 64);
-      }
-      for (std::uint32_t w = lo; w <= hi; ++w) {
-        for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
-          data[write++] = w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
-        }
-        marks[w] = 0;
-      }
-    } else {
-      const auto first = data.begin() + static_cast<std::ptrdiff_t>(begin);
-      std::sort(first, data.begin() + static_cast<std::ptrdiff_t>(end));
-      const auto last = std::unique(first, data.begin() + static_cast<std::ptrdiff_t>(end));
-      write = static_cast<std::size_t>(
-          std::copy(first, last, data.begin() + static_cast<std::ptrdiff_t>(write)) -
-          data.begin());
-    }
-    begin = end;
   }
-  offsets.back() = write;
-  data.resize(write);
+  offsets[cells] = total;
+  data.resize(total);
+  std::uint32_t* out = data.data();
+  for (std::size_t word = 0; word < rows.size(); ++word) {
+    const auto base = static_cast<std::uint32_t>((word % words_per_row) * 64);
+    for (std::uint64_t bits = rows[word]; bits != 0; bits &= bits - 1) {
+      *out++ = base + static_cast<std::uint32_t>(std::countr_zero(bits));
+    }
+  }
 }
 
 }  // namespace
@@ -61,74 +40,55 @@ ProtocolMetrics::ProtocolMetrics(const Protocol& protocol)
       T_(protocol.guest_steps()),
       host_steps_(protocol.host_steps()) {
   const std::size_t cells = static_cast<std::size_t>(T_) * n_;
+  const std::size_t words_per_row = (std::size_t{m_} + 63) / 64;
   first_gen_.assign(cells, kNeverGenerated);
-  holder_offsets_.assign(cells + 2, 0);
-  generator_offsets_.assign(cells + 2, 0);
-
-  // Counting pass: cell sizes, range checks and first generation steps.
+  // One m-bit row per cell (t-1)*n + i: who holds (P_i, t), and who
+  // generates it.  A repeated placement sets a bit already set.
+  std::vector<std::uint64_t> holder_rows(cells * words_per_row, 0);
+  std::vector<std::uint64_t> generator_rows(cells * words_per_row, 0);
   for (std::uint32_t step = 0; step < host_steps_; ++step) {
     for (const Op& op : protocol.step(step)) {
       const PebbleType& p = op.pebble;
-      switch (op.kind) {
-        case OpKind::kSend:
-          break;  // sender already holds it
-        case OpKind::kReceive:
-          if (p.time >= 1) ++holder_offsets_[index(p.node, p.time - 1) + 2];
-          break;
-        case OpKind::kGenerate: {
-          if (p.time < 1 || p.time > T_) {
-            throw std::out_of_range{"ProtocolMetrics: generated pebble time out of range"};
-          }
-          const std::size_t cell = index(p.node, p.time - 1);
-          ++holder_offsets_[cell + 2];
-          ++generator_offsets_[cell + 2];
-          first_gen_[cell] = std::min(first_gen_[cell], step + 1);
-          break;
-        }
+      if (op.kind == OpKind::kSend) continue;  // sender already holds it
+      if (op.kind == OpKind::kGenerate && (p.time < 1 || p.time > T_)) {
+        throw std::out_of_range{"ProtocolMetrics: generated pebble time out of range"};
+      }
+      if (p.time == 0) continue;  // a received initial pebble
+      const std::size_t cell = index(p.node, p.time - 1);
+      const std::size_t word = cell * words_per_row + op.proc / 64;
+      const std::uint64_t bit = std::uint64_t{1} << (op.proc % 64);
+      holder_rows[word] |= bit;
+      ++placements_;
+      if (op.kind == OpKind::kGenerate) {
+        generator_rows[word] |= bit;
+        first_gen_[cell] = std::min(first_gen_[cell], step + 1);
       }
     }
   }
-  // Counts sit at offsets[c + 2], so after the prefix sum offsets[c + 1] is
-  // cell c's start; the fill pass bumps it to the cell's end -- cell c+1's
-  // start -- leaving a CSR in offsets[0 .. cells] without a cursor array.
-  std::partial_sum(holder_offsets_.begin(), holder_offsets_.end(), holder_offsets_.begin());
-  std::partial_sum(generator_offsets_.begin(), generator_offsets_.end(),
-                   generator_offsets_.begin());
-  placements_ = holder_offsets_.back();
-
-  // Fill pass.
-  holders_.resize(holder_offsets_.back());
-  generators_.resize(generator_offsets_.back());
-  for (const Op& op : protocol.ops()) {
-    if (op.kind == OpKind::kSend || op.pebble.time == 0) continue;
-    const std::size_t cell = index(op.pebble.node, op.pebble.time - 1);
-    holders_[holder_offsets_[cell + 1]++] = op.proc;
-    if (op.kind == OpKind::kGenerate) generators_[generator_offsets_[cell + 1]++] = op.proc;
-  }
-  sort_unique_cells(holder_offsets_, holders_, m_);
-  sort_unique_cells(generator_offsets_, generators_, m_);
+  rows_to_csr(holder_rows, cells, words_per_row, holder_offsets_, holders_);
+  rows_to_csr(generator_rows, cells, words_per_row, generator_offsets_, generators_);
 }
 
 std::vector<std::uint32_t> ProtocolMetrics::representatives(NodeId i, std::uint32_t t) const {
+  if (i >= n_ || t > T_) throw std::out_of_range{"representatives: out of range"};
   if (t == 0) {
     std::vector<std::uint32_t> all(m_);
     for (std::uint32_t q = 0; q < m_; ++q) all[q] = q;
     return all;
   }
-  if (i >= n_ || t > T_) throw std::out_of_range{"representatives: out of range"};
   const std::size_t cell = index(i, t - 1);
   return {holders_.begin() + static_cast<std::ptrdiff_t>(holder_offsets_[cell]),
           holders_.begin() + static_cast<std::ptrdiff_t>(holder_offsets_[cell + 1])};
 }
 
 std::uint32_t ProtocolMetrics::weight(NodeId i, std::uint32_t t) const {
-  if (t == 0) return m_;
   if (i >= n_ || t > T_) throw std::out_of_range{"weight: out of range"};
+  if (t == 0) return m_;
   const std::size_t cell = index(i, t - 1);
   return static_cast<std::uint32_t>(holder_offsets_[cell + 1] - holder_offsets_[cell]);
 }
 
-std::vector<std::uint32_t> ProtocolMetrics::generators(NodeId i, std::uint32_t t) const {
+std::vector<std::uint32_t> ProtocolMetrics::generators(NodeId i, std::uint32_t t) const {  // upn-analyze-waive(hotpath-unchecked-entry: i and t are range-checked below, with std::out_of_range)
   if (i >= n_ || t >= T_) throw std::out_of_range{"generators: out of range"};
   const std::size_t cell = index(i, t);
   return {generators_.begin() + static_cast<std::ptrdiff_t>(generator_offsets_[cell]),
@@ -136,12 +96,12 @@ std::vector<std::uint32_t> ProtocolMetrics::generators(NodeId i, std::uint32_t t
 }
 
 std::uint32_t ProtocolMetrics::first_generation_step(NodeId i, std::uint32_t t) const {
-  if (t == 0) return 0;
   if (i >= n_ || t > T_) throw std::out_of_range{"first_generation_step: out of range"};
+  if (t == 0) return 0;
   return first_gen_[index(i, t - 1)];
 }
 
-std::uint32_t ProtocolMetrics::generating_count(std::uint32_t t, std::uint32_t tau) const {
+std::uint32_t ProtocolMetrics::generating_count(std::uint32_t t, std::uint32_t tau) const {  // upn-analyze-waive(hotpath-unchecked-entry: first_generation_step range-checks t; every tau is a step count)
   std::uint32_t count = 0;
   for (NodeId i = 0; i < n_; ++i) {
     const std::uint32_t first = first_generation_step(i, t);

@@ -21,8 +21,9 @@ inline constexpr std::uint32_t kNeverGenerated = 0xffffffffu;
 
 class ProtocolMetrics {
  public:
-  /// Replays the protocol once and indexes all sets.  The protocol is
-  /// assumed valid (run validate_protocol first).
+  /// Replays the protocol once, marking holders and generators in one m-bit
+  /// row per (i, t), and reads the rows back into sorted sets.  The
+  /// protocol is assumed valid (run validate_protocol first).
   explicit ProtocolMetrics(const Protocol& protocol);
 
   [[nodiscard]] std::uint32_t num_guests() const noexcept { return n_; }
@@ -40,6 +41,8 @@ class ProtocolMetrics {
 
   /// Q_S(i, t): sorted processor ids holding (P_i, t) at the end.  For t = 0
   /// this is all processors (initial pebbles) and is returned as such.
+  /// This and the queries below throw std::out_of_range for i >= n or
+  /// t > T (t >= T for generators), t = 0 included.
   [[nodiscard]] std::vector<std::uint32_t> representatives(NodeId i, std::uint32_t t) const;
 
   /// q_{i,t} = |Q_S(i, t)|.

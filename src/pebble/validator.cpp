@@ -1,6 +1,7 @@
 #include "src/pebble/validator.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -22,26 +23,26 @@ std::string describe(const Op& op) {
 /// The pebbles every host processor holds: one n-bit row per (processor,
 /// guest time t >= 1), allocated the first time that processor places a
 /// pebble of time t.  Time-0 pebbles are initial -- held by everyone -- and
-/// need no row.  Rows are found through an open-addressing table keyed by
-/// (processor, time), fronted by a per-processor memo of the last time
-/// looked up (a routing phase moves pebbles of a single time), so memory
-/// follows the rows the protocol touches: about m * n * T bits when every
-/// pair is touched, never that much up front.
+/// need no row.  Rows live in fixed-size chunks that never move, so both the
+/// open-addressing table keyed by (processor, time) and the per-processor
+/// memo of the last time looked up (a routing phase moves pebbles of a
+/// single time) hold row pointers: a memo hit is one compare and no index
+/// arithmetic.  Memory follows the rows the protocol touches: about
+/// m * n * T bits when every pair is touched, never that much up front.
 class Holdings {
  public:
   Holdings(std::uint32_t num_guests, std::uint32_t num_hosts)
       : words_per_row_((std::size_t{num_guests} + 63) / 64),
-        memo_time_(num_hosts, 0),
-        memo_row_(num_hosts, 0),
+        rows_per_chunk_(
+            std::max<std::size_t>(1, kChunkWords / std::max<std::size_t>(1, words_per_row_))),
+        memo_(num_hosts),
         keys_(kInitialSlots, kEmpty),
-        rows_(kInitialSlots, 0) {}
+        rows_(kInitialSlots, nullptr) {}
 
   /// The row of (proc, time >= 1); nullptr when proc holds no such pebble.
-  /// Valid until the next place().
   [[nodiscard]] const std::uint64_t* find(std::uint32_t proc, std::uint32_t time) {
-    UPN_REQUIRE(time >= 1 && proc < memo_time_.size(), "Holdings::find: no row for this pebble");
-    const std::size_t row = lookup(proc, time);
-    return row == kNoRow ? nullptr : bits_.data() + row * words_per_row_;
+    UPN_REQUIRE(time >= 1 && proc < memo_.size(), "Holdings::find: no row for this pebble");
+    return lookup(proc, time);
   }
 
   [[nodiscard]] static bool test(const std::uint64_t* row, NodeId node) noexcept {
@@ -50,22 +51,28 @@ class Holdings {
 
   [[nodiscard]] bool holds(std::uint32_t proc, const PebbleType& p) {
     if (p.time == 0) return true;
-    const std::uint64_t* row = find(proc, p.time);
+    const std::uint64_t* row = lookup(proc, p.time);
     return row != nullptr && test(row, p.node);
   }
 
   void place(std::uint32_t proc, const PebbleType& p) {
     if (p.time == 0) return;
-    std::size_t row = lookup(proc, p.time);
-    if (row == kNoRow) row = insert(proc, p.time);
-    bits_[row * words_per_row_ + p.node / 64] |= std::uint64_t{1} << (p.node % 64);
+    std::uint64_t* row = lookup(proc, p.time);
+    if (row == nullptr) row = insert(proc, p.time);
+    row[p.node / 64] |= std::uint64_t{1} << (p.node % 64);
   }
 
  private:
   static constexpr std::size_t kInitialSlots = 64;
-  static constexpr std::size_t kNoRow = ~std::size_t{0};
+  /// Words per chunk (32 KiB), or one row when a row is larger.
+  static constexpr std::size_t kChunkWords = 4096;
   /// Key 0 is (processor 0, time 0), which never gets a row.
   static constexpr std::uint64_t kEmpty = 0;
+
+  struct Memo {
+    std::uint32_t time = 0;  ///< last time found (0: none)
+    std::uint64_t* row = nullptr;
+  };
 
   static std::uint64_t key_of(std::uint32_t proc, std::uint32_t time) noexcept {
     return (std::uint64_t{proc} << 32) | time;
@@ -75,31 +82,33 @@ class Holdings {
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & (keys_.size() - 1);
   }
 
-  [[nodiscard]] std::size_t lookup(std::uint32_t proc, std::uint32_t time) {
-    if (memo_time_[proc] == time) return memo_row_[proc];
+  [[nodiscard]] std::uint64_t* lookup(std::uint32_t proc, std::uint32_t time) {
+    Memo& memo = memo_[proc];
+    if (memo.time == time) return memo.row;
     const std::uint64_t key = key_of(proc, time);
     for (std::size_t slot = slot_of(key); keys_[slot] != kEmpty;
          slot = (slot + 1) & (keys_.size() - 1)) {
       if (keys_[slot] == key) {
-        memo_time_[proc] = time;
-        memo_row_[proc] = rows_[slot];
+        memo = Memo{time, rows_[slot]};
         return rows_[slot];
       }
     }
-    return kNoRow;
+    return nullptr;
   }
 
-  std::size_t insert(std::uint32_t proc, std::uint32_t time) {
+  std::uint64_t* insert(std::uint32_t proc, std::uint32_t time) {
     if (2 * (num_rows_ + 1) > keys_.size()) grow();
-    const std::size_t row = num_rows_++;
+    if (num_rows_ % rows_per_chunk_ == 0) {
+      chunks_.push_back(std::make_unique<std::uint64_t[]>(rows_per_chunk_ * words_per_row_));
+    }
+    std::uint64_t* row = chunks_.back().get() + (num_rows_ % rows_per_chunk_) * words_per_row_;
+    ++num_rows_;
     put(key_of(proc, time), row);
-    bits_.resize(num_rows_ * words_per_row_, 0);
-    memo_time_[proc] = time;
-    memo_row_[proc] = row;
+    memo_[proc] = Memo{time, row};
     return row;
   }
 
-  void put(std::uint64_t key, std::size_t row) {
+  void put(std::uint64_t key, std::uint64_t* row) {
     std::size_t slot = slot_of(key);
     while (keys_[slot] != kEmpty) slot = (slot + 1) & (keys_.size() - 1);
     keys_[slot] = key;
@@ -108,21 +117,21 @@ class Holdings {
 
   void grow() {
     const std::vector<std::uint64_t> old_keys = std::move(keys_);
-    const std::vector<std::size_t> old_rows = std::move(rows_);
+    const std::vector<std::uint64_t*> old_rows = std::move(rows_);
     keys_.assign(2 * old_keys.size(), kEmpty);
-    rows_.assign(keys_.size(), 0);
+    rows_.assign(keys_.size(), nullptr);
     for (std::size_t slot = 0; slot < old_keys.size(); ++slot) {
       if (old_keys[slot] != kEmpty) put(old_keys[slot], old_rows[slot]);
     }
   }
 
   std::size_t words_per_row_;
+  std::size_t rows_per_chunk_;
   std::size_t num_rows_ = 0;
-  std::vector<std::uint64_t> bits_;         ///< num_rows_ rows of words_per_row_
-  std::vector<std::uint32_t> memo_time_;    ///< proc -> last time found (0: none)
-  std::vector<std::size_t> memo_row_;       ///< proc -> its row
+  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;  ///< zeroed, never moved
+  std::vector<Memo> memo_;                  ///< proc -> its last row found
   std::vector<std::uint64_t> keys_;         ///< open addressing, power-of-two size
-  std::vector<std::size_t> rows_;           ///< slot -> row
+  std::vector<std::uint64_t*> rows_;        ///< slot -> row
 };
 
 }  // namespace
@@ -154,8 +163,17 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
   // partners below num_hosts, which the size check above ties to the host.
   const std::uint32_t* host_off = host.offsets().data();
   const NodeId* host_adj = host.adjacency().data();
+  // A branch-free lower bound over u's sorted neighbors: sends pair random
+  // (proc, partner) links, on which a branching search mispredicts.
   auto adjacent = [&](std::uint32_t u, std::uint32_t v) {
-    return std::binary_search(host_adj + host_off[u], host_adj + host_off[u + 1], v);
+    const NodeId* base = host_adj + host_off[u];
+    std::size_t len = host_off[u + 1] - host_off[u];
+    while (len > 1) {
+      const std::size_t half = len / 2;
+      base += static_cast<std::size_t>(base[half - 1] < v) * half;
+      len -= half;
+    }
+    return len == 1 && *base == v;
   };
 
   for (std::uint32_t step = 0; step < protocol.host_steps(); ++step) {

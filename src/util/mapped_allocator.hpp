@@ -11,10 +11,16 @@
 // while it is alive and leaves neither a hole nor a moved threshold behind.
 // Smaller blocks go through std::allocator as usual.
 //
-// Mapped blocks are populated when they are mapped: one call faults in
-// every page, far cheaper than one fault per 4 KiB page as the array fills.
-// Use it for arrays that are filled soon after they are allocated (resize,
-// or reserve to a known size); spare capacity is resident too.
+// Mapped blocks are advised onto transparent huge pages (MADV_HUGEPAGE)
+// and then populated in one call (MADV_POPULATE_WRITE).  A 200 MB op array
+// then takes about a hundred 2 MiB pages instead of fifty thousand 4 KiB
+// ones: populating it is about twice as fast, unmapping it about twenty
+// times, and the pebble checker's passes over it need a TLB entry per
+// 2 MiB.  Both hints are advisory and their failures are ignored: with huge
+// pages off the block is populated with 4 KiB pages, and a kernel without
+// MADV_POPULATE_WRITE (before Linux 5.14) faults the pages in on first
+// write.  Use it for arrays that are filled soon after they are allocated
+// (resize, or reserve to a known size); spare capacity is resident too.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +53,16 @@ class MappedAllocator {
 #if UPN_HAVE_MMAP
     if (n >= kMappedMinBytes / sizeof(T)) {
       if (n > static_cast<std::size_t>(-1) / sizeof(T)) throw std::bad_array_new_length{};
-      int flags = MAP_PRIVATE | MAP_ANONYMOUS;
-#ifdef MAP_POPULATE
-      flags |= MAP_POPULATE;
-#endif
-      void* block = mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE, flags, -1, 0);
+      const std::size_t bytes = n * sizeof(T);
+      void* block =
+          mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
       if (block == MAP_FAILED) throw std::bad_alloc{};
+#ifdef MADV_HUGEPAGE
+      static_cast<void>(madvise(block, bytes, MADV_HUGEPAGE));
+#endif
+#ifdef MADV_POPULATE_WRITE
+      static_cast<void>(madvise(block, bytes, MADV_POPULATE_WRITE));
+#endif
       return static_cast<T*>(block);
     }
 #endif

@@ -100,6 +100,10 @@ TEST(Metrics, OutOfRangeThrows) {
   EXPECT_THROW((void)metrics.weight(0, 3), std::out_of_range);
   EXPECT_THROW((void)metrics.generators(0, 2), std::out_of_range);
   EXPECT_THROW((void)metrics.representatives(3, 1), std::out_of_range);
+  // t = 0 range-checks the guest index like every other t.
+  EXPECT_THROW((void)metrics.weight(3, 0), std::out_of_range);
+  EXPECT_THROW((void)metrics.representatives(3, 0), std::out_of_range);
+  EXPECT_THROW((void)metrics.first_generation_step(3, 0), std::out_of_range);
 }
 
 }  // namespace

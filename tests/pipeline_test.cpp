@@ -110,6 +110,48 @@ TEST(Pipeline, GuestTooSmallForTheGuestDegreeFailsUpFront) {
   EXPECT_TRUE(report.all_checks_pass());
 }
 
+/// The counted outputs of one pipeline run, as literals recorded before the
+/// pebble checker's bit-row rewrite: a checker change must leave every one
+/// of them unchanged.
+struct PinnedReport {
+  std::uint32_t hint, dimension;
+  std::uint64_t seed;
+  double slowdown;
+  std::uint64_t protocol_ops;
+  std::uint32_t z_size;
+  std::uint64_t fragment_sum_b;
+  double fragment_log2_multiplicity;
+};
+
+TEST(Regression, PaperPipelineReportPinnedForFixedSeed) {
+  const PinnedReport pinned[] = {
+      // upnbench's pipeline_toy config at the default seed.
+      {144, 2, 0x5eed, 1203, 145920, 10, 1568, 5848.0889192121113},
+      // n = 1296 on butterfly(4).
+      {1296, 4, 71, 3460, 2864512, 6, 48066, 75446.826576515377},
+  };
+  for (const PinnedReport& pin : pinned) {
+    PipelineConfig config;
+    config.guest_size_hint = pin.hint;
+    config.butterfly_dimension = pin.dimension;
+    config.guest_steps = 16;
+    config.seed = pin.seed;
+    const PipelineReport report = run_paper_pipeline(config);
+    SCOPED_TRACE("hint " + std::to_string(pin.hint));
+    EXPECT_EQ(report.n, pin.hint);
+    EXPECT_DOUBLE_EQ(report.slowdown, pin.slowdown);
+    EXPECT_EQ(report.protocol_ops, pin.protocol_ops);
+    EXPECT_EQ(report.z_size, pin.z_size);
+    EXPECT_EQ(report.fragment_sum_b, pin.fragment_sum_b);
+    EXPECT_DOUBLE_EQ(report.fragment_log2_multiplicity, pin.fragment_log2_multiplicity);
+    EXPECT_TRUE(report.configs_verified);
+    EXPECT_TRUE(report.protocol_valid) << report.protocol_error;
+    EXPECT_TRUE(report.lemma312_holds);
+    EXPECT_TRUE(report.expansion_caps_hold);
+    EXPECT_FALSE(report.ruled_out_by_counting);
+  }
+}
+
 TEST(SortRouteDelivery, MovesPayloadsCorrectly) {
   Rng rng{8};
   const std::uint32_t n = 32;
