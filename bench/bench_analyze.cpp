@@ -3,10 +3,10 @@
 // upn_analyze runs on every PR, so its wall time is part of the edit loop.
 // The bench collects the real repo tree once (IO measured separately from
 // analysis) and then times the full pass stack -- IR construction, layering,
-// contract coverage, concurrency, determinism taint, hot-path, include
-// hygiene, artifacts, and the whole-program call graph with its
-// interprocedural passes -- at --jobs {1, 2, 7}, the same thread counts the determinism
-// tests pin.  Scaling flattening out here means a pass serialized.
+// concurrency, determinism taint, hot-path, include hygiene, artifacts, and
+// the whole-program call graph with its interprocedural passes -- at
+// --jobs {1, 2, 7}, the same thread counts the determinism tests pin.
+// Scaling flattening out here means a pass serialized.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
   harness.once("repo_summary", [&] {
     const upn::analyze::Report report = upn::analyze::analyze(input);
     std::cout << "=== ANALYZE: " << report.files << " files, "
-              << report.findings.size() << " findings, "
-              << report.baselined.size() << " baselined (full pass stack) ===\n\n";
+              << report.findings.size() << " findings (full pass stack) ===\n\n";
   });
 
   harness.measure("collect_tree", [&] {
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
     input.jobs = jobs;
     harness.measure("analyze/jobs=" + std::to_string(jobs), [&] {
       const upn::analyze::Report report = upn::analyze::analyze(input);
-      upn::bench::keep(report.findings.size() + report.baselined.size());
+      upn::bench::keep(report.findings.size());
     });
   }
 
@@ -82,13 +81,9 @@ int main(int argc, char** argv) {
   {
     upn::ThreadPool pool{7};
     const upn::analyze::CallGraph graph = upn::analyze::build_callgraph(units, pool);
-    const upn::analyze::LayerSpec spec =
-        upn::analyze::parse_layers(input.layers_path, input.layers_text);
     harness.measure("interproc_passes", [&] {
       std::size_t findings = 0;
       findings += upn::analyze::run_lock_order_pass(graph, units).size();
-      findings += upn::analyze::run_contract_propagation_pass(graph, units, spec).size();
-      findings += upn::analyze::run_exception_safety_pass(graph, units).size();
       findings += upn::analyze::run_dead_function_pass(graph, units).size();
       upn::bench::keep(findings);
     });

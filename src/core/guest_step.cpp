@@ -69,7 +69,7 @@ GuestStepKernel::GuestStepKernel(const Graph& guest, const std::vector<NodeId>& 
 }
 
 void GuestStepKernel::rebuild_demands() {
-  // upn-contract-waive(guest_step_demands checks the embedding)
+  // guest_step_demands checks the embedding.
   demands_ = guest_step_demands(*guest_, *embedding_);
   payloads_.resize(demands_.size());
 }

@@ -88,7 +88,7 @@ std::uint32_t ProtocolMetrics::weight(NodeId i, std::uint32_t t) const {
   return static_cast<std::uint32_t>(holder_offsets_[cell + 1] - holder_offsets_[cell]);
 }
 
-std::vector<std::uint32_t> ProtocolMetrics::generators(NodeId i, std::uint32_t t) const {  // upn-analyze-waive(hotpath-unchecked-entry: i and t are range-checked below, with std::out_of_range)
+std::vector<std::uint32_t> ProtocolMetrics::generators(NodeId i, std::uint32_t t) const {
   if (i >= n_ || t >= T_) throw std::out_of_range{"generators: out of range"};
   const std::size_t cell = index(i, t);
   return {generators_.begin() + static_cast<std::ptrdiff_t>(generator_offsets_[cell]),
@@ -101,7 +101,8 @@ std::uint32_t ProtocolMetrics::first_generation_step(NodeId i, std::uint32_t t) 
   return first_gen_[index(i, t - 1)];
 }
 
-std::uint32_t ProtocolMetrics::generating_count(std::uint32_t t, std::uint32_t tau) const {  // upn-analyze-waive(hotpath-unchecked-entry: first_generation_step range-checks t; every tau is a step count)
+std::uint32_t ProtocolMetrics::generating_count(std::uint32_t t, std::uint32_t tau) const {
+  // first_generation_step range-checks t.
   std::uint32_t count = 0;
   for (NodeId i = 0; i < n_; ++i) {
     const std::uint32_t first = first_generation_step(i, t);

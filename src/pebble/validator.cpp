@@ -136,7 +136,7 @@ class Holdings {
 
 }  // namespace
 
-ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,  // upn-analyze-waive(hotpath-unchecked-entry: this IS the validator; every input is legal and yields a verdict)
+ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
                                    const Graph& host) {
   UPN_OBS_SPAN("pebble.validator.replay");
   UPN_OBS_COUNT("pebble.validator.validations", 1);

@@ -5,7 +5,7 @@
 
 namespace upn {
 
-void HhProblem::add(NodeId src, NodeId dst) {  // upn-analyze-waive(hotpath-unchecked-entry: both node ids are range-checked by the explicit out_of_range throw below)
+void HhProblem::add(NodeId src, NodeId dst) {
   if (src >= num_nodes_ || dst >= num_nodes_) {
     throw std::out_of_range{"HhProblem::add: node id out of range"};
   }

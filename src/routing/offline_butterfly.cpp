@@ -232,7 +232,7 @@ OfflineSchedule route_relation_offline(std::uint32_t dimension, const HhProblem&
   return schedule;
 }
 
-bool validate_schedule(const OfflineSchedule& schedule, const HhProblem& problem) {  // upn-analyze-waive(hotpath-unchecked-entry: this IS the validator; every input is legal and yields a verdict)
+bool validate_schedule(const OfflineSchedule& schedule, const HhProblem& problem) {
   const ButterflyLayout& layout = schedule.layout;
   std::vector<NodeId> position;
   position.reserve(problem.size());

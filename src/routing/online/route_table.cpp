@@ -88,7 +88,6 @@ NodeId RouteTable::next_hop(NodeId dest) const noexcept {
 }
 
 const RouteEntry* RouteTable::find(NodeId dest) const noexcept {
-  // upn-contract-waive(pure lookup; nullptr is the documented miss result)
   const auto it = std::lower_bound(entries_.begin(), entries_.end(), dest, by_dest);
   return it != entries_.end() && it->dest == dest ? &*it : nullptr;
 }

@@ -107,7 +107,7 @@ PathSchedule schedule_paths(const Graph& host, const HhProblem& problem) {
   return schedule;
 }
 
-bool validate_path_schedule(const Graph& host, const HhProblem& problem,  // upn-analyze-waive(hotpath-unchecked-entry: this IS the validator; every input is legal and yields a verdict)
+bool validate_path_schedule(const Graph& host, const HhProblem& problem,
                             const PathSchedule& schedule) {
   std::vector<NodeId> at;
   at.reserve(problem.size());

@@ -48,7 +48,8 @@ const std::vector<std::uint16_t>& DistanceOracle::compute(NodeId dst) {
 
 std::uint32_t greedy_next_port(const Graph& graph, DistanceOracle& oracle, NodeId at,
                                NodeId target, std::uint32_t salt) {
-  // upn-contract-waive(per-hop hot path; node bounds are the router's placement invariant, and an empty minimizer set throws below)
+  // Node bounds are the router's placement invariant; an empty minimizer set
+  // throws below.
   const auto nbrs = graph.neighbors(at);
   // Fast path: the oracle's one-byte port mask names the minimizer set in
   // neighbor-rank order, replacing the distance-row gather below with a

@@ -17,7 +17,6 @@ thread_local bool g_inside_pool_task = false;
 }  // namespace
 
 unsigned ThreadPool::parse_threads(const char* text) noexcept {
-  // upn-contract-waive(total: every string maps to a width in [1, 4096] or to 0)
   if (text == nullptr || *text == '\0') return 0;
   char* end = nullptr;
   const long parsed = std::strtol(text, &end, 10);

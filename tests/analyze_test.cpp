@@ -1,11 +1,12 @@
 // Engine-level tests for upn_analyze: IR construction (stripping, includes,
 // declaration indexing), each source pass family against in-memory inputs
-// and the committed fixture trees, the one baseline, and the determinism
+// and the committed fixture trees, tree collection, and the determinism
 // contract -- the text report is byte-identical at --jobs {1, 2, 7}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -86,72 +87,18 @@ TEST(AnalyzeIr, ModuleOfMapsSrcSubdirectories) {
   EXPECT_EQ(module_of("tests/util_test.cpp"), "");
 }
 
-TEST(AnalyzeIr, IndexesFunctionDeclarationsWithContractFacts) {
-  const Unit unit = build_unit(
-      "src/util/demo.hpp",
-      "#pragma once\n"
-      "namespace upn {\n"
-      "int checked(int v) {\n"
-      "  UPN_REQUIRE(v >= 0);\n"
-      "  return v + 1;\n"
-      "}\n"
-      "int waived(int v) {\n"
-      "  // upn-contract-waive(trivial shim)\n"
-      "  int r = v;\n"
-      "  return r;\n"
-      "}\n"
-      "int bare(int v) {\n"
-      "  int r = v * 2;\n"
-      "  return r;\n"
-      "}\n"
-      "}  // namespace upn\n");
-  auto find = [&](const std::string& name) -> const Declaration* {
-    for (const Declaration& d : unit.decls) {
-      if (d.name == name) return &d;
-    }
-    return nullptr;
-  };
-  const Declaration* checked = find("checked");
-  ASSERT_NE(checked, nullptr);
-  EXPECT_TRUE(checked->has_body);
-  EXPECT_TRUE(checked->has_contract);
-  EXPECT_FALSE(checked->has_waiver);
-  const Declaration* waived = find("waived");
-  ASSERT_NE(waived, nullptr);
-  EXPECT_TRUE(waived->has_waiver);
-  EXPECT_FALSE(waived->has_contract);
-  const Declaration* bare = find("bare");
-  ASSERT_NE(bare, nullptr);
-  EXPECT_FALSE(bare->has_contract);
-  EXPECT_FALSE(bare->has_waiver);
-  EXPECT_GE(bare->body_statements, 2u);
-}
-
-TEST(AnalyzeIr, PrivateMembersAreNotPublic) {
-  const Unit unit = build_unit(
-      "src/util/demo.hpp",
-      "#pragma once\n"
-      "namespace upn {\n"
-      "class Box {\n"
-      " public:\n"
-      "  int get() const { return v_; }\n"
-      " private:\n"
-      "  int hidden(int a) {\n"
-      "    int b = a + 1;\n"
-      "    return b;\n"
-      "  }\n"
-      "  int v_ = 0;\n"
-      "};\n"
-      "}  // namespace upn\n");
-  bool saw_private = false;
-  for (const Declaration& d : unit.decls) {
-    if (d.name == "hidden") {
-      saw_private = true;
-      EXPECT_FALSE(d.is_public);
-    }
-    if (d.name == "get") EXPECT_TRUE(d.is_public);
-  }
-  EXPECT_TRUE(saw_private);
+TEST(AnalyzeIr, IndexesPrototypesAndDefinitions) {
+  const Unit unit = build_unit("src/util/demo.hpp",
+                               "#pragma once\n"
+                               "namespace upn {\n"
+                               "int declared(int v);\n"
+                               "int defined(int v) { return v + 1; }\n"
+                               "}  // namespace upn\n");
+  ASSERT_EQ(unit.decls.size(), 2u);
+  EXPECT_EQ(unit.decls[0].name, "declared");
+  EXPECT_FALSE(unit.decls[0].has_body);
+  EXPECT_EQ(unit.decls[1].name, "defined");
+  EXPECT_TRUE(unit.decls[1].has_body);
 }
 
 // ---- single-file rules (banned patterns + flow) ---------------------------
@@ -301,62 +248,6 @@ TEST(AnalyzeLayering, DeclaredAndWaivedEdgesAreQuiet) {
   EXPECT_FALSE(has_rule(report.findings, "layering-stale-waiver"));
 }
 
-// ---- contract coverage + baseline -----------------------------------------
-
-TEST(AnalyzeContracts, UncontractedPublicFunctionIsFlaggedOnceAndBaselineable) {
-  Input input;
-  input.files.push_back({"src/core/demo.hpp",
-                         "#pragma once\n"
-                         "namespace upn {\n"
-                         "int clamp_add(int a, int b);\n"
-                         "}\n"});
-  input.files.push_back({"src/core/demo.cpp",
-                         "#include \"src/core/demo.hpp\"\n"
-                         "namespace upn {\n"
-                         "int clamp_add(int a, int b) {\n"
-                         "  int sum = a + b;\n"
-                         "  if (sum < 0) sum = 0;\n"
-                         "  return sum;\n"
-                         "}\n"
-                         "}\n"});
-  input.jobs = 1;
-  const Report flagged = analyze(input);
-  ASSERT_TRUE(has_rule(flagged.findings, "contract-coverage")) << flagged.render_text();
-  const std::vector<std::string> rules = rules_of(flagged.findings);
-  EXPECT_EQ(std::count(rules.begin(), rules.end(), std::string{"contract-coverage"}), 1);
-
-  // The same finding keyed into the baseline moves to the baselined bucket.
-  std::vector<Finding> coverage;
-  for (const Finding& f : flagged.findings) {
-    if (f.rule == "contract-coverage") coverage.push_back(f);
-  }
-  input.baseline_text = render_baseline(coverage);
-  const Report baselined = analyze(input);
-  EXPECT_FALSE(has_rule(baselined.findings, "contract-coverage"));
-  EXPECT_TRUE(has_rule(baselined.baselined, "contract-coverage"));
-}
-
-TEST(AnalyzeContracts, ContractedWaivedAndTrivialFunctionsAreQuiet) {
-  Input input;
-  input.files.push_back({"src/core/demo.hpp",
-                         "#pragma once\n"
-                         "namespace upn {\n"
-                         "inline int checked(int v) {\n"
-                         "  UPN_REQUIRE(v >= 0);\n"
-                         "  return v;\n"
-                         "}\n"
-                         "inline int waived(int v) {\n"
-                         "  // upn-contract-waive(identity)\n"
-                         "  int r = v;\n"
-                         "  return r;\n"
-                         "}\n"
-                         "inline int trivial() { return 1; }\n"
-                         "}\n"});
-  input.jobs = 1;
-  const Report report = analyze(input);
-  EXPECT_FALSE(has_rule(report.findings, "contract-coverage")) << report.render_text();
-}
-
 // ---- include hygiene ------------------------------------------------------
 
 TEST(AnalyzeHygiene, UnusedIncludeFlaggedUsedIncludeQuiet) {
@@ -376,7 +267,9 @@ TEST(AnalyzeHygiene, UnusedIncludeFlaggedUsedIncludeQuiet) {
   const Report report = analyze(input);
   ASSERT_TRUE(has_rule(report.findings, "unused-include")) << report.render_text();
   for (const Finding& f : report.findings) {
-    if (f.rule == "unused-include") EXPECT_EQ(f.file, "src/util/nonuser.cpp");
+    if (f.rule == "unused-include") {
+      EXPECT_EQ(f.file, "src/util/nonuser.cpp");
+    }
   }
 }
 
@@ -663,103 +556,6 @@ TEST(AnalyzeHotpath, DirectiveParsingRejectsMalformedAndDuplicateLines) {
                        "layers-malformed"));
 }
 
-// ---- baseline -------------------------------------------------------------
-
-TEST(AnalyzeBaseline, ParserSkipsCommentsAndBlanksAndKeepsLines) {
-  const std::map<std::string, std::size_t> entries =
-      parse_baseline("# header\n\nsrc/a.hpp:contract-coverage:f  # why\n  src/b.hpp:x:g\n");
-  EXPECT_EQ(entries, (std::map<std::string, std::size_t>{
-                         {"src/a.hpp:contract-coverage:f", 3}, {"src/b.hpp:x:g", 4}}));
-}
-
-TEST(AnalyzeBaseline, KeyUsesTheQuotedDetailAndRenderKeepsOnlyRatchetedRules) {
-  const Finding f{"src/hot/a.hpp", 12, "hotpath-container",
-                  "'deque' (std::deque) used in hot-path module 'hot'"};
-  EXPECT_EQ(baseline_key(f), "src/hot/a.hpp:hotpath-container:deque");
-
-  const Finding g{"src/hot/a.hpp", 40, "hotpath-container",
-                  "'deque' (std::deque) used in hot-path module 'hot'"};
-  const Finding h{"src/hot/a.hpp", 7, "contract-coverage",
-                  "public function 'drain' has no UPN_REQUIRE/UPN_ENSURE"};
-  const Finding not_ratcheted{"src/hot/a.hpp", 3, "no-endl", "std::endl 'x'"};
-  const std::string rendered = render_baseline({f, g, h, not_ratcheted});
-  // Same file+rule+detail dedupes to one line; keys come out sorted.
-  const std::string expected_keys =
-      "src/hot/a.hpp:contract-coverage:drain\n"
-      "src/hot/a.hpp:hotpath-container:deque\n";
-  EXPECT_EQ(rendered.substr(rendered.size() - expected_keys.size()), expected_keys)
-      << rendered;
-  EXPECT_EQ(rendered.find('#'), 0u) << "baseline starts with its comment header";
-  EXPECT_EQ(parse_baseline(rendered).size(), 2u);
-}
-
-TEST(AnalyzeBaseline, AbsorbsEveryRatchetedFamilyAndStaleEntriesFire) {
-  // One finding from each ratcheted family: hot path, interprocedural and
-  // contract coverage.
-  Input input = hotpath_input("src/hot/engine.hpp",
-                              "#pragma once\n"
-                              "struct Engine {\n"
-                              "  std::deque<int> pending;\n"
-                              "};\n");
-  input.files.push_back({"src/core/orphan.cpp",
-                         "namespace demo {\n"
-                         "int orphaned_scale(int value) {\n"
-                         "  return value * 3;\n"
-                         "}\n"
-                         "}  // namespace demo\n"});
-  input.files.push_back({"src/core/demo.hpp",
-                         "#pragma once\n"
-                         "namespace demo {\n"
-                         "inline int clamp_add(int a, int b) {\n"
-                         "  int sum = a + b;\n"
-                         "  return sum < 0 ? 0 : sum;\n"
-                         "}\n"
-                         "}  // namespace demo\n"});
-  const Report live = analyze(input);
-  const std::vector<std::string> families = {"hotpath-container", "dead-function",
-                                             "contract-coverage"};
-  for (const std::string& rule : families) {
-    ASSERT_TRUE(has_rule(live.findings, rule)) << rule << "\n" << live.render_text();
-  }
-
-  // Keyed into the baseline, every ratcheted finding moves to the baselined
-  // bucket; nothing else does.
-  input.baseline_text = render_baseline(live.findings);
-  const Report absorbed = analyze(input);
-  for (const std::string& rule : families) {
-    EXPECT_FALSE(has_rule(absorbed.findings, rule)) << rule;
-    EXPECT_TRUE(has_rule(absorbed.baselined, rule)) << rule;
-  }
-  for (const Finding& f : absorbed.baselined) EXPECT_TRUE(is_baselineable(f.rule)) << f.rule;
-  EXPECT_FALSE(has_rule(absorbed.findings, "baseline-stale-entry"));
-
-  // An entry that matches nothing must be deleted: the ratchet only shrinks.
-  input.baseline_text += "src/core/gone.cpp:dead-function:vanished\n";
-  const Report stale = analyze(input);
-  ASSERT_TRUE(has_rule(stale.findings, "baseline-stale-entry")) << stale.render_text();
-  for (const Finding& f : stale.findings) {
-    if (f.rule != "baseline-stale-entry") continue;
-    EXPECT_EQ(f.file, "tools/analyze/analyze.baseline");
-    EXPECT_EQ(f.line, static_cast<std::size_t>(std::count(input.baseline_text.begin(),
-                                                          input.baseline_text.end(), '\n')));
-    EXPECT_NE(f.message.find("src/core/gone.cpp:dead-function:vanished"), std::string::npos);
-  }
-}
-
-TEST(AnalyzeBaseline, StaleContractCoverageEntryFires) {
-  // A contract-coverage key that matches no finding is stale like any other.
-  Input input;
-  input.files.push_back({"src/core/pipeline.hpp", "#pragma once\nnamespace upn {}\n"});
-  input.baseline_text = "src/core/pipeline.hpp:contract-coverage:no_such_function\n";
-  input.jobs = 1;
-  const Report report = analyze(input);
-  ASSERT_EQ(report.findings.size(), 1u) << report.render_text();
-  EXPECT_EQ(report.findings[0].format(),
-            "tools/analyze/analyze.baseline:1: [baseline-stale-entry] baseline entry "
-            "'src/core/pipeline.hpp:contract-coverage:no_such_function' matches no current "
-            "finding; delete it (the ratchet only shrinks)");
-}
-
 // ---- fixture trees --------------------------------------------------------
 
 TEST(AnalyzeFixtures, CleanTreeIsClean) {
@@ -786,6 +582,33 @@ TEST(AnalyzeFixtures, BadTreeFiresEveryCatalogRuleAndRejectsEveryArtifact) {
                             [&](const Finding& f) { return f.file == file.path; }))
         << file.path << " was expected to be flagged";
   }
+}
+
+TEST(AnalyzeFixtures, DefaultExcludesSkipDirectoriesNotFileNames) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "upn_analyze_excludes_test";
+  std::filesystem::remove_all(root);
+  for (const char* rel : {"src/topology/builders.cpp", "build/x.cpp", "build-asan/x.cpp",
+                          "tests/fixtures-bad/x.cpp"}) {
+    const std::filesystem::path path = root / rel;
+    std::filesystem::create_directories(path.parent_path());
+    std::ofstream{path} << "int x = 0;\n";
+  }
+  TreeOptions options;
+  options.root = root.string();
+  options.paths = {"."};
+  Input input;
+  std::string error;
+  ASSERT_TRUE(collect_tree(options, input, error)) << error;
+  ASSERT_EQ(input.files.size(), 1u);
+  EXPECT_EQ(input.files[0].path, "src/topology/builders.cpp");
+
+  // PATHs that select no file are an error that names them, not an empty run.
+  options.paths = {"build", "tests"};
+  Input empty;
+  EXPECT_FALSE(collect_tree(options, empty, error));
+  EXPECT_NE(error.find("build tests"), std::string::npos) << error;
+  std::filesystem::remove_all(root);
 }
 
 // ---- determinism across thread counts -------------------------------------

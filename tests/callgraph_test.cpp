@@ -1,7 +1,7 @@
 // Whole-program call-graph tests for upn_analyze: overload resolution by
 // arity, method resolution through typed receivers, ThreadPool task-body
 // edges, conservative open edges (virtual / indirect / ambiguous receiver),
-// and the determinism contract for --dump-callgraph at --jobs {1, 2, 7}.
+// and the determinism contract for the graph dump at --jobs {1, 2, 7}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/par.hpp"
 #include "tools/analyze/callgraph.hpp"
 #include "tools/analyze/engine.hpp"
 #include "tools/analyze/ir.hpp"
@@ -171,24 +172,26 @@ TEST(Callgraph, UntypedReceiverWithOneCandidateClassResolves) {
 // ---- dump determinism -----------------------------------------------------
 
 TEST(CallgraphDeterminism, DumpIsByteIdenticalAtJobs127) {
-  Report reports[3];
+  TreeOptions options;
+  options.root = UPN_ANALYZE_BAD_DIR;
+  options.paths = {"src"};
+  options.excludes.clear();
+  Input input;
+  std::string error;
+  ASSERT_TRUE(collect_tree(options, input, error)) << error;
+  std::vector<Unit> units;
+  for (const SourceFile& file : input.files) units.push_back(build_unit(file.path, file.content));
+
+  std::string dumps[3];
   const unsigned jobs[] = {1, 2, 7};
   for (int i = 0; i < 3; ++i) {
-    TreeOptions options;
-    options.root = UPN_ANALYZE_BAD_DIR;
-    options.paths = {"src"};
-    options.excludes.clear();
-    options.jobs = jobs[i];
-    Input input;
-    std::string error;
-    ASSERT_TRUE(collect_tree(options, input, error)) << error;
-    input.want_callgraph = true;
-    reports[i] = analyze(input);
+    ThreadPool pool{jobs[i]};
+    dumps[i] = dump_callgraph(build_callgraph(units, pool));
   }
-  ASSERT_FALSE(reports[0].callgraph_dump.empty());
-  EXPECT_EQ(reports[0].callgraph_dump.substr(0, 10), "callgraph:");
-  EXPECT_EQ(reports[0].callgraph_dump, reports[1].callgraph_dump);
-  EXPECT_EQ(reports[0].callgraph_dump, reports[2].callgraph_dump);
+  EXPECT_EQ(dumps[0].substr(0, 10), "callgraph:");
+  EXPECT_NE(dumps[0].find("task"), std::string::npos) << dumps[0];
+  EXPECT_EQ(dumps[0], dumps[1]);
+  EXPECT_EQ(dumps[0], dumps[2]);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@ inline int half_of(int value) {
 }
 
 inline int identity(int value) {
-  // upn-contract-waive(pure passthrough, no precondition to state)
   int result = value;
   return result;
 }

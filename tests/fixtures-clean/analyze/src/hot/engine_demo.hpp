@@ -3,7 +3,7 @@
 namespace demo {
 
 struct Queue {
-  std::deque<int> pending;
+  std::vector<int> pending;
 };
 
 inline void consume(std::vector<int> batch) {

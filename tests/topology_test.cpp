@@ -6,7 +6,6 @@
 #include "src/topology/butterfly.hpp"
 #include "src/topology/ccc.hpp"
 #include "src/topology/debruijn.hpp"
-#include "src/topology/eulerian.hpp"
 #include "src/topology/hypercube.hpp"
 #include "src/topology/mesh.hpp"
 #include "src/topology/multitorus.hpp"
@@ -284,42 +283,6 @@ TEST(Properties, DegreeHistogram) {
   ASSERT_EQ(hist.size(), 3u);
   EXPECT_EQ(hist[1], 2u);
   EXPECT_EQ(hist[2], 2u);
-}
-
-TEST(Eulerian, BalancedOrientation) {
-  const Graph t = make_torus(4, 4);  // 4-regular
-  const auto oriented = eulerian_orientation(t);
-  EXPECT_EQ(oriented.size(), t.num_edges());
-  std::vector<std::uint32_t> out(t.num_nodes(), 0), in(t.num_nodes(), 0);
-  for (const auto& [from, to] : oriented) {
-    EXPECT_TRUE(t.has_edge(from, to));
-    ++out[from];
-    ++in[to];
-  }
-  for (NodeId v = 0; v < t.num_nodes(); ++v) {
-    EXPECT_EQ(out[v], 2u);
-    EXPECT_EQ(in[v], 2u);
-  }
-}
-
-TEST(Eulerian, OutNeighborLists) {
-  const Graph c = make_cycle(5);
-  const auto out = eulerian_out_neighbors(c);
-  for (const auto& list : out) EXPECT_EQ(list.size(), 1u);
-}
-
-TEST(Eulerian, RejectsOddDegrees) {
-  const Graph p = make_path(3);
-  EXPECT_THROW(eulerian_orientation(p), std::invalid_argument);
-}
-
-TEST(Eulerian, HandlesRandomRegular) {
-  Rng rng{5};
-  const Graph g = make_random_regular(60, 16, rng);
-  const auto oriented = eulerian_orientation(g);
-  std::vector<std::uint32_t> out(g.num_nodes(), 0);
-  for (const auto& [from, to] : oriented) ++out[from];
-  for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(out[v], 8u);
 }
 
 }  // namespace

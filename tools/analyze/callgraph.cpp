@@ -2,11 +2,10 @@
 //
 //   extract_functions  a per-unit scanner (a sibling of ir.cpp's DeclParser,
 //                      but keeping bodies): function definitions with their
-//                      scope-qualified names, parameter lists, noexcept and
-//                      ctor/dtor flags, UPN_REQUIRE comparison facts,
-//                      blocking operations with the held-lock set, may-throw
-//                      sources, raw call sites, and one pseudo-node per
-//                      lambda handed to ThreadPool::parallel_for/map;
+//                      scope-qualified names and parameter lists, blocking
+//                      operations with the held-lock set, raw call sites,
+//                      and one pseudo-node per lambda handed to
+//                      ThreadPool::parallel_for/map;
 //   link_callgraph     an ordered merge plus name/arity/receiver-type
 //                      resolution into resolved edges and conservative open
 //                      edges (virtual, indirect, ambiguous receiver).
@@ -47,18 +46,6 @@ bool qualifier_keyword(const std::string& t) {
       "struct", "class", "enum", "union", "using", "namespace", "typedef",
       "extern", "friend", "virtual", "explicit", "thread_local"};
   return kw.count(t) != 0;
-}
-
-bool contract_macro(const std::string& t) {
-  return t == "UPN_REQUIRE" || t == "UPN_ENSURE" || t == "UPN_INVARIANT";
-}
-
-/// Container growth / allocation methods: may throw std::bad_alloc.
-bool allocating_method(const std::string& m) {
-  static const std::set<std::string> methods = {
-      "push_back", "emplace_back", "push_front", "emplace_front", "insert",
-      "emplace", "resize", "reserve", "assign", "append"};
-  return methods.count(m) != 0;
 }
 
 /// Blocking IO facilities (streams, C stdio, process spawns).
@@ -303,113 +290,6 @@ struct Scanner {
     return names;
   }
 
-  /// Parses one UPN_REQUIRE argument list into comparison facts over
-  /// `node.params` (conjuncts split at top-level '&&').
-  void parse_require_facts(FunctionNode& node, std::size_t open, std::size_t line) const {
-    const std::size_t close = skip_group(toks(), open);  // past ')'
-    std::size_t seg_begin = open + 1;
-    int depth = 0;
-    for (std::size_t k = open; k < close; ++k) {
-      const std::string& t = tok(k);
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      if (t == ")" || t == "]" || t == "}") --depth;
-      const bool conj = depth == 1 && t == "&" && k + 1 < close && tok(k + 1) == "&";
-      const bool last = depth == 0 && t == ")";
-      if (!conj && !last) continue;
-      parse_one_fact(node, seg_begin, k, line);
-      if (conj) ++k;
-      seg_begin = k + 1;
-    }
-  }
-
-  void parse_one_fact(FunctionNode& node, std::size_t b, std::size_t e,
-                      std::size_t line) const {
-    // Accepted shapes: `name OP [-]literal` and `[-]literal OP name`.
-    std::vector<std::size_t> parts;
-    for (std::size_t k = b; k < e; ++k) parts.push_back(k);
-    if (parts.size() < 3 || parts.size() > 5) return;
-
-    auto param_index = [&](const std::string& name) -> std::size_t {
-      for (std::size_t p = 0; p < node.params.size(); ++p) {
-        if (node.params[p] == name) return p;
-      }
-      return std::string::npos;
-    };
-    auto read_op = [&](std::size_t at, std::size_t& next) -> std::string {
-      const std::string& a = tok(at);
-      const std::string b2 = at + 1 < e ? tok(at + 1) : "";
-      if ((a == ">" || a == "<") && b2 == "=") {
-        next = at + 2;
-        return a + "=";
-      }
-      if (a == ">" || a == "<") {
-        next = at + 1;
-        return a;
-      }
-      if ((a == "=" || a == "!") && b2 == "=") {
-        next = at + 2;
-        return a == "=" ? "==" : "!=";
-      }
-      return "";
-    };
-    auto read_literal = [&](std::size_t at, std::size_t& next, long long& value) {
-      bool neg = false;
-      if (at < e && tok(at) == "-") {
-        neg = true;
-        ++at;
-      }
-      if (at >= e || toks()[at].kind != TokenKind::kNumber) return false;
-      const std::string& text = tok(at);
-      for (const char c : text) {
-        if (c < '0' || c > '9') return false;  // integers only
-      }
-      value = 0;
-      for (const char c : text) value = value * 10 + (c - '0');
-      if (neg) value = -value;
-      next = at + 1;
-      return true;
-    };
-    auto flip = [](const std::string& op) -> std::string {
-      if (op == ">") return "<";
-      if (op == "<") return ">";
-      if (op == ">=") return "<=";
-      if (op == "<=") return ">=";
-      return op;  // == / != are symmetric
-    };
-    auto text_of = [&]() {
-      // Punct tokens are single chars; re-fuse two-char comparison operators
-      // so the rendered precondition reads `x >= 0`, not `x > = 0`.
-      std::string text;
-      for (std::size_t k = b; k < e; ++k) {
-        const std::string& piece = tok(k);
-        const bool fuse = piece == "=" && !text.empty() &&
-                          (text.back() == '>' || text.back() == '<' ||
-                           text.back() == '=' || text.back() == '!');
-        if (!text.empty() && !fuse) text += " ";
-        text += piece;
-      }
-      return text;
-    };
-
-    std::size_t next = 0;
-    long long value = 0;
-    if (toks()[b].kind == TokenKind::kIdent) {
-      const std::size_t param = param_index(tok(b));
-      if (param == std::string::npos) return;
-      const std::string op = read_op(b + 1, next);
-      if (op.empty() || !read_literal(next, next, value) || next != e) return;
-      node.preconditions.push_back(RequireFact{param, op, value, line, text_of()});
-      return;
-    }
-    if (read_literal(b, next, value)) {
-      const std::string op = read_op(next, next);
-      if (op.empty() || next + 1 != e || toks()[next].kind != TokenKind::kIdent) return;
-      const std::size_t param = param_index(tok(next));
-      if (param == std::string::npos) return;
-      node.preconditions.push_back(RequireFact{param, flip(op), value, line, text_of()});
-    }
-  }
-
   /// Walks a body range [b, e), filling `node` and spawning task
   /// pseudo-nodes.  `outer_locals` carries the enclosing function's
   /// declarations into task bodies.
@@ -421,41 +301,6 @@ struct Scanner {
     for (const std::string& p : node.params) {
       if (!p.empty() && locals.count(p) == 0) locals.emplace(p, "");
     }
-
-    // `try { ... } catch (...)` bodies: a catch-all absorbs every exception,
-    // so throw sources inside are invisible to callers and calls inside do
-    // not propagate may-throw.  Typed catch clauses do NOT count -- proving
-    // they cover every throw site is beyond this scanner.
-    std::vector<std::pair<std::size_t, std::size_t>> guarded;
-    for (std::size_t j = b; j < e; ++j) {
-      if (toks()[j].kind != TokenKind::kIdent || tok(j) != "try") continue;
-      if (j + 1 >= e || tok(j + 1) != "{") continue;
-      const std::size_t try_end = skip_group(toks(), j + 1);  // past '}'
-      bool catch_all = false;
-      std::size_t k = try_end;
-      while (k < e && tok(k) == "catch" && k + 1 < e && tok(k + 1) == "(") {
-        const std::size_t close = skip_group(toks(), k + 1);  // past ')'
-        std::size_t dots = 0;
-        bool other = false;
-        for (std::size_t p = k + 2; p + 1 < close; ++p) {
-          if (tok(p) == ".") {
-            ++dots;
-          } else {
-            other = true;
-          }
-        }
-        if (dots == 3 && !other) catch_all = true;
-        k = close;
-        if (k < e && tok(k) == "{") k = skip_group(toks(), k);
-      }
-      if (catch_all) guarded.emplace_back(j + 2, try_end - 1);
-    }
-    auto in_guarded = [&](std::size_t j) {
-      for (const auto& range : guarded) {
-        if (j >= range.first && j < range.second) return true;
-      }
-      return false;
-    };
 
     int depth = 0;
     std::vector<std::pair<std::string, int>> held;  // (lock name, depth)
@@ -477,34 +322,8 @@ struct Scanner {
         --depth;
         continue;
       }
-      if (t.text == ";") {
-        ++node.statements;
-        continue;
-      }
       if (t.kind != TokenKind::kIdent) continue;
       const std::string& name = t.text;
-
-      if (contract_macro(name)) {
-        node.has_contract = true;
-        if (!in_guarded(j)) node.throw_sources.push_back(ThrowSource{name, t.line});
-        if (name == "UPN_REQUIRE" && j + 1 < e && tok(j + 1) == "(") {
-          parse_require_facts(node, j + 1, t.line);
-        }
-        continue;
-      }
-      if (name == "throw") {
-        if (!in_guarded(j)) node.throw_sources.push_back(ThrowSource{"throw", t.line});
-        continue;
-      }
-      if (name == "new" && (j == 0 || tok(j - 1) != "operator")) {
-        if (!in_guarded(j)) node.throw_sources.push_back(ThrowSource{"new", t.line});
-        continue;
-      }
-      if ((name == "make_unique" || name == "make_shared") && j + 1 < e &&
-          (tok(j + 1) == "<" || tok(j + 1) == "(")) {
-        if (!in_guarded(j)) node.throw_sources.push_back(ThrowSource{name, t.line});
-        continue;
-      }
 
       // Guard-object lock acquisition: lock_guard<..> name(mutex, ...).
       if (lock_type(name)) {
@@ -555,12 +374,6 @@ struct Scanner {
         node.blocking.push_back(BlockingOp{BlockKind::kIo, name, t.line, held_names(held)});
         continue;
       }
-      if (after_member && j + 1 < e && tok(j + 1) == "(" && allocating_method(name) &&
-          !in_guarded(j)) {
-        node.throw_sources.push_back(ThrowSource{name, t.line});
-        // fall through: the call itself is still recorded below
-      }
-
       // ThreadPool task spawn: pool.parallel_for/parallel_map(count, [..](..){..}).
       if ((name == "parallel_for" || name == "parallel_map") && prev == ".") {
         std::size_t call = j + 1;
@@ -580,7 +393,6 @@ struct Scanner {
         task.name = "task@" + std::to_string(task.line);
         task.class_name = node.class_name;
         task.qualified = node.qualified + "/" + task.name;
-        task.is_public = false;
         task.is_task_body = true;
         task.params.assign(lambda.params.begin(), lambda.params.end());
         task.arity = task.params.size();
@@ -601,9 +413,8 @@ struct Scanner {
         RawCall ctor;
         ctor.name = prev_tok->text;
         ctor.line = prev_tok->line;
-        read_args(j + 1, ctor);
+        ctor.args = count_args(j + 1);
         ctor.held_locks = held_names(held);
-        ctor.guarded = in_guarded(j);
         node.calls.push_back(std::move(ctor));
         continue;
       }
@@ -613,7 +424,6 @@ struct Scanner {
       call.line = t.line;
       call.is_method = after_member;
       call.name_is_local = is_local(name);
-      call.guarded = in_guarded(j);
       if (after_member && j >= 2 && toks()[j - 2].kind == TokenKind::kIdent) {
         const std::string& receiver = tok(j - 2);
         if (receiver == "this") {
@@ -627,49 +437,28 @@ struct Scanner {
         call.via_scope = true;
         call.receiver_type = tok(j - 2);
       }
-      read_args(j + 1, call);
+      call.args = count_args(j + 1);
       call.held_locks = held_names(held);
       node.calls.push_back(std::move(call));
     }
   }
 
-  /// Argument count and per-argument integer literals for the group at
-  /// `open` ('(').
-  void read_args(std::size_t open, RawCall& call) const {
+  /// Argument count of the call group at `open` ('(').
+  [[nodiscard]] std::size_t count_args(std::size_t open) const {
     const std::size_t close = skip_group(toks(), open) - 1;  // the ')'
-    if (close <= open + 1) return;                           // zero arguments
-    std::size_t seg_begin = open + 1;
+    if (close <= open + 1) return 0;
+    std::size_t args = 1;
     int depth = 0;
-    for (std::size_t k = open; k <= close; ++k) {
+    for (std::size_t k = open; k < close; ++k) {
       const std::string& t = tok(k);
       if (t == "(" || t == "[" || t == "{") ++depth;
       if (t == ")" || t == "]" || t == "}") --depth;
-      const bool seg_end = (depth == 1 && t == ",") || (depth == 0 && k == close);
-      if (!seg_end) continue;
-      ++call.args;
-      std::string literal;
-      const std::size_t len = k - seg_begin;
-      if (len == 1 && toks()[seg_begin].kind == TokenKind::kNumber) {
-        literal = tok(seg_begin);
-      } else if (len == 2 && tok(seg_begin) == "-" &&
-                 toks()[seg_begin + 1].kind == TokenKind::kNumber) {
-        literal = "-" + tok(seg_begin + 1);
-      }
-      call.arg_literals.push_back(std::move(literal));
-      seg_begin = k + 1;
+      if (depth == 1 && t == ",") ++args;
     }
+    return args;
   }
 
   // ---- scope walking --------------------------------------------------------
-
-  [[nodiscard]] bool body_has_waiver(std::size_t first_line, std::size_t last_line) const {
-    for (std::size_t l = first_line; l <= last_line && l <= unit.raw.size(); ++l) {
-      if (l >= 1 && unit.raw[l - 1].find("upn-contract-waive(") != std::string::npos) {
-        return true;
-      }
-    }
-    return false;
-  }
 
   void push_with_tasks(FunctionNode node, std::vector<TaskSpawn> tasks) {
     const std::size_t idx = out.nodes.size();
@@ -681,7 +470,7 @@ struct Scanner {
   }
 
   void add_function(std::size_t name_idx, bool is_dtor, std::size_t head_begin,
-                    std::size_t head_end, const std::string& scope_class, bool is_public) {
+                    std::size_t head_end, const std::string& scope_class) {
     FunctionNode node;
     node.file = unit.path;
     node.module = unit.module;
@@ -694,15 +483,11 @@ struct Scanner {
       if (toks()[cls].kind == TokenKind::kIdent) node.class_name = tok(cls);
     }
     if (is_dtor) {
-      node.is_dtor = true;
       if (node.class_name.empty()) node.class_name = node.name;
       node.name = "~" + node.name;
-      node.is_noexcept = true;  // destructors default to noexcept
     }
-    if (!node.class_name.empty() && node.name == node.class_name) node.is_ctor = true;
     node.qualified =
         node.class_name.empty() ? node.name : node.class_name + "::" + node.name;
-    node.is_public = is_public;
 
     const std::size_t params_open = name_idx + 1;  // the '('
     const std::size_t params_end = skip_group(toks(), params_open);  // past ')'
@@ -710,16 +495,6 @@ struct Scanner {
     parse_params(params_open, params_end, node.params, param_types);
     node.arity = node.params.size();
 
-    // `noexcept` between the parameter list and the body; `noexcept(false)`
-    // does not count, any other operand conservatively does.
-    for (std::size_t k = params_end; k < head_end; ++k) {
-      if (tok(k) != "noexcept") continue;
-      node.is_noexcept = true;
-      if (k + 1 < head_end && tok(k + 1) == "(") {
-        const std::size_t close = skip_group(toks(), k + 1);
-        if (close - (k + 1) == 3 && tok(k + 2) == "false") node.is_noexcept = false;
-      }
-    }
     for (std::size_t k = head_begin; k < head_end; ++k) {
       if (tok(k) == "virtual" && !is_dtor) virtuals.insert(node.name);
     }
@@ -730,16 +505,12 @@ struct Scanner {
     std::map<std::string, std::string> locals = param_types;
     std::vector<TaskSpawn> tasks;
     scan_body(node, body_begin, body_end, locals, tasks);
-    const std::size_t last_line =
-        body_end < toks().size() ? toks()[body_end].line : node.line;
-    node.has_waiver = body_has_waiver(node.line, last_line);
     push_with_tasks(std::move(node), std::move(tasks));
     i = body_end + 1;
   }
 
   /// Parses one brace scope (namespace, class, or the whole file).
-  void parse_scope(const std::string& class_name, bool in_class, bool public_default) {
-    bool is_public = public_default;
+  void parse_scope(const std::string& class_name, bool in_class) {
     std::size_t stmt_begin = i;
     int paren = 0;
     while (i < toks().size()) {
@@ -750,10 +521,10 @@ struct Scanner {
         ++i;
         continue;
       }
+      // Access specifiers open no statement.
       if (in_class && stmt_begin == i &&
           (t == "public" || t == "private" || t == "protected") && i + 1 < toks().size() &&
           tok(i + 1) == ":") {
-        is_public = t == "public";
         i += 2;
         stmt_begin = i;
         continue;
@@ -782,7 +553,7 @@ struct Scanner {
       };
       if (head_has("namespace")) {
         ++i;
-        parse_scope("", false, true);
+        parse_scope("", false);
         stmt_begin = i;
         continue;
       }
@@ -796,12 +567,11 @@ struct Scanner {
         while (n < head_end && !(tok(n) == "class" || tok(n) == "struct" || tok(n) == "union")) {
           ++n;
         }
-        const bool struct_like = tok(n) != "class";
         ++n;
         std::string name;
         if (n < head_end && toks()[n].kind == TokenKind::kIdent) name = tok(n);
         ++i;
-        parse_scope(name, true, struct_like);
+        parse_scope(name, true);
         stmt_begin = i;
         continue;
       }
@@ -809,7 +579,7 @@ struct Scanner {
       const std::size_t fn = head_function(head_begin, head_end, is_dtor);
       if (fn != std::string::npos) {
         note_virtuals(head_begin, head_end);
-        add_function(fn, is_dtor, head_begin, head_end, class_name, is_public);
+        add_function(fn, is_dtor, head_begin, head_end, class_name);
         stmt_begin = i;
         continue;
       }
@@ -820,7 +590,7 @@ struct Scanner {
   }
 
   [[nodiscard]] UnitFunctions run() {
-    parse_scope("", false, true);
+    parse_scope("", false);
     out.virtual_names.assign(virtuals.begin(), virtuals.end());
     return std::move(out);
   }
@@ -968,19 +738,11 @@ CallGraph link_callgraph(const std::vector<UnitFunctions>& per_unit) {
   });
 
   g.out_ids.assign(g.nodes.size(), {});
-  g.in_ids.assign(g.nodes.size(), {});
-  for (const CallEdge& e : g.edges) {
-    g.out_ids[e.caller].push_back(e.callee);
-    g.in_ids[e.callee].push_back(e.caller);
+  for (const CallEdge& e : g.edges) g.out_ids[e.caller].push_back(e.callee);
+  for (std::vector<std::size_t>& ids : g.out_ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   }
-  auto dedupe = [](std::vector<std::vector<std::size_t>>& adj) {
-    for (std::vector<std::size_t>& ids : adj) {
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    }
-  };
-  dedupe(g.out_ids);
-  dedupe(g.in_ids);
   return g;
 }
 
@@ -998,12 +760,7 @@ std::string dump_callgraph(const CallGraph& graph) {
     const FunctionNode& n = graph.nodes[id];
     out += "fn " + std::to_string(id) + " " + n.file + ":" + std::to_string(n.line) + " " +
            n.qualified + "/" + std::to_string(n.arity);
-    if (n.is_public) out += " public";
-    if (n.is_noexcept) out += " noexcept";
-    if (n.is_ctor) out += " ctor";
-    if (n.is_dtor) out += " dtor";
     if (n.is_task_body) out += " task";
-    if (n.has_contract) out += " contract";
     if (!n.module.empty()) out += " module=" + n.module;
     out += "\n";
   }

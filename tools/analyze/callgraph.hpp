@@ -1,4 +1,5 @@
-// upn_analyze: the whole-program call graph (pass families 8-11 ride on it).
+// upn_analyze: the whole-program call graph (the lock-order, task-blocking
+// and dead-function passes ride on it).
 //
 // Function extraction is per-unit and pure, so the engine fans it out on the
 // util/par ThreadPool exactly like unit construction; linking is one ordered
@@ -22,14 +23,12 @@
 //     imprecision instead of silently wrong edges;
 //   * lambdas handed to ThreadPool::parallel_for/parallel_map become task
 //     pseudo-nodes ("<fn>/task@<line>") with a `task` edge from the
-//     enclosing function; the task-blocking and exception-safety passes key
-//     on exactly these nodes.
+//     enclosing function; the task-blocking pass keys on exactly these
+//     nodes.
 //
-// Besides the edges, extraction summarizes per function everything the
-// interprocedural passes consume: UPN_REQUIRE comparison facts over
-// parameters, blocking operations (lock acquisitions with the held-lock set,
-// condition-variable waits, IO), may-throw sources (throw, contract macros
-// in their default throw mode, allocations), and noexcept/destructor flags.
+// Besides the edges, extraction records per function the blocking
+// operations the lock-order pass consumes: lock acquisitions with the
+// held-lock set, condition-variable waits, and IO.
 #pragma once
 
 #include <cstddef>
@@ -44,17 +43,6 @@ namespace upn::analyze {
 
 struct Unit;
 
-/// A `UPN_REQUIRE(param OP literal)` conjunct the scanner could evaluate:
-/// `param` is an index into FunctionNode::params, `op` one of
-/// >=, >, <=, <, ==, !=, `rhs` the integer literal.
-struct RequireFact {
-  std::size_t param = 0;
-  std::string op;
-  long long rhs = 0;
-  std::size_t line = 0;  ///< line of the UPN_REQUIRE
-  std::string text;      ///< the conjunct, space-joined, for messages
-};
-
 enum class BlockKind : char {
   kLock = 'l',  ///< lock_guard/unique_lock/scoped_lock construction, .lock()
   kWait = 'w',  ///< condition-variable .wait(...)
@@ -68,11 +56,6 @@ struct BlockingOp {
   std::vector<std::string> held;  ///< locks already held at this operation
 };
 
-struct ThrowSource {
-  std::string what;  ///< "throw", "UPN_REQUIRE", "new", "push_back", ...
-  std::size_t line = 0;
-};
-
 /// One call site inside a function body, before linking.
 struct RawCall {
   std::string name;           ///< callee identifier (last path component)
@@ -83,12 +66,6 @@ struct RawCall {
   bool is_method = false;     ///< written `obj.name(` / `obj->name(` / `X::name(`
   bool via_scope = false;     ///< written `X::name(` (X may be a namespace)
   bool name_is_local = false; ///< callee name is a local/param of the caller
-  /// Inside a `try { ... } catch (...)` block: the callee's exceptions
-  /// cannot escape the caller, so may-throw does not propagate here.
-  bool guarded = false;
-  /// Per argument: the integer literal text ("-3", "12") when the argument
-  /// is exactly one (possibly negated) literal, else "".
-  std::vector<std::string> arg_literals;
   std::vector<std::string> held_locks;  ///< locks held at the call site
 };
 
@@ -104,18 +81,9 @@ struct FunctionNode {
   std::size_t arity = 0;
   std::vector<std::string> params;  ///< parameter names, in order
 
-  bool is_public = true;
-  bool is_noexcept = false;  ///< destructors default to true
-  bool is_ctor = false;
-  bool is_dtor = false;
   bool is_task_body = false; ///< lambda handed to parallel_for/parallel_map
-  bool has_contract = false;
-  bool has_waiver = false;   ///< body carries upn-contract-waive(...)
-  std::size_t statements = 0;
 
-  std::vector<RequireFact> preconditions;
   std::vector<BlockingOp> blocking;
-  std::vector<ThrowSource> throw_sources;
   std::vector<RawCall> calls;
 
   /// For task pseudo-nodes: the enclosing function's node id (per-unit index
@@ -163,9 +131,8 @@ struct CallGraph {
   std::vector<FunctionNode> nodes;
   std::vector<CallEdge> edges;  ///< sorted by (caller, line, callee)
   std::vector<OpenEdge> opens;  ///< sorted by (caller, line, name)
-  /// Adjacency over resolved edges: sorted unique node ids.
+  /// Callees over resolved edges: sorted unique node ids.
   std::vector<std::vector<std::size_t>> out_ids;
-  std::vector<std::vector<std::size_t>> in_ids;
 };
 
 /// Merges per-unit extractions (in unit order) and resolves calls.
@@ -175,8 +142,8 @@ struct CallGraph {
 /// link: the result is independent of the pool's thread count.
 [[nodiscard]] CallGraph build_callgraph(const std::vector<Unit>& units, ThreadPool& pool);
 
-/// The deterministic text dump behind `--dump-callgraph`: one `fn` line per
-/// node in id order, then `edge` / `open` lines in sorted order.
+/// A deterministic text dump: one `fn` line per node in id order, then
+/// `edge` / `open` lines in sorted order.
 [[nodiscard]] std::string dump_callgraph(const CallGraph& graph);
 
 }  // namespace upn::analyze

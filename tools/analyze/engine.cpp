@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -30,14 +29,29 @@ bool read_file(const fs::path& path, std::string& out) {
   return true;
 }
 
+/// True iff a directory on the way to `rel` is named by one of `excludes`:
+/// exactly, or by prefix when the entry ends in '*'.  File names never match,
+/// so "build" skips build/ but not src/topology/builders.cpp.
+bool excluded(const std::string& rel, const std::vector<std::string>& excludes) {
+  for (const fs::path& dir : fs::path{rel}.parent_path()) {
+    const std::string name = dir.string();
+    for (const std::string& pattern : excludes) {
+      const bool prefix = pattern.ends_with('*');
+      if (prefix ? name.starts_with(pattern.substr(0, pattern.size() - 1)) : name == pattern) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::string Report::render_text() const {
   std::string out;
   for (const Finding& f : findings) out += f.format() + "\n";
   out += "upn_analyze: " + std::to_string(findings.size()) + " finding" +
-         (findings.size() == 1 ? "" : "s") + " (" + std::to_string(baselined.size()) +
-         " baselined) over " + std::to_string(files) + " files\n";
+         (findings.size() == 1 ? "" : "s") + " over " + std::to_string(files) + " files\n";
   return out;
 }
 
@@ -81,9 +95,8 @@ Report analyze(const Input& input) {
     }
   }
 
-  LayerSpec spec;  // empty (no hotpath modules) when no layers file is given
   if (!input.layers_path.empty()) {
-    spec = parse_layers(input.layers_path, input.layers_text);
+    const LayerSpec spec = parse_layers(input.layers_path, input.layers_text);
     const std::vector<Finding> layering =
         run_layering_pass(units, spec, input.layers_path);
     const std::vector<Finding> hot = run_hotpath_pass(units, spec);
@@ -91,57 +104,28 @@ Report analyze(const Input& input) {
     all.insert(all.end(), hot.begin(), hot.end());
   }
 
-  const std::vector<Finding> coverage = run_contract_coverage_pass(units);
   const std::vector<Finding> hygiene = run_include_hygiene_pass(units);
-  all.insert(all.end(), coverage.begin(), coverage.end());
   all.insert(all.end(), hygiene.begin(), hygiene.end());
 
   // The whole-program half: extraction fans out per unit inside
-  // build_callgraph, linking and the pass families 8-11 are single ordered
-  // walks, so the findings are byte-identical at every --jobs value.
+  // build_callgraph, linking and the interprocedural passes are single
+  // ordered walks, so the findings are byte-identical at every --jobs value.
   const CallGraph graph = build_callgraph(units, pool);
   for (const std::vector<Finding>& findings :
-       {run_lock_order_pass(graph, units), run_contract_propagation_pass(graph, units, spec),
-        run_exception_safety_pass(graph, units), run_dead_function_pass(graph, units)}) {
+       {run_lock_order_pass(graph, units), run_dead_function_pass(graph, units)}) {
     all.insert(all.end(), findings.begin(), findings.end());
   }
 
-  // One shrink-only baseline for every ratcheted rule.  An entry matching no
-  // current finding is debt already paid, so a stale entry is itself a
-  // finding, reported at its line in the baseline file.
-  const std::map<std::string, std::size_t> baseline = parse_baseline(input.baseline_text);
-  std::set<std::string> matched;
   Report report;
   report.files = input.files.size();
-  for (Finding& f : all) {
-    if (is_baselineable(f.rule)) {
-      std::string key = baseline_key(f);
-      if (baseline.count(key) != 0) {
-        matched.insert(std::move(key));
-        report.baselined.push_back(std::move(f));
-        continue;
-      }
-    }
-    report.findings.push_back(std::move(f));
-  }
-  for (const auto& [entry, line] : baseline) {
-    if (matched.count(entry) != 0) continue;
-    report.findings.push_back(
-        Finding{input.baseline_path, line, "baseline-stale-entry",
-                "baseline entry '" + entry +
-                    "' matches no current finding; delete it (the ratchet only shrinks)"});
-  }
+  report.findings = std::move(all);
   std::sort(report.findings.begin(), report.findings.end(), finding_less);
-  std::sort(report.baselined.begin(), report.baselined.end(), finding_less);
-
-  if (input.want_callgraph) report.callgraph_dump = dump_callgraph(graph);
 
   UPN_OBS_COUNT("analyze.callgraph.nodes", graph.nodes.size());
   UPN_OBS_COUNT("analyze.callgraph.edges", graph.edges.size());
   UPN_OBS_COUNT("analyze.callgraph.open", graph.opens.size());
   UPN_OBS_COUNT("analyze.files", report.files);
   UPN_OBS_COUNT("analyze.findings", report.findings.size());
-  UPN_OBS_COUNT("analyze.findings_baselined", report.baselined.size());
   UPN_OBS_COUNT("analyze.runs", 1);
   return report;
 }
@@ -149,13 +133,6 @@ Report analyze(const Input& input) {
 bool collect_tree(const TreeOptions& options, Input& input, std::string& error) {
   const fs::path root{options.root};
   input.jobs = options.jobs;
-
-  auto excluded = [&](const std::string& rel) {
-    for (const std::string& sub : options.excludes) {
-      if (rel.find(sub) != std::string::npos) return true;
-    }
-    return false;
-  };
 
   auto rel_of = [&](const fs::path& p) {
     std::error_code ec;
@@ -190,12 +167,17 @@ bool collect_tree(const TreeOptions& options, Input& input, std::string& error) 
   keyed.reserve(files.size());
   for (const fs::path& p : files) {
     const std::string rel = rel_of(p);
-    if (!excluded(rel)) keyed.emplace_back(rel, p);
+    if (!excluded(rel, options.excludes)) keyed.emplace_back(rel, p);
   }
   std::sort(keyed.begin(), keyed.end());
   keyed.erase(std::unique(keyed.begin(), keyed.end(),
                           [](const auto& a, const auto& b) { return a.first == b.first; }),
               keyed.end());
+  if (keyed.empty()) {
+    error = "no C++ source or artifact to analyze under";
+    for (const std::string& given : options.paths) error += " " + given;
+    return false;
+  }
 
   for (const auto& [rel, path] : keyed) {
     SourceFile file;
@@ -207,23 +189,15 @@ bool collect_tree(const TreeOptions& options, Input& input, std::string& error) 
     input.files.push_back(std::move(file));
   }
 
-  // The layers file and the baseline: an explicit path, or the conventional
-  // location when present.
-  auto load = [&](const std::string& given, const char* conventional, const char* what,
-                  std::string& text, std::string& rel) {
-    const fs::path path = given.empty() ? root / conventional : fs::path{given};
-    if (given.empty() && !fs::exists(path)) return true;
-    if (!read_file(path, text)) {
-      error = std::string{"cannot read "} + what + " file " + path.generic_string();
-      return false;
-    }
-    rel = rel_of(path);
-    return true;
-  };
-  return load(options.layers_file, "docs/ARCHITECTURE.layers", "layers", input.layers_text,
-              input.layers_path) &&
-         load(options.baseline_file, kBaselinePath, "baseline", input.baseline_text,
-              input.baseline_path);
+  // The layers file, when the tree has one.
+  const fs::path layers = root / "docs/ARCHITECTURE.layers";
+  if (!fs::exists(layers)) return true;
+  if (!read_file(layers, input.layers_text)) {
+    error = "cannot read layers file " + layers.generic_string();
+    return false;
+  }
+  input.layers_path = rel_of(layers);
+  return true;
 }
 
 }  // namespace upn::analyze

@@ -11,9 +11,6 @@
 //   hotpath-by-value-param  container/string parameters taken by value
 //                           (the sink idiom -- by value then std::move'd in
 //                           the same unit -- is exempt)
-//
-// Existing debt is frozen in tools/analyze/analyze.baseline and can only
-// shrink (the engine owns the ratchet; passes.hpp describes the key).
 #include <algorithm>
 #include <set>
 #include <string>

@@ -1,24 +1,13 @@
-// Interprocedural pass families 8-11 over the whole-program call graph
-// (tools/analyze/callgraph.hpp).  All four are pure (graph + units in,
-// findings out); the engine owns ordering and the baseline ratchet
-// (tools/analyze/analyze.baseline).
+// The interprocedural passes over the whole-program call graph
+// (tools/analyze/callgraph.hpp).  Both are pure (graph + units in, findings
+// out); the engine owns ordering.
 //
-//   (8)  lock order / task blocking -- per-function acquired-lock summaries
+//   lock order / task blocking -- per-function acquired-lock summaries
 //        propagated over resolved edges; a cycle in the observed
 //        held-before relation is a potential deadlock, and any blocking
 //        operation (lock acquisition, condition-variable wait, IO)
 //        reachable from a ThreadPool task body stalls a pool worker.
-//   (9)  contract propagation -- callee UPN_REQUIRE facts evaluated against
-//        integer-literal arguments at every resolved call site, plus public
-//        uncontracted entry points into hotpath-declared modules.
-//   (10) exception safety -- may-throw summaries (throw, contract macros in
-//        their default throw mode, allocations) propagated through
-//        non-noexcept callees; flagged inside noexcept functions and
-//        defaulted-noexcept destructors.  Task bodies are exempt: the pool's
-//        parallel_for/parallel_map rethrow protocol catches and forwards
-//        their exceptions, and that forwarding is modeled by propagating
-//        may-throw across the task edge to the spawning function.
-//   (11) dead functions -- free src/ functions whose name is never
+//   dead functions -- free src/ functions whose name is never
 //        referenced outside their own declarations.  Liveness is by name
 //        reference (calls, address-taken uses, using-declarations all
 //        count), so recursion alone does not keep a function alive but any
@@ -232,156 +221,6 @@ std::vector<Finding> run_lock_order_pass(const CallGraph& graph,
         message += "; pool workers must not block (restructure or move the work off-task)";
         out.push_back(Finding{task.file, task.line, rule, std::move(message)});
       }
-    }
-  }
-
-  std::sort(out.begin(), out.end(), finding_less);
-  return out;
-}
-
-std::vector<Finding> run_contract_propagation_pass(const CallGraph& graph,
-                                                   const std::vector<Unit>& units,
-                                                   const LayerSpec& spec) {
-  std::vector<Finding> out;
-  const std::map<std::string, const Unit*> index = unit_index(units);
-
-  // ---- contract-violated-call: integer-literal arguments checked against
-  // the callee's UPN_REQUIRE comparison facts.
-  for (const CallEdge& e : graph.edges) {
-    const FunctionNode& caller = graph.nodes[e.caller];
-    const FunctionNode& callee = graph.nodes[e.callee];
-    if (caller.module.empty() || callee.preconditions.empty()) continue;
-    if (e.call_index >= caller.calls.size()) continue;
-    const RawCall& call = caller.calls[e.call_index];
-    if (call.args != callee.arity) continue;  // only exact-arity matches are checkable
-    for (const RequireFact& fact : callee.preconditions) {
-      if (fact.param >= call.arg_literals.size()) continue;
-      const std::string& literal = call.arg_literals[fact.param];
-      if (literal.empty()) continue;
-      long long value = 0;
-      bool neg = false;
-      bool ok = !literal.empty();
-      for (std::size_t k = 0; k < literal.size(); ++k) {
-        const char c = literal[k];
-        if (k == 0 && c == '-') {
-          neg = true;
-        } else if (c >= '0' && c <= '9') {
-          value = value * 10 + (c - '0');
-        } else {
-          ok = false;
-        }
-      }
-      if (!ok) continue;
-      if (neg) value = -value;
-      bool holds = true;
-      if (fact.op == ">=") holds = value >= fact.rhs;
-      if (fact.op == ">") holds = value > fact.rhs;
-      if (fact.op == "<=") holds = value <= fact.rhs;
-      if (fact.op == "<") holds = value < fact.rhs;
-      if (fact.op == "==") holds = value == fact.rhs;
-      if (fact.op == "!=") holds = value != fact.rhs;
-      if (holds) continue;
-      if (line_suppressed(index, caller.file, call.line, "contract-violated-call")) continue;
-      out.push_back(Finding{
-          caller.file, call.line, "contract-violated-call",
-          "call to '" + callee.qualified + "' passes " + literal + " for parameter '" +
-              callee.params[fact.param] + "', which violates its precondition `" +
-              fact.text + "` (" + callee.file + ":" + std::to_string(fact.line) + ")"});
-    }
-  }
-
-  // ---- hotpath-unchecked-entry: public functions in hotpath-declared
-  // modules that other modules call without any precondition between them
-  // and the caller's data.
-  for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
-    const FunctionNode& node = graph.nodes[id];
-    if (spec.hotpaths.count(node.module) == 0) continue;
-    if (!node.is_public || node.is_ctor || node.is_dtor || node.is_task_body) continue;
-    if (node.arity == 0 || node.has_contract || node.has_waiver) continue;
-    if (node.statements < 2) continue;  // trivial accessors, same bar as coverage
-    bool external_caller = false;
-    for (const std::size_t caller : graph.in_ids[id]) {
-      if (graph.nodes[caller].module != node.module) external_caller = true;
-    }
-    if (!external_caller) continue;
-    if (line_suppressed(index, node.file, node.line, "hotpath-unchecked-entry")) continue;
-    out.push_back(Finding{
-        node.file, node.line, "hotpath-unchecked-entry",
-        "'" + node.qualified + "' is a public entry into hotpath module '" + node.module +
-            "' called from outside it, but validates none of its " +
-            std::to_string(node.arity) +
-            " parameter(s); add UPN_REQUIRE or upn-contract-waive(reason)"});
-  }
-
-  std::sort(out.begin(), out.end(), finding_less);
-  return out;
-}
-
-std::vector<Finding> run_exception_safety_pass(const CallGraph& graph,
-                                               const std::vector<Unit>& units) {
-  std::vector<Finding> out;
-  const std::map<std::string, const Unit*> index = unit_index(units);
-
-  // May-throw fixpoint.  noexcept callees do not propagate (an escaping
-  // exception terminates inside them -- and they get their own finding);
-  // task edges DO propagate, modeling the pool's rethrow protocol.
-  std::vector<char> may_throw(graph.nodes.size(), 0);
-  for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
-    may_throw[id] = graph.nodes[id].throw_sources.empty() ? 0 : 1;
-  }
-  auto call_guarded = [&](const CallEdge& e) {
-    const FunctionNode& caller = graph.nodes[e.caller];
-    return e.call_index < caller.calls.size() && caller.calls[e.call_index].guarded;
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const CallEdge& e : graph.edges) {
-      if (may_throw[e.caller] != 0 || may_throw[e.callee] == 0) continue;
-      if (graph.nodes[e.callee].is_noexcept || call_guarded(e)) continue;
-      may_throw[e.caller] = 1;
-      changed = true;
-    }
-  }
-
-  // The deterministic witness for a flagged node: its own smallest-line
-  // throw source, else the first (by edge order) may-throwing callee.
-  auto witness = [&](std::size_t id) -> std::string {
-    const FunctionNode& node = graph.nodes[id];
-    const ThrowSource* best = nullptr;
-    for (const ThrowSource& src : node.throw_sources) {
-      if (best == nullptr || src.line < best->line) best = &src;
-    }
-    if (best != nullptr) {
-      return "`" + best->what + "` at line " + std::to_string(best->line);
-    }
-    for (const CallEdge& e : graph.edges) {
-      if (e.caller != id) continue;
-      if (may_throw[e.callee] != 0 && !graph.nodes[e.callee].is_noexcept &&
-          !call_guarded(e)) {
-        return "the call to '" + graph.nodes[e.callee].qualified + "' at line " +
-               std::to_string(e.line);
-      }
-    }
-    return "a reachable throw";
-  };
-
-  for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
-    const FunctionNode& node = graph.nodes[id];
-    if (node.module.empty() || may_throw[id] == 0) continue;
-    if (node.is_task_body) continue;  // covered by the pool's rethrow protocol
-    if (!node.is_noexcept) continue;  // throwing is part of the signature
-    const std::string rule = node.is_dtor ? "dtor-may-throw" : "noexcept-may-throw";
-    if (line_suppressed(index, node.file, node.line, rule)) continue;
-    if (node.is_dtor) {
-      out.push_back(Finding{
-          node.file, node.line, rule,
-          "destructor '" + node.qualified + "' can throw via " + witness(id) +
-              "; destructors are implicitly noexcept, so this terminates the process"});
-    } else {
-      out.push_back(Finding{node.file, node.line, rule,
-                            "'" + node.qualified + "' is declared noexcept but can throw via " +
-                                witness(id) + "; drop noexcept or make the path non-throwing"});
     }
   }
 

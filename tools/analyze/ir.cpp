@@ -211,46 +211,22 @@ bool is_control_keyword(const std::string& t) {
          t == "static_assert" || t == "decltype" || t == "noexcept";
 }
 
-bool is_contract_macro(const std::string& t) {
-  return t == "UPN_REQUIRE" || t == "UPN_ENSURE" || t == "UPN_INVARIANT";
-}
-
 struct DeclParser {
   const std::vector<Token>& toks;
-  const std::vector<std::string>& raw;
   std::vector<Declaration> out;
   std::size_t i = 0;
 
   [[nodiscard]] bool done() const { return i >= toks.size(); }
   [[nodiscard]] const std::string& tok(std::size_t k) const { return toks[k].text; }
 
-  /// Consumes a balanced {...} group (toks[i] must be '{').  Reports the
-  /// number of ';' inside and whether a contract macro occurs.
-  void skip_braces(bool& has_contract, std::size_t& statements, std::size_t& last_line) {
+  /// Consumes a balanced {...} group (toks[i] must be '{').
+  void skip_braces() {
     int depth = 0;
     while (i < toks.size()) {
-      const Token& t = toks[i];
-      if (t.text == "{") ++depth;
-      if (t.text == "}") {
-        --depth;
-        if (depth == 0) {
-          last_line = t.line;
-          ++i;
-          return;
-        }
-      }
-      if (t.text == ";") ++statements;
-      if (t.kind == TokenKind::kIdent && is_contract_macro(t.text)) has_contract = true;
-      last_line = t.line;
-      ++i;
+      const std::string& t = toks[i++].text;
+      if (t == "{") ++depth;
+      if (t == "}" && --depth == 0) return;
     }
-  }
-
-  [[nodiscard]] bool body_has_waiver(std::size_t first_line, std::size_t last_line) const {
-    for (std::size_t l = first_line; l <= last_line && l <= raw.size(); ++l) {
-      if (l >= 1 && raw[l - 1].find("upn-contract-waive(") != std::string::npos) return true;
-    }
-    return false;
   }
 
   /// Index of the function name in stmt head [begin, end): the first
@@ -283,17 +259,13 @@ struct DeclParser {
     return std::string::npos;
   }
 
-  void record(std::string name, std::size_t line, DeclKind kind, bool is_public,
-              bool has_body = false, bool has_contract = false, bool has_waiver = false,
-              std::size_t body_statements = 0) {
-    out.push_back(Declaration{std::move(name), line, kind, has_body, is_public,
-                              has_contract, has_waiver, body_statements});
+  void record(std::string name, std::size_t line, DeclKind kind, bool has_body = false) {
+    out.push_back(Declaration{std::move(name), line, kind, has_body});
   }
 
   /// Classifies a body-less statement head [begin, end) seen at class or
   /// namespace scope.  `class_name` is "" at namespace scope.
-  void classify_statement(std::size_t begin, std::size_t end, const std::string& class_name,
-                          bool is_public) {
+  void classify_statement(std::size_t begin, std::size_t end, const std::string& class_name) {
     if (begin >= end) return;
     const std::string& first = tok(begin);
     if (first == "friend" || first == "static_assert" || first == "typedef") return;
@@ -314,7 +286,7 @@ struct DeclParser {
     if (tok(b) == "using") {
       if (b + 1 < end && tok(b + 1) == "namespace") return;
       if (b + 1 < end && toks[b + 1].kind == TokenKind::kIdent) {
-        record(tok(b + 1), toks[b + 1].line, DeclKind::kType, is_public);
+        record(tok(b + 1), toks[b + 1].line, DeclKind::kType);
       }
       return;
     }
@@ -322,13 +294,13 @@ struct DeclParser {
       // Forward declaration (a definition would have ended at '{').
       std::size_t n = b + 1;
       while (n < end && (tok(n) == "class" || toks[n].kind != TokenKind::kIdent)) ++n;
-      if (n < end) record(tok(n), toks[n].line, DeclKind::kType, is_public);
+      if (n < end) record(tok(n), toks[n].line, DeclKind::kType);
       return;
     }
     const std::size_t fn = function_name_index(b, end);
     if (fn != std::string::npos) {
       if (!class_name.empty() && tok(fn) == class_name) return;  // constructor
-      record(tok(fn), toks[fn].line, DeclKind::kFunction, is_public);
+      record(tok(fn), toks[fn].line, DeclKind::kFunction);
       return;
     }
     // Variable / constant / field: the identifier directly before the first
@@ -348,12 +320,12 @@ struct DeclParser {
     }
     if (stop > b && toks[stop - 1].kind == TokenKind::kIdent && stop - 1 > b &&
         !is_control_keyword(tok(stop - 1))) {
-      record(tok(stop - 1), toks[stop - 1].line, DeclKind::kConstant, is_public);
+      record(tok(stop - 1), toks[stop - 1].line, DeclKind::kConstant);
     }
   }
 
   /// Consumes an enum definition body and records the enumerators.
-  void consume_enum_body(bool is_public) {
+  void consume_enum_body() {
     int depth = 0;
     bool expect_name = true;
     while (i < toks.size()) {
@@ -370,7 +342,7 @@ struct DeclParser {
         if (t.text == ",") {
           expect_name = true;
         } else if (expect_name && t.kind == TokenKind::kIdent) {
-          record(t.text, t.line, DeclKind::kConstant, is_public);
+          record(t.text, t.line, DeclKind::kConstant);
           expect_name = false;
         } else {
           expect_name = false;
@@ -381,8 +353,7 @@ struct DeclParser {
   }
 
   /// Parses one brace scope (namespace, class, or the whole file).
-  void parse_scope(const std::string& class_name, bool in_class, bool public_default) {
-    bool is_public = public_default;
+  void parse_scope(const std::string& class_name, bool in_class) {
     std::size_t stmt_begin = i;
     int paren = 0;
     while (i < toks.size()) {
@@ -393,16 +364,16 @@ struct DeclParser {
         ++i;
         continue;
       }
+      // Access specifiers open no statement.
       if (in_class && stmt_begin == i &&
           (t == "public" || t == "private" || t == "protected") && i + 1 < toks.size() &&
           tok(i + 1) == ":") {
-        is_public = t == "public";
         i += 2;
         stmt_begin = i;
         continue;
       }
       if (t == ";") {
-        classify_statement(stmt_begin, i, class_name, is_public);
+        classify_statement(stmt_begin, i, class_name);
         ++i;
         stmt_begin = i;
         continue;
@@ -426,7 +397,7 @@ struct DeclParser {
       };
       if (head_has("namespace")) {
         ++i;  // consume '{'
-        parse_scope("", false, true);
+        parse_scope("", false);
         stmt_begin = i;
         continue;
       }
@@ -436,9 +407,9 @@ struct DeclParser {
         ++n;
         if (n < head_end && tok(n) == "class") ++n;
         if (n < head_end && toks[n].kind == TokenKind::kIdent) {
-          record(tok(n), toks[n].line, DeclKind::kType, is_public);
+          record(tok(n), toks[n].line, DeclKind::kType);
         }
-        consume_enum_body(is_public);
+        consume_enum_body();
         stmt_begin = i;
         continue;
       }
@@ -448,15 +419,14 @@ struct DeclParser {
                !(tok(n) == "class" || tok(n) == "struct" || tok(n) == "union")) {
           ++n;
         }
-        const bool struct_like = tok(n) != "class";
         ++n;
         std::string name;
         if (n < head_end && toks[n].kind == TokenKind::kIdent) {
           name = tok(n);
-          record(name, toks[n].line, DeclKind::kType, is_public);
+          record(name, toks[n].line, DeclKind::kType);
         }
         ++i;  // consume '{'
-        parse_scope(name, true, struct_like);
+        parse_scope(name, true);
         // Trailing `;` (and variable names) handled by the ';' branch.
         stmt_begin = i;
         continue;
@@ -464,27 +434,18 @@ struct DeclParser {
       const std::size_t fn = function_name_index(head_begin, head_end);
       if (fn != std::string::npos &&
           (class_name.empty() || tok(fn) != class_name)) {
-        // Function definition: measure the body.
-        const std::size_t decl_line = toks[fn].line;
-        bool has_contract = false;
-        std::size_t statements = 0;
-        std::size_t last_line = decl_line;
-        skip_braces(has_contract, statements, last_line);
-        record(tok(fn), decl_line, DeclKind::kFunction, is_public, true, has_contract,
-               body_has_waiver(decl_line, last_line), statements);
+        record(tok(fn), toks[fn].line, DeclKind::kFunction, true);
+        skip_braces();
         stmt_begin = i;
         continue;
       }
       // Constructor definition, initializer list, lambda initializer, array
       // initializer, ...: skip the braces and let the ';' branch finish the
       // statement.
-      bool ignored_contract = false;
-      std::size_t ignored_statements = 0;
-      std::size_t ignored_line = 0;
-      skip_braces(ignored_contract, ignored_statements, ignored_line);
+      skip_braces();
     }
     // File scope may end without a closing '}': flush the tail statement.
-    classify_statement(stmt_begin, i, class_name, is_public);
+    classify_statement(stmt_begin, i, class_name);
   }
 };
 
@@ -516,12 +477,12 @@ Unit build_unit(const std::string& path, const std::string& content) {
     while (end < line.size() && ident_char(line[end])) ++end;
     if (end > i) {
       unit.decls.push_back(
-          Declaration{line.substr(i, end - i), li + 1, DeclKind::kMacro, false, true});
+          Declaration{line.substr(i, end - i), li + 1, DeclKind::kMacro});
     }
   }
 
-  DeclParser parser{unit.tokens, unit.raw, {}};
-  parser.parse_scope("", false, true);
+  DeclParser parser{unit.tokens, {}};
+  parser.parse_scope("", false);
   for (Declaration& d : parser.out) unit.decls.push_back(std::move(d));
   std::sort(unit.decls.begin(), unit.decls.end(),
             [](const Declaration& a, const Declaration& b) {

@@ -1,9 +1,8 @@
 // upn_analyze: shared translation-unit IR for whole-program static analysis.
 //
 // The passes in this directory need cross-file facts -- the #include graph of
-// src/, which header declares which name, where a public function's
-// definition lives.  This header defines the one intermediate representation
-// every pass consumes:
+// src/, which header declares which name, where a function is defined.  This
+// header defines the one intermediate representation every pass consumes:
 //
 //   * raw lines        -- exactly as on disk (suppression comments live here);
 //   * code lines       -- comments and string/char literals blanked out with
@@ -15,7 +14,7 @@
 //                         resolvable against the unit index;
 //   * declaration index-- names a header exports (functions, types, macros,
 //                         constants), used by include hygiene and the
-//                         contract-coverage audit.
+//                         dead-function pass.
 //
 // Units are built per file (embarrassingly parallel; the engine fans the
 // construction out on upn::ThreadPool) and are immutable afterwards, so
@@ -57,27 +56,18 @@ struct IncludeEdge {
 };
 
 enum class DeclKind : char {
-  kFunction = 'f',  ///< free or public member function with a return type
+  kFunction = 'f',  ///< free or member function with a return type
   kType = 't',      ///< class / struct / enum / using alias
   kMacro = 'm',     ///< object- or function-like #define
   kConstant = 'c',  ///< namespace-scope constant / variable declaration
 };
 
-/// One exported name.  `kFunction` entries additionally carry what the
-/// contract-coverage audit needs: whether the declaration site is also a
-/// definition, whether that body contains a contract macro
-/// (UPN_REQUIRE/UPN_ENSURE/UPN_INVARIANT) or an `upn-contract-waive(reason)`
-/// marker, and how many statements the body holds (trivial accessors are
-/// exempt from the audit).
+/// One exported name.  `has_body` tells a definition from a prototype.
 struct Declaration {
   std::string name;
   std::size_t line = 0;
   DeclKind kind = DeclKind::kFunction;
   bool has_body = false;
-  bool is_public = true;           ///< namespace scope or `public:` section
-  bool has_contract = false;       ///< body contains a UPN_* contract macro
-  bool has_waiver = false;         ///< body range carries upn-contract-waive(...)
-  std::size_t body_statements = 0; ///< ';' count inside the body
 };
 
 /// The per-file IR.  All views are derived from `content` once, at build

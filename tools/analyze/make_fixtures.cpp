@@ -58,16 +58,6 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "hotpath ghost\n"
      "depend core on util\n"},
 
-    // The baseline.  The clean tree freezes real deque debt in the `hot`
-    // module (the finding moves to the baselined bucket); the bad tree lists
-    // debt that no longer exists, so the shrink-only ratchet itself fires
-    // (baseline-stale-entry).
-    {"tools/analyze/analyze.baseline",
-     "# fixture baseline: frozen deque debt in the demo engine\n"
-     "src/hot/engine_demo.hpp:hotpath-container:deque\n",
-     "# fixture baseline: this debt was paid off long ago\n"
-     "src/hot/engine_demo.hpp:hotpath-container:deque\n"},
-
     // Contracted leaf header (util).
     {"src/util/checked_math.hpp",
      "#pragma once\n"
@@ -82,7 +72,7 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "}  // namespace demo\n",
      nullptr},
 
-    // Declared core -> util edge, contract + waiver syntax exercised.
+    // Declared core -> util edge, contract syntax exercised.
     {"src/core/pipeline_demo.hpp",
      "#pragma once\n"
      "\n"
@@ -96,7 +86,6 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "}\n"
      "\n"
      "inline int identity(int value) {\n"
-     "  // upn-contract-waive(pure passthrough, no precondition to state)\n"
      "  int result = value;\n"
      "  return result;\n"
      "}\n"
@@ -143,20 +132,6 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "#pragma once\n"
      "\n"
      "#include \"src/core/loop_a.hpp\"\n"},
-
-    // Public multi-statement function, no contract, no waiver (bad only).
-    {"src/core/uncontracted.hpp", nullptr,
-     "#pragma once\n"
-     "\n"
-     "namespace demo {\n"
-     "\n"
-     "inline int clamp_add(int a, int b) {\n"
-     "  int sum = a + b;\n"
-     "  if (sum < 0) sum = 0;\n"
-     "  return sum;\n"
-     "}\n"
-     "\n"
-     "}  // namespace demo\n"},
 
     // Flow rules, one violation per construct (bad only).
     {"src/core/flow.cpp", nullptr,
@@ -270,18 +245,17 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "\n"
      "}  // namespace demo\n"},
 
-    // Hot-path performance pass over the `hot` module.  Clean: the deque is
-    // frozen in the fixture baseline, and the by-value parameter is the
-    // sanctioned sink idiom (moved in the same unit).  Bad: a banned
-    // container, virtual dispatch, allocation in a loop, and a genuine
-    // by-value container parameter -- plus the stale baseline entry.
+    // Hot-path performance pass over the `hot` module.  Clean: a flat vector,
+    // and the by-value parameter is the sanctioned sink idiom (moved in the
+    // same unit).  Bad: a banned container, virtual dispatch, allocation in a
+    // loop, and a genuine by-value container parameter.
     {"src/hot/engine_demo.hpp",
      "#pragma once\n"
      "\n"
      "namespace demo {\n"
      "\n"
      "struct Queue {\n"
-     "  std::deque<int> pending;\n"
+     "  std::vector<int> pending;\n"
      "};\n"
      "\n"
      "inline void consume(std::vector<int> batch) {\n"
@@ -309,11 +283,6 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "    delete cell;\n"
      "  }\n"
      "  return total;\n"
-     "}\n"
-     "\n"
-     "inline int hot_entry(int load) {\n"
-     "  int scaled = load * 2;\n"
-     "  return scaled + 1;\n"
      "}\n"
      "\n"
      "}  // namespace demo\n"},
@@ -384,80 +353,6 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "\n"
      "}  // namespace demo\n"},
 
-    // Contract-propagation pass.  The callee states a precondition; the clean
-    // caller passes literals that satisfy it, the bad caller passes one that
-    // provably violates it (contract-violated-call).
-    {"src/core/call_contracts.cpp",
-     "namespace demo {\n"
-     "\n"
-     "int scaled_budget(int budget) {\n"
-     "  UPN_REQUIRE(budget >= 0);\n"
-     "  return budget * 2;\n"
-     "}\n"
-     "\n"
-     "int plan_budget() {\n"
-     "  return scaled_budget(12) + scaled_budget(0);\n"
-     "}\n"
-     "\n"
-     "}  // namespace demo\n",
-     "namespace demo {\n"
-     "\n"
-     "int scaled_budget(int budget) {\n"
-     "  UPN_REQUIRE(budget >= 0);\n"
-     "  return budget * 2;\n"
-     "}\n"
-     "\n"
-     "int plan_budget() {\n"
-     "  return scaled_budget(-3);\n"
-     "}\n"
-     "\n"
-     "}  // namespace demo\n"},
-
-    // Exception-safety pass.  Clean: a noexcept chain whose every callee is
-    // itself noexcept, and a destructor that cannot throw.  Bad: a noexcept
-    // function calling a throwing callee (noexcept-may-throw) and a
-    // destructor reaching a throw (dtor-may-throw).
-    {"src/core/noexcept_paths.cpp",
-     "namespace demo {\n"
-     "\n"
-     "inline int halved(int value) noexcept {\n"
-     "  return value / 2;\n"
-     "}\n"
-     "\n"
-     "int stable_sum(const std::vector<int>& values) noexcept {\n"
-     "  int total = 0;\n"
-     "  for (const int v : values) total += halved(v);\n"
-     "  return total;\n"
-     "}\n"
-     "\n"
-     "struct Closer {\n"
-     "  int fd = -1;\n"
-     "  ~Closer() { fd = -1; }\n"
-     "};\n"
-     "\n"
-     "}  // namespace demo\n",
-     "namespace demo {\n"
-     "\n"
-     "inline int risky_half(int value) {\n"
-     "  if (value < 0) throw std::invalid_argument{\"negative\"};\n"
-     "  return value / 2;\n"
-     "}\n"
-     "\n"
-     "int fast_half(int value) noexcept {\n"
-     "  return risky_half(value);\n"
-     "}\n"
-     "\n"
-     "void flush_or_throw(int fd) {\n"
-     "  if (fd < 0) throw std::runtime_error{\"bad fd\"};\n"
-     "}\n"
-     "\n"
-     "struct Flusher {\n"
-     "  int fd = 0;\n"
-     "  ~Flusher() { flush_or_throw(fd); }\n"
-     "};\n"
-     "\n"
-     "}  // namespace demo\n"},
-
     // Dead-function pass (bad only): defined, never mentioned anywhere else.
     {"src/core/orphan.cpp", nullptr,
      "namespace demo {\n"
@@ -470,9 +365,7 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
 
     // Liveness anchor: a main() that references every function the trees
     // define on purpose, so dead-function fires only on the orphan above.
-    // The bad variant deliberately omits orphaned_scale and routes one call
-    // into the hot module so hotpath-unchecked-entry has a cross-module
-    // caller.
+    // The bad variant deliberately omits orphaned_scale.
     {"src/core/fixture_main.cpp",
      "namespace demo {\n"
      "\n"
@@ -485,7 +378,7 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "  export_totals(table);\n"
      "  first_then_second();\n"
      "  also_first_then_second();\n"
-     "  return reseed() + identity(9) + plan_budget() + stable_sum(data);\n"
+     "  return reseed() + identity(9);\n"
      "}\n"
      "\n"
      "}  // namespace demo\n"
@@ -504,8 +397,7 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "  (void)drain(std::vector<long>{});\n"
      "  lock_ab();\n"
      "  lock_ba();\n"
-     "  return forty_two() + quiet_level() + clamp_add(1, 2) + hot_entry(3) +\n"
-     "         fast_half(5) + plan_budget() + roll_dice(0.5);\n"
+     "  return forty_two() + quiet_level() + roll_dice(0.5);\n"
      "}\n"
      "\n"
      "}  // namespace demo\n"

@@ -1,6 +1,5 @@
 #include "tools/analyze/passes.hpp"
 
-#include <set>
 #include <tuple>
 
 namespace upn::analyze {
@@ -14,72 +13,13 @@ bool finding_less(const Finding& a, const Finding& b) {
          std::tie(b.file, b.line, b.rule, b.message);
 }
 
-bool is_baselineable(const std::string& rule) {
-  static const std::set<std::string> interproc = {
-      "contract-violated-call", "dead-function",   "dtor-may-throw",
-      "hotpath-unchecked-entry", "lock-order-cycle", "noexcept-may-throw",
-      "task-blocking-call",      "task-blocking-io"};
-  return rule == "contract-coverage" || rule.compare(0, 8, "hotpath-") == 0 ||
-         interproc.count(rule) != 0;
-}
-
-std::string baseline_key(const Finding& finding) {
-  const auto open = finding.message.find('\'');
-  const auto close = open == std::string::npos ? std::string::npos
-                                               : finding.message.find('\'', open + 1);
-  const std::string detail = close == std::string::npos
-                                 ? ""
-                                 : finding.message.substr(open + 1, close - open - 1);
-  return finding.file + ":" + finding.rule + ":" + detail;
-}
-
-std::map<std::string, std::size_t> parse_baseline(const std::string& content) {
-  std::map<std::string, std::size_t> entries;
-  const std::vector<std::string> lines = split_lines(content);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::string line = lines[i].substr(0, lines[i].find('#'));
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    line = line.substr(first, line.find_last_not_of(" \t\r") + 1 - first);
-    entries.emplace(line, i + 1);
-  }
-  return entries;
-}
-
-std::string render_baseline(const std::vector<Finding>& findings) {
-  std::set<std::string> keys;
-  for (const Finding& f : findings) {
-    if (is_baselineable(f.rule)) keys.insert(baseline_key(f));
-  }
-  std::string out =
-      "# upn_analyze baseline: frozen debt of the contract-coverage, hotpath-*\n"
-      "# and interprocedural rules, one `file:rule:detail` key per line.\n"
-      "# The ratchet only shrinks: an entry that matches no finding is itself a\n"
-      "# finding (baseline-stale-entry).  Regenerate with\n"
-      "# `upn_analyze --write-baseline ...` and commit only deletions.\n";
-  for (const std::string& key : keys) out += key + "\n";
-  return out;
-}
-
 const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> catalog = {
       {"artifact-malformed",
        "a .upnp/.upne/.upns/.upnf artifact that its library reader rejects"},
-      {"baseline-stale-entry",
-       "a baseline entry matches no current finding; the ratchet only shrinks, so delete "
-       "it"},
-      {"contract-coverage",
-       "public header function whose definition carries no UPN_REQUIRE/UPN_ENSURE and no "
-       "upn-contract-waive(reason) marker"},
-      {"contract-violated-call",
-       "an integer-literal argument at a resolved call site provably violates the callee's "
-       "UPN_REQUIRE precondition"},
       {"dead-function",
        "a free src/ function whose name is never referenced outside its own declarations "
        "anywhere in the analyzed tree"},
-      {"dtor-may-throw",
-       "a destructor (implicitly noexcept) with a reachable throw path; an escaping "
-       "exception terminates the process"},
       {"embedding-load-exceeds-declaration",
        "an embedding's actual load exceeds the bound its header declares"},
       {"faultplan-duplicate-fault",
@@ -93,9 +33,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"hotpath-container",
        "std::deque/std::map/std::list in a hotpath-declared module; prefer node-indexed "
        "vectors or flat arrays"},
-      {"hotpath-unchecked-entry",
-       "a public uncontracted function in a hotpath-declared module called from another "
-       "module; the paper's bounds hold only when callers establish preconditions"},
       {"hotpath-virtual",
        "virtual dispatch declared in a hotpath-declared module; inner loops need "
        "inlinable calls"},
@@ -123,9 +60,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"no-std-rand", "rand()/srand() are not reproducible across platforms; use upn::Rng"},
       {"no-unseeded-rng",
        "std:: random engines break seed-reproducibility; thread an explicit upn::Rng"},
-      {"noexcept-may-throw",
-       "a noexcept function with a reachable throw path (throw, contract macros in throw "
-       "mode, or allocation); an escaping exception terminates the process"},
       {"par-shared-mutation",
        "a by-reference captured variable is written inside a parallel task without "
        "index-disjoint writes, atomics, or a lock"},

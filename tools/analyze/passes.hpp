@@ -19,21 +19,20 @@
 //   * layering conformance (layering.cpp) -- the observed #include graph of
 //     src/ checked against the declared module DAG in
 //     docs/ARCHITECTURE.layers, plus file-level include-cycle detection.
-//   * contract coverage (contracts_audit.cpp) -- public header functions
-//     whose definitions carry no contract macro and no waiver, filtered by a
-//     committed baseline so coverage can only ratchet up.
 //   * hot-path performance (hotpath.cpp) -- modules declared `hotpath` in
 //     the layers file audited for containers with per-node allocation
 //     (std::deque/map/list), in-loop heap allocation, virtual dispatch, and
 //     by-value container parameters.
 //   * include hygiene (include_hygiene.cpp) -- quoted includes from whose
 //     transitive declaration set the includer uses nothing.
+//   * interprocedural (callgraph.cpp, interproc.cpp) -- lock order, blocking
+//     calls reachable from pool tasks, and dead functions, over the
+//     whole-program call graph.
 //   * artifacts (artifacts.cpp) -- .upnp/.upne/.upns/.upnf files parse and
 //     stay within the bounds their headers declare.
 //
-// Existing debt of the ratcheted rules (contract coverage, hot path,
-// interprocedural) is frozen in one shrink-only baseline,
-// tools/analyze/analyze.baseline.
+// The one suppression is an inline `upn-analyze-waive(<rule>: <reason>)` on
+// the finding's line.
 //
 // Every pass is pure (IR in, findings out) and thread-safe by construction;
 // the engine owns ordering: findings are merged and sorted by
@@ -131,14 +130,6 @@ struct LayerSpec {
 [[nodiscard]] std::vector<Finding> run_layering_pass(
     const std::vector<Unit>& units, const LayerSpec& spec, const std::string& layers_path);
 
-// ---- contract coverage ----------------------------------------------------
-
-/// Public functions declared in src/**/*.hpp whose definition (inline or in
-/// any analyzed unit) has no contract macro and no waiver marker.  Functions
-/// whose bodies hold at most one statement (trivial accessors) and functions
-/// with no definition in the analyzed set are skipped.
-[[nodiscard]] std::vector<Finding> run_contract_coverage_pass(const std::vector<Unit>& units);
-
 // ---- hot-path performance -------------------------------------------------
 
 /// For every unit whose module carries a `hotpath` directive in the layers
@@ -151,9 +142,9 @@ struct LayerSpec {
 [[nodiscard]] std::vector<Finding> run_hotpath_pass(const std::vector<Unit>& units,
                                                     const LayerSpec& spec);
 
-// ---- interprocedural (pass families 8-11, over the call graph) ------------
+// ---- interprocedural (over the call graph) -------------------------------
 
-/// (8) Lock order and task blocking:
+/// Lock order and task blocking:
 ///   lock-order-cycle    the observed held-before relation over mutexes --
 ///                       direct nested acquisitions plus lock summaries
 ///                       propagated over resolved call edges -- contains a
@@ -166,24 +157,7 @@ struct LayerSpec {
 [[nodiscard]] std::vector<Finding> run_lock_order_pass(const CallGraph& graph,
                                                        const std::vector<Unit>& units);
 
-/// (9) Contract propagation:
-///   contract-violated-call   an integer-literal argument provably violates
-///                            the callee's UPN_REQUIRE comparison facts
-///   hotpath-unchecked-entry  a public, multi-statement, uncontracted
-///                            function in a hotpath-declared module with a
-///                            resolved caller in another module
-[[nodiscard]] std::vector<Finding> run_contract_propagation_pass(
-    const CallGraph& graph, const std::vector<Unit>& units, const LayerSpec& spec);
-
-/// (10) Exception safety: may-throw summaries (throw, contract macros in
-/// their default throw mode, allocations) propagated through non-noexcept
-/// callees and across task edges (the pool rethrows task exceptions):
-///   noexcept-may-throw  a noexcept function with a reachable throw
-///   dtor-may-throw      a (defaulted-noexcept) destructor that can throw
-[[nodiscard]] std::vector<Finding> run_exception_safety_pass(const CallGraph& graph,
-                                                             const std::vector<Unit>& units);
-
-/// (11) Dead functions: free src/ functions whose name is never referenced
+/// Dead functions: free src/ functions whose name is never referenced
 /// outside their own declarations anywhere in the analyzed tree (CLI, test,
 /// bench, and example roots included):
 ///   dead-function
@@ -214,23 +188,5 @@ struct LayerSpec {
 ///   schedule-dilation-exceeds-declaration    a packet moved more than declared
 ///   faultplan-duplicate-fault                a permanent fault listed twice
 [[nodiscard]] std::vector<Finding> run_artifact_pass(const SourceFile& file);
-
-// ---- baseline -------------------------------------------------------------
-
-/// True for the rules the baseline may freeze: contract-coverage, the
-/// hotpath-* rules and the interprocedural rules of families 8-11.
-[[nodiscard]] bool is_baselineable(const std::string& rule);
-
-/// The ratchet key of a finding: "file:rule:detail", the detail being the
-/// first quoted token of the message, so keys survive line drift.
-[[nodiscard]] std::string baseline_key(const Finding& finding);
-
-/// Baseline entries mapped to their 1-based lines; '#' starts a comment and
-/// blank lines are skipped.
-[[nodiscard]] std::map<std::string, std::size_t> parse_baseline(const std::string& content);
-
-/// The baseline file for the baselineable subset of `findings`: a comment
-/// header, then sorted unique keys.
-[[nodiscard]] std::string render_baseline(const std::vector<Finding>& findings);
 
 }  // namespace upn::analyze
