@@ -3,8 +3,8 @@
 // upn_analyze runs on every PR, so its wall time is part of the edit loop.
 // The bench collects the real repo tree once (IO measured separately from
 // analysis) and then times the full pass stack -- IR construction, layering,
-// concurrency, determinism taint, hot-path, include hygiene, artifacts, and
-// the whole-program call graph with its interprocedural passes -- at
+// concurrency, determinism taint, hot-path, include hygiene, and the
+// whole-program call graph with its interprocedural passes -- at
 // --jobs {1, 2, 7}, the same thread counts the determinism tests pin.
 // Scaling flattening out here means a pass serialized.
 #include <iostream>
@@ -63,10 +63,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- call graph + interprocedural stack, isolated from the other passes.
-  // Artifacts get no IR; they take no part in the call graph.
   std::vector<upn::analyze::Unit> units;
   for (const auto& file : input.files) {
-    if (upn::analyze::is_artifact_path(file.path)) continue;
     units.push_back(upn::analyze::build_unit(file.path, file.content));
   }
 

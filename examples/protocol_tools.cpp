@@ -4,7 +4,7 @@
 //   # generate a protocol and save it
 //   ./protocol_tools --mode generate --guest random:96:16:5 --host butterfly:3
 //                    --steps 4 --out /tmp/sim.upnp
-//   # validate + summarize a saved protocol
+//   # validate + summarize a saved protocol (exit 1 unless it is legal)
 //   ./protocol_tools --mode check --guest random:96:16:5 --host butterfly:3
 //                    --in /tmp/sim.upnp
 #include <cstdlib>
@@ -24,7 +24,8 @@ namespace {
 
 using namespace upn;
 
-void summarize(const Protocol& protocol, const Graph& guest, const Graph& host) {
+/// Prints the validator verdict and the summary table; returns the verdict.
+bool summarize(const Protocol& protocol, const Graph& guest, const Graph& host) {
   const ValidationResult validation = validate_protocol(protocol, guest, host);
   std::cout << "validator: " << (validation.ok ? "LEGAL" : validation.error) << "\n";
   const ProtocolMetrics metrics{protocol};
@@ -41,6 +42,7 @@ void summarize(const Protocol& protocol, const Graph& guest, const Graph& host) 
   table.add_row({std::string{"sum_i q_{i,T}"},
                  metrics.total_weight_at(protocol.guest_steps())});
   table.print(std::cout);
+  return validation.ok;
 }
 
 }  // namespace
@@ -84,8 +86,7 @@ int main(int argc, char** argv) {
       write_protocol(file, *result.protocol);
       std::cout << "wrote " << result.protocol->num_ops() << " ops ("
                 << result.protocol->host_steps() << " host steps) to " << out << "\n";
-      summarize(*result.protocol, guest, host);
-      return EXIT_SUCCESS;
+      return summarize(*result.protocol, guest, host) ? EXIT_SUCCESS : EXIT_FAILURE;
     }
     if (mode == "check") {
       const std::string in = cli.get("in", "/tmp/protocol.upnp");
@@ -95,8 +96,7 @@ int main(int argc, char** argv) {
         return EXIT_FAILURE;
       }
       const Protocol protocol = read_protocol(file);
-      summarize(protocol, guest, host);
-      return EXIT_SUCCESS;
+      return summarize(protocol, guest, host) ? EXIT_SUCCESS : EXIT_FAILURE;
     }
     std::cerr << "unknown --mode '" << mode << "' (generate | check)\n";
     return EXIT_FAILURE;

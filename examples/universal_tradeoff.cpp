@@ -21,10 +21,12 @@ int main(int argc, char** argv) {
     const auto n = static_cast<std::uint32_t>(cli.get_u64("n", 512));
     const auto steps = static_cast<std::uint32_t>(cli.get_u64("steps", 4));
     const bool csv = cli.has("csv");
-    Rng rng{cli.get_u64("seed", 7)};
+    const std::uint64_t seed = cli.get_u64("seed", 7);
+    Rng rng{seed};
 
     const Graph guest = make_random_regular(n, kGuestDegree, rng);
-    const auto rows = sweep_butterfly_hosts(guest, steps, n, rng);
+    ThreadPool pool{1};
+    const auto rows = sweep_butterfly_hosts_par(guest, steps, n, seed, pool);
 
     Table table{{"m", "load", "s (measured)", "n/m", "(n/m)log2(m)", "normalized",
                  "k (measured)", "k lower bd", "verified"}};

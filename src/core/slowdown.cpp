@@ -47,17 +47,6 @@ std::vector<std::uint32_t> butterfly_sweep_dimensions(const Graph& guest,
 
 }  // namespace
 
-std::vector<SlowdownRow> sweep_butterfly_hosts(const Graph& guest, std::uint32_t guest_steps,
-                                               std::uint32_t max_host_size, Rng& rng) {
-  UPN_REQUIRE(guest.num_nodes() > 0 && guest_steps > 0);
-  std::vector<SlowdownRow> rows;
-  for (const std::uint32_t d : butterfly_sweep_dimensions(guest, max_host_size)) {
-    const Graph host = make_butterfly(d);
-    rows.push_back(measure_slowdown(guest, host, guest_steps, rng));
-  }
-  return rows;
-}
-
 std::vector<SlowdownRow> sweep_butterfly_hosts_par(const Graph& guest,
                                                    std::uint32_t guest_steps,
                                                    std::uint32_t max_host_size,

@@ -32,17 +32,10 @@ struct SlowdownRow {
                                            PortModel port_model = PortModel::kSinglePort);
 
 /// Theorem 2.1 sweep: fixed guest, butterfly hosts of increasing dimension
-/// up to max_host_size.  One row per host.
-[[nodiscard]] std::vector<SlowdownRow> sweep_butterfly_hosts(const Graph& guest,
-                                                             std::uint32_t guest_steps,
-                                                             std::uint32_t max_host_size,
-                                                             Rng& rng);
-
-/// The same sweep with one pool task per (guest, host) grid point.  Point i
+/// up to max_host_size, one row per host.  One pool task per host: point i
 /// draws from its own Rng::stream(seed, i) and rows are collected by index,
 /// so the table is byte-identical for every pool size (including the serial
-/// size-1 pool); it differs numerically from the shared-rng serial sweep
-/// above only because the random streams are partitioned per point.
+/// size-1 pool).
 [[nodiscard]] std::vector<SlowdownRow> sweep_butterfly_hosts_par(
     const Graph& guest, std::uint32_t guest_steps, std::uint32_t max_host_size,
     std::uint64_t seed, ThreadPool& pool);

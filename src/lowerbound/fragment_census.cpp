@@ -62,7 +62,7 @@ GuestSample census_one_guest(const G0& g0, const Graph& host, std::uint32_t T,
 }
 
 /// Ordered reduction of per-guest samples into the census aggregate; runs
-/// serially in guest order on both the serial and the parallel path.
+/// serially in guest order whatever the pool size.
 FragmentCensus finalize_census(std::vector<GuestSample> samples, std::uint32_t n,
                                const CountingConstants& constants) {
   UPN_OBS_SPAN("lowerbound.census.finalize");
@@ -89,23 +89,6 @@ FragmentCensus finalize_census(std::vector<GuestSample> samples, std::uint32_t n
 }
 
 }  // namespace
-
-FragmentCensus run_fragment_census(const G0& g0, std::uint32_t butterfly_dimension,
-                                   std::uint32_t num_guests, std::uint32_t T, Rng& rng,
-                                   const CountingConstants& constants) {
-  UPN_REQUIRE(T >= 1, "run_fragment_census: need at least one guest step to cut at T/2");
-  const Graph host = make_butterfly(butterfly_dimension);
-  const std::uint32_t n = g0.num_nodes();
-  UPN_REQUIRE(n > 0 && host.num_nodes() > 0, "run_fragment_census: empty guest or host");
-  const double small_d_threshold = static_cast<double>(n) / std::sqrt(host.num_nodes());
-
-  std::vector<GuestSample> samples;
-  samples.reserve(num_guests);
-  for (std::uint32_t g = 0; g < num_guests; ++g) {
-    samples.push_back(census_one_guest(g0, host, T, small_d_threshold, rng));
-  }
-  return finalize_census(std::move(samples), n, constants);
-}
 
 FragmentCensus run_fragment_census_par(const G0& g0, std::uint32_t butterfly_dimension,
                                        std::uint32_t num_guests, std::uint32_t T,

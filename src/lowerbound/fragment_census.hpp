@@ -20,7 +20,6 @@
 #include "src/pebble/fragment.hpp"
 #include "src/topology/g0.hpp"
 #include "src/util/par.hpp"
-#include "src/util/rng.hpp"
 
 namespace upn {
 
@@ -43,18 +42,12 @@ struct FragmentCensus {
 
 /// Simulates `num_guests` random members of U[G_0] on a butterfly host of
 /// dimension `butterfly_dimension`, extracts one fragment each (at guest
-/// time T/2) and tabulates the census.  T is the simulated length.
-[[nodiscard]] FragmentCensus run_fragment_census(const G0& g0,
-                                                 std::uint32_t butterfly_dimension,
-                                                 std::uint32_t num_guests, std::uint32_t T,
-                                                 Rng& rng,
-                                                 const CountingConstants& constants = {});
-
-/// The census with one pool task per sampled guest.  Guest g draws its
-/// random regular graph, embedding, and simulation seed from its own
-/// Rng::stream(seed, g); per-guest rows are collected by guest index and
-/// the aggregate statistics (distinct count, mean k) are reduced serially
-/// in that order, so the census is byte-identical for every pool size.
+/// time T/2) and tabulates the census.  T is the simulated length.  One
+/// pool task per sampled guest: guest g draws its random regular graph,
+/// embedding, and simulation seed from its own Rng::stream(seed, g);
+/// per-guest rows are collected by guest index and the aggregate statistics
+/// (distinct count, mean k) are reduced serially in that order, so the
+/// census is byte-identical for every pool size.
 [[nodiscard]] FragmentCensus run_fragment_census_par(
     const G0& g0, std::uint32_t butterfly_dimension, std::uint32_t num_guests,
     std::uint32_t T, std::uint64_t seed, ThreadPool& pool,

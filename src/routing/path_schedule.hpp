@@ -28,6 +28,8 @@ struct PathSchedule {
   std::uint64_t total_moves = 0;
   /// moves[step] = (packet, from, to) triples, one per directed link.
   std::vector<std::vector<std::array<std::uint32_t, 3>>> moves;
+
+  friend bool operator==(const PathSchedule&, const PathSchedule&) = default;
 };
 
 /// Builds shortest paths (BFS with hashed tie-breaking) for every demand and

@@ -19,8 +19,7 @@
 //   kAbort            print the diagnostic to stderr and std::abort()
 //   kLog              print to stderr, bump a counter, and continue
 // The mode can be forced at startup with the environment variable
-// UPN_CONTRACT_MODE=throw|abort|log.  Defining UPN_NDEBUG_CONTRACTS at
-// compile time removes every check (the condition is not even evaluated).
+// UPN_CONTRACT_MODE=throw|abort|log.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +86,6 @@ void contract_failed(ContractKind kind, const char* condition, const char* file,
 }  // namespace detail
 }  // namespace upn
 
-#ifndef UPN_NDEBUG_CONTRACTS
-
 #define UPN_CONTRACT_IMPL_(kind, cond, ...)                                         \
   do {                                                                              \
     if (!(cond)) [[unlikely]] {                                                     \
@@ -96,15 +93,6 @@ void contract_failed(ContractKind kind, const char* condition, const char* file,
                                      ::std::string{__VA_ARGS__});                   \
     }                                                                               \
   } while (false)
-
-#else  // UPN_NDEBUG_CONTRACTS: compiled out, condition left unevaluated.
-
-#define UPN_CONTRACT_IMPL_(kind, cond, ...) \
-  do {                                      \
-    (void)sizeof((cond) ? 1 : 0);           \
-  } while (false)
-
-#endif
 
 #define UPN_REQUIRE(cond, ...) \
   UPN_CONTRACT_IMPL_(::upn::ContractKind::kRequire, cond, __VA_ARGS__)

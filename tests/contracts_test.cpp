@@ -186,7 +186,8 @@ TEST(ContractAdoption, FragmentCensusNeedsAGuestStep) {
   ScopedContractMode scoped{ContractMode::kThrow};
   Rng rng{1};
   const G0 g0 = make_g0(16, 8, rng);
-  EXPECT_THROW((void)run_fragment_census(g0, 2, 4, 0, rng, CountingConstants{}),
+  ThreadPool pool{1};
+  EXPECT_THROW((void)run_fragment_census_par(g0, 2, 4, 0, 1, pool, CountingConstants{}),
                ContractViolation);
 }
 

@@ -1,22 +1,20 @@
 // Determinism regression tests: the protocol / schedule / fault-plan
-// emitters must be bit-reproducible run to run.  Each test executes the
-// producer twice from identical inputs and compares the SERIALIZED bytes,
-// which is exactly what upn_analyze's artifact pass and the committed
-// fixtures depend on.
+// emitters must be reproducible run to run.  Each test executes the
+// producer twice from identical inputs and compares the results: the
+// serialized bytes for the .upnp and .upnf formats, the PathSchedule value
+// itself for the greedy scheduler.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
 #include "src/core/embedding.hpp"
-#include "src/core/embedding_io.hpp"
 #include "src/core/embedding_metrics.hpp"
 #include "src/core/universal_sim.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/pebble/io.hpp"
 #include "src/routing/hh_problem.hpp"
 #include "src/routing/path_schedule.hpp"
-#include "src/routing/schedule_io.hpp"
 #include "src/topology/builders.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/random_regular.hpp"
@@ -45,18 +43,17 @@ TEST(Determinism, PipelineEmitsByteIdenticalProtocols) {
   EXPECT_EQ(first, second);
 }
 
-std::string emitted_schedule() {
+PathSchedule emitted_schedule() {
   const Graph host = make_cycle(16);
   Rng rng{0xfeed};
   const HhProblem problem = random_permutation_problem(16, rng);
-  const PathSchedule schedule = schedule_paths(host, problem);
-  std::ostringstream os;
-  write_path_schedule(os, schedule, static_cast<std::uint32_t>(problem.size()));
-  return os.str();
+  return schedule_paths(host, problem);
 }
 
 TEST(Determinism, GreedySchedulerEmitsByteIdenticalSchedules) {
-  EXPECT_EQ(emitted_schedule(), emitted_schedule());
+  const PathSchedule first = emitted_schedule();
+  EXPECT_GT(first.total_moves, 0u);
+  EXPECT_EQ(first, emitted_schedule());
 }
 
 TEST(Determinism, FaultPlanGeneratorsAreSeedStable) {
@@ -82,17 +79,6 @@ TEST(Determinism, EmbeddingMetricsStableAcrossRuns) {
   EXPECT_EQ(a.congestion, b.congestion);
   EXPECT_EQ(a.dilation, b.dilation);
   EXPECT_EQ(a.total_path_length, b.total_path_length);
-}
-
-TEST(Determinism, EmbeddingSerializationRoundTripsBytes) {
-  const auto embedding = make_block_embedding(12, 5);
-  std::ostringstream first;
-  write_embedding(first, embedding, 5);
-  std::istringstream is{first.str()};
-  const StoredEmbedding stored = read_embedding(is);
-  std::ostringstream second;
-  write_embedding(second, stored.map, stored.num_hosts);
-  EXPECT_EQ(first.str(), second.str());
 }
 
 TEST(Determinism, RngStreamSubstreamsArePinned) {

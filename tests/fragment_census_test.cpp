@@ -14,7 +14,8 @@ TEST(FragmentCensus, RunsAndTabulates) {
   const std::uint32_t a = g0_block_parameter(m);
   const std::uint32_t n = g0_round_guest_size(60, a);
   const G0 g0 = make_g0(n, m, rng);
-  const FragmentCensus census = run_fragment_census(g0, 2, 6, 8, rng);
+  ThreadPool pool{1};
+  const FragmentCensus census = run_fragment_census_par(g0, 2, 6, 8, 404, pool);
   EXPECT_EQ(census.guests, 6u);
   EXPECT_EQ(census.rows.size(), 6u);
   EXPECT_GT(census.mean_inefficiency, 0.0);
@@ -55,7 +56,8 @@ TEST(FragmentCensus, DistinctGuestsUsuallyDistinctFragments) {
   const std::uint32_t a = g0_block_parameter(m);
   const std::uint32_t n = g0_round_guest_size(60, a);
   const G0 g0 = make_g0(n, m, rng);
-  const FragmentCensus census = run_fragment_census(g0, 2, 5, 8, rng);
+  ThreadPool pool{1};
+  const FragmentCensus census = run_fragment_census_par(g0, 2, 5, 8, 505, pool);
   EXPECT_GE(census.distinct_fragments, 4u);
 }
 

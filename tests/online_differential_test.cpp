@@ -12,7 +12,7 @@
 #include "src/fault/fault_plan.hpp"
 #include "src/obs/obs.hpp"
 #include "src/routing/online/online_router.hpp"
-#include "src/routing/online/table_policy.hpp"
+#include "tests/support/table_policy.hpp"
 #include "src/routing/policies.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/mesh.hpp"

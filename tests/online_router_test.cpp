@@ -8,7 +8,7 @@
 #include "src/core/online_adaptive_sim.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/routing/online/online_router.hpp"
-#include "src/routing/online/table_policy.hpp"
+#include "tests/support/table_policy.hpp"
 #include "src/routing/policies.hpp"
 #include "src/topology/builders.hpp"
 #include "src/topology/mesh.hpp"

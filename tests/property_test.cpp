@@ -2,9 +2,8 @@
 // random instances from every builder family and checks the invariants each
 // family declares -- degree bound, handshake lemma, connectivity where the
 // construction guarantees it -- plus fault-surgery containment
-// (surviving_subgraph is a subgraph of the original) and artifact round
-// trips (write -> read -> write is byte-identical for .upnp protocols and
-// .upns schedules).
+// (surviving_subgraph is a subgraph of the original) and the .upnp round
+// trip (write -> read -> write is byte-identical).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,10 +20,8 @@
 #include "src/fault/surgery.hpp"
 #include "src/pebble/io.hpp"
 #include "src/routing/hh_problem.hpp"
-#include "src/routing/path_schedule.hpp"
 #include "src/routing/policies.hpp"
 #include "src/routing/router.hpp"
-#include "src/routing/schedule_io.hpp"
 #include "src/topology/builders.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/ccc.hpp"
@@ -212,26 +209,6 @@ TEST(ArtifactRoundTrip, ProtocolWriteReadWriteIsByteIdentical) {
     const Protocol reread = read_protocol(in);
     std::ostringstream second;
     write_protocol(second, reread);
-    EXPECT_EQ(first.str(), second.str());
-  }
-}
-
-TEST(ArtifactRoundTrip, ScheduleWriteReadWriteIsByteIdentical) {
-  Rng rng{kPropertySeed + 3};
-  for (const std::uint32_t side : {6u, 8u}) {
-    SCOPED_TRACE("side=" + std::to_string(side));
-    const Graph host = make_torus(side, side);
-    const HhProblem problem = random_h_relation(host.num_nodes(), 2, rng);
-    const PathSchedule schedule = schedule_paths(host, problem);
-    const auto num_packets = static_cast<std::uint32_t>(problem.demands().size());
-
-    std::ostringstream first;
-    write_path_schedule(first, schedule, num_packets);
-    std::istringstream in{first.str()};
-    const StoredPathSchedule reread = read_path_schedule(in);
-    EXPECT_EQ(reread.num_packets, num_packets);
-    std::ostringstream second;
-    write_path_schedule(second, reread.schedule, reread.num_packets);
     EXPECT_EQ(first.str(), second.str());
   }
 }

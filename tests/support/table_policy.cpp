@@ -1,4 +1,4 @@
-#include "src/routing/online/table_policy.hpp"
+#include "tests/support/table_policy.hpp"
 
 #include "src/util/contracts.hpp"
 

@@ -136,7 +136,8 @@ TEST(MeasureSlowdown, RowIsConsistent) {
 TEST(SweepButterflyHosts, ProducesMonotoneHostSizes) {
   Rng rng{8};
   const Graph guest = make_random_regular(100, 6, rng);
-  const auto rows = sweep_butterfly_hosts(guest, 2, 100, rng);
+  ThreadPool pool{1};
+  const auto rows = sweep_butterfly_hosts_par(guest, 2, 100, 8, pool);
   ASSERT_GE(rows.size(), 2u);
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_GT(rows[i].m, rows[i - 1].m);

@@ -20,10 +20,10 @@
 // kind: std::sort over the variable, and insertion into a variable declared
 // std::set / std::map (re-ordering restores determinism).
 //
-// Sinks: the artifact writers (write_protocol/.upnp, write_embedding/.upne,
-// write_path_schedule/.upns, write_fault_plan/.upnf), the obs snapshot
-// exporters, and the UPN_OBS_* deterministic counter macros.  Sink calls may
-// span lines; arguments are joined across the balanced parens.
+// Sinks: the artifact writers (write_protocol/.upnp, write_fault_plan/.upnf),
+// the obs snapshot exporters, and the UPN_OBS_* deterministic counter
+// macros.  Sink calls may span lines; arguments are joined across the
+// balanced parens.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -220,8 +220,6 @@ struct Sink {
 
 const Sink kSinks[] = {
     {"write_protocol", "the .upnp protocol writer"},
-    {"write_embedding", "the .upne embedding writer"},
-    {"write_path_schedule", "the .upns schedule writer"},
     {"write_fault_plan", "the .upnf fault-plan writer"},
     {"write_snapshot_text", "the obs snapshot exporter"},
     {"write_snapshot_json", "the obs snapshot exporter"},

@@ -58,19 +58,11 @@ std::string Report::render_text() const {
 Report analyze(const Input& input) {
   ThreadPool pool{input.jobs};
 
-  // Artifacts (.upnp/.upne/.upns/.upnf) get the artifact pass; every other
-  // file is C++ and becomes a Unit.
-  std::vector<const SourceFile*> sources;
-  std::vector<const SourceFile*> artifacts;
-  for (const SourceFile& file : input.files) {
-    (is_artifact_path(file.path) ? artifacts : sources).push_back(&file);
-  }
-
   // Per-file work fans out on the pool; results are collected BY INDEX so
   // the merge below is independent of scheduling (src/util/par contract).
-  const std::vector<Unit> units = pool.parallel_map<Unit>(sources.size(), [&](std::size_t i) {
-    return build_unit(sources[i]->path, sources[i]->content);
-  });
+  const std::vector<SourceFile>& files = input.files;
+  const std::vector<Unit> units = pool.parallel_map<Unit>(
+      files.size(), [&](std::size_t i) { return build_unit(files[i].path, files[i].content); });
 
   // The per-unit pass trio (single-file rules, concurrency safety,
   // determinism taint) shares one fan-out; each worker owns exactly one unit.
@@ -84,15 +76,9 @@ Report analyze(const Input& input) {
         return findings;
       });
 
-  const std::vector<std::vector<Finding>> per_artifact =
-      pool.parallel_map<std::vector<Finding>>(
-          artifacts.size(), [&](std::size_t i) { return run_artifact_pass(*artifacts[i]); });
-
   std::vector<Finding> all;
-  for (const auto* fan_out : {&per_unit, &per_artifact}) {
-    for (const std::vector<Finding>& findings : *fan_out) {
-      all.insert(all.end(), findings.begin(), findings.end());
-    }
+  for (const std::vector<Finding>& findings : per_unit) {
+    all.insert(all.end(), findings.begin(), findings.end());
   }
 
   if (!input.layers_path.empty()) {
@@ -149,7 +135,7 @@ bool collect_tree(const TreeOptions& options, Input& input, std::string& error) 
         if (ec) break;
         if (!it->is_regular_file()) continue;
         const std::string path = it->path().generic_string();
-        if (is_source_path(path) || is_artifact_path(path)) files.push_back(it->path());
+        if (is_source_path(path)) files.push_back(it->path());
       }
       if (ec) {
         error = "cannot walk " + p.generic_string() + ": " + ec.message();
@@ -174,7 +160,7 @@ bool collect_tree(const TreeOptions& options, Input& input, std::string& error) 
                           [](const auto& a, const auto& b) { return a.first == b.first; }),
               keyed.end());
   if (keyed.empty()) {
-    error = "no C++ source or artifact to analyze under";
+    error = "no C++ source to analyze under";
     for (const std::string& given : options.paths) error += " " + given;
     return false;
   }

@@ -1,6 +1,6 @@
-// The upn_analyze engine: collects sources and artifacts, builds the IR per
-// C++ file on the util/par ThreadPool, runs every pass, and merges findings
-// in deterministic (file, line, rule, message) order -- the report is
+// The upn_analyze engine: collects C++ sources, builds the IR per file on
+// the util/par ThreadPool, runs every pass, and merges findings in
+// deterministic (file, line, rule, message) order -- the report is
 // byte-identical at every --jobs value (tests pin {1, 2, 7}).
 //
 // The engine reports through the obs registry (`analyze.*` counters: runs,
@@ -18,8 +18,7 @@ namespace upn::analyze {
 /// Everything one analysis run consumes, fully in memory so tests can drive
 /// the engine without touching disk.
 struct Input {
-  /// Repo-relative paths, forward slashes.  Files with an artifact extension
-  /// (is_artifact_path) get the artifact pass; the rest are C++.
+  /// Repo-relative paths, forward slashes.
   std::vector<SourceFile> files;
   std::string layers_path;  ///< "" skips the layering + hotpath passes
   std::string layers_text;
@@ -37,7 +36,7 @@ struct Report {
 /// Runs the full analysis.
 [[nodiscard]] Report analyze(const Input& input);
 
-/// Disk-walking front half: loads the .cpp/.hpp and artifact files under
+/// Disk-walking front half: loads the .cpp/.hpp files under
 /// `paths` (relative to `root` unless absolute), skipping files below a
 /// directory whose name matches one of `excludes` (an exact name, or a
 /// prefix when the entry ends in '*'), plus root/docs/ARCHITECTURE.layers

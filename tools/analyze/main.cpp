@@ -1,8 +1,7 @@
 // upn_analyze CLI: whole-program static analysis with layering DAG
 // enforcement, flow-sensitive token rules, concurrency-safety and
 // determinism-taint passes, the hot-path performance pass, include hygiene,
-// the interprocedural passes, and artifact checks for .upnp/.upne/.upns/.upnf
-// files.
+// and the interprocedural passes.
 //
 // Usage:
 //   upn_analyze [--root DIR] [--jobs N] PATH...

@@ -1,27 +1,13 @@
-// Regenerates the CLEAN artifact fixtures under tests/fixtures/ and the
-// upn_analyze fixture trees under tests/fixtures-clean/analyze/ and
-// tests/fixtures-bad/analyze/.  Clean artifacts are produced
-// deterministically (fixed seeds, library writers) so a rerun after a format
-// change yields reviewable diffs.  One table below is the single source of
-// truth for both analyze trees, pairing each clean construct with its
-// deliberate violation; the bad tree's artifacts/ directory holds one
-// corrupted artifact per artifact rule.
+// Regenerates the upn_analyze fixture trees under
+// tests/fixtures-clean/analyze/ and tests/fixtures-bad/analyze/.  One table
+// below is the single source of truth for both trees, pairing each clean
+// construct with its deliberate violation, so a rerun after a rule change
+// yields reviewable diffs.
 //
-// Usage: make_fixtures <artifact-dir> [<analyze-clean-dir> <analyze-bad-dir>]
+// Usage: make_fixtures <clean-dir> <bad-dir>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <string>
-
-#include "src/core/embedding.hpp"
-#include "src/core/embedding_io.hpp"
-#include "src/fault/fault_plan.hpp"
-#include "src/pebble/io.hpp"
-#include "src/pebble/protocol.hpp"
-#include "src/routing/hh_problem.hpp"
-#include "src/routing/path_schedule.hpp"
-#include "src/routing/schedule_io.hpp"
-#include "src/topology/builders.hpp"
 
 namespace fs = std::filesystem;
 
@@ -403,52 +389,6 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "}  // namespace demo\n"
      "\n"
      "int main() { return demo::poke_everything(); }\n"},
-
-    // Artifacts (bad only), one violation each.  A bad header version is
-    // rejected by the reader itself.
-    {"artifacts/bad_header.upnp", nullptr,
-     "upn-protocol 9 2 2 1\n"
-     "step\n"
-     "G 0 0 1\n"},
-    {"artifacts/missing_final.upnp", nullptr,
-     "upn-protocol 1 2 2 1\n"
-     "step\n"
-     "G 0 0 1\n"},
-    {"artifacts/unmatched_receive.upnp", nullptr,
-     "upn-protocol 1 2 2 1\n"
-     "step\n"
-     "G 0 0 1\n"
-     "G 1 1 1\n"
-     "step\n"
-     "R 1 0 1 0\n"},
-    {"artifacts/load_exceeds.upne", nullptr,
-     "upn-embedding 1 4 4 1\n"
-     "0\n"
-     "0\n"
-     "1\n"
-     "2\n"},
-    {"artifacts/bounds_exceeded.upns", nullptr,
-     "upn-schedule 1 2 1 1 2\n"
-     "step\n"
-     "M 0 0 1\n"
-     "step\n"
-     "M 0 1 2\n"
-     "M 1 0 1\n"},
-    {"artifacts/broken_path.upns", nullptr,
-     "upn-schedule 1 1 1 2 2\n"
-     "step\n"
-     "M 0 0 1\n"
-     "step\n"
-     "M 0 3 4\n"},
-    {"artifacts/link_conflict.upns", nullptr,
-     "upn-schedule 1 2 2 1 1\n"
-     "step\n"
-     "M 0 0 1\n"
-     "M 1 0 1\n"},
-    {"artifacts/duplicate_fault.upnf", nullptr,
-     "upn-faultplan 1 0 2 0 0\n"
-     "L 0 1 0\n"
-     "L 1 0 5\n"},
 };
 
 void write_tree(const fs::path& root, bool bad) {
@@ -465,60 +405,12 @@ void write_tree(const fs::path& root, bool bad) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2 && argc != 4) {
-    std::cerr << "usage: make_fixtures <artifact-dir> [<analyze-clean-dir> <analyze-bad-dir>]\n";
+  if (argc != 3) {
+    std::cerr << "usage: make_fixtures <clean-dir> <bad-dir>\n";
     return 2;
   }
-  const fs::path out{argv[1]};
-  fs::create_directories(out);
-
-  if (argc == 4) {
-    write_tree(fs::path{argv[2]}, /*bad=*/false);
-    write_tree(fs::path{argv[3]}, /*bad=*/true);
-  }
-
-  // Protocol: 2 guests on 2 hosts, T = 1.  Step 1 generates both final
-  // pebbles; step 2 exchanges (P0, 1) so both hosts hold it.
-  {
-    upn::Protocol protocol{2, 2, 1};
-    protocol.begin_step();
-    protocol.add({upn::OpKind::kGenerate, 0, {0, 1}, 0});
-    protocol.add({upn::OpKind::kGenerate, 1, {1, 1}, 0});
-    protocol.begin_step();
-    protocol.add({upn::OpKind::kSend, 0, {0, 1}, 1});
-    protocol.add({upn::OpKind::kReceive, 1, {0, 1}, 0});
-    std::ofstream os{out / "exchange.upnp"};
-    upn::write_protocol(os, protocol);
-  }
-
-  // Embedding: 8 guests block-embedded on 4 hosts (load 2).
-  {
-    const auto embedding = upn::make_block_embedding(8, 4);
-    std::ofstream os{out / "block_8_on_4.upne"};
-    upn::write_embedding(os, embedding, 4);
-  }
-
-  // Schedule: a fixed permutation on an 8-cycle through the greedy
-  // farthest-to-go scheduler; header bounds are the derived C and D.
-  {
-    const upn::Graph host = upn::make_cycle(8);
-    upn::HhProblem problem{8};
-    for (upn::NodeId v = 0; v < 8; ++v) problem.add(v, (v + 3) % 8);
-    const upn::PathSchedule schedule = upn::schedule_paths(host, problem);
-    std::ofstream os{out / "cycle_shift.upns"};
-    upn::write_path_schedule(os, schedule, static_cast<std::uint32_t>(problem.size()));
-  }
-
-  // Fault plan: one permanent link cut, one node loss, one drop window.
-  {
-    upn::FaultPlan plan{7};
-    plan.add_link_fault({0, 1, 2});
-    plan.add_node_fault({3, 4});
-    plan.add_drop_window({0, 1, 0, 8, 0.25});
-    std::ofstream os{out / "mixed.upnf"};
-    upn::write_fault_plan(os, plan);
-  }
-
-  std::cout << "fixtures written to " << out.string() << "\n";
+  write_tree(fs::path{argv[1]}, /*bad=*/false);
+  write_tree(fs::path{argv[2]}, /*bad=*/true);
+  std::cout << "fixtures written to " << argv[1] << " and " << argv[2] << "\n";
   return 0;
 }

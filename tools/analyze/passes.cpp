@@ -15,15 +15,9 @@ bool finding_less(const Finding& a, const Finding& b) {
 
 const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> catalog = {
-      {"artifact-malformed",
-       "a .upnp/.upne/.upns/.upnf artifact that its library reader rejects"},
       {"dead-function",
        "a free src/ function whose name is never referenced outside its own declarations "
        "anywhere in the analyzed tree"},
-      {"embedding-load-exceeds-declaration",
-       "an embedding's actual load exceeds the bound its header declares"},
-      {"faultplan-duplicate-fault",
-       "a fault plan lists the same permanent link or node fault twice"},
       {"hotpath-alloc",
        "heap allocation inside a loop in a hotpath-declared module; hoist it or use a "
        "preallocated buffer"},
@@ -67,22 +61,9 @@ const std::vector<RuleInfo>& rule_catalog() {
        "an outer upn::Rng is used inside a parallel task; derive per-task sub-streams "
        "with Rng::stream(seed, index)"},
       {"pragma-once", "header is missing #pragma once"},
-      {"protocol-final-coverage",
-       "a final pebble (P_i, T) is never generated; the protocol does not finish the "
-       "simulation"},
-      {"protocol-unmatched-receive",
-       "a protocol receive has no matching send in the same step"},
       {"rng-by-value",
        "upn::Rng parameter taken by value forks the stream state; pass Rng& or derive a "
        "sub-stream with Rng::stream(seed, index)"},
-      {"schedule-broken-path",
-       "a path-schedule packet moves from a node it did not last arrive at"},
-      {"schedule-congestion-exceeds-declaration",
-       "a path schedule uses a directed link more often than its declared congestion"},
-      {"schedule-dilation-exceeds-declaration",
-       "a path-schedule packet takes more hops than its declared dilation"},
-      {"schedule-link-conflict",
-       "a path schedule uses one directed link twice in the same step"},
       {"taint-address",
        "a value derived from pointer identity flows into a deterministic sink; pointer "
        "values vary run to run"},

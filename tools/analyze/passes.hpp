@@ -1,6 +1,6 @@
 // upn_analyze pass families over the shared IR (tools/analyze/ir.hpp).
 //
-// Eight groups, one Finding vocabulary:
+// Seven groups, one Finding vocabulary:
 //
 //   * single-file rules (source_rules.cpp) -- banned patterns (unseeded
 //     std:: RNGs, rand(), std::endl, missing #pragma once) plus
@@ -28,8 +28,6 @@
 //   * interprocedural (callgraph.cpp, interproc.cpp) -- lock order, blocking
 //     calls reachable from pool tasks, and dead functions, over the
 //     whole-program call graph.
-//   * artifacts (artifacts.cpp) -- .upnp/.upne/.upns/.upnf files parse and
-//     stay within the bounds their headers declare.
 //
 // The one suppression is an inline `upn-analyze-waive(<rule>: <reason>)` on
 // the finding's line.
@@ -169,24 +167,5 @@ struct LayerSpec {
 /// Quoted includes that resolve inside the analyzed set but from whose
 /// transitive declaration closure the includer uses no name.
 [[nodiscard]] std::vector<Finding> run_include_hygiene_pass(const std::vector<Unit>& units);
-
-// ---- artifacts ------------------------------------------------------------
-
-/// True iff the path has an artifact extension: .upnp (protocol), .upne
-/// (embedding), .upns (path schedule) or .upnf (fault plan).
-[[nodiscard]] bool is_artifact_path(const std::string& path);
-
-/// Checks one artifact, kind decided by extension:
-///   artifact-malformed                       the library reader rejects it
-///                                            (file-scoped, line 0)
-///   protocol-unmatched-receive               a receive with no same-step send
-///   protocol-final-coverage                  a final pebble never generated
-///   embedding-load-exceeds-declaration       actual load over the header's
-///   schedule-link-conflict                   a directed link used twice in a step
-///   schedule-broken-path                     a packet leaves where it did not arrive
-///   schedule-congestion-exceeds-declaration  a link used more than declared
-///   schedule-dilation-exceeds-declaration    a packet moved more than declared
-///   faultplan-duplicate-fault                a permanent fault listed twice
-[[nodiscard]] std::vector<Finding> run_artifact_pass(const SourceFile& file);
 
 }  // namespace upn::analyze
