@@ -59,9 +59,13 @@ std::string json_number(double value) {
   return os.str();
 }
 
-/// Deterministic registry state, used for per-section delta attribution.
-std::vector<obs::MetricRow> deterministic_snapshot() {
-  return obs::registry().snapshot(obs::MetricKind::kDeterministic);
+/// Splits the registry's movement since `before` into the section's
+/// deterministic rows and its kTiming rows.
+void attribute(BenchResult& result, const std::vector<obs::MetricRow>& before) {
+  for (obs::MetricRow& row : obs::delta_rows(before, obs::registry().snapshot())) {
+    (row.kind == obs::MetricKind::kTiming ? result.timing : result.metrics)
+        .push_back(std::move(row));
+  }
 }
 
 }  // namespace
@@ -83,8 +87,7 @@ Harness::Harness(std::string name, int argc, const char* const* argv)
     : name_(std::move(name)), json_path_("BENCH_" + name_ + ".json") {
   const auto usage_exit = [&](const std::string& problem) {
     std::cerr << "bench_" << name_ << ": " << problem << "\nusage: bench_" << name_
-              << " [--threads=N] [--reps=R] [--warmup=W] [--json=PATH] [--no-json]"
-                 " [--trace=PATH]\n";
+              << " [--threads=N] [--reps=R] [--warmup=W] [--json=PATH] [--no-json]\n";
     std::exit(2);
   };
   try {
@@ -93,10 +96,9 @@ Harness::Harness(std::string name, int argc, const char* const* argv)
                                   : ThreadPool::default_threads();
     if (threads_ == 0) usage_exit("--threads must be an integer from 1 to 4096");
     reps_ = static_cast<std::size_t>(cli.get_u64("reps", 5));
-    if (reps_ < 1) reps_ = 1;
+    if (reps_ == 0) usage_exit("--reps must be at least 1");
     warmup_ = static_cast<std::size_t>(cli.get_u64("warmup", 1));
     json_path_ = cli.get("json", json_path_);
-    trace_path_ = cli.get("trace", "");
     write_json_ = !cli.has("no-json");
     const std::vector<std::string> unused = cli.unused();
     if (!unused.empty()) usage_exit("unknown flag --" + unused.front());
@@ -105,9 +107,8 @@ Harness::Harness(std::string name, int argc, const char* const* argv)
     std::exit(2);
   }
   // Benches always collect metrics: the snapshot is part of the BENCH json
-  // (schema v2) and per-phase deltas are what EXPERIMENTS.md decomposes.
+  // (schema v3) and per-phase deltas are what EXPERIMENTS.md decomposes.
   obs::set_enabled(true);
-  if (!trace_path_.empty()) obs::start_trace(trace_path_);
 }
 
 Harness::~Harness() = default;
@@ -122,27 +123,27 @@ ThreadPool& Harness::pool() {
 void Harness::once(const std::string& label, const std::function<void()>& fn) {
   BenchResult result;
   result.name = label;
-  const std::vector<obs::MetricRow> before = deterministic_snapshot();
+  const std::vector<obs::MetricRow> before = obs::registry().snapshot();
   const auto start = Clock::now();
   fn();
   result.times_ms.push_back(elapsed_ms(start, Clock::now()));
-  result.metrics = obs::delta_rows(before, deterministic_snapshot());
+  attribute(result, before);
   results_.push_back(std::move(result));
 }
 
 void Harness::measure(const std::string& label, const std::function<void()>& fn) {
   BenchResult result;
   result.name = label;
-  const std::vector<obs::MetricRow> before = deterministic_snapshot();
+  const std::vector<obs::MetricRow> before = obs::registry().snapshot();
   for (std::size_t w = 0; w < warmup_; ++w) fn();
   for (std::size_t r = 0; r < reps_; ++r) {
     const auto start = Clock::now();
     fn();
     result.times_ms.push_back(elapsed_ms(start, Clock::now()));
   }
-  // Attributed activity covers warmup + reps; deterministic for fixed
-  // --reps/--warmup regardless of --threads.
-  result.metrics = obs::delta_rows(before, deterministic_snapshot());
+  // Attributed activity covers warmup + reps; the deterministic rows are
+  // fixed by --reps/--warmup regardless of --threads.
+  attribute(result, before);
   results_.push_back(std::move(result));
 }
 
@@ -155,19 +156,11 @@ int Harness::finish() {
               << " ms (p10 " << result.p10_ms() << ", p90 " << result.p90_ms()
               << ", reps " << result.times_ms.size() << ")\n";
   }
-  if (!trace_path_.empty()) {
-    if (obs::write_trace()) {
-      std::cout << "wrote " << trace_path_ << "\n";
-    } else {
-      std::cerr << "bench_" << name_ << ": cannot write trace " << trace_path_ << "\n";
-      return 1;
-    }
-  }
   if (!write_json_) return 0;
 
   std::string json;
   json += "{\n";
-  json += "  \"schema_version\": 2,\n";
+  json += "  \"schema_version\": 3,\n";
   json += "  \"benchmark\": \"";
   append_json_escaped(json, name_);
   json += "\",\n";
@@ -186,24 +179,15 @@ int Harness::finish() {
     json += ", \"mean_ms\": " + json_number(result.mean_ms());
     json += ", \"min_ms\": " + json_number(result.min_ms());
     json += ", \"max_ms\": " + json_number(result.max_ms());
-    json += ",\n     \"metrics\": ";
-    {
-      std::ostringstream metric_json;
-      obs::write_snapshot_json(metric_json, result.metrics, 5);
-      json += metric_json.str();
-    }
+    json += ",\n     \"metrics\": " + obs::snapshot_json(result.metrics, 5);
+    json += ",\n     \"timing\": " + obs::snapshot_json(result.timing, 5);
     json += i + 1 < results_.size() ? "},\n" : "}\n";
   }
   json += "  ],\n";
   // Full end-of-run deterministic registry state: byte-identical across
   // --threads values for a fixed flag set.
-  json += "  \"metrics_snapshot\": ";
-  {
-    std::ostringstream snapshot_json;
-    obs::write_snapshot_json(
-        snapshot_json, obs::registry().snapshot(obs::MetricKind::kDeterministic), 2);
-    json += snapshot_json.str();
-  }
+  json += "  \"metrics_snapshot\": " +
+          obs::snapshot_json(obs::registry().snapshot(obs::MetricKind::kDeterministic), 2);
   json += "\n}\n";
 
   std::ofstream file{json_path_};

@@ -13,13 +13,12 @@
 //   --warmup=W    untimed warmup runs per measure() workload (default 1)
 //   --json=PATH   output path (default BENCH_<name>.json in the CWD)
 //   --no-json     skip writing the JSON file
-//   --trace=PATH  also record a Chrome trace-event file of all spans
 //
 // The harness switches the obs registry on for the whole run and attributes
-// deterministic metric deltas to each once()/measure() section, so the JSON
-// (schema v2, see docs/BENCHMARKS.md) decomposes every timed number into the
-// per-phase activity the paper reasons about -- routing steps vs replay
-// steps vs pebble moves.
+// metric deltas to each once()/measure() section, so the JSON (schema v3,
+// see docs/BENCHMARKS.md) decomposes every timed number into the per-phase
+// activity the paper reasons about -- routing steps vs replay steps vs
+// pebble moves -- and into the wall time each span took.
 //
 // Timings vary run to run; everything else a bench prints or records is
 // seeded and byte-stable, including across --threads values (the
@@ -45,12 +44,14 @@ inline void keep(const T& value) {
 }
 
 /// Wall times for one named workload (milliseconds, one entry per rep),
-/// plus the deterministic metric activity the section generated (summed
-/// over warmup + reps; thread-count-independent).
+/// plus the metric activity the section generated, summed over warmup +
+/// reps: `metrics` holds the deterministic rows (thread-count-independent),
+/// `timing` the kTiming rows (span durations, pool busy time).
 struct BenchResult {
   std::string name;
   std::vector<double> times_ms;
   std::vector<obs::MetricRow> metrics;
+  std::vector<obs::MetricRow> timing;
 
   [[nodiscard]] double median_ms() const;
   [[nodiscard]] double p10_ms() const;
@@ -91,7 +92,6 @@ class Harness {
  private:
   std::string name_;
   std::string json_path_;
-  std::string trace_path_;
   bool write_json_ = true;
   std::size_t reps_ = 5;
   std::size_t warmup_ = 1;

@@ -94,9 +94,9 @@ void write_snapshot_json(std::ostream& out, const std::vector<MetricRow>& rows,
   out << "]";
 }
 
-std::string snapshot_json(const std::vector<MetricRow>& rows) {
+std::string snapshot_json(const std::vector<MetricRow>& rows, int indent) {
   std::ostringstream out;
-  write_snapshot_json(out, rows);
+  write_snapshot_json(out, rows, indent);
   return out.str();
 }
 

@@ -26,8 +26,8 @@ void write_snapshot_text(std::ostream& out, const std::vector<MetricRow>& rows);
 void write_snapshot_json(std::ostream& out, const std::vector<MetricRow>& rows,
                          int indent = 0);
 
-/// Convenience: snapshot -> JSON string.
-[[nodiscard]] std::string snapshot_json(const std::vector<MetricRow>& rows);
+/// Convenience: snapshot -> JSON string (write_snapshot_json's `indent`).
+[[nodiscard]] std::string snapshot_json(const std::vector<MetricRow>& rows, int indent = 0);
 
 /// Convenience: snapshot -> text string.
 [[nodiscard]] std::string snapshot_text(const std::vector<MetricRow>& rows);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/util/contracts.hpp"
 
@@ -11,17 +9,7 @@ namespace upn::obs {
 
 namespace {
 
-/// -1: not yet read from the environment; 0/1 afterwards.
-std::atomic<int> g_enabled{-1};
-
-int enabled_from_env() noexcept {
-  const char* env = std::getenv("UPN_OBS");
-  if (env == nullptr) return 0;
-  return (std::strcmp(env, "1") == 0 || std::strcmp(env, "true") == 0 ||
-          std::strcmp(env, "on") == 0)
-             ? 1
-             : 0;
-}
+std::atomic<bool> g_enabled{false};
 
 /// Stripe a thread writes to: assigned once per thread in registration
 /// order.  Any fixed assignment works -- stripe sums commute.
@@ -33,19 +21,9 @@ std::size_t stripe_index() noexcept {
 
 }  // namespace
 
-bool enabled() noexcept {
-  int state = g_enabled.load(std::memory_order_relaxed);
-  if (state < 0) [[unlikely]] {
-    state = enabled_from_env();
-    int expected = -1;
-    g_enabled.compare_exchange_strong(expected, state, std::memory_order_relaxed);
-  }
-  return state == 1;
-}
+bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
-void set_enabled(bool on) noexcept {
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
+void set_enabled(bool on) noexcept { g_enabled.store(on, std::memory_order_relaxed); }
 
 // ---- Counter --------------------------------------------------------------
 

@@ -18,11 +18,9 @@
 // kTiming values (wall-clock sums like worker busy time) are excluded from
 // deterministic snapshots and never compared byte-for-byte.
 //
-// Collection is gated by the process-wide enabled() flag (initialized from
-// the UPN_OBS environment variable, flipped explicitly by tests and the
-// bench harness); disabled call sites cost one relaxed atomic load.
-// Defining UPN_NDEBUG_OBS compiles the UPN_OBS_* macros (src/obs/obs.hpp)
-// out entirely.
+// Collection is gated by the process-wide enabled() flag (off at start;
+// the bench harness, upnbench and the tests switch it on with set_enabled);
+// disabled call sites cost one relaxed atomic load.
 #pragma once
 
 #include <atomic>
@@ -39,8 +37,8 @@
 
 namespace upn::obs {
 
-/// Whether metric collection is on.  Initialized lazily from UPN_OBS
-/// (1/true/on); the bench harness and the obs tests switch it explicitly.
+/// Whether metric collection is on.  Starts off; only set_enabled() turns
+/// it on.
 [[nodiscard]] bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
 

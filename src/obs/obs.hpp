@@ -3,9 +3,7 @@
 // Call sites use the UPN_OBS_* macros below rather than touching the
 // registry directly: each expands to a statically-cached metric reference
 // guarded by obs::enabled() (one relaxed atomic load when collection is
-// off), and every macro compiles to nothing under UPN_NDEBUG_OBS --
-// tests/obs_disabled_test.cpp builds this TU-level and proves the registry
-// stays empty.
+// off).
 //
 // Metric names are string literals following `layer.subsystem.name`; the
 // catalog lives in docs/OBSERVABILITY.md.
@@ -14,8 +12,6 @@
 #include "src/obs/export.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/span.hpp"
-
-#ifndef UPN_NDEBUG_OBS
 
 #define UPN_OBS_CAT_IMPL_(a, b) a##b
 #define UPN_OBS_CAT_(a, b) UPN_OBS_CAT_IMPL_(a, b)
@@ -40,16 +36,6 @@
     }                                                                         \
   } while (false)
 
-/// Sets the named gauge's current value (and folds it into the max).
-#define UPN_OBS_GAUGE_SET(name, value)                                        \
-  do {                                                                        \
-    if (::upn::obs::enabled()) [[unlikely]] {                                 \
-      static ::upn::obs::Gauge& upn_obs_gauge_ =                              \
-          ::upn::obs::registry().gauge(name);                                 \
-      upn_obs_gauge_.set(static_cast<::std::int64_t>(value));                 \
-    }                                                                         \
-  } while (false)
-
 /// Records `value` into the named histogram.
 #define UPN_OBS_HIST(name, value)                                             \
   do {                                                                        \
@@ -71,9 +57,16 @@
     }                                                                         \
   } while (false)
 
-/// Opens a span for the rest of the enclosing scope.
-#define UPN_OBS_SPAN(name) \
-  ::upn::obs::ScopedSpan UPN_OBS_CAT_(upn_obs_span_, __LINE__) { name }
+/// Opens a span for the rest of the enclosing scope.  With collection on,
+/// its duration in ns goes into the kTiming histogram named after the span.
+#define UPN_OBS_SPAN(name)                                                    \
+  ::upn::obs::ScopedSpan UPN_OBS_CAT_(upn_obs_span_, __LINE__) {              \
+    name, ::upn::obs::enabled() ? &[]() -> ::upn::obs::Histogram& {           \
+      static ::upn::obs::Histogram& upn_obs_span_hist_ =                      \
+          ::upn::obs::registry().histogram(name, ::upn::obs::MetricKind::kTiming); \
+      return upn_obs_span_hist_;                                              \
+    }() : nullptr                                                             \
+  }
 
 /// Sets the step context for the rest of the enclosing scope.
 #define UPN_OBS_STEP(step) \
@@ -84,32 +77,3 @@
 /// Updates the step inside an existing UPN_OBS_STEP scope.
 #define UPN_OBS_SET_STEP(step) \
   ::upn::obs::set_current_step(static_cast<::std::uint64_t>(step))
-
-#else  // UPN_NDEBUG_OBS: every macro compiles to nothing.
-
-#define UPN_OBS_COUNT(name, delta) \
-  do {                             \
-  } while (false)
-#define UPN_OBS_GAUGE_MAX(name, value) \
-  do {                                 \
-  } while (false)
-#define UPN_OBS_GAUGE_SET(name, value) \
-  do {                                 \
-  } while (false)
-#define UPN_OBS_HIST(name, value) \
-  do {                            \
-  } while (false)
-#define UPN_OBS_TIMING_ADD(name, ns) \
-  do {                               \
-  } while (false)
-#define UPN_OBS_SPAN(name) \
-  do {                     \
-  } while (false)
-#define UPN_OBS_STEP(step) \
-  do {                     \
-  } while (false)
-#define UPN_OBS_SET_STEP(step) \
-  do {                         \
-  } while (false)
-
-#endif  // UPN_NDEBUG_OBS

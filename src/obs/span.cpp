@@ -1,12 +1,9 @@
 #include "src/obs/span.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <utility>
+#include <cstddef>
 
+#include "src/obs/metrics.hpp"
 #include "src/util/contracts.hpp"
 
 namespace upn::obs {
@@ -20,51 +17,12 @@ struct ThreadSpanState {
   std::size_t depth = 0;
   std::uint64_t step = 0;
   bool has_step = false;
-  std::uint32_t trace_tid = 0;  // assigned on first traced span
 };
 
 ThreadSpanState& thread_state() noexcept {
   thread_local ThreadSpanState state;
   return state;
 }
-
-// ---- trace session state.  g_trace_on is the fast-path gate; everything
-// else lives behind g_trace_mutex.
-std::atomic<bool> g_trace_on{false};
-
-std::mutex& trace_mutex() noexcept {
-  static std::mutex m;
-  return m;
-}
-
-struct TraceSession {
-  std::string path;
-  std::uint64_t origin_ns = 0;
-  std::vector<SpanEvent> events;
-  std::uint32_t next_tid = 1;
-  bool started_explicitly = false;
-};
-
-TraceSession& session() noexcept {
-  static TraceSession s;
-  return s;
-}
-
-void record_event(const char* name, std::uint64_t start_ns, std::uint64_t end_ns) {
-  ThreadSpanState& state = thread_state();
-  const std::lock_guard<std::mutex> lock{trace_mutex()};
-  if (!g_trace_on.load(std::memory_order_relaxed)) return;  // stopped meanwhile
-  TraceSession& s = session();
-  if (state.trace_tid == 0) state.trace_tid = s.next_tid++;
-  SpanEvent event;
-  event.name = name;
-  event.start_ns = start_ns - s.origin_ns;
-  event.dur_ns = end_ns - start_ns;
-  event.tid = state.trace_tid;
-  s.events.push_back(event);
-}
-
-void write_trace_at_exit() { write_trace(); }
 
 }  // namespace
 
@@ -77,28 +35,17 @@ std::uint64_t now_ns() noexcept {
 
 // ---- spans ----------------------------------------------------------------
 
-ScopedSpan::ScopedSpan(const char* name) noexcept : name_{name} {
+ScopedSpan::ScopedSpan(const char* name, Histogram* timing) noexcept : timing_{timing} {
   ThreadSpanState& state = thread_state();
-  if (state.depth < kMaxSpanDepth) state.stack[state.depth] = name_;
+  if (state.depth < kMaxSpanDepth) state.stack[state.depth] = name;
   ++state.depth;
-  init_trace_from_env();
-  if (trace_enabled()) {
-    timed_ = true;
-    start_ns_ = now_ns();
-  }
+  if (timing_ != nullptr) start_ns_ = now_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
   ThreadSpanState& state = thread_state();
   if (state.depth > 0) --state.depth;
-  if (!timed_) return;
-  // Destructors are implicitly noexcept; appending to the trace buffer can
-  // allocate, and an OOM escaping here would terminate the process mid
-  // unwind.  Dropping the event is the only safe failure mode.
-  try {
-    record_event(name_, start_ns_, now_ns());
-  } catch (...) {
-  }
+  if (timing_ != nullptr) timing_->record(now_ns() - start_ns_);
 }
 
 ScopedStep::ScopedStep(std::uint64_t step) noexcept {
@@ -121,17 +68,6 @@ void set_current_step(std::uint64_t step) noexcept {
   state.has_step = true;
 }
 
-std::string current_span_path() {
-  const ThreadSpanState& state = thread_state();
-  std::string path;
-  const std::size_t frames = state.depth < kMaxSpanDepth ? state.depth : kMaxSpanDepth;
-  for (std::size_t i = 0; i < frames; ++i) {
-    if (!path.empty()) path += '/';
-    path += state.stack[i];
-  }
-  return path;
-}
-
 std::string context_suffix() {
   const ThreadSpanState& state = thread_state();
   const std::size_t frames = state.depth < kMaxSpanDepth ? state.depth : kMaxSpanDepth;
@@ -146,85 +82,6 @@ std::string context_suffix() {
   }
   if (suffix.empty()) return suffix;
   return " [" + suffix + "]";
-}
-
-// ---- trace session --------------------------------------------------------
-
-bool trace_enabled() noexcept {
-  return g_trace_on.load(std::memory_order_relaxed);
-}
-
-void start_trace(std::string path) {
-  const std::lock_guard<std::mutex> lock{trace_mutex()};
-  TraceSession& s = session();
-  s.path = std::move(path);
-  s.origin_ns = now_ns();
-  s.events.clear();
-  s.started_explicitly = true;
-  g_trace_on.store(true, std::memory_order_relaxed);
-}
-
-bool init_trace_from_env() {
-  static std::atomic<bool> attempted{false};
-  if (attempted.exchange(true, std::memory_order_relaxed)) {
-    return trace_enabled();
-  }
-  {
-    const std::lock_guard<std::mutex> lock{trace_mutex()};
-    if (session().started_explicitly) return true;
-    const char* env = std::getenv("UPN_TRACE");
-    if (env == nullptr || env[0] == '\0') return false;
-    TraceSession& s = session();
-    s.path = env;
-    s.origin_ns = now_ns();
-    g_trace_on.store(true, std::memory_order_relaxed);
-  }
-  std::atexit(&write_trace_at_exit);
-  return true;
-}
-
-std::string trace_path() {
-  const std::lock_guard<std::mutex> lock{trace_mutex()};
-  return trace_enabled() ? session().path : std::string{};
-}
-
-bool write_trace() {
-  const std::lock_guard<std::mutex> lock{trace_mutex()};
-  if (!g_trace_on.load(std::memory_order_relaxed)) return false;
-  TraceSession& s = session();
-  if (s.path.empty()) return false;
-  std::FILE* out = std::fopen(s.path.c_str(), "w");
-  if (out == nullptr) return false;
-  // Chrome trace-event format, JSON-object flavor: "X" (complete) events
-  // with microsecond timestamps.  Perfetto and chrome://tracing both load it.
-  std::fputs("{\"traceEvents\":[", out);
-  bool first = true;
-  for (const SpanEvent& event : s.events) {
-    if (!first) std::fputc(',', out);
-    first = false;
-    std::fprintf(out,
-                 "\n{\"name\":\"%s\",\"cat\":\"upn\",\"ph\":\"X\","
-                 "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u}",
-                 event.name, static_cast<double>(event.start_ns) / 1000.0,
-                 static_cast<double>(event.dur_ns) / 1000.0, event.tid);
-  }
-  std::fputs("\n],\"displayTimeUnit\":\"ms\"}\n", out);
-  const bool ok = std::fclose(out) == 0;
-  return ok;
-}
-
-void stop_trace() {
-  const std::lock_guard<std::mutex> lock{trace_mutex()};
-  g_trace_on.store(false, std::memory_order_relaxed);
-  TraceSession& s = session();
-  s.path.clear();
-  s.events.clear();
-  s.started_explicitly = false;
-}
-
-std::vector<SpanEvent> trace_events() {
-  const std::lock_guard<std::mutex> lock{trace_mutex()};
-  return session().events;
 }
 
 // Install the span context into the contracts layer so ContractViolation

@@ -1,6 +1,10 @@
 #include "src/util/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
+#include <system_error>
+#include <type_traits>
 
 namespace upn {
 
@@ -34,18 +38,39 @@ std::string Cli::get(const std::string& name, std::string fallback) const {
   return it == values_.end() ? std::move(fallback) : it->second;
 }
 
+namespace {
+
+/// Parses the whole of `text` as an unsigned decimal of type T (finite for
+/// floating point): no sign, no hex, nothing left over.
+template <typename T>
+T parse_whole(const std::string& name, const std::string& text, const char* expected) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const bool unsigned_decimal = !text.empty() && text.front() != '-';
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  bool ok = unsigned_decimal && error == std::errc{} && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw std::invalid_argument{"Cli: --" + name + " expects " + expected + ", got '" +
+                                text + "'"};
+  }
+  return value;
+}
+
+}  // namespace
+
 std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t fallback) const {
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoull(it->second);
+  return parse_whole<std::uint64_t>(name, it->second, "an unsigned integer");
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_whole<double>(name, it->second, "a finite non-negative number");
 }
 
 std::vector<std::string> Cli::unused() const {

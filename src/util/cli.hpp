@@ -18,6 +18,8 @@ class Cli {
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name, std::string fallback) const;
+  /// Numeric flags take the whole value as an unsigned decimal (finite for
+  /// get_double); anything else throws std::invalid_argument naming the flag.
   [[nodiscard]] std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
 

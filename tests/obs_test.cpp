@@ -1,7 +1,7 @@
 // Unit tests for the obs layer: metric semantics (counter/gauge/histogram
 // and the fixed bucket layout), registry snapshot/reset behavior, span
-// nesting and error context, snapshot exporters, delta attribution, and the
-// trace session lifecycle.
+// nesting, span timing and error context, snapshot exporters, and delta
+// attribution.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -25,10 +25,7 @@ class ObsTest : public ::testing::Test {
     set_enabled(true);
     registry().reset();
   }
-  void TearDown() override {
-    registry().reset();
-    stop_trace();
-  }
+  void TearDown() override { registry().reset(); }
 };
 
 // ---- counters -------------------------------------------------------------
@@ -208,6 +205,10 @@ TEST_F(ObsTest, MacrosAreInertWhenDisabled) {
   UPN_OBS_COUNT("test.gated.counter", 1);
   UPN_OBS_GAUGE_MAX("test.gated.gauge", 5);
   UPN_OBS_HIST("test.gated.hist", 7);
+  UPN_OBS_TIMING_ADD("test.gated.timing", 9);
+  {
+    UPN_OBS_SPAN("test.gated.span");
+  }
   EXPECT_EQ(registry().size(), before) << "disabled macros must not register metrics";
   set_enabled(true);
   UPN_OBS_COUNT("test.gated.counter", 1);
@@ -216,25 +217,64 @@ TEST_F(ObsTest, MacrosAreInertWhenDisabled) {
 
 // ---- spans and context ----------------------------------------------------
 
-TEST_F(ObsTest, SpansNestPerThread) {
-  EXPECT_EQ(current_span_path(), "");
-  {
-    ScopedSpan outer{"outer"};
-    EXPECT_EQ(current_span_path(), "outer");
-    {
-      ScopedSpan inner{"inner"};
-      EXPECT_EQ(current_span_path(), "outer/inner");
-    }
-    EXPECT_EQ(current_span_path(), "outer");
+/// The kTiming row a span of this name left in `rows`, or null.  The
+/// pointer is into `rows`, so callers keep the snapshot alive.
+const MetricRow* timing_row(const std::vector<MetricRow>& rows, const std::string& name) {
+  for (const MetricRow& row : rows) {
+    if (row.name == name && row.kind == MetricKind::kTiming) return &row;
   }
-  EXPECT_EQ(current_span_path(), "");
+  return nullptr;
+}
+
+TEST_F(ObsTest, SpanRecordsItsDurationIntoATimingHistogram) {
+  {
+    UPN_OBS_SPAN("test.span.timed");
+  }
+  const std::vector<MetricRow> rows = registry().snapshot();
+  const MetricRow* row = timing_row(rows, "test.span.timed");
+  ASSERT_NE(row, nullptr) << snapshot_text(rows);
+  EXPECT_EQ(row->type, 'h');
+  EXPECT_EQ(row->count, 1u);
+  for (const MetricRow& deterministic : registry().snapshot(MetricKind::kDeterministic)) {
+    EXPECT_NE(deterministic.name, "test.span.timed") << "span timing leaked into the "
+                                                        "deterministic snapshot";
+  }
+}
+
+TEST_F(ObsTest, NestedSpansRecordSeparately) {
+  for (int i = 0; i < 3; ++i) {
+    UPN_OBS_SPAN("test.span.outer");
+    for (int j = 0; j < 2; ++j) {
+      UPN_OBS_SPAN("test.span.inner");
+    }
+  }
+  const std::vector<MetricRow> rows = registry().snapshot();
+  const MetricRow* outer = timing_row(rows, "test.span.outer");
+  const MetricRow* inner = timing_row(rows, "test.span.inner");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(outer->count, 3u);
+  EXPECT_EQ(inner->count, 6u);
+  EXPECT_GE(outer->sum, inner->sum) << "the outer spans enclose every inner one";
+}
+
+TEST_F(ObsTest, SpansInPoolTasksLandInTheSameHistogram) {
+  ThreadPool pool{4};
+  pool.parallel_for(40, [](std::size_t) { UPN_OBS_SPAN("test.span.pooled"); });
+  {
+    UPN_OBS_SPAN("test.span.pooled");
+  }
+  const std::vector<MetricRow> rows = registry().snapshot();
+  const MetricRow* row = timing_row(rows, "test.span.pooled");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->count, 41u);
 }
 
 TEST_F(ObsTest, ContextSuffixNamesInnermostSpanAndStep) {
   EXPECT_EQ(context_suffix(), "");
-  ScopedSpan outer{"sim.universal.run"};
+  UPN_OBS_SPAN("sim.universal.run");
   {
-    ScopedSpan inner{"sim.universal.route"};
+    UPN_OBS_SPAN("sim.universal.route");
     ScopedStep step{7};
     EXPECT_EQ(context_suffix(), " [in sim.universal.route, step 7]");
     set_current_step(8);
@@ -246,7 +286,7 @@ TEST_F(ObsTest, ContextSuffixNamesInnermostSpanAndStep) {
 
 TEST_F(ObsTest, ContractViolationsCarryTheSpanContext) {
   const ScopedContractMode mode{ContractMode::kThrow};
-  ScopedSpan span{"pebble.validator.replay"};
+  UPN_OBS_SPAN("pebble.validator.replay");
   ScopedStep step{3};
   try {
     UPN_REQUIRE(false, "synthetic failure");
@@ -257,38 +297,6 @@ TEST_F(ObsTest, ContractViolationsCarryTheSpanContext) {
     EXPECT_NE(what.find("[in pebble.validator.replay, step 3]"), std::string::npos)
         << what;
   }
-}
-
-// ---- trace session --------------------------------------------------------
-
-TEST_F(ObsTest, TraceSessionRecordsCompletedSpans) {
-  const std::string path = ::testing::TempDir() + "obs_test.trace.json";
-  start_trace(path);
-  EXPECT_TRUE(trace_enabled());
-  EXPECT_EQ(trace_path(), path);
-  {
-    ScopedSpan a{"phase.a"};
-    ScopedSpan b{"phase.b"};
-  }
-  const std::vector<SpanEvent> events = trace_events();
-  ASSERT_EQ(events.size(), 2u);
-  // Completion order: the inner span closes first.
-  EXPECT_STREQ(events[0].name, "phase.b");
-  EXPECT_STREQ(events[1].name, "phase.a");
-  EXPECT_GE(events[0].tid, 1u);
-  EXPECT_TRUE(write_trace());
-  stop_trace();
-  EXPECT_FALSE(trace_enabled());
-  EXPECT_TRUE(trace_events().empty());
-  EXPECT_FALSE(write_trace()) << "no session: write_trace must report failure";
-}
-
-TEST_F(ObsTest, SpansAreContextOnlyWithoutATraceSession) {
-  stop_trace();
-  {
-    ScopedSpan span{"phase.untraced"};
-  }
-  EXPECT_TRUE(trace_events().empty());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/util/cli.hpp"
@@ -207,6 +209,34 @@ TEST(Cli, DefaultsApply) {
   EXPECT_EQ(cli.get_u64("n", 42), 42u);
   EXPECT_DOUBLE_EQ(cli.get_double("alpha", 0.5), 0.5);
   EXPECT_EQ(cli.get("name", "fallback"), "fallback");
+}
+
+/// Expects `parse` to throw std::invalid_argument whose message names --flag.
+template <typename Parse>
+void expect_rejected(const char* flag, Parse parse) {
+  try {
+    (void)parse();
+    ADD_FAILURE() << "--" << flag << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find(std::string{"--"} + flag), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Cli, NumericFlagsTakeTheWholeUnsignedDecimal) {
+  const char* argv[] = {"prog",        "--neg=-1",  "--trail=2x", "--empty=",
+                        "--hex=0x10",  "--plus=+3", "--big=18446744073709551616",
+                        "--rate=0.25", "--inf=inf", "--nan=nan",  "--huge=1e999",
+                        "--drop=-0.5", "--max=18446744073709551615"};
+  Cli cli{13, argv};
+  for (const char* flag : {"neg", "trail", "empty", "hex", "plus", "big"}) {
+    expect_rejected(flag, [&] { return cli.get_u64(flag, 0); });
+  }
+  EXPECT_EQ(cli.get_u64("max", 0), ~std::uint64_t{0});
+  EXPECT_DOUBLE_EQ(cli.get_double("rate", 0), 0.25);
+  for (const char* flag : {"inf", "nan", "huge", "drop", "trail", "empty", "hex"}) {
+    expect_rejected(flag, [&] { return cli.get_double(flag, 0); });
+  }
 }
 
 TEST(Cli, RejectsPositionalArguments) {

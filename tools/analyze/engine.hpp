@@ -4,7 +4,7 @@
 // byte-identical at every --jobs value (tests pin {1, 2, 7}).
 //
 // The engine reports through the obs registry (`analyze.*` counters: runs,
-// files, findings, callgraph.*) when UPN_OBS collection is on.
+// files, findings, callgraph.*) when obs collection is on.
 #pragma once
 
 #include <cstddef>
