@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   {
     const Graph host = make_mesh(6, 6);
     const FaultPlan quiet;
-    OnlineRouter router{host, quiet, {}};
+    OnlineRouter router{host, quiet};
     (void)router.run_until_stable(1u << 12);
     harness.measure("protocol_round/mesh=6x6", [&] {
       const OnlineStepStats stats = router.step();
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     const FaultPlan plan =
         make_link_churn(host, static_cast<double>(pct) / 100.0, kSeed, kChurnHorizon);
     harness.measure("route_64_packets/churn=" + std::to_string(pct), [&] {
-      OnlineRouter router{host, plan, {}};
+      OnlineRouter router{host, plan};
       (void)router.run_until_stable(256);
       Rng rng{kSeed};
       std::vector<Packet> packets;

@@ -6,6 +6,7 @@
 //   ./route_explorer --host debruijn:6 --h 1 --offline-paths
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "src/routing/path_schedule.hpp"
 #include "src/routing/policies.hpp"
@@ -23,6 +24,8 @@ int main(int argc, char** argv) {
     const Graph host = make_topology(cli.get("host", "butterfly:4"));
     const auto h = static_cast<std::uint32_t>(cli.get_u64("h", 2));
     const auto instances = static_cast<std::uint32_t>(cli.get_u64("instances", 3));
+    if (h == 0) throw std::invalid_argument{"--h must be >= 1"};
+    if (instances == 0) throw std::invalid_argument{"--instances must be >= 1"};
     const std::string policy_name = cli.get("policy", "greedy");
     const PortModel port_model =
         cli.has("multiport") ? PortModel::kMultiPort : PortModel::kSinglePort;

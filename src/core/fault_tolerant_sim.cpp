@@ -11,6 +11,13 @@
 
 namespace upn {
 
+namespace {
+
+/// Extra routing rounds a phase may spend re-injecting lost packets.
+constexpr std::uint32_t kReinjectAttempts = 3;
+
+}  // namespace
+
 FaultTolerantSimulator::FaultTolerantSimulator(const Graph& guest, const Graph& host,
                                                const FaultPlan& plan,
                                                std::vector<NodeId> embedding)
@@ -51,9 +58,7 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
   auto guests_of = invert_embedding(embedding_, m);
   result.load = embedding_load(embedding_, m);
 
-  FaultRouteOptions route_opts{.plan = &revealed,
-                               .max_retries = options.max_retries,
-                               .backoff_base = options.backoff_base};
+  FaultRouteOptions route_opts{.plan = &revealed};
 
   // Routes `demands` at the current host step, re-injecting lost packets a
   // bounded number of times.  Returns false when packets remain lost (the
@@ -67,14 +72,13 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
     for (std::uint32_t attempt = 0; !ids.empty(); ++attempt) {
       if (attempt > 0) {
         UPN_OBS_COUNT("sim.fault.reinjections", ids.size());
-        if (attempt > options.reinject_attempts) return false;
+        if (attempt > kReinjectAttempts) return false;
       }
       result.packets_routed += ids.size();
       UPN_OBS_COUNT("sim.fault.packets_routed", ids.size());
       route_opts.step_offset = H;
       const RouteResult routed =
-          route_demands_with_faults(router, route_opts, options.policy, options.emit_protocol,
-                                    step, ids, deliver);
+          route_demands_with_faults(router, route_opts, options.emit_protocol, step, ids, deliver);
       H += routed.steps;
       result.comm_steps += routed.steps;
       result.retransmissions += routed.retransmissions;

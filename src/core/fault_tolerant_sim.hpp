@@ -28,20 +28,15 @@
 
 #include "src/fault/fault_plan.hpp"
 #include "src/pebble/protocol.hpp"
-#include "src/routing/router.hpp"
 #include "src/topology/graph.hpp"
 
 namespace upn {
 
+/// Routing runs on the router's internal greedy policy over the surviving
+/// subgraph, with FaultRouteOptions' retry and backoff defaults.
 struct FaultSimOptions {
-  /// External policy consulted first on live links; nullptr = the router's
-  /// internal greedy policy on the surviving subgraph.
-  RoutingPolicy* policy = nullptr;
-  std::uint64_t seed = 0x5eed;     ///< initial guest configurations
-  bool emit_protocol = false;      ///< single-port protocol, Section 3.1 rules
-  std::uint32_t max_retries = 16;  ///< per packet, per routing phase
-  std::uint32_t backoff_base = 1;  ///< retransmission backoff (doubles per retry)
-  std::uint32_t reinject_attempts = 3;  ///< extra routing rounds for lost packets
+  std::uint64_t seed = 0x5eed;  ///< initial guest configurations
+  bool emit_protocol = false;   ///< single-port protocol, Section 3.1 rules
 };
 
 struct FaultSimResult {

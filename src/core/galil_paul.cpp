@@ -19,7 +19,8 @@ GalilPaulCost galil_paul_step_cost(const Graph& guest, std::uint32_t m) {
 
   const std::vector<NodeId> embedding = make_block_embedding(guest.num_nodes(), m);
   const HhProblem relation = guest_step_relation(guest, embedding, sorter.wires());
-  const SortRouteStats stats = route_relation_by_sorting(relation, sorter);
+  const std::vector<std::uint64_t> payloads(relation.size());
+  const SortRouteStats stats = deliver_relation_by_sorting(relation, payloads, sorter).stats;
 
   GalilPaulCost cost;
   cost.rounds = stats.rounds;

@@ -132,15 +132,15 @@ RouteResult route_demands(SyncRouter& router, RoutingPolicy& policy, bool record
 }
 
 RouteResult route_demands_with_faults(SyncRouter& router, const FaultRouteOptions& faults,
-                                      RoutingPolicy* policy, bool record_transfers,
-                                      StepPayloads step, std::span<const std::uint32_t> ids,
+                                      bool record_transfers, StepPayloads step,
+                                      std::span<const std::uint32_t> ids,
                                       const DeliverFn& deliver) {
   UPN_REQUIRE(step.payloads.size() == step.demands.size(),
               "route_demands_with_faults: one payload per demand");
   return route_and_deliver(
       static_cast<std::uint32_t>(ids.size()), [&](std::uint32_t i) { return ids[i]; }, step,
       deliver, [&](std::vector<Packet> packets) {
-        return router.route_with_faults(std::move(packets), faults, policy, record_transfers);
+        return router.route_with_faults(std::move(packets), faults, nullptr, record_transfers);
       });
 }
 

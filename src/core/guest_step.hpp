@@ -87,7 +87,7 @@ class GuestStepKernel {
   std::uint64_t compute();
 
   /// compute() for a lossless backend: a slot left stale throws
-  /// std::logic_error naming `simulator`, in every contract mode.
+  /// std::logic_error naming `simulator`.
   void compute_lossless(const char* simulator);
 
   /// The configurations equal the direct execution of the steps computed.
@@ -114,13 +114,15 @@ class GuestStepKernel {
                                         bool record_transfers, StepPayloads step,
                                         const DeliverFn& deliver);
 
-/// Fault router: routes demands[ids[i]] as packet i under `faults` and
-/// delivers every packet that arrived as deliver(ids[i], payload).  Lost
-/// packets stay marked in the result for the caller to re-inject.
-[[nodiscard]] RouteResult route_demands_with_faults(
-    SyncRouter& router, const FaultRouteOptions& faults, RoutingPolicy* policy,
-    bool record_transfers, StepPayloads step, std::span<const std::uint32_t> ids,
-    const DeliverFn& deliver);
+/// Fault router: routes demands[ids[i]] as packet i under `faults` (on the
+/// router's internal greedy policy) and delivers every packet that arrived
+/// as deliver(ids[i], payload).  Lost packets stay marked in the result for
+/// the caller to re-inject.
+[[nodiscard]] RouteResult route_demands_with_faults(SyncRouter& router,
+                                                    const FaultRouteOptions& faults,
+                                                    bool record_transfers, StepPayloads step,
+                                                    std::span<const std::uint32_t> ids,
+                                                    const DeliverFn& deliver);
 
 /// Lossy online router: packet i is demand i, routed within `max_steps`
 /// host steps; only packets that survived churn are delivered.

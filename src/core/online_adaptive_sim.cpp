@@ -33,7 +33,7 @@ OnlineAdaptiveSimResult OnlineAdaptiveSimulator::run(std::uint32_t guest_steps,
   // step t keep serving step t+1, and the fault clock advances continuously
   // across phases -- this is what makes the regime online rather than a
   // per-step rebuild.
-  OnlineRouter router{*host_, *plan_, options.router};
+  OnlineRouter router{*host_, *plan_};
 
   OnlineAdaptiveSimResult result;
   result.guest_steps = guest_steps;

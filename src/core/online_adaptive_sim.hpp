@@ -28,7 +28,6 @@
 namespace upn {
 
 struct OnlineAdaptiveSimOptions {
-  OnlineRouterConfig router;           ///< protocol timers, seed, pool
   std::uint32_t warmup_rounds = 4096;  ///< table warmup budget before guest step 1
   std::uint32_t max_comm_steps = 1u << 14;  ///< per guest step; excess = stale reads
   std::uint64_t seed = 0x5eed;         ///< initial guest configurations

@@ -12,7 +12,6 @@ Protocol::Protocol(std::uint32_t num_guests, std::uint32_t num_hosts,
 
 void Protocol::add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint32_t partner) {
   UPN_REQUIRE(host_steps() > 0, "Protocol::add: begin_step() first");
-  if (host_steps() == 0) return;  // log-and-continue mode: drop the op instead of UB
   if (proc >= num_hosts_) {
     throw std::out_of_range{"Protocol::add: host processor out of range"};
   }

@@ -180,9 +180,9 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
     UPN_OBS_STEP(step);
     const std::span<const Op> ops = protocol.step(step);
     const std::uint32_t stamp = step + 1;
-    // First pass: one operation per processor (Protocol::add only logs a
-    // repeat under UPN_CONTRACT_MODE=log), and sends -- whose content must
-    // already be held at the start of the step.
+    // First pass: one operation per processor (checked here too, not only
+    // in Protocol::add, so the verdict does not rest on the emitter), and
+    // sends -- whose content must already be held at the start of the step.
     for (std::size_t k = 0; k < ops.size(); ++k) {
       const Op& op = ops[k];
       if (acted_in[op.proc] == stamp) {

@@ -21,44 +21,38 @@ namespace {
 
 }  // namespace
 
-OnlineRouter::OnlineRouter(const Graph& host, const FaultPlan& plan, OnlineRouterConfig config)
+static_assert(OnlineRouter::kAnnounceCap >= 2, "an announcement carries self plus routes");
+static_assert(OnlineRouter::kStaleAfter >= OnlineRouter::kHelloInterval,
+              "entries must survive at least one hello cycle");
+static_assert(OnlineRouter::kBackoffCap >= OnlineRouter::kBackoffBase);
+
+OnlineRouter::OnlineRouter(const Graph& host, const FaultPlan& plan)
     : graph_(&host),
-      config_(config),
+      max_ttl_(kTtlPerNode * host.num_nodes()),
       clock_(plan, host.num_nodes()),
       seq_(host.num_nodes(), 0),
       hello_phase_(host.num_nodes(), 0) {
   UPN_REQUIRE(host.num_nodes() >= 1, "OnlineRouter: the host must have nodes");
-  UPN_REQUIRE(config_.hello_interval >= 1, "OnlineRouter: hello_interval must be >= 1");
-  UPN_REQUIRE(config_.announce_cap >= 1, "OnlineRouter: announce_cap must admit self");
-  UPN_REQUIRE(config_.stale_after >= config_.hello_interval,
-              "OnlineRouter: entries must survive at least one hello cycle");
-  UPN_REQUIRE(config_.backoff_base >= 1, "OnlineRouter: backoff_base must be >= 1");
-  UPN_REQUIRE(config_.backoff_cap >= config_.backoff_base,
-              "OnlineRouter: backoff_cap must be >= backoff_base");
-  if (config_.max_ttl == 0) config_.max_ttl = 4 * host.num_nodes();
   // A working k-hop route legitimately lags up to one announcement-rotation
   // cycle per hop (the bandwidth cap walks the table one window per hello),
-  // so the broken-incumbent gate gets the rotation cycle plus the
-  // configured slack PER HOP; a flat gap would convict healthy long routes
-  // and flap the tables forever.
+  // so the broken-incumbent gate gets the rotation cycle plus kSeqLag slack
+  // PER HOP; a flat gap would convict healthy long routes and flap the
+  // tables forever.
   const std::uint32_t n = host.num_nodes();
-  const std::uint32_t rotation =
-      (n >= 2 && config_.announce_cap >= 2) ? (n - 2) / (config_.announce_cap - 1) + 1 : 1;
-  seq_lag_per_hop_ = config_.seq_lag + rotation;
+  const std::uint32_t rotation = n >= 2 ? (n - 2) / (kAnnounceCap - 1) + 1 : 1;
+  seq_lag_per_hop_ = kSeqLag + rotation;
   // An entry's staleness timer is only refreshed when its next hop
   // re-announces that origin, which the bandwidth cap delays by up to a
   // full rotation cycle -- so the staleness window must outlast the
-  // rotation or healthy routes expire spuriously.  Normalize rather than
-  // reject: the cap and the window are independently configurable knobs.
-  config_.stale_after =
-      std::max(config_.stale_after, (rotation + 2) * config_.hello_interval);
+  // rotation or healthy routes expire spuriously on large hosts.
+  stale_after_ = std::max(kStaleAfter, (rotation + 2) * kHelloInterval);
   tables_.reserve(host.num_nodes());
   for (NodeId v = 0; v < host.num_nodes(); ++v) {
     tables_.emplace_back(v);
     // Desynchronized hello timers: real meshes jitter announcements so churn
     // recovery is not phase-locked to a global clock; seeding the phase
     // keeps the desynchronization reproducible.
-    hello_phase_[v] = jitter(config_.seed, 0x48454c4cu + v, config_.hello_interval);
+    hello_phase_[v] = jitter(kSeed, 0x48454c4cu + v, kHelloInterval);
   }
   UPN_ENSURE(tables_.size() == host.num_nodes(), "one table per host node");
 }
@@ -68,9 +62,9 @@ void OnlineRouter::compose_hellos(std::vector<std::vector<RouteAnnouncement>>& i
   const std::uint32_t n = graph_->num_nodes();
   for (NodeId u = 0; u < n; ++u) {
     inbox[u].clear();
-    if ((now_ + hello_phase_[u]) % config_.hello_interval != 0) continue;
+    if ((now_ + hello_phase_[u]) % kHelloInterval != 0) continue;
     if (!clock_.node_alive(u)) continue;
-    inbox[u] = tables_[u].compose(++seq_[u], config_.announce_cap);
+    inbox[u] = tables_[u].compose(++seq_[u], kAnnounceCap);
     // The announcement is link-local: it reaches exactly the live neighbors.
     for (const NodeId nbr : graph_->neighbors(u)) {
       if (clock_.node_alive(nbr) && clock_.link_alive(u, nbr)) ++stats.announcements;
@@ -89,7 +83,7 @@ std::pair<std::uint64_t, std::uint64_t> OnlineRouter::absorb_inbox_at(
     return {0, dropped};
   }
   // Neighbors are visited in ascending id order, so the fold is a fixed
-  // sequential program per node regardless of how nodes are parallelized.
+  // sequential program per node.
   const std::uint32_t max_metric = graph_->num_nodes() - 1;
   for (const NodeId u : graph_->neighbors(v)) {
     if (inbox[u].empty()) continue;
@@ -101,7 +95,7 @@ std::pair<std::uint64_t, std::uint64_t> OnlineRouter::absorb_inbox_at(
       }
     }
   }
-  const std::uint64_t expired = tables_[v].expire(now_, config_.stale_after);
+  const std::uint64_t expired = tables_[v].expire(now_, stale_after_);
   return {revisions, expired};
 }
 
@@ -115,23 +109,12 @@ OnlineStepStats OnlineRouter::step() {
   std::vector<std::vector<RouteAnnouncement>> inbox(n);
   compose_hellos(inbox, stats);
 
-  // Fold announcements per receiving node.  Task v writes only tables_[v]
-  // and reads the (now frozen) inbox and fault clock, so the parallel fold
-  // is race-free; collecting by index makes the counter sums and the tables
-  // byte-identical to the serial path at any pool width.
-  if (config_.pool != nullptr) {
-    const auto deltas = config_.pool->parallel_map<std::pair<std::uint64_t, std::uint64_t>>(
-        n, [&](std::size_t v) { return absorb_inbox_at(static_cast<NodeId>(v), inbox); });
-    for (const auto& [revisions, expired] : deltas) {
-      stats.revisions += revisions;
-      stats.expired += expired;
-    }
-  } else {
-    for (NodeId v = 0; v < n; ++v) {
-      const auto [revisions, expired] = absorb_inbox_at(v, inbox);
-      stats.revisions += revisions;
-      stats.expired += expired;
-    }
+  // Fold announcements per receiving node, in index order.  Node v writes
+  // only tables_[v] and reads the (now frozen) inbox and fault clock.
+  for (NodeId v = 0; v < n; ++v) {
+    const auto [revisions, expired] = absorb_inbox_at(v, inbox);
+    stats.revisions += revisions;
+    stats.expired += expired;
   }
 
   UPN_OBS_COUNT("routing.online.steps", 1);
@@ -153,7 +136,7 @@ ConvergenceReport OnlineRouter::run_until_stable(std::uint32_t max_rounds) {
   // cycle: a route over a freshly dead link shows NO activity until silence
   // expires it stale_after rounds later, and declaring stability sooner
   // would freeze that corpse into the tables.
-  const std::uint32_t quiet_window = config_.stale_after + 1;
+  const std::uint32_t quiet_window = stale_after_ + 1;
   while (report.rounds < max_rounds) {
     const OnlineStepStats stats = step();
     ++report.rounds;
@@ -251,18 +234,16 @@ OnlineRouteResult OnlineRouter::route(std::vector<Packet> packets, std::uint32_t
   const auto backoff = [&](std::uint32_t step_now, Packet& p, std::uint32_t i) {
     ++result.retries;
     ++p.retries;
-    if (p.retries > config_.max_retries) {
+    if (p.retries > kMaxRetries) {
       p.lost = 1;
       ++result.lost;
       --undelivered;
       return;
     }
     const std::uint32_t shift = std::min<std::uint32_t>(p.retries, 16);
-    const std::uint32_t base =
-        std::min(config_.backoff_cap, config_.backoff_base << shift);
+    const std::uint32_t base = std::min(kBackoffCap, kBackoffBase << shift);
     release[i] = step_now + base +
-                 jitter(config_.seed, 0xb0ffu ^ (std::uint64_t{i} << 20) ^ p.retries,
-                        config_.backoff_base + 1);
+                 jitter(kSeed, 0xb0ffu ^ (std::uint64_t{i} << 20) ^ p.retries, kBackoffBase + 1);
   };
 
   struct Intent {
@@ -290,9 +271,7 @@ OnlineRouteResult OnlineRouter::route(std::vector<Packet> packets, std::uint32_t
         --undelivered;
         continue;
       }
-      const NodeId next = config_.policy != nullptr
-                              ? config_.policy->next_hop(*graph_, at, p)
-                              : tables_[at].next_hop(p.dst);
+      const NodeId next = tables_[at].next_hop(p.dst);
       if (next == kNoRoute || !graph_->has_edge(at, next) || !clock_.node_alive(next) ||
           !clock_.link_alive(at, next)) {
         backoff(step_now, p, i);
@@ -324,7 +303,7 @@ OnlineRouteResult OnlineRouter::route(std::vector<Packet> packets, std::uint32_t
         p.delivered_at = step_now;
         ++result.delivered;
         --undelivered;
-      } else if (hops[intent.packet] > config_.max_ttl) {
+      } else if (hops[intent.packet] > max_ttl_) {
         // The packet walked too far on stale routes; park it and let the
         // tables settle before it tries again.
         hops[intent.packet] = 0;

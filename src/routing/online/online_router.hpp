@@ -16,12 +16,10 @@
 // retries with seeded jittered backoff, a step ceiling instead of livelock)
 // rather than stopping the world.
 //
-// Determinism contract: for a fixed (graph, plan, config, packets), every
-// table, counter, and delivery verdict is byte-identical at every thread
-// width -- announcement processing parallelizes per node with results
-// merged in index order (src/util/par discipline), and all jitter derives
-// from the config seed, never from scheduling.  tests/online_golden_test
-// pins a seeded churn run at widths {1, 2, 7}.
+// Determinism contract: for a fixed (graph, plan, packets), every table,
+// counter, and delivery verdict is byte-identical run to run -- nodes fold
+// their announcements in index order, and all jitter derives from kSeed,
+// never from scheduling.  tests/online_golden_test pins a seeded churn run.
 #pragma once
 
 #include <cstdint>
@@ -32,24 +30,8 @@
 #include "src/routing/online/route_table.hpp"
 #include "src/routing/router.hpp"
 #include "src/topology/graph.hpp"
-#include "src/util/par.hpp"
 
 namespace upn {
-
-struct OnlineRouterConfig {
-  std::uint32_t hello_interval = 4;  ///< rounds between a node's announcements
-  std::uint32_t announce_cap = 8;    ///< max routes per announcement (bandwidth cap)
-  std::uint32_t stale_after = 24;    ///< rounds of silence before an entry expires
-  std::uint32_t backoff_base = 2;    ///< data-plane retry backoff; doubles per retry
-  std::uint32_t backoff_cap = 64;    ///< ceiling on any single backoff wait
-  std::uint32_t max_retries = 16;    ///< per packet, before declaring it lost
-  std::uint32_t max_ttl = 0;         ///< hops before a retry; 0 = 4 * num_nodes
-  std::uint32_t seq_lag = 4;         ///< per-hop seq slack (added to the rotation cycle)
-                                     ///< before an incumbent route is presumed broken
-  std::uint64_t seed = 0x0511;       ///< hello phases and backoff jitter
-  ThreadPool* pool = nullptr;        ///< per-node announcement processing; null = serial
-  RoutingPolicy* policy = nullptr;   ///< data-plane override; null = the route tables
-};
 
 /// Control-plane activity of one protocol round.
 struct OnlineStepStats {
@@ -77,15 +59,29 @@ struct OnlineRouteResult {
 
 class OnlineRouter {
  public:
+  /// Protocol timers and budgets, in rounds (= host steps) unless noted.
+  static constexpr std::uint32_t kHelloInterval = 4;  ///< rounds between a node's hellos
+  static constexpr std::uint32_t kAnnounceCap = 8;    ///< max routes per announcement
+  static constexpr std::uint32_t kStaleAfter = 24;    ///< silence before an entry expires;
+                                                      ///< the constructor may raise it
+  static constexpr std::uint32_t kBackoffBase = 2;    ///< retry backoff; doubles per retry
+  static constexpr std::uint32_t kBackoffCap = 64;    ///< ceiling on any single backoff wait
+  static constexpr std::uint32_t kMaxRetries = 16;    ///< per packet, before it is lost
+  static constexpr std::uint32_t kTtlPerNode = 4;     ///< hops before a retry: 4 * num_nodes
+  static constexpr std::uint32_t kSeqLag = 4;         ///< per-hop seq slack (added to the
+                                                      ///< rotation cycle) before an incumbent
+                                                      ///< route is presumed broken
+  static constexpr std::uint64_t kSeed = 0x0511;      ///< hello phases and backoff jitter
+
   /// Graph and plan must outlive the router.  The fault clock starts at
   /// step 0; every protocol round advances it by one host step.
-  OnlineRouter(const Graph& host, const FaultPlan& plan, OnlineRouterConfig config = {});
+  OnlineRouter(const Graph& host, const FaultPlan& plan);
 
   /// Runs one protocol round: advance churn, exchange hello announcements
   /// over live links, fold them into the tables, expire stale entries.
   OnlineStepStats step();
 
-  /// Steps until a full staleness window (stale_after + 1 consecutive
+  /// Steps until a full staleness window (stale_after() + 1 consecutive
   /// rounds) passes with zero revisions and zero expiries, or max_rounds
   /// elapse.  The window is a staleness window rather than a hello cycle
   /// because a dead link is INVISIBLE until silence expires its routes.
@@ -97,17 +93,17 @@ class OnlineRouter {
   /// protocol round and then moves packets one table-directed hop (one
   /// packet per directed link per step; lowest id wins contention).
   /// Packets with no usable route wait out a seeded jittered backoff and
-  /// retry; max_retries failures, a dead endpoint, or the step ceiling mark
+  /// retry; kMaxRetries failures, a dead endpoint, or the step ceiling mark
   /// a packet lost -- the call never throws on undeliverable traffic.
   [[nodiscard]] OnlineRouteResult route(std::vector<Packet> packets,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
                                         std::uint32_t max_steps = 1u << 16);
 
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
-  /// The NORMALIZED configuration: the constructor resolves max_ttl = 0 and
-  /// raises stale_after to outlast the announcement-rotation cycle, so
-  /// callers sizing convergence bounds must read the values back from here.
-  [[nodiscard]] const OnlineRouterConfig& config() const noexcept { return config_; }
+  /// The staleness window in force: kStaleAfter, raised by the constructor
+  /// to outlast the announcement-rotation cycle, so callers sizing
+  /// convergence bounds must read it back from here.
+  [[nodiscard]] std::uint32_t stale_after() const noexcept { return stale_after_; }
   [[nodiscard]] std::uint32_t now() const noexcept { return now_; }
   [[nodiscard]] const RouteTable& table(NodeId v) const { return tables_[v]; }
 
@@ -134,13 +130,14 @@ class OnlineRouter {
       NodeId v, const std::vector<std::vector<RouteAnnouncement>>& inbox);
 
   const Graph* graph_;
-  OnlineRouterConfig config_;
+  std::uint32_t stale_after_ = kStaleAfter;
+  std::uint32_t max_ttl_ = 0;  ///< kTtlPerNode * num_nodes
   FaultClock clock_;
   std::uint32_t now_ = 0;
   std::vector<RouteTable> tables_;
   std::vector<std::uint32_t> seq_;          ///< per-node hello sequence numbers
   std::vector<std::uint32_t> hello_phase_;  ///< seeded jitter desynchronizing hellos
-  std::uint32_t seq_lag_per_hop_ = 0;       ///< seq_lag + announcement-rotation cycle
+  std::uint32_t seq_lag_per_hop_ = 0;       ///< kSeqLag + announcement-rotation cycle
 };
 
 /// Canonical timing-free delivery verdict: one `<id> <src>-><dst> ok|lost`

@@ -16,7 +16,7 @@
 // merely stopped claiming the route (corpse routes cascade-expire hop by
 // hop instead of vouching for each other forever); the staleness window
 // must therefore outlast the announcement-rotation cycle, which
-// OnlineRouter normalizes into its config.  A metric ceiling (no honest
+// OnlineRouter folds into its stale_after().  A metric ceiling (no honest
 // route exceeds n - 1 hops) is the RIP-style infinity bound that stops
 // count-to-infinity: routes toward a dead origin inflate past the ceiling
 // and drain instead of circulating forever.  Death is DETECTED by

@@ -654,6 +654,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
 RouteTimeEstimate measure_route_time(const Graph& host, std::uint32_t h,
                                      RoutingPolicy& policy, PortModel port_model,
                                      std::uint32_t instances, Rng& rng) {
+  UPN_REQUIRE(h >= 1 && instances >= 1, "measure_route_time: h and instances must be >= 1");
   SyncRouter router{host, port_model};
   RouteTimeEstimate estimate;
   double sum = 0.0;
@@ -672,7 +673,7 @@ RouteTimeEstimate measure_route_time(const Graph& host, std::uint32_t h,
     estimate.worst_steps = std::max(estimate.worst_steps, result.steps);
     sum += result.steps;
   }
-  estimate.mean_steps = instances == 0 ? 0.0 : sum / instances;
+  estimate.mean_steps = sum / instances;
   return estimate;
 }
 

@@ -168,7 +168,7 @@ class SyncRouter {
 };
 
 /// route_M(h) measurement: routes `instances` random h-relations and returns
-/// the worst completion time observed.
+/// the worst completion time observed.  Requires h >= 1 and instances >= 1.
 struct RouteTimeEstimate {
   std::uint32_t worst_steps = 0;
   double mean_steps = 0.0;

@@ -22,60 +22,6 @@ constexpr std::uint32_t unpack_dst(std::uint64_t key) {
 
 }  // namespace
 
-SortRouteStats route_permutation_by_sorting(const std::vector<std::uint32_t>& perm,
-                                            const ComparatorNetwork& sorter) {
-  const auto n = static_cast<std::uint32_t>(perm.size());
-  if (n != sorter.wires()) {
-    throw std::invalid_argument{"route_permutation_by_sorting: size mismatch"};
-  }
-  std::vector<std::uint64_t> keys(n);
-  for (std::uint32_t i = 0; i < n; ++i) keys[i] = pack(perm[i], i);
-  sorter.apply(keys);
-  SortRouteStats stats;
-  stats.rounds = 1;
-  stats.comparator_steps = sorter.depth();
-  stats.delivered = true;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (unpack_dst(keys[i]) != i) {
-      stats.delivered = false;
-      break;
-    }
-  }
-  return stats;
-}
-
-SortRouteStats route_relation_by_sorting(const HhProblem& problem,
-                                         const ComparatorNetwork& sorter) {
-  const std::uint32_t n = problem.num_nodes();
-  if (n != sorter.wires()) {
-    throw std::invalid_argument{"route_relation_by_sorting: size mismatch"};
-  }
-  SortRouteStats stats;
-  stats.delivered = true;
-  for (const PermutationRound& round : decompose_into_permutations(problem)) {
-    // Complete the partial permutation with dummy packets on the unused
-    // source/destination pairs.
-    std::vector<std::uint32_t> perm(n, 0xffffffffu);
-    std::vector<char> dst_used(n, 0);
-    for (const Demand& d : round) {
-      perm[d.src] = d.dst;
-      dst_used[d.dst] = 1;
-    }
-    std::uint32_t free_dst = 0;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (perm[v] != 0xffffffffu) continue;
-      while (dst_used[free_dst]) ++free_dst;
-      perm[v] = free_dst;
-      dst_used[free_dst] = 1;
-    }
-    const SortRouteStats round_stats = route_permutation_by_sorting(perm, sorter);
-    stats.rounds += 1;
-    stats.comparator_steps += round_stats.comparator_steps;
-    stats.delivered = stats.delivered && round_stats.delivered;
-  }
-  return stats;
-}
-
 SortRouteDelivery deliver_relation_by_sorting(const HhProblem& problem,
                                               std::span<const std::uint64_t> payloads,
                                               const ComparatorNetwork& sorter) {

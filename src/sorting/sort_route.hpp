@@ -28,16 +28,6 @@ struct SortRouteStats {
   bool delivered = false;              ///< all packets reached their dst
 };
 
-/// Routes a full permutation (perm[i] = destination of the packet at i) on
-/// an array of sorter.wires() positions by destination-sorting.
-[[nodiscard]] SortRouteStats route_permutation_by_sorting(
-    const std::vector<std::uint32_t>& perm, const ComparatorNetwork& sorter);
-
-/// Routes an arbitrary h-relation by decomposing into partial permutations,
-/// completing each with dummies, and sorting each round.
-[[nodiscard]] SortRouteStats route_relation_by_sorting(const HhProblem& problem,
-                                                       const ComparatorNetwork& sorter);
-
 /// One record the sort delivered: the demand index that rode through the
 /// comparators, the node it landed on, and that demand's payload.
 struct SortRecord {
@@ -46,9 +36,11 @@ struct SortRecord {
   std::uint64_t payload = 0;
 };
 
-/// One payload-carrying delivery: `payloads[i]` is the data of the i-th
-/// demand; on return, `records` lists every record that arrived (in round
-/// order).  This makes sorting-based routing a real data mover, so the
+/// Routes an arbitrary h-relation on an array of sorter.wires() positions:
+/// decomposes it into partial permutations, completes each with dummy
+/// packets, and destination-sorts each round.  `payloads[i]` is the data of
+/// the i-th demand; on return, `records` lists every record that arrived (in
+/// round order).  This makes sorting-based routing a real data mover, so the
 /// Galil-Paul simulator can be verified end to end.
 struct SortRouteDelivery {
   SortRouteStats stats;

@@ -1,31 +1,10 @@
 #include "src/util/contracts.hpp"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace upn {
 
 namespace {
-
-ContractMode initial_mode() noexcept {
-  const char* env = std::getenv("UPN_CONTRACT_MODE");
-  if (env == nullptr) return ContractMode::kThrow;
-  if (std::strcmp(env, "abort") == 0) return ContractMode::kAbort;
-  if (std::strcmp(env, "log") == 0) return ContractMode::kLog;
-  return ContractMode::kThrow;
-}
-
-std::atomic<ContractMode>& mode_slot() noexcept {
-  static std::atomic<ContractMode> mode{initial_mode()};
-  return mode;
-}
-
-std::atomic<std::uint64_t>& violation_slot() noexcept {
-  static std::atomic<std::uint64_t> count{0};
-  return count;
-}
 
 std::atomic<ContractContextProvider>& context_provider_slot() noexcept {
   static std::atomic<ContractContextProvider> provider{nullptr};
@@ -46,20 +25,6 @@ const char* kind_name(ContractKind kind) noexcept {
 
 }  // namespace
 
-ContractMode contract_mode() noexcept { return mode_slot().load(std::memory_order_relaxed); }
-
-void set_contract_mode(ContractMode mode) noexcept {
-  mode_slot().store(mode, std::memory_order_relaxed);
-}
-
-std::uint64_t contract_violation_count() noexcept {
-  return violation_slot().load(std::memory_order_relaxed);
-}
-
-void reset_contract_violation_count() noexcept {
-  violation_slot().store(0, std::memory_order_relaxed);
-}
-
 void set_contract_context_provider(ContractContextProvider provider) noexcept {
   context_provider_slot().store(provider, std::memory_order_relaxed);
 }
@@ -75,19 +40,7 @@ void contract_failed(ContractKind kind, const char* condition, const char* file,
           context_provider_slot().load(std::memory_order_relaxed)) {
     what += provider();
   }
-  switch (contract_mode()) {
-    case ContractMode::kThrow:
-      throw ContractViolation{kind, what};
-    case ContractMode::kAbort:
-      std::fputs(what.c_str(), stderr);
-      std::fputc('\n', stderr);
-      std::abort();
-    case ContractMode::kLog:
-      violation_slot().fetch_add(1, std::memory_order_relaxed);
-      std::fputs(what.c_str(), stderr);
-      std::fputc('\n', stderr);
-      break;
-  }
+  throw ContractViolation{kind, what};
 }
 
 }  // namespace detail

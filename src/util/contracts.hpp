@@ -14,12 +14,8 @@
 // The message argument is optional and is only evaluated when the condition
 // fails, so contracts on hot paths cost one predictable branch.
 //
-// Failure handling is a process-wide runtime mode (ContractMode):
-//   kThrow (default)  throw upn::ContractViolation (derives std::logic_error)
-//   kAbort            print the diagnostic to stderr and std::abort()
-//   kLog              print to stderr, bump a counter, and continue
-// The mode can be forced at startup with the environment variable
-// UPN_CONTRACT_MODE=throw|abort|log.
+// A failed contract always throws upn::ContractViolation (derives
+// std::logic_error); no contract ever lets a run continue.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +26,7 @@ namespace upn {
 
 enum class ContractKind : std::uint8_t { kRequire, kEnsure, kInvariant };
 
-enum class ContractMode : std::uint8_t { kThrow, kAbort, kLog };
-
-/// Thrown (in ContractMode::kThrow) when a contract fails.
+/// Thrown when a contract fails.
 class ContractViolation : public std::logic_error {
  public:
   ContractViolation(ContractKind kind, std::string what)
@@ -44,16 +38,6 @@ class ContractViolation : public std::logic_error {
   ContractKind kind_;
 };
 
-/// Current process-wide failure mode (initialized from UPN_CONTRACT_MODE).
-[[nodiscard]] ContractMode contract_mode() noexcept;
-void set_contract_mode(ContractMode mode) noexcept;
-
-/// Violations observed in ContractMode::kLog since process start (or the
-/// last reset).  Lets tests and long-running sweeps assert "no contract
-/// fired" without dying mid-run.
-[[nodiscard]] std::uint64_t contract_violation_count() noexcept;
-void reset_contract_violation_count() noexcept;
-
 /// Optional context provider, appended to every contract diagnostic.  The
 /// obs layer installs one that names the current span and step (" [in
 /// sim.universal.route, step 12]") so a violation locates itself without
@@ -61,27 +45,11 @@ void reset_contract_violation_count() noexcept;
 using ContractContextProvider = std::string (*)();
 void set_contract_context_provider(ContractContextProvider provider) noexcept;
 
-/// RAII mode switch for tests: restores the previous mode on scope exit.
-class ScopedContractMode {
- public:
-  explicit ScopedContractMode(ContractMode mode) noexcept
-      : previous_(contract_mode()) {
-    set_contract_mode(mode);
-  }
-  ~ScopedContractMode() { set_contract_mode(previous_); }
-  ScopedContractMode(const ScopedContractMode&) = delete;
-  ScopedContractMode& operator=(const ScopedContractMode&) = delete;
-
- private:
-  ContractMode previous_;
-};
-
 namespace detail {
 
-/// Dispatches a failed contract according to contract_mode().  Returns only
-/// in ContractMode::kLog.
-void contract_failed(ContractKind kind, const char* condition, const char* file, int line,
-                     const std::string& message);
+/// Throws the ContractViolation for a failed contract.
+[[noreturn]] void contract_failed(ContractKind kind, const char* condition, const char* file,
+                                  int line, const std::string& message);
 
 }  // namespace detail
 }  // namespace upn

@@ -1,7 +1,6 @@
 // Tests for the UPN_REQUIRE / UPN_ENSURE / UPN_INVARIANT contract layer:
-// the three failure modes of the macros themselves, and one throw-mode
-// violation per instrumented module, so every contract surface is known to
-// actually fire (not just compile).
+// the macros themselves, and one violation per instrumented module, so every
+// contract surface is known to actually fire (not just compile).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -32,7 +31,6 @@ void ensure_fails() { UPN_ENSURE(false, "postcondition"); }
 void invariant_fails() { UPN_INVARIANT(false); }  // message is optional
 
 TEST(Contracts, ThrowModeCarriesKindAndLocation) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   try {
     require_fails();
     FAIL() << "UPN_REQUIRE did not throw";
@@ -59,89 +57,35 @@ TEST(Contracts, ThrowModeCarriesKindAndLocation) {
 }
 
 TEST(Contracts, ViolationIsALogicError) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   EXPECT_THROW(require_fails(), std::logic_error);
 }
 
-TEST(Contracts, PassingContractIsSilentInEveryMode) {
-  for (const ContractMode mode :
-       {ContractMode::kThrow, ContractMode::kLog, ContractMode::kAbort}) {
-    ScopedContractMode scoped{mode};
-    reset_contract_violation_count();
-    UPN_REQUIRE(true, "never evaluated");
-    UPN_ENSURE(2 + 2 == 4);
-    UPN_INVARIANT(true);
-    EXPECT_EQ(contract_violation_count(), 0u);
-  }
-}
-
-TEST(Contracts, LogModeCountsAndContinues) {
-  ScopedContractMode scoped{ContractMode::kLog};
-  reset_contract_violation_count();
-  EXPECT_NO_THROW(require_fails());
-  EXPECT_NO_THROW(ensure_fails());
-  EXPECT_NO_THROW(invariant_fails());
-  EXPECT_EQ(contract_violation_count(), 3u);
-  reset_contract_violation_count();
-  EXPECT_EQ(contract_violation_count(), 0u);
-}
-
-TEST(Contracts, ScopedModeRestores) {
-  const ContractMode before = contract_mode();
-  {
-    ScopedContractMode scoped{ContractMode::kLog};
-    EXPECT_EQ(contract_mode(), ContractMode::kLog);
-    {
-      ScopedContractMode nested{ContractMode::kThrow};
-      EXPECT_EQ(contract_mode(), ContractMode::kThrow);
-    }
-    EXPECT_EQ(contract_mode(), ContractMode::kLog);
-  }
-  EXPECT_EQ(contract_mode(), before);
-}
-
-using ContractsDeathTest = ::testing::Test;
-
-TEST(ContractsDeathTest, AbortModeDies) {
-  ScopedContractMode scoped{ContractMode::kAbort};
-  EXPECT_DEATH(require_fails(), "UPN_REQUIRE failed");
+TEST(Contracts, PassingContractIsSilent) {
+  EXPECT_NO_THROW(UPN_REQUIRE(true, "never evaluated"));
+  EXPECT_NO_THROW(UPN_ENSURE(2 + 2 == 4));
+  EXPECT_NO_THROW(UPN_INVARIANT(true));
 }
 
 // ---- one triggered violation per instrumented module ----------------------
 
 TEST(ContractAdoption, EmbeddingLoadRejectsZeroHosts) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   EXPECT_THROW((void)embedding_load({0, 0, 1}, 0), ContractViolation);
   EXPECT_EQ(embedding_load({}, 0), 0u);  // empty embedding is the one legal m == 0 case
 }
 
 TEST(ContractAdoption, ProtocolAddBeforeBeginStep) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   Protocol protocol{2, 2, 1};
   EXPECT_THROW(protocol.add({OpKind::kGenerate, 0, {0, 1}, 0}), ContractViolation);
 }
 
 TEST(ContractAdoption, ProtocolOneOpPerProcessorPerStep) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   Protocol protocol{2, 2, 1};
   protocol.begin_step();
   protocol.add({OpKind::kGenerate, 0, {0, 1}, 0});
   EXPECT_THROW(protocol.add({OpKind::kGenerate, 0, {1, 1}, 0}), ContractViolation);
 }
 
-TEST(ContractAdoption, ProtocolLogModeDropsTheIllegalOp) {
-  ScopedContractMode scoped{ContractMode::kLog};
-  reset_contract_violation_count();
-  Protocol protocol{2, 2, 1};
-  protocol.add({OpKind::kGenerate, 0, {0, 1}, 0});  // no begin_step(): dropped
-  EXPECT_EQ(protocol.num_ops(), 0u);
-  EXPECT_EQ(protocol.host_steps(), 0u);
-  EXPECT_EQ(contract_violation_count(), 1u);
-  reset_contract_violation_count();
-}
-
 TEST(ContractAdoption, RouterRejectsForeignPacketEndpoints) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   const Graph host = make_cycle(4);
   SyncRouter router{host, PortModel::kSinglePort};
   GreedyPolicy policy{host};
@@ -153,7 +97,6 @@ TEST(ContractAdoption, RouterRejectsForeignPacketEndpoints) {
 }
 
 TEST(ContractAdoption, PathScheduleRejectsForeignDemand) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   const Graph host = make_cycle(4);
   HhProblem problem{8};
   problem.add(6, 7);  // valid for the problem, out of range for this host
@@ -161,7 +104,6 @@ TEST(ContractAdoption, PathScheduleRejectsForeignDemand) {
 }
 
 TEST(ContractAdoption, DependencyGraphRejectsForeignNodes) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   const Graph guest = make_cycle(4);
   EXPECT_THROW((void)dependency_predecessors(guest, 4), ContractViolation);
   EXPECT_THROW((void)dependency_ball(guest, 99, 1), ContractViolation);
@@ -170,7 +112,6 @@ TEST(ContractAdoption, DependencyGraphRejectsForeignNodes) {
 }
 
 TEST(ContractAdoption, FragmentMultiplicityNeedsEvenDegree) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   Fragment fragment;
   fragment.B = {{0}};
   fragment.b = {1};
@@ -183,7 +124,6 @@ TEST(ContractAdoption, FragmentMultiplicityNeedsEvenDegree) {
 }
 
 TEST(ContractAdoption, FragmentCensusNeedsAGuestStep) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   Rng rng{1};
   const G0 g0 = make_g0(16, 8, rng);
   ThreadPool pool{1};
@@ -192,7 +132,6 @@ TEST(ContractAdoption, FragmentCensusNeedsAGuestStep) {
 }
 
 TEST(ContractAdoption, FaultPlanGeneratorsValidateInputs) {
-  ScopedContractMode scoped{ContractMode::kThrow};
   const Graph host = make_cycle(4);
   EXPECT_THROW((void)make_uniform_link_faults(host, 1.5, 1), ContractViolation);
   EXPECT_THROW((void)make_uniform_node_faults(host, -0.1, 1), ContractViolation);

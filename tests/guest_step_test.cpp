@@ -180,7 +180,7 @@ TEST(GuestStep, FaultRouterMutationIsDetected) {
     std::vector<std::uint32_t> ids(step.demands.size());
     for (std::uint32_t d = 0; d < ids.size(); ++d) ids[d] = d;
     const RouteResult routed =
-        route_demands_with_faults(router, faults, nullptr, false, step, ids, deliver);
+        route_demands_with_faults(router, faults, false, step, ids, deliver);
     ASSERT_EQ(routed.packets_lost, 0u);
   });
 }
@@ -263,10 +263,8 @@ TEST(GuestStep, DeliverRejectsDemandIndexOutOfRange) {
   EXPECT_THROW(kernel.deliver(size, 0), ContractViolation);
 }
 
-TEST(GuestStep, LosslessStaleSlotThrowsEvenInLogMode) {
-  // Under UPN_CONTRACT_MODE=log a contract only logs; a lossless backend
-  // that drops one delivery must still stop the simulation by name.
-  const ScopedContractMode log_mode{ContractMode::kLog};
+TEST(GuestStep, LosslessStaleSlotThrows) {
+  // A lossless backend that drops one delivery stops the simulation by name.
   const Fixture f = make_fixture();
   SyncRouter router{f.host, PortModel::kSinglePort};
   GreedyPolicy policy{f.host};

@@ -139,7 +139,6 @@ TEST_F(ObsTest, ResetZeroesButKeepsReferencesValid) {
 }
 
 TEST_F(ObsTest, ReregistrationWithDifferentTypeIsAContractViolation) {
-  const ScopedContractMode mode{ContractMode::kThrow};
   registry().counter("test.type.clash");
   EXPECT_THROW(registry().gauge("test.type.clash"), ContractViolation);
   EXPECT_THROW(registry().counter("test.type.clash", MetricKind::kTiming),
@@ -285,12 +284,11 @@ TEST_F(ObsTest, ContextSuffixNamesInnermostSpanAndStep) {
 }
 
 TEST_F(ObsTest, ContractViolationsCarryTheSpanContext) {
-  const ScopedContractMode mode{ContractMode::kThrow};
   UPN_OBS_SPAN("pebble.validator.replay");
   ScopedStep step{3};
   try {
     UPN_REQUIRE(false, "synthetic failure");
-    FAIL() << "UPN_REQUIRE(false) must throw in kThrow mode";
+    FAIL() << "UPN_REQUIRE(false) must throw";
   } catch (const ContractViolation& violation) {
     const std::string what = violation.what();
     EXPECT_NE(what.find("synthetic failure"), std::string::npos) << what;

@@ -31,23 +31,21 @@ namespace {
 ///     rotation cycle, bounded by (rotation + 2) hellos per hop;
 ///   - the stability detector then needs one quiet staleness window, and
 ///     one more window of slack absorbs hello-phase jitter.
-/// `config` must be the router's NORMALIZED config (stale_after raised to
+/// `stale_after` must be the router's stale_after() (kStaleAfter raised to
 /// outlast the rotation cycle).
-std::uint32_t convergence_bound(const Graph& live, const OnlineRouterConfig& config) {
+std::uint32_t convergence_bound(const Graph& live, std::uint32_t stale_after) {
   const std::uint32_t n = live.num_nodes();
   const std::uint32_t rotation =
-      n >= 2 ? (n - 2) / (config.announce_cap - 1) + 1 : 1;
+      n >= 2 ? (n - 2) / (OnlineRouter::kAnnounceCap - 1) + 1 : 1;
   const std::uint32_t diam = diameter(live);
-  return (diam + 2) * config.stale_after +
-         config.hello_interval * (rotation + 2) * (diam + 2) +
-         2 * (config.stale_after + 1);
+  return (diam + 2) * stale_after +
+         OnlineRouter::kHelloInterval * (rotation + 2) * (diam + 2) + 2 * (stale_after + 1);
 }
 
 void expect_stabilizes(const Graph& host, double churn_rate, std::uint64_t seed) {
   const std::uint32_t horizon = 64;
   const FaultPlan plan = make_link_churn(host, churn_rate, seed, horizon);
-  OnlineRouterConfig config;
-  OnlineRouter router{host, plan, config};
+  OnlineRouter router{host, plan};
 
   // Live through the churn: every scheduled event (including trailing
   // repairs) lands while the protocol keeps running.
@@ -59,7 +57,7 @@ void expect_stabilizes(const Graph& host, double churn_rate, std::uint64_t seed)
   // within the computed bound...
   const FaultPlan settled = plan.revealed_at(router.now());
   const Graph live = surviving_edges_graph(host, settled);
-  const std::uint32_t bound = convergence_bound(live, router.config());
+  const std::uint32_t bound = convergence_bound(live, router.stale_after());
   const ConvergenceReport report = router.run_until_stable(bound);
   EXPECT_TRUE(report.stable) << host.name() << " rate " << churn_rate << " bound " << bound;
 
@@ -107,7 +105,7 @@ TEST(OnlineConvergence, SurvivesPermanentDamageWithoutStabilityClaim) {
   const Graph host = make_mesh(4, 5);
   FaultPlan plan = make_link_churn(host, 0.2, 0x7ea1, 64);
   plan.add_node_fault(NodeFault{7, 20});
-  OnlineRouter router{host, plan, {}};
+  OnlineRouter router{host, plan};
   const std::uint32_t last = plan.epochs().back();
   while (router.now() <= last) (void)router.step();
   const ConvergenceReport report = router.run_until_stable(1u << 14);

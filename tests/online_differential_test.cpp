@@ -1,16 +1,12 @@
 // Zero-churn differential: with no faults in play, the online router's
 // learned tables must reproduce the offline router's behavior EXACTLY --
-// delivery verdicts byte-identical to the oracle-driven SyncRouter, and
-// byte-identical to themselves at every thread width (the pool only changes
-// wall-clock, never a bit of output).  This is the online regime's analogue
-// of the serial-reference contract in par_differential_test.
+// delivery verdicts byte-identical to the oracle-driven SyncRouter.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "src/fault/fault_plan.hpp"
-#include "src/obs/obs.hpp"
 #include "src/routing/online/online_router.hpp"
 #include "tests/support/table_policy.hpp"
 #include "src/routing/policies.hpp"
@@ -38,31 +34,16 @@ std::vector<Packet> seeded_packets(const Graph& g, std::uint32_t count, std::uin
   return packets;
 }
 
-/// Converges an online router at the given pool width and routes the
-/// packets, returning (verdicts, deterministic obs snapshot).
-struct OnlineRun {
-  std::string verdicts;
-  std::string snapshot;
-  std::uint32_t steps = 0;
-};
-
-OnlineRun run_online(const Graph& host, const std::vector<Packet>& packets, unsigned width) {
-  obs::set_enabled(true);
-  obs::registry().reset();
-  ThreadPool pool{width};
+/// Converges an online router on a quiet host and routes the packets,
+/// returning the delivery verdicts.
+std::string run_online(const Graph& host, const std::vector<Packet>& packets) {
   const FaultPlan quiet;  // churn rate 0: no events, ever
-  OnlineRouterConfig config;
-  config.pool = &pool;
-  OnlineRouter router{host, quiet, config};
+  OnlineRouter router{host, quiet};
   const ConvergenceReport report = router.run_until_stable(1u << 14);
   EXPECT_TRUE(report.stable);
   const OnlineRouteResult result = router.route(packets);
   EXPECT_EQ(result.lost, 0u);
-  OnlineRun run;
-  run.verdicts = delivery_verdicts(result.packets);
-  run.snapshot = obs::snapshot_text(obs::registry().snapshot(obs::MetricKind::kDeterministic));
-  run.steps = result.steps;
-  return run;
+  return delivery_verdicts(result.packets);
 }
 
 std::string run_offline(const Graph& host, std::vector<Packet> packets) {
@@ -77,24 +58,11 @@ void expect_online_matches_offline(const Graph& host) {
   const std::vector<Packet> packets = seeded_packets(host, 64, 0xd1ff);
   const std::string offline = run_offline(host, packets);
 
-  const OnlineRun serial = run_online(host, packets, 1);
-  EXPECT_EQ(serial.verdicts, offline) << host.name();
-
-  // Thread widths {1, 2, 7}: verdicts AND the full deterministic metric
-  // snapshot must be byte-identical to the serial reference.
-  for (const unsigned width : {2u, 7u}) {
-    const OnlineRun wide = run_online(host, packets, width);
-    EXPECT_EQ(wide.verdicts, serial.verdicts) << host.name() << " width " << width;
-    EXPECT_EQ(wide.snapshot, serial.snapshot) << host.name() << " width " << width;
-    EXPECT_EQ(wide.steps, serial.steps) << host.name() << " width " << width;
-  }
+  EXPECT_EQ(run_online(host, packets), offline) << host.name();
 
   // The table-policy bridge into the OFFLINE router agrees as well: learned
   // tables driving SyncRouter deliver everything the oracle delivers.
-  ThreadPool pool{1};
-  OnlineRouterConfig config;
-  config.pool = &pool;
-  OnlineRouter router{host, FaultPlan{}, config};
+  OnlineRouter router{host, FaultPlan{}};
   (void)router.run_until_stable(1u << 14);
   OnlineTablePolicy policy{router};
   SyncRouter sync{host, PortModel::kMultiPort};

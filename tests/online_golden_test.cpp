@@ -1,10 +1,8 @@
 // Golden snapshot regression for the online routing regime: one seeded
 // churn run -- convergence, live kill/heal events, data-plane traffic --
 // with the full deterministic routing.online.* metric snapshot pinned
-// byte-for-byte, and replayed at thread widths {1, 2, 7} to prove the
-// snapshot is thread-count-independent.  This binary holds exactly one
-// test so no other workload can register extra metrics into the
-// process-wide registry.
+// byte-for-byte.  This binary holds exactly one test so no other workload
+// can register extra metrics into the process-wide registry.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,22 +30,15 @@ counter   routing.online.steps               135
 gauge     routing.online.table_entries_peak  value=0 max=240
 counter   routing.online.table_revisions     255
 counter   routing.online.transfers           184
-histogram util.par.batch_size                count=135 sum=2160 [5:135]
-gauge     util.par.max_batch                 value=0 max=16
-counter   util.par.parallel_for_calls        135
-counter   util.par.tasks_run                 2160
 )";
 
-std::string churn_run_snapshot(unsigned width) {
+std::string churn_run_snapshot() {
   obs::set_enabled(true);
   obs::registry().reset();
 
   const Graph host = make_mesh(4, 4);
   const FaultPlan plan = make_link_churn(host, 0.25, 0x90'1d, /*horizon=*/96);
-  ThreadPool pool{width};
-  OnlineRouterConfig config;
-  config.pool = &pool;
-  OnlineRouter router{host, plan, config};
+  OnlineRouter router{host, plan};
 
   // Live through the churn, then converge, then route seeded traffic.
   while (router.now() < 96) (void)router.step();
@@ -71,14 +62,11 @@ std::string churn_run_snapshot(unsigned width) {
   return obs::snapshot_text(obs::registry().snapshot(obs::MetricKind::kDeterministic));
 }
 
-TEST(OnlineGolden, ChurnRunSnapshotIsPinnedAtEveryThreadWidth) {
-  const std::string serial = churn_run_snapshot(1);
-  EXPECT_EQ(serial, kGoldenSnapshot)
+TEST(OnlineGolden, ChurnRunSnapshotIsPinned) {
+  const std::string snapshot = churn_run_snapshot();
+  EXPECT_EQ(snapshot, kGoldenSnapshot)
       << "deterministic snapshot drifted; if intentional, update kGoldenSnapshot to:\n"
-      << serial;
-  for (const unsigned width : {2u, 7u}) {
-    EXPECT_EQ(churn_run_snapshot(width), serial) << "width " << width;
-  }
+      << snapshot;
 }
 
 }  // namespace

@@ -131,9 +131,7 @@ TEST(RouteTable, ComposeRotatesTheCappedWindow) {
 TEST(OnlineRouter, ConvergesToShortestPathsOnStaticHost) {
   const Graph host = make_mesh(4, 4);
   const FaultPlan plan;  // no churn
-  OnlineRouterConfig config;
-  config.announce_cap = 4;  // force rotation to do the propagation work
-  OnlineRouter router{host, plan, config};
+  OnlineRouter router{host, plan};
   const ConvergenceReport report = router.run_until_stable(4096);
   EXPECT_TRUE(report.stable);
   EXPECT_TRUE(router.loop_free());
@@ -146,7 +144,7 @@ TEST(OnlineRouter, ConvergesToShortestPathsOnStaticHost) {
 TEST(OnlineRouter, DeliversAllPairsOnStaticHost) {
   const Graph host = make_mesh(3, 3);
   const FaultPlan plan;
-  OnlineRouter router{host, plan, {}};
+  OnlineRouter router{host, plan};
   (void)router.run_until_stable(4096);
   const OnlineRouteResult result = router.route(all_pairs_packets(host));
   EXPECT_EQ(result.lost, 0u);
@@ -163,7 +161,7 @@ TEST(OnlineRouter, ReroutesAroundALinkDeathDetectedBySilence) {
 
   FaultPlan plan;
   plan.add_link_fault(LinkFault{0, 1, 40});
-  OnlineRouter router{host, plan, {}};
+  OnlineRouter router{host, plan};
   (void)router.run_until_stable(30);  // converge BEFORE the fault lands
   EXPECT_EQ(router.route_hops(0, 1), 1u);
 
@@ -189,7 +187,7 @@ TEST(OnlineRouter, RelearnsRoutesAfterRepair) {
   FaultPlan plan;
   plan.add_link_fault(LinkFault{0, 1, 10});
   plan.add_link_repair(LinkRepair{0, 1, 60});
-  OnlineRouter router{host, plan, {}};
+  OnlineRouter router{host, plan};
   while (router.now() <= 60) (void)router.step();  // live through kill AND heal
   (void)router.run_until_stable(4096);
   EXPECT_TRUE(router.loop_free());
@@ -200,7 +198,7 @@ TEST(OnlineRouter, DeadDestinationIsLostNotFatal) {
   const Graph host = make_mesh(3, 3);
   FaultPlan plan;
   plan.add_node_fault(NodeFault{8, 0});
-  OnlineRouter router{host, plan, {}};
+  OnlineRouter router{host, plan};
   (void)router.run_until_stable(4096);
 
   Packet doomed;
@@ -224,7 +222,7 @@ TEST(OnlineRouter, PartitionExhaustsRetriesInsteadOfLivelocking) {
   builder.add_edge(0, 1);
   builder.add_edge(2, 3);
   const Graph host = std::move(builder).build();
-  OnlineRouter router{host, FaultPlan{}, {}};
+  OnlineRouter router{host, FaultPlan{}};
   (void)router.run_until_stable(4096);
 
   Packet p;
@@ -239,7 +237,7 @@ TEST(OnlineRouter, PartitionExhaustsRetriesInsteadOfLivelocking) {
 
 TEST(OnlineRouter, TablePolicyDrivesTheOfflineRouter) {
   const Graph host = make_mesh(3, 3);
-  OnlineRouter router{host, FaultPlan{}, {}};
+  OnlineRouter router{host, FaultPlan{}};
   (void)router.run_until_stable(4096);
 
   OnlineTablePolicy policy{router};

@@ -4,7 +4,6 @@
 #include "src/pebble/protocol.hpp"
 #include "src/pebble/validator.hpp"
 #include "src/topology/builders.hpp"
-#include "src/util/contracts.hpp"
 
 namespace upn {
 namespace {
@@ -30,29 +29,6 @@ TEST(Protocol, RejectsTwoOpsSameProcessorSameStep) {
   EXPECT_THROW(protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}), std::logic_error);
   protocol.begin_step();
   protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0});  // fine next step
-}
-
-TEST(Validator, RejectsASecondOpOfAProcessorInLogMode) {
-  // Under UPN_CONTRACT_MODE=log, Protocol::add only logs a processor's
-  // second op in a step and keeps it, so the validator enforces the
-  // one-operation rule itself.  Without that check this protocol is legal:
-  // every final pebble is generated from initial predecessors.
-  ScopedContractMode scoped{ContractMode::kLog};
-  reset_contract_violation_count();
-  Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0});  // logged, kept
-  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{2, 1}, 0});
-  EXPECT_EQ(contract_violation_count(), 1u);
-  EXPECT_EQ(protocol.num_ops(), 3u);
-  const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("step 0: generate(P1,1) at proc 0: processor already acted "
-                              "this step"),
-            std::string::npos)
-      << result.error;
-  reset_contract_violation_count();
 }
 
 TEST(Protocol, RejectsOutOfRange) {

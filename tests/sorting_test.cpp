@@ -120,17 +120,22 @@ TEST(SortRoute, RoutesFullPermutation) {
   Rng rng{21};
   const ComparatorNetwork sorter = make_bitonic_sorter(64);
   const auto perm = rng.permutation(64);
-  const SortRouteStats stats = route_permutation_by_sorting(perm, sorter);
-  EXPECT_TRUE(stats.delivered);
-  EXPECT_EQ(stats.rounds, 1u);
-  EXPECT_EQ(stats.comparator_steps, sorter.depth());
+  HhProblem problem{64};
+  for (std::uint32_t i = 0; i < 64; ++i) problem.add(i, perm[i]);
+  const std::vector<std::uint64_t> payloads(problem.size());
+  const SortRouteDelivery delivery = deliver_relation_by_sorting(problem, payloads, sorter);
+  EXPECT_TRUE(delivery.stats.delivered);
+  EXPECT_EQ(delivery.stats.rounds, 1u);
+  EXPECT_EQ(delivery.stats.comparator_steps, sorter.depth());
+  EXPECT_EQ(delivery.records.size(), 64u);
 }
 
 TEST(SortRoute, RoutesHRelation) {
   Rng rng{22};
   const ComparatorNetwork sorter = make_bitonic_sorter(32);
   const HhProblem problem = random_h_relation(32, 3, rng);
-  const SortRouteStats stats = route_relation_by_sorting(problem, sorter);
+  const std::vector<std::uint64_t> payloads(problem.size());
+  const SortRouteStats stats = deliver_relation_by_sorting(problem, payloads, sorter).stats;
   EXPECT_TRUE(stats.delivered);
   EXPECT_LE(stats.rounds, 3u);
   EXPECT_EQ(stats.comparator_steps, static_cast<std::uint64_t>(stats.rounds) * sorter.depth());
@@ -138,8 +143,11 @@ TEST(SortRoute, RoutesHRelation) {
 
 TEST(SortRoute, SizeMismatchThrows) {
   const ComparatorNetwork sorter = make_bitonic_sorter(16);
-  EXPECT_THROW((void)route_permutation_by_sorting(std::vector<std::uint32_t>(8), sorter),
+  EXPECT_THROW((void)deliver_relation_by_sorting(HhProblem{8}, {}, sorter),
                std::invalid_argument);
+  HhProblem problem{16};
+  problem.add(0, 1);
+  EXPECT_THROW((void)deliver_relation_by_sorting(problem, {}, sorter), std::invalid_argument);
 }
 
 }  // namespace
