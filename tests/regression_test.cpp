@@ -3,6 +3,9 @@
 // behavioral change that needs a deliberate decision, not an accident.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "src/core/complete_sim.hpp"
 #include "src/core/embedding.hpp"
 #include "src/core/fault_tolerant_sim.hpp"
@@ -13,6 +16,7 @@
 #include "src/core/universal_sim.hpp"
 #include "src/compute/machine.hpp"
 #include "src/fault/fault_plan.hpp"
+#include "src/pebble/io.hpp"
 #include "src/routing/benes.hpp"
 #include "src/routing/policies.hpp"
 #include "src/topology/butterfly.hpp"
@@ -153,6 +157,60 @@ TEST(Regression, SimulatorCountsPinnedForFixedSeed) {
   EXPECT_TRUE(complete.configs_match);
   EXPECT_EQ(complete.host_steps, 110u);
   EXPECT_EQ(complete.slowdown, 110.0 / 3);
+}
+
+/// 64-bit FNV-1a of a protocol's .upnp text.
+std::uint64_t upnp_digest(const Protocol& protocol) {
+  std::ostringstream os;
+  write_protocol(os, protocol);
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const char c : os.str()) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(Regression, EmittedProtocolBytesPinned) {
+  // The exact .upnp text the emitters write, pinned across releases (two
+  // runs of one build agreeing is determinism_test's job).
+  {  // determinism_test's run: 16-node guest on butterfly(2), T = 4.
+    Rng guest_rng{99};
+    const Graph guest = make_random_regular(16, 4, guest_rng);
+    const Graph host = make_butterfly(2);
+    UniversalSimulator sim{guest, host, make_block_embedding(16, host.num_nodes())};
+    UniversalSimOptions options;
+    options.emit_protocol = true;
+    const UniversalSimResult result = sim.run(4, options);
+    ASSERT_TRUE(result.configs_match);
+    EXPECT_EQ(result.protocol->num_ops(), 1248u);
+    EXPECT_EQ(upnp_digest(*result.protocol), 10993649518908755404ull);
+  }
+  {  // The fault run above with emission on: 10% drops leave SENDs with no
+     // RECEIVE, and host 3 dies mid-run.
+    Rng rng{1000};
+    const Graph guest = make_random_regular(48, 8, rng);
+    const Graph host = make_butterfly(2);
+    const std::vector<NodeId> embedding = make_random_embedding(48, 12, rng);
+    FaultPlan fault_plan = make_uniform_drops(host, 0.1, 7);
+    fault_plan.add_node_fault(NodeFault{3, 300});
+    FaultTolerantSimulator fault_sim{guest, host, fault_plan, embedding};
+    FaultSimOptions options;
+    options.seed = 555;
+    options.emit_protocol = true;
+    const FaultSimResult result = fault_sim.run(3, options);
+    ASSERT_TRUE(result.completed);
+    ASSERT_TRUE(result.configs_match);
+    EXPECT_EQ(result.host_steps, 791u);
+    std::uint64_t sends = 0, receives = 0;
+    for (const Op& op : result.protocol->ops()) {
+      sends += op.kind == OpKind::kSend;
+      receives += op.kind == OpKind::kReceive;
+    }
+    EXPECT_GT(sends, receives);
+    EXPECT_EQ(result.protocol->num_ops(), 5449u);
+    EXPECT_EQ(upnp_digest(*result.protocol), 2297393885578690292ull);
+  }
 }
 
 TEST(Regression, BenesPathsDeterministic) {
