@@ -216,15 +216,24 @@ void emit_route_ops(Protocol& protocol, const RouteResult& routed, std::uint32_t
   // rather than in the wide Packet records.
   std::vector<NodeId> sender_of(routed.packets.size());
   for (std::size_t i = 0; i < routed.packets.size(); ++i) sender_of[i] = routed.packets[i].tag;
+  // One router step's ops, built here and handed to the protocol in one
+  // add_step; it grows to the largest step's two ops per transfer.
+  std::vector<Op> step_ops;
+  const TransferLog& log = routed.transfers;
   std::size_t cursor = 0;
   for (std::uint32_t step = 0; step < routed.steps; ++step) {
-    protocol.begin_step();
-    for (; cursor < routed.transfers.size() && routed.transfers[cursor].step == step; ++cursor) {
-      const Transfer& tr = routed.transfers[cursor];
+    std::size_t end = cursor;
+    while (end < log.size() && log[end].step == step) ++end;
+    if (step_ops.size() < 2 * (end - cursor)) step_ops.resize(2 * (end - cursor));
+    Op* out = step_ops.data();
+    for (; cursor < end; ++cursor) {
+      const Transfer& tr = log[cursor];
       const PebbleType pebble{sender_of[tr.packet], pebble_time};
-      protocol.add(Op{OpKind::kSend, tr.from, pebble, tr.to});
-      if (tr.dropped == 0) protocol.add(Op{OpKind::kReceive, tr.to, pebble, tr.from});
+      *out++ = Op{OpKind::kSend, tr.from, pebble, tr.to};
+      if (tr.dropped == 0) *out++ = Op{OpKind::kReceive, tr.to, pebble, tr.from};
     }
+    protocol.begin_step();
+    protocol.add_step({step_ops.data(), out});
   }
 }
 

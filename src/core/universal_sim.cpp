@@ -72,6 +72,16 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
           route_demands(router, *policy, options.emit_protocol, step, deliver);
       result.comm_steps += routed.steps;
       UPN_OBS_COUNT("sim.universal.comm_steps", routed.steps);
+      if (options.emit_protocol && t == 1) {
+        // Every guest step routes the same h-relation and runs the same
+        // rounds, so step 1 times T sizes the whole protocol.  Reserving
+        // before the first op makes the op array one allocation, never a
+        // doubling that briefly holds the old and the new array together.
+        std::uint64_t step_ops = n;  // one GENERATE per guest
+        for (const Transfer& tr : routed.transfers) step_ops += tr.dropped == 0 ? 2 : 1;
+        result.protocol->reserve(step_ops * guest_steps,
+                                 (std::uint64_t{routed.steps} + load_) * guest_steps);
+      }
       // Each router step becomes one protocol step; the single-port router
       // guarantees the transfers of a step form a matching, hence one op
       // per processor.
@@ -83,17 +93,7 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
     kernel.compute_lossless("UniversalSimulator");
     result.compute_steps += load_;
     UPN_OBS_COUNT("sim.universal.compute_steps", load_);
-    if (options.emit_protocol) {
-      emit_generate_rounds(&*result.protocol, guests_of_, t);
-      if (t == 1) {
-        // Every guest step routes the same h-relation and runs the same
-        // rounds, so step 1 times T sizes the whole protocol: one allocation
-        // instead of doubling growth, which would briefly hold the old and
-        // the new op array together.
-        result.protocol->reserve(result.protocol->num_ops() * guest_steps,
-                                 std::uint64_t{result.protocol->host_steps()} * guest_steps);
-      }
-    }
+    if (options.emit_protocol) emit_generate_rounds(&*result.protocol, guests_of_, t);
   }
 
   if (options.emit_protocol) {

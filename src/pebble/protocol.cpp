@@ -10,24 +10,55 @@ Protocol::Protocol(std::uint32_t num_guests, std::uint32_t num_hosts,
   proc_used_step_.assign(num_hosts, 0);
 }
 
+Protocol::OpFault Protocol::fault_of(OpKind kind, std::uint32_t proc, PebbleType pebble,
+                                     std::uint32_t partner,
+                                     std::uint32_t current) const noexcept {
+  if (proc >= num_hosts_) return OpFault::kProc;
+  if (pebble.node >= num_guests_ || pebble.time > guest_steps_) return OpFault::kPebble;
+  if (kind != OpKind::kGenerate && partner >= num_hosts_) return OpFault::kPartner;
+  if (proc_used_step_[proc] == current) return OpFault::kProcBusy;
+  return OpFault::kNone;
+}
+
 void Protocol::add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint32_t partner) {
   UPN_REQUIRE(host_steps() > 0, "Protocol::add: begin_step() first");
-  if (proc >= num_hosts_) {
+  const std::uint32_t current = host_steps();
+  const OpFault fault = fault_of(kind, proc, pebble, partner, current);
+  if (fault == OpFault::kProc) {
     throw std::out_of_range{"Protocol::add: host processor out of range"};
   }
-  if (pebble.node >= num_guests_ || pebble.time > guest_steps_) {
+  if (fault == OpFault::kPebble) {
     throw std::out_of_range{"Protocol::add: pebble type out of range"};
   }
-  if (kind != OpKind::kGenerate && partner >= num_hosts_) {
+  if (fault == OpFault::kPartner) {
     throw std::out_of_range{"Protocol::add: partner out of range"};
   }
-  const std::uint32_t current = host_steps();
-  UPN_REQUIRE(proc_used_step_[proc] != current,
+  UPN_REQUIRE(fault != OpFault::kProcBusy,
               "Protocol::add: processor already acted this step (pebble-game legality: "
               "at most one operation per processor per host step)");
   proc_used_step_[proc] = current;
   ops_.push_back(Op{kind, proc, pebble, partner});
   ++step_offsets_.back();
+}
+
+void Protocol::add_step(std::span<const Op> ops) {
+  const std::uint32_t current = host_steps();
+  std::size_t admitted = 0;
+  while (current > 0 && admitted < ops.size()) {
+    const Op& op = ops[admitted];
+    if (fault_of(op.kind, op.proc, op.pebble, op.partner, current) != OpFault::kNone) break;
+    proc_used_step_[op.proc] = current;
+    ++admitted;
+  }
+  if (admitted < ops.size()) {
+    // An illegal op (or no open step): unmark what this call admitted and
+    // let add() keep the legal prefix and throw its own exception.
+    for (std::size_t i = 0; i < admitted; ++i) proc_used_step_[ops[i].proc] = 0;
+    for (const Op& op : ops) add(op);
+    return;
+  }
+  ops_.insert(ops_.end(), ops.begin(), ops.end());
+  step_offsets_.back() += ops.size();
 }
 
 void Protocol::reserve(std::uint64_t total_ops, std::uint64_t total_steps) {

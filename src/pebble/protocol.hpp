@@ -18,6 +18,9 @@
 // Layout: one flat array of 16-byte ops plus a CSR `step_offsets` array
 // (host step s owns ops [step_offsets[s], step_offsets[s+1])), so emitting,
 // replaying and indexing a protocol are single passes over contiguous memory.
+// An emitter that builds a whole host step first hands it over with
+// add_step(): the ops are checked one by one exactly as add() checks them,
+// then appended to the flat array in one insert.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +88,11 @@ class Protocol {
   /// range-checked before it is packed (read_protocol's entry point).
   void add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint32_t partner);
 
+  /// add(op) for every op of `ops` in order, appended in one insert.  An
+  /// illegal op throws what add() throws, with the ops before it kept.
+  /// `ops` must not view this protocol's own storage.
+  void add_step(std::span<const Op> ops);
+
   /// Pre-sizes the flat arrays to hold `total_ops` operations in
   /// `total_steps` host steps, so an emitter that knows its size appends
   /// without reallocating (and never holds two copies of a large array).
@@ -125,6 +133,11 @@ class Protocol {
   }
 
  private:
+  /// Why an op may not join host step `current`, in add()'s check order.
+  enum class OpFault : std::uint8_t { kNone, kProc, kPebble, kPartner, kProcBusy };
+  [[nodiscard]] OpFault fault_of(OpKind kind, std::uint32_t proc, PebbleType pebble,
+                                 std::uint32_t partner, std::uint32_t current) const noexcept;
+
   std::uint32_t num_guests_;
   std::uint32_t num_hosts_;
   std::uint32_t guest_steps_;

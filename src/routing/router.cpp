@@ -203,7 +203,7 @@ RouteResult SyncRouter::replay_memo(std::vector<Packet> packets, bool record_tra
     packets[i].delivered_at = m.delivered_at[i];
   }
   result.packets = std::move(packets);
-  if (record_transfers) result.transfers = m.transfers;
+  if (record_transfers) result.transfers = m.transfers;  // shared, not copied
   for (const std::uint32_t queue : m.step_max_queue) {
     UPN_OBS_HIST("routing.sync.step_max_queue", queue);
   }
@@ -227,7 +227,7 @@ void SyncRouter::remember_route(const RouteResult& result, const RoutingPolicy* 
   m.total_transfers = result.total_transfers;
   m.max_queue = result.max_queue;
   m.has_transfers = record_transfers;
-  if (record_transfers) m.transfers = result.transfers;
+  if (record_transfers) m.transfers = result.transfers;  // shared, not copied
 }
 
 RouteResult SyncRouter::route_impl(std::vector<Packet> packets, RoutingPolicy* policy,
@@ -291,6 +291,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
   const NodeId* adj = csr_adjacency_;
 
   RouteResult result;
+  std::vector<Transfer> hops;  // the hop log, when record_transfers
 
   // Per-(node, port) FIFO queues as one intrusive linked list: slot s is the
   // directed link adj[s] out of its owning node; each slot carries its
@@ -550,7 +551,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
       ++result.total_transfers;
       const bool dropped = clock && clock->drops_packet(v, w, packet_index);
       if (record_transfers) {
-        result.transfers.push_back(
+        hops.push_back(
             Transfer{step, v, w, packet_index,
                      // Bool to byte, range {0,1}:
                      static_cast<std::uint8_t>(dropped ? 1 : 0)});  // upn-analyze-waive(narrowing-cast: bool to byte)
@@ -648,6 +649,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
   result.steps = step;
   for (std::uint32_t i = 0; i < num_packets; ++i) packets[i].retries = pk_retries[i];
   result.packets = std::move(packets);
+  if (record_transfers) result.transfers = TransferLog{std::move(hops)};
   return result;
 }
 

@@ -22,7 +22,9 @@
 // this one by tests/router_differential_test.cpp and the differential fuzzer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +60,27 @@ struct Transfer {
                               ///< in flight (emit a SEND with no RECEIVE)
 };
 
+/// A route's hop log in step order: immutable once routed, and shared, so
+/// copying a RouteResult or replaying the route memo hands out the same
+/// storage for the cost of a reference count.  Empty when not recorded.
+class TransferLog {
+ public:
+  TransferLog() = default;
+  /// Takes over `hops` without copying them.
+  explicit TransferLog(std::vector<Transfer>&& hops)
+      : hops_(std::make_shared<const std::vector<Transfer>>(std::move(hops))) {}
+
+  [[nodiscard]] const Transfer* data() const noexcept { return hops_ ? hops_->data() : nullptr; }
+  [[nodiscard]] std::size_t size() const noexcept { return hops_ ? hops_->size() : 0; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] const Transfer* begin() const noexcept { return data(); }
+  [[nodiscard]] const Transfer* end() const noexcept { return data() + size(); }
+  [[nodiscard]] const Transfer& operator[](std::size_t i) const noexcept { return data()[i]; }
+
+ private:
+  std::shared_ptr<const std::vector<Transfer>> hops_;
+};
+
 struct RouteResult {
   std::uint32_t steps = 0;          ///< steps until the last delivery
   std::uint64_t total_transfers = 0;
@@ -66,7 +89,7 @@ struct RouteResult {
   std::uint64_t retransmissions = 0;///< resends after transient drops
   std::uint64_t reroutes = 0;       ///< detours around permanently dead links
   std::vector<Packet> packets;      ///< with delivered_at filled in
-  std::vector<Transfer> transfers;  ///< full hop log if requested
+  TransferLog transfers;            ///< full hop log if requested
 };
 
 /// Chooses the outgoing neighbor for a packet.  Policies may keep per-run
@@ -139,7 +162,7 @@ class SyncRouter {
     std::uint64_t total_transfers = 0;
     std::uint32_t max_queue = 0;
     bool has_transfers = false;
-    std::vector<Transfer> transfers;  ///< the hop log, when has_transfers
+    TransferLog transfers;  ///< the hop log, when has_transfers
   };
 
   [[nodiscard]] bool memo_matches(const std::vector<Packet>& packets, const RoutingPolicy* policy,

@@ -241,6 +241,7 @@ TEST_F(RouterMemo, RepeatedRelationMatchesFreshAndReferenceRouters) {
       GreedyPolicy policy{host};
       SyncRouter router{host, model};
       const std::uint64_t hits_before = memo_hits();
+      const Transfer* shared_log = nullptr;
       for (std::uint32_t call = 0; call < 3; ++call) {
         // Same endpoints every call; payloads and tags ride along untouched.
         std::vector<Packet> packets = relation(host, 17);
@@ -248,7 +249,13 @@ TEST_F(RouterMemo, RepeatedRelationMatchesFreshAndReferenceRouters) {
           p.payload += call;
           p.tag2 += call;
         }
-        const std::string memo = dump_route_result(router.route(packets, policy, true));
+        const RouteResult routed = router.route(packets, policy, true);
+        // The miss hands its log to the memo and every hit hands out that
+        // same storage: identity, not just equal contents.
+        ASSERT_FALSE(routed.transfers.empty());
+        if (call == 0) shared_log = routed.transfers.data();
+        EXPECT_EQ(routed.transfers.data(), shared_log) << "call " << call;
+        const std::string memo = dump_route_result(routed);
         ASSERT_EQ(memo, fresh_route(host, model, packets, true)) << "call " << call;
         GreedyPolicy ref_policy{host};
         ReferenceRouter ref{host, model};

@@ -145,6 +145,7 @@ RouteResult ReferenceRouter::route_impl(std::vector<Packet> packets, RoutingPoli
   if (policy != nullptr) policy->prepare(g, packets);
 
   RouteResult result;
+  std::vector<Transfer> hops;  // the hop log, when record_transfers
   std::vector<NodeState> nodes(n);
   for (NodeId v = 0; v < n; ++v) nodes[v].ports.resize(g.degree(v));
 
@@ -335,7 +336,7 @@ RouteResult ReferenceRouter::route_impl(std::vector<Packet> packets, RoutingPoli
       ++result.total_transfers;
       const bool dropped = clock && clock->drops_packet(v, w, packets[packet_index].id);
       if (record_transfers) {
-        result.transfers.push_back(
+        hops.push_back(
             Transfer{step, v, w, packet_index,
                      // Bool to byte, range {0,1}:
                      static_cast<std::uint8_t>(dropped ? 1 : 0)});  // upn-analyze-waive(narrowing-cast: bool to byte)
@@ -421,6 +422,7 @@ RouteResult ReferenceRouter::route_impl(std::vector<Packet> packets, RoutingPoli
 
   result.steps = step;
   result.packets = std::move(packets);
+  if (record_transfers) result.transfers = TransferLog{std::move(hops)};
   UPN_ENSURE(result.steps <= max_steps, "router must respect its step budget");
   std::uint64_t delivered = 0;
   for (const Packet& p : result.packets) {
