@@ -1,8 +1,9 @@
 // Experiment ANALYZE -- the static-analysis engine as its own workload.
 //
 // upn_analyze runs on every PR, so its wall time is part of the edit loop.
-// The bench collects the real repo tree once (IO measured separately from
-// analysis) and then times the full pass stack -- IR construction, layering,
+// The bench collects the real repo tree once (the path list of ctest
+// upn_analyze_repo_clean; IO measured separately from analysis) and then
+// times the full pass stack -- IR construction, layering,
 // concurrency, determinism taint, hot-path, include hygiene, and the
 // whole-program call graph with its interprocedural passes -- at
 // --jobs {1, 2, 7}, the same thread counts the determinism tests pin.
@@ -23,7 +24,7 @@ namespace {
 upn::analyze::Input collect_repo(std::size_t& files) {
   upn::analyze::TreeOptions options;
   options.root = UPN_REPO_ROOT;
-  options.paths = {"src", "tools", "bench", "tests", "examples"};
+  options.paths = {"src", "tools", "bench", "tests", "examples", "upnbench"};
   upn::analyze::Input input;
   std::string error;
   if (!upn::analyze::collect_tree(options, input, error)) {

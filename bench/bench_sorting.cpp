@@ -16,7 +16,6 @@
 #include "src/sorting/bitonic.hpp"
 #include "src/sorting/columnsort.hpp"
 #include "src/sorting/odd_even_merge.hpp"
-#include "src/sorting/oets.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/util/table.hpp"

@@ -140,7 +140,7 @@ RouteResult route_demands_with_faults(SyncRouter& router, const FaultRouteOption
   return route_and_deliver(
       static_cast<std::uint32_t>(ids.size()), [&](std::uint32_t i) { return ids[i]; }, step,
       deliver, [&](std::vector<Packet> packets) {
-        return router.route_with_faults(std::move(packets), faults, nullptr, record_transfers);
+        return router.route_with_faults(std::move(packets), faults, record_transfers);
       });
 }
 

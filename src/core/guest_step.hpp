@@ -115,7 +115,7 @@ class GuestStepKernel {
                                         const DeliverFn& deliver);
 
 /// Fault router: routes demands[ids[i]] as packet i under `faults` (on the
-/// router's internal greedy policy) and delivers every packet that arrived
+/// router's live-subgraph oracle) and delivers every packet that arrived
 /// as deliver(ids[i], payload).  Lost packets stay marked in the result for
 /// the caller to re-inject.
 [[nodiscard]] RouteResult route_demands_with_faults(SyncRouter& router,

@@ -240,13 +240,6 @@ FaultPlan make_uniform_node_faults(const Graph& host, double rate, std::uint64_t
   return plan;
 }
 
-FaultPlan make_targeted_cut(const std::vector<std::pair<NodeId, NodeId>>& links,
-                            std::uint32_t step, std::uint64_t seed) {
-  FaultPlan plan{seed};
-  for (const auto& [u, v] : links) plan.add_link_fault(LinkFault{u, v, step});
-  return plan;
-}
-
 FaultPlan make_region_fault(const Graph& host, NodeId center, std::uint32_t radius,
                             std::uint32_t step, std::uint64_t seed) {
   UPN_REQUIRE(center < host.num_nodes(), "make_region_fault: center must be a host node");

@@ -201,10 +201,6 @@ class FaultClock {
 [[nodiscard]] FaultPlan make_uniform_node_faults(const Graph& host, double rate,
                                                  std::uint64_t seed, std::uint32_t step = 0);
 
-/// Targeted cut: exactly the given links fail at `step`.
-[[nodiscard]] FaultPlan make_targeted_cut(const std::vector<std::pair<NodeId, NodeId>>& links,
-                                          std::uint32_t step, std::uint64_t seed = 0);
-
 /// Region failure: every node within BFS distance `radius` of `center`
 /// fails at `step` (models the loss of a rack / enclosure).
 [[nodiscard]] FaultPlan make_region_fault(const Graph& host, NodeId center,

@@ -79,11 +79,4 @@ double closed_form_inefficiency(double m, const CountingConstants& constants) {
   return hi;
 }
 
-std::uint32_t minimum_computation_length(double m) {
-  if (m < 2.0) return 1;
-  const auto length = static_cast<std::uint32_t>(std::ceil(2.0 * std::sqrt(std::log2(m))));
-  UPN_ENSURE(length >= 2);
-  return length;
-}
-
 }  // namespace upn

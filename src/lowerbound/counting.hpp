@@ -61,9 +61,4 @@ struct CountingConstants {
 /// solved by fixed-point iteration.
 [[nodiscard]] double closed_form_inefficiency(double m, const CountingConstants& constants);
 
-/// Section 3's minimum computation length: the lower bound "even holds if
-/// only computations of length ceil(2 sqrt(log m)) have to be simulated"
-/// (shorter computations admit tree-replication hosts of size 2^{O(t)} n).
-[[nodiscard]] std::uint32_t minimum_computation_length(double m);
-
 }  // namespace upn

@@ -3,10 +3,25 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/lowerbound/dependency_graph.hpp"
+#include "src/topology/properties.hpp"
 #include "src/util/contracts.hpp"
 
 namespace upn {
+
+std::vector<std::uint32_t> spreading_profile(const Graph& guest, NodeId center,
+                                             std::uint32_t max_steps) {
+  UPN_REQUIRE(center < guest.num_nodes(), "spreading_profile: center out of range");
+  const auto dist = bfs_distances(guest, center);
+  std::vector<std::uint32_t> profile(max_steps + 1, 0);
+  for (NodeId v = 0; v < guest.num_nodes(); ++v) {
+    if (dist[v] == kUnreachable) continue;
+    for (std::uint32_t i = dist[v]; i <= max_steps; ++i) ++profile[i];
+  }
+  UPN_ENSURE(std::is_sorted(profile.begin(), profile.end()),
+             "dependency balls are nested, so the spreading profile is monotone");
+  UPN_ENSURE(profile[0] >= 1, "(P, t) depends at least on itself");
+  return profile;
+}
 
 SpreadingProfile measure_spreading(const Graph& graph, std::uint32_t max_t,
                                    std::uint32_t samples, Rng& rng) {

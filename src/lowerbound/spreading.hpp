@@ -25,6 +25,11 @@ struct SpreadingProfile {
   double exp_rate = 0.0;                ///< log2 S(t) growth per step, mid-range
 };
 
+/// Number of (P', t') with a path from (P, t) in the dependency graph of the
+/// guest (Definition 3.7), per time offset: result[i] = |ball(P, i)|.
+[[nodiscard]] std::vector<std::uint32_t> spreading_profile(const Graph& guest, NodeId center,
+                                                           std::uint32_t max_steps);
+
 /// Samples `samples` start vertices and returns the pointwise-max ball sizes
 /// up to radius max_t, with growth fits.
 [[nodiscard]] SpreadingProfile measure_spreading(const Graph& graph, std::uint32_t max_t,

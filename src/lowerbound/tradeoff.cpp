@@ -49,11 +49,4 @@ double upper_bound_slowdown(double n, double ell) {
   return s;
 }
 
-double upper_bound_size_for_slowdown(double n, double s0) {
-  UPN_REQUIRE(n >= 2.0 && s0 > 0.0);
-  const double ell = std::exp2(std::log2(n) / std::max(1.0, s0));
-  UPN_ENSURE(n * ell >= n);
-  return n * ell;
-}
-
 }  // namespace upn

@@ -47,8 +47,4 @@ struct TradeoffVerdict {
 /// n*l, i.e. s = O(log n / log l); returned with constant 1.
 [[nodiscard]] double upper_bound_slowdown(double n, double ell);
 
-/// Minimal host size for constant slowdown s0 by the same trade-off:
-/// l = 2^{log n / s0}, m = n * l.
-[[nodiscard]] double upper_bound_size_for_slowdown(double n, double s0);
-
 }  // namespace upn

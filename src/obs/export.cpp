@@ -1,7 +1,6 @@
 #include "src/obs/export.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -35,36 +34,6 @@ void write_buckets_json(std::ostream& out, const MetricRow& row) {
 
 }  // namespace
 
-void write_snapshot_text(std::ostream& out, const std::vector<MetricRow>& rows) {
-  std::size_t name_width = 0;
-  for (const MetricRow& row : rows) name_width = std::max(name_width, row.name.size());
-  for (const MetricRow& row : rows) {
-    out << std::left << std::setw(10) << type_name(row.type) << std::setw(
-               static_cast<int>(name_width) + 2)
-        << row.name;
-    switch (row.type) {
-      case 'c':
-        out << row.count;
-        break;
-      case 'g':
-        out << "value=" << row.value << " max=" << row.max;
-        break;
-      default: {
-        out << "count=" << row.count << " sum=" << row.sum << " [";
-        bool first = true;
-        for (const auto& [bucket, in_bucket] : row.buckets) {
-          if (!first) out << ' ';
-          first = false;
-          out << bucket << ':' << in_bucket;
-        }
-        out << "]";
-        break;
-      }
-    }
-    out << '\n';
-  }
-}
-
 void write_snapshot_json(std::ostream& out, const std::vector<MetricRow>& rows,
                          int indent) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
@@ -97,12 +66,6 @@ void write_snapshot_json(std::ostream& out, const std::vector<MetricRow>& rows,
 std::string snapshot_json(const std::vector<MetricRow>& rows, int indent) {
   std::ostringstream out;
   write_snapshot_json(out, rows, indent);
-  return out.str();
-}
-
-std::string snapshot_text(const std::vector<MetricRow>& rows) {
-  std::ostringstream out;
-  write_snapshot_text(out, rows);
   return out.str();
 }
 

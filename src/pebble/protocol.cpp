@@ -20,10 +20,8 @@ Protocol::OpFault Protocol::fault_of(OpKind kind, std::uint32_t proc, PebbleType
   return OpFault::kNone;
 }
 
-void Protocol::add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint32_t partner) {
-  UPN_REQUIRE(host_steps() > 0, "Protocol::add: begin_step() first");
-  const std::uint32_t current = host_steps();
-  const OpFault fault = fault_of(kind, proc, pebble, partner, current);
+void Protocol::require_legal(std::uint32_t current, OpFault fault) {
+  UPN_REQUIRE(current > 0, "Protocol::add: begin_step() first");
   if (fault == OpFault::kProc) {
     throw std::out_of_range{"Protocol::add: host processor out of range"};
   }
@@ -36,6 +34,11 @@ void Protocol::add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint
   UPN_REQUIRE(fault != OpFault::kProcBusy,
               "Protocol::add: processor already acted this step (pebble-game legality: "
               "at most one operation per processor per host step)");
+}
+
+void Protocol::add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint32_t partner) {
+  const std::uint32_t current = host_steps();
+  require_legal(current, fault_of(kind, proc, pebble, partner, current));
   proc_used_step_[proc] = current;
   ops_.push_back(Op{kind, proc, pebble, partner});
   ++step_offsets_.back();
@@ -44,21 +47,19 @@ void Protocol::add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint
 void Protocol::add_step(std::span<const Op> ops) {
   const std::uint32_t current = host_steps();
   std::size_t admitted = 0;
-  while (current > 0 && admitted < ops.size()) {
+  OpFault fault = OpFault::kNone;
+  // With no open step (current == 0) every processor reads as busy, so
+  // nothing is admitted and require_legal throws add()'s begin_step error.
+  for (; admitted < ops.size(); ++admitted) {
     const Op& op = ops[admitted];
-    if (fault_of(op.kind, op.proc, op.pebble, op.partner, current) != OpFault::kNone) break;
+    fault = fault_of(op.kind, op.proc, op.pebble, op.partner, current);
+    if (fault != OpFault::kNone) break;
     proc_used_step_[op.proc] = current;
-    ++admitted;
   }
-  if (admitted < ops.size()) {
-    // An illegal op (or no open step): unmark what this call admitted and
-    // let add() keep the legal prefix and throw its own exception.
-    for (std::size_t i = 0; i < admitted; ++i) proc_used_step_[ops[i].proc] = 0;
-    for (const Op& op : ops) add(op);
-    return;
-  }
-  ops_.insert(ops_.end(), ops.begin(), ops.end());
-  step_offsets_.back() += ops.size();
+  const std::span<const Op> legal = ops.first(admitted);
+  ops_.insert(ops_.end(), legal.begin(), legal.end());
+  step_offsets_.back() += admitted;
+  if (admitted < ops.size()) require_legal(current, fault);
 }
 
 void Protocol::reserve(std::uint64_t total_ops, std::uint64_t total_steps) {

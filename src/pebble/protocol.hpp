@@ -20,7 +20,8 @@
 // replaying and indexing a protocol are single passes over contiguous memory.
 // An emitter that builds a whole host step first hands it over with
 // add_step(): the ops are checked one by one exactly as add() checks them,
-// then appended to the flat array in one insert.
+// then appended to the flat array in one insert (up to the first illegal op,
+// which throws what add() throws).
 #pragma once
 
 #include <cstdint>
@@ -137,6 +138,9 @@ class Protocol {
   enum class OpFault : std::uint8_t { kNone, kProc, kPebble, kPartner, kProcBusy };
   [[nodiscard]] OpFault fault_of(OpKind kind, std::uint32_t proc, PebbleType pebble,
                                  std::uint32_t partner, std::uint32_t current) const noexcept;
+  /// Throws what add() throws for an op with `fault` in host step `current`
+  /// (current == 0: no open step); returns for a legal op.
+  static void require_legal(std::uint32_t current, OpFault fault);
 
   std::uint32_t num_guests_;
   std::uint32_t num_hosts_;

@@ -136,28 +136,4 @@ BenesPaths benes_route(const std::vector<std::uint32_t>& perm) {
   return paths;
 }
 
-bool validate_benes_paths(const BenesPaths& paths, const std::vector<std::uint32_t>& perm) {
-  const std::uint32_t d = paths.dimension;
-  const std::uint32_t n = 1u << d;
-  if (paths.rows.size() != n || perm.size() != n) return false;
-  std::vector<char> seen(n);
-  for (std::uint32_t level = 0; level <= 2 * d; ++level) {
-    std::fill(seen.begin(), seen.end(), 0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t row = paths.rows[i][level];
-      if (row >= n || seen[row]) return false;  // node collision
-      seen[row] = 1;
-    }
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (paths.rows[i][0] != i || paths.rows[i][2 * d] != perm[i]) return false;
-    for (std::uint32_t level = 0; level < 2 * d; ++level) {
-      const std::uint32_t allowed_bit = level < d ? level : 2 * d - 1 - level;
-      const std::uint32_t delta = paths.rows[i][level] ^ paths.rows[i][level + 1];
-      if (delta != 0 && delta != (1u << allowed_bit)) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace upn

@@ -32,9 +32,4 @@ struct BenesPaths {
 /// some d >= 1; throws otherwise.
 [[nodiscard]] BenesPaths benes_route(const std::vector<std::uint32_t>& perm);
 
-/// True iff the paths are level-wise node-disjoint, use only legal bit
-/// flips, and realize the permutation.  Used by tests and assertions.
-[[nodiscard]] bool validate_benes_paths(const BenesPaths& paths,
-                                        const std::vector<std::uint32_t>& perm);
-
 }  // namespace upn

@@ -173,15 +173,4 @@ std::vector<PermutationRound> decompose_into_permutations(const HhProblem& probl
   return rounds;
 }
 
-bool is_partial_permutation(const PermutationRound& round, std::uint32_t num_nodes) {
-  std::vector<char> src_seen(num_nodes, 0), dst_seen(num_nodes, 0);
-  for (const Demand& d : round) {
-    if (d.src >= num_nodes || d.dst >= num_nodes) return false;
-    if (src_seen[d.src] || dst_seen[d.dst]) return false;
-    src_seen[d.src] = 1;
-    dst_seen[d.dst] = 1;
-  }
-  return true;
-}
-
 }  // namespace upn

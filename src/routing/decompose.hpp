@@ -32,9 +32,4 @@ using PermutationRound = std::vector<Demand>;
 [[nodiscard]] std::vector<PermutationRound> decompose_into_permutations(
     const HhProblem& problem);
 
-/// Validation helper: true iff the round has no repeated source and no
-/// repeated destination.
-[[nodiscard]] bool is_partial_permutation(const PermutationRound& round,
-                                          std::uint32_t num_nodes);
-
 }  // namespace upn

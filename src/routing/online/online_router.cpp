@@ -1,7 +1,6 @@
 #include "src/routing/online/online_router.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "src/obs/obs.hpp"
@@ -332,21 +331,6 @@ OnlineRouteResult OnlineRouter::route(std::vector<Packet> packets, std::uint32_t
   UPN_ENSURE(result.delivered + result.lost == result.packets.size(),
              "verdicts partition the packet set");
   return result;
-}
-
-std::string delivery_verdicts(const std::vector<Packet>& packets) {
-  std::vector<const Packet*> ordered;
-  ordered.reserve(packets.size());
-  for (const Packet& p : packets) ordered.push_back(&p);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Packet* a, const Packet* b) { return a->id < b->id; });
-  UPN_ENSURE(ordered.size() == packets.size(), "one verdict line per packet");
-  std::ostringstream os;
-  for (const Packet* p : ordered) {
-    os << p->id << ' ' << p->src << "->" << p->dst << ' ' << (p->lost != 0 ? "lost" : "ok")
-       << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace upn

@@ -140,9 +140,4 @@ class OnlineRouter {
   std::uint32_t seq_lag_per_hop_ = 0;       ///< kSeqLag + announcement-rotation cycle
 };
 
-/// Canonical timing-free delivery verdict: one `<id> <src>-><dst> ok|lost`
-/// line per packet, sorted by id.  The zero-churn differential test
-/// byte-compares this between the online and offline routers.
-[[nodiscard]] std::string delivery_verdicts(const std::vector<Packet>& packets);
-
 }  // namespace upn

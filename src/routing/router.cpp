@@ -163,16 +163,11 @@ RouteResult SyncRouter::route(std::vector<Packet> packets, RoutingPolicy& policy
 
 RouteResult SyncRouter::route_with_faults(std::vector<Packet> packets,
                                           const FaultRouteOptions& faults,
-                                          RoutingPolicy* policy, bool record_transfers,
-                                          std::uint32_t max_steps) {
+                                          bool record_transfers, std::uint32_t max_steps) {
   if (faults.plan == nullptr) {
-    if (policy == nullptr) {
-      throw std::invalid_argument{
-          "SyncRouter::route_with_faults: need a policy when no plan is given"};
-    }
-    return route_impl(std::move(packets), policy, nullptr, record_transfers, max_steps);
+    throw std::invalid_argument{"SyncRouter::route_with_faults: need a fault plan"};
   }
-  return route_impl(std::move(packets), policy, &faults, record_transfers, max_steps);
+  return route_impl(std::move(packets), nullptr, &faults, record_transfers, max_steps);
 }
 
 bool SyncRouter::memo_matches(const std::vector<Packet>& packets, const RoutingPolicy* policy,
@@ -388,13 +383,13 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
 
   // A packet has just arrived (or started, or was re-queued) at `at`:
   // deliver, advance its Valiant phase, or enqueue it on the port the
-  // routing decision selects.  `detour` forces the fault-aware oracle even
-  // when an external policy is present (used after a policy choice died).
-  // The fast path reads the hot fields through the one Packet cache line the
-  // policy call is about to touch anyway; the SoA mirrors are kept in sync
-  // on phase flips and drive the fault-aware branches (epoch requeues, the
-  // oracle, retry budgets), where their batched layout pays off.
-  auto place = [&](std::uint32_t packet_index, NodeId at, bool detour) -> Placement {
+  // routing decision selects: the policy without faults, the live-subgraph
+  // oracle under a fault plan.  The fast path reads the hot fields through
+  // the one Packet cache line the policy call is about to touch anyway; the
+  // SoA mirrors are kept in sync on phase flips and drive the fault-aware
+  // branches (epoch requeues, the oracle, retry budgets), where their
+  // batched layout pays off.
+  auto place = [&](std::uint32_t packet_index, NodeId at) -> Placement {
     if (clock && !clock->node_alive(at)) return Placement::kLost;
     Packet& p = packets[packet_index];
     if (p.phase == 0 &&
@@ -417,18 +412,8 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
       next = policy->next_hop(g, at, p);
     } else {
       if (!clock->node_alive(pk_dst[packet_index])) return Placement::kLost;
-      if (policy != nullptr && !detour) {
-        const NodeId choice =
-            direct_oracle != nullptr
-                ? adj[off[at] + greedy_next_port(g, *direct_oracle, at,
-                                                 pk_target[packet_index], packet_index)]
-                : policy->next_hop(g, at, p);
-        if (clock->link_alive(at, choice)) next = choice;
-      }
-      if (next == kNoHop) {
-        next = oracle.next_hop(*clock, at, pk_target[packet_index], packet_index);
-        if (next == kNoHop) return Placement::kLost;  // unreachable survivor
-      }
+      next = oracle.next_hop(*clock, at, pk_target[packet_index], packet_index);
+      if (next == kNoHop) return Placement::kLost;  // unreachable survivor
     }
     enqueue(at, slot_of(at, next), packet_index);
     return Placement::kQueued;
@@ -449,7 +434,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
       }
       continue;
     }
-    switch (place(i, packets[i].src, false)) {
+    switch (place(i, packets[i].src)) {
       case Placement::kDelivered:
         packets[i].delivered_at = 0;
         break;
@@ -487,7 +472,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
         for (const std::uint32_t packet_index : requeue) {
           ++result.reroutes;
           ++pk_retries[packet_index];
-          switch (place(packet_index, v, true)) {
+          switch (place(packet_index, v)) {
             case Placement::kDelivered:  // via skipped and v == dst
               packets[packet_index].delivered_at = step;
               --undelivered;
@@ -524,7 +509,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
           delayed[kept++] = d;
           continue;
         }
-        switch (place(d.packet, d.holder, false)) {
+        switch (place(d.packet, d.holder)) {
           case Placement::kDelivered:
             packets[d.packet].delivered_at = step;
             --undelivered;
@@ -621,7 +606,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
     }
 
     for (const auto& [packet_index, at] : arrivals) {
-      switch (place(packet_index, at, false)) {
+      switch (place(packet_index, at)) {
         case Placement::kDelivered:
           packets[packet_index].delivered_at = step + 1;
           --undelivered;

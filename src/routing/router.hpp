@@ -135,13 +135,11 @@ class SyncRouter {
   /// dropped in a transient window are retransmitted by the sender with
   /// exponential backoff (`retransmissions`) until `max_retries` is
   /// exhausted; packets whose destination dies (or becomes unreachable in
-  /// the surviving subgraph) are marked lost instead of throwing.  When
-  /// `policy` is non-null its choices are used whenever they cross a live
-  /// link; detours (and policy == nullptr) fall back to an internal greedy
-  /// shortest-path policy computed on the live subgraph.
+  /// the surviving subgraph) are marked lost instead of throwing.  Every
+  /// hop comes from an internal greedy shortest-path oracle computed on the
+  /// live subgraph.  Throws std::invalid_argument when `faults.plan` is null.
   [[nodiscard]] RouteResult route_with_faults(std::vector<Packet> packets,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
                                               const FaultRouteOptions& faults,
-                                              RoutingPolicy* policy = nullptr,
                                               bool record_transfers = false,
                                               std::uint32_t max_steps = 1u << 22);
 

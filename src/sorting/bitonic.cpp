@@ -32,12 +32,4 @@ ComparatorNetwork make_bitonic_sorter(std::uint32_t n) {
   return network;
 }
 
-std::uint32_t bitonic_depth(std::uint32_t n) {
-  if (!is_power_of_two(n) || n < 2) {
-    throw std::invalid_argument{"bitonic_depth: n must be a power of two >= 2"};
-  }
-  const std::uint32_t k = floor_log2(n);
-  return k * (k + 1) / 2;
-}
-
 }  // namespace upn

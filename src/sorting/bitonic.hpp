@@ -13,7 +13,4 @@ namespace upn {
 /// The bitonic sorting network on n = 2^k wires.
 [[nodiscard]] ComparatorNetwork make_bitonic_sorter(std::uint32_t n);
 
-/// Depth of the bitonic sorter on n = 2^k wires: k(k+1)/2.
-[[nodiscard]] std::uint32_t bitonic_depth(std::uint32_t n);
-
 }  // namespace upn

@@ -98,14 +98,4 @@ ColumnsortStats columnsort(std::vector<std::uint64_t>& values, std::uint32_t r,
   });
 }
 
-std::uint32_t columnsort_pick_shape(std::uint64_t n) {
-  std::uint32_t best = (n >= 1) ? 1u : 0u;
-  for (std::uint32_t s = 2; static_cast<std::uint64_t>(s) * s <= n; ++s) {
-    if (n % s != 0) continue;
-    const std::uint64_t r = n / s;
-    if (r % s == 0 && r >= 2ull * (s - 1) * (s - 1)) best = s;
-  }
-  return best;
-}
-
 }  // namespace upn

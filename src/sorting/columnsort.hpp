@@ -33,8 +33,4 @@ ColumnsortStats columnsort(std::vector<std::uint64_t>& values, std::uint32_t r,
 ColumnsortStats columnsort(std::vector<std::uint64_t>& values, std::uint32_t r,
                            std::uint32_t s);
 
-/// Largest s such that (r = n/s, s) satisfies the Columnsort preconditions
-/// for total size n; returns 0 if none (n prime and too small, etc.).
-[[nodiscard]] std::uint32_t columnsort_pick_shape(std::uint64_t n);
-
 }  // namespace upn

@@ -90,17 +90,4 @@ Graph graph_union(const Graph& a, const Graph& b, std::string name) {
   return result;
 }
 
-Graph graph_difference(const Graph& a, const Graph& b, std::string name) {
-  if (a.num_nodes() != b.num_nodes()) {
-    throw std::invalid_argument{"graph_difference: vertex sets differ"};
-  }
-  GraphBuilder builder{a.num_nodes(), std::move(name)};
-  for (const auto& [u, v] : a.edge_list()) {
-    if (!b.has_edge(u, v)) builder.add_edge(u, v);
-  }
-  Graph result = std::move(builder).build();
-  UPN_ENSURE(result.num_edges() <= a.num_edges(), "a difference cannot gain edges");
-  return result;
-}
-
 }  // namespace upn

@@ -89,7 +89,4 @@ class GraphBuilder {
 /// The union of two graphs on the same vertex set (edge sets merged).
 [[nodiscard]] Graph graph_union(const Graph& a, const Graph& b, std::string name);
 
-/// The graph a with the edges of b removed (vertex sets must match).
-[[nodiscard]] Graph graph_difference(const Graph& a, const Graph& b, std::string name);
-
 }  // namespace upn

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/util/math.hpp"
 
 namespace upn {
 
@@ -38,14 +37,6 @@ Graph make_mesh(std::uint32_t width, std::uint32_t height) {
     }
   }
   return std::move(builder).build();
-}
-
-Graph make_square_mesh(std::uint32_t n) {
-  const auto side = static_cast<std::uint32_t>(isqrt(n));
-  if (side * side != n) {
-    throw std::invalid_argument{"make_square_mesh: n must be a perfect square"};
-  }
-  return make_mesh(side, side);
 }
 
 }  // namespace upn

@@ -33,7 +33,4 @@ struct Grid2D {
 /// The width x height mesh.
 [[nodiscard]] Graph make_mesh(std::uint32_t width, std::uint32_t height);
 
-/// The paper's n-mesh: sqrt(n) x sqrt(n); n must be a perfect square.
-[[nodiscard]] Graph make_square_mesh(std::uint32_t n);
-
 }  // namespace upn

@@ -1,7 +1,6 @@
 #include "src/topology/properties.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "src/util/rng.hpp"
 
@@ -27,27 +26,6 @@ std::vector<std::uint32_t> bfs_distances(const Graph& graph, NodeId source) {
     frontier.swap(next);
   }
   return dist;
-}
-
-std::vector<NodeId> bfs_parents(const Graph& graph, NodeId source) {
-  const std::uint32_t n = graph.num_nodes();
-  std::vector<NodeId> parent(n, n);
-  std::vector<NodeId> frontier{source};
-  parent[source] = source;
-  std::vector<NodeId> next;
-  while (!frontier.empty()) {
-    next.clear();
-    for (const NodeId v : frontier) {
-      for (const NodeId u : graph.neighbors(v)) {
-        if (parent[u] == n) {
-          parent[u] = v;
-          next.push_back(u);
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-  return parent;
 }
 
 bool is_connected(const Graph& graph) {
@@ -122,16 +100,6 @@ std::uint32_t eccentricity(const Graph& graph, NodeId source) {
   return ecc;
 }
 
-std::uint32_t diameter(const Graph& graph) {
-  std::uint32_t best = 0;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    const std::uint32_t ecc = eccentricity(graph, v);
-    if (ecc == kUnreachable) return kUnreachable;
-    best = std::max(best, ecc);
-  }
-  return best;
-}
-
 std::uint32_t sampled_diameter(const Graph& graph, std::uint32_t samples, std::uint64_t seed) {
   if (graph.num_nodes() == 0) return 0;
   Rng rng{seed};
@@ -141,42 +109,6 @@ std::uint32_t sampled_diameter(const Graph& graph, std::uint32_t samples, std::u
     const std::uint32_t ecc = eccentricity(graph, v);
     if (ecc == kUnreachable) return kUnreachable;
     best = std::max(best, ecc);
-  }
-  return best;
-}
-
-std::vector<std::uint32_t> degree_histogram(const Graph& graph) {
-  std::vector<std::uint32_t> histogram(graph.max_degree() + 1, 0);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) ++histogram[graph.degree(v)];
-  return histogram;
-}
-
-std::uint32_t girth(const Graph& graph) {
-  const std::uint32_t n = graph.num_nodes();
-  std::uint32_t best = kUnreachable;
-  std::vector<std::uint32_t> dist(n);
-  std::vector<NodeId> parent(n);
-  for (NodeId source = 0; source < n; ++source) {
-    std::fill(dist.begin(), dist.end(), kUnreachable);
-    std::fill(parent.begin(), parent.end(), n);
-    std::queue<NodeId> queue;
-    dist[source] = 0;
-    queue.push(source);
-    while (!queue.empty()) {
-      const NodeId v = queue.front();
-      queue.pop();
-      for (const NodeId u : graph.neighbors(v)) {
-        if (dist[u] == kUnreachable) {
-          dist[u] = dist[v] + 1;
-          parent[u] = v;
-          queue.push(u);
-        } else if (u != parent[v]) {
-          // Non-tree edge: the shortest cycle through `source` touching it
-          // has length dist[v] + dist[u] + 1.
-          best = std::min(best, dist[v] + dist[u] + 1);
-        }
-      }
-    }
   }
   return best;
 }

@@ -19,9 +19,6 @@ inline constexpr std::uint32_t kUnreachable = std::numeric_limits<std::uint32_t>
 /// BFS distances from `source` (kUnreachable where disconnected).
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const Graph& graph, NodeId source);
 
-/// BFS parent array from `source` (self-parent at source, kUnreachable -> n).
-[[nodiscard]] std::vector<NodeId> bfs_parents(const Graph& graph, NodeId source);
-
 [[nodiscard]] bool is_connected(const Graph& graph);
 
 /// Connected components in BFS discovery order.  Writes the per-node
@@ -41,19 +38,8 @@ inline constexpr std::uint32_t kUnreachable = std::numeric_limits<std::uint32_t>
 /// Largest BFS eccentricity from `source`.
 [[nodiscard]] std::uint32_t eccentricity(const Graph& graph, NodeId source);
 
-/// Exact diameter via n BFS runs.  Intended for graphs up to a few thousand
-/// nodes; returns kUnreachable for disconnected graphs.
-[[nodiscard]] std::uint32_t diameter(const Graph& graph);
-
 /// Lower bound on the diameter from `samples` random-source BFS runs.
 [[nodiscard]] std::uint32_t sampled_diameter(const Graph& graph, std::uint32_t samples,
                                              std::uint64_t seed = 1);
-
-/// Histogram of degrees: result[d] = number of nodes with degree d.
-[[nodiscard]] std::vector<std::uint32_t> degree_histogram(const Graph& graph);
-
-/// Length of a shortest cycle (kUnreachable for forests).  BFS from every
-/// node; O(n * m) -- intended for the library's moderate graph sizes.
-[[nodiscard]] std::uint32_t girth(const Graph& graph);
 
 }  // namespace upn

@@ -91,17 +91,6 @@ Graph make_random_regular(std::uint32_t n, std::uint32_t c, Rng& rng) {
   return std::move(builder).build();
 }
 
-Graph make_circulant(std::uint32_t n, std::uint32_t c) {
-  if (c % 2 != 0 || c / 2 >= (n + 1) / 2) {
-    throw std::invalid_argument{"make_circulant: need even c with c/2 < n/2"};
-  }
-  GraphBuilder builder{n, "circulant(n=" + std::to_string(n) + ",c=" + std::to_string(c) + ")"};
-  for (NodeId v = 0; v < n; ++v) {
-    for (std::uint32_t j = 1; j <= c / 2; ++j) builder.add_edge(v, (v + j) % n);
-  }
-  return std::move(builder).build();
-}
-
 Graph make_random_regular_with_subgraph(const Graph& base, std::uint32_t c, Rng& rng) {
   const std::uint32_t n = base.num_nodes();
   const std::uint32_t b = base.max_degree();

@@ -23,10 +23,6 @@ inline constexpr std::uint32_t kGuestDegree = 16;
 /// converge (practically impossible for c << n).
 [[nodiscard]] Graph make_random_regular(std::uint32_t n, std::uint32_t c, Rng& rng);
 
-/// The circulant graph C_n(1, 2, ..., c/2): v ~ v +- j (mod n).  Exactly
-/// c-regular for even c with c/2 < n/2.
-[[nodiscard]] Graph make_circulant(std::uint32_t n, std::uint32_t c);
-
 /// A random member of U'[G_0]: the union of a given base graph (degree b)
 /// and a random (c - b)-regular graph, repaired to avoid duplicating base
 /// edges.  Max degree <= c; matches the planted-subgraph guests of the

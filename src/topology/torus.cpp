@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/util/math.hpp"
 
 namespace upn {
 
@@ -21,14 +20,6 @@ Graph make_torus(std::uint32_t width, std::uint32_t height) {
     }
   }
   return std::move(builder).build();
-}
-
-Graph make_square_torus(std::uint32_t n) {
-  const auto side = static_cast<std::uint32_t>(isqrt(n));
-  if (side * side != n) {
-    throw std::invalid_argument{"make_square_torus: n must be a perfect square"};
-  }
-  return make_torus(side, side);
 }
 
 }  // namespace upn

@@ -13,7 +13,4 @@ namespace upn {
 /// deduplicated, so degree can drop below 4.
 [[nodiscard]] Graph make_torus(std::uint32_t width, std::uint32_t height);
 
-/// The paper's n-torus: sqrt(n) x sqrt(n); n must be a perfect square.
-[[nodiscard]] Graph make_square_torus(std::uint32_t n);
-
 }  // namespace upn

@@ -28,14 +28,6 @@ double log2_binomial(double n, double k) noexcept {
   return log2_factorial(n) - log2_factorial(k) - log2_factorial(n - k);
 }
 
-double log2_add(double a, double b) noexcept {
-  if (std::isinf(a) && a < 0) return b;
-  if (std::isinf(b) && b < 0) return a;
-  const double hi = a > b ? a : b;
-  const double lo = a > b ? b : a;
-  return hi + std::log2(1.0 + std::exp2(lo - hi));
-}
-
 std::uint64_t isqrt(std::uint64_t x) noexcept {
   if (x == 0) return 0;
   auto r = static_cast<std::uint64_t>(std::sqrt(static_cast<double>(x)));

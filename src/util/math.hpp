@@ -18,9 +18,6 @@ namespace upn {
 /// log2 of the binomial coefficient C(n, k).  Returns -inf for k > n or k < 0.
 [[nodiscard]] double log2_binomial(double n, double k) noexcept;
 
-/// log2(2^a + 2^b) computed without overflow.
-[[nodiscard]] double log2_add(double a, double b) noexcept;
-
 /// Integer floor(log2(x)); x must be > 0.
 [[nodiscard]] constexpr std::uint32_t floor_log2(std::uint64_t x) noexcept {
   return 63u - static_cast<std::uint32_t>(std::countl_zero(x));

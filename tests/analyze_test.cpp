@@ -29,8 +29,8 @@ bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
                      [&](const Finding& f) { return f.rule == rule; });
 }
 
-/// The bad tree's inputs.
-const std::vector<std::string> kBadTreePaths = {"src"};
+/// Both fixture trees' inputs.
+const std::vector<std::string> kTreePaths = {"src", "tests"};
 
 Report analyze_tree(const std::string& root, const std::vector<std::string>& paths,
                     unsigned jobs = 0) {
@@ -559,13 +559,27 @@ TEST(AnalyzeHotpath, DirectiveParsingRejectsMalformedAndDuplicateLines) {
 // ---- fixture trees --------------------------------------------------------
 
 TEST(AnalyzeFixtures, CleanTreeIsClean) {
-  const Report report = analyze_tree(UPN_ANALYZE_CLEAN_DIR, {"src"});
+  const Report report = analyze_tree(UPN_ANALYZE_CLEAN_DIR, kTreePaths);
   EXPECT_TRUE(report.findings.empty()) << report.render_text();
   EXPECT_GE(report.files, 3u);
 }
 
+// A src function that only a unit under tests/ mentions is dead; the same
+// function and test with a call from main are clean.
+TEST(AnalyzeFixtures, TestMentionsDoNotKeepAFunctionAlive) {
+  const auto dead_at = [](const Report& report, const std::string& file) {
+    return std::any_of(report.findings.begin(), report.findings.end(), [&](const Finding& f) {
+      return f.rule == "dead-function" && f.file == file;
+    });
+  };
+  const std::string seam = "src/core/scaling.cpp";
+  EXPECT_FALSE(dead_at(analyze_tree(UPN_ANALYZE_CLEAN_DIR, kTreePaths), seam));
+  const Report bad = analyze_tree(UPN_ANALYZE_BAD_DIR, kTreePaths);
+  EXPECT_TRUE(dead_at(bad, seam)) << bad.render_text();
+}
+
 TEST(AnalyzeFixtures, BadTreeFiresEveryCatalogRule) {
-  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths);
+  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR, kTreePaths);
   for (const RuleInfo& rule : rule_catalog()) {
     EXPECT_TRUE(has_rule(report.findings, rule.id)) << rule.id;
   }
@@ -601,9 +615,9 @@ TEST(AnalyzeFixtures, DefaultExcludesSkipDirectoriesNotFileNames) {
 // ---- determinism across thread counts -------------------------------------
 
 TEST(AnalyzeDeterminism, ReportsAreByteIdenticalAtJobs127) {
-  const Report one = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths, 1);
-  const Report two = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths, 2);
-  const Report seven = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths, 7);
+  const Report one = analyze_tree(UPN_ANALYZE_BAD_DIR, kTreePaths, 1);
+  const Report two = analyze_tree(UPN_ANALYZE_BAD_DIR, kTreePaths, 2);
+  const Report seven = analyze_tree(UPN_ANALYZE_BAD_DIR, kTreePaths, 7);
   EXPECT_EQ(one.render_text(), two.render_text());
   EXPECT_EQ(one.render_text(), seven.render_text());
 }
@@ -616,7 +630,7 @@ TEST(AnalyzeCatalog, SortedUniqueAndCoversEmittedRules) {
   for (std::size_t i = 1; i < catalog.size(); ++i) {
     EXPECT_LT(std::string{catalog[i - 1].id}, std::string{catalog[i].id});
   }
-  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR, kBadTreePaths);
+  const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR, kTreePaths);
   for (const Finding& f : report.findings) {
     const bool known = std::any_of(catalog.begin(), catalog.end(),
                                    [&](const RuleInfo& r) { return f.rule == r.id; });

@@ -3,6 +3,7 @@
 
 #include "src/routing/benes.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/routing_oracles.hpp"
 
 namespace upn {
 namespace {

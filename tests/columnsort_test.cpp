@@ -4,8 +4,8 @@
 #include <algorithm>
 
 #include "src/sorting/columnsort.hpp"
-#include "src/sorting/oets.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/sorting_oracles.hpp"
 
 namespace upn {
 namespace {
@@ -69,13 +69,6 @@ TEST(Columnsort, RejectsViolatedPreconditions) {
   EXPECT_THROW(columnsort(values, 4, 2), std::invalid_argument);   // size mismatch
   std::vector<std::uint64_t> values10(10);
   EXPECT_THROW(columnsort(values10, 5, 2), std::invalid_argument); // r % s != 0
-}
-
-TEST(Columnsort, PickShape) {
-  EXPECT_EQ(columnsort_pick_shape(16), 2u);    // 8x2
-  EXPECT_EQ(columnsort_pick_shape(96), 4u);    // 24x4: 24 >= 18, 24 % 4 = 0
-  EXPECT_EQ(columnsort_pick_shape(7), 1u);     // prime: single column
-  EXPECT_GE(columnsort_pick_shape(1 << 12), 8u);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 #include "src/core/embedding.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/lowerbound/counting.hpp"
-#include "src/lowerbound/dependency_graph.hpp"
 #include "src/lowerbound/fragment_census.hpp"
+#include "src/lowerbound/spreading.hpp"
 #include "src/pebble/fragment.hpp"
 #include "src/pebble/protocol.hpp"
 #include "src/routing/hh_problem.hpp"
@@ -103,11 +103,8 @@ TEST(ContractAdoption, PathScheduleRejectsForeignDemand) {
   EXPECT_THROW((void)schedule_paths(host, problem), ContractViolation);
 }
 
-TEST(ContractAdoption, DependencyGraphRejectsForeignNodes) {
+TEST(ContractAdoption, SpreadingProfileRejectsForeignCenter) {
   const Graph guest = make_cycle(4);
-  EXPECT_THROW((void)dependency_predecessors(guest, 4), ContractViolation);
-  EXPECT_THROW((void)dependency_ball(guest, 99, 1), ContractViolation);
-  EXPECT_THROW((void)dependency_reaches(guest, 0, 17, 1), ContractViolation);
   EXPECT_THROW((void)spreading_profile(guest, 4, 2), ContractViolation);
 }
 

@@ -111,9 +111,6 @@ TEST(Tradeoff, UpperBoundTradeoffFrom14) {
   EXPECT_NEAR(upper_bound_slowdown(1 << 20, std::exp2(10)), 2.0, 1e-9);
   // l = 1: plain log n slowdown.
   EXPECT_NEAR(upper_bound_slowdown(1 << 20, 1.0), 20.0, 1e-9);
-  // Size for constant slowdown s0 = 2: m = n * 2^{log n / 2} = n^{1.5}.
-  EXPECT_NEAR(upper_bound_size_for_slowdown(1 << 20, 2.0),
-              std::pow(2.0, 30.0), 1.0);
 }
 
 TEST(Tradeoff, MsOverNLogMIsNearlyConstant) {

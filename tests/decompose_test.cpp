@@ -5,6 +5,7 @@
 
 #include "src/routing/decompose.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/routing_oracles.hpp"
 
 namespace upn {
 namespace {

@@ -1,46 +1,11 @@
-// Dependency graph (Def 3.7) and dependency tree (Lemma 3.10) tests.
+// Dependency tree (Lemma 3.10) tests.
 #include <gtest/gtest.h>
 
-#include "src/lowerbound/dependency_graph.hpp"
 #include "src/lowerbound/dependency_tree.hpp"
-#include "src/topology/builders.hpp"
 #include "src/topology/multitorus.hpp"
-#include "src/topology/torus.hpp"
 
 namespace upn {
 namespace {
-
-TEST(DependencyGraph, PredecessorsIncludeSelfAndNeighbors) {
-  const Graph c = make_cycle(5);
-  const auto preds = dependency_predecessors(c, 0);
-  EXPECT_EQ(preds, (std::vector<NodeId>{0, 1, 4}));
-}
-
-TEST(DependencyGraph, ReachabilityIsBallMembership) {
-  const Graph p = make_path(10);
-  EXPECT_TRUE(dependency_reaches(p, 0, 0, 0));
-  EXPECT_TRUE(dependency_reaches(p, 0, 3, 3));
-  EXPECT_FALSE(dependency_reaches(p, 0, 4, 3));
-  EXPECT_TRUE(dependency_reaches(p, 0, 4, 7));  // slack allowed
-}
-
-TEST(DependencyGraph, BallSizes) {
-  const Graph t = make_torus(5, 5);
-  EXPECT_EQ(dependency_ball(t, 0, 0).size(), 1u);
-  EXPECT_EQ(dependency_ball(t, 0, 1).size(), 5u);   // self + 4 neighbors
-  EXPECT_EQ(dependency_ball(t, 0, 10).size(), 25u); // whole torus
-}
-
-TEST(DependencyGraph, SpreadingProfileMonotone) {
-  const Graph t = make_torus(6, 6);
-  const auto profile = spreading_profile(t, 7, 8);
-  ASSERT_EQ(profile.size(), 9u);
-  EXPECT_EQ(profile[0], 1u);
-  for (std::size_t i = 1; i < profile.size(); ++i) {
-    EXPECT_GE(profile[i], profile[i - 1]);
-  }
-  EXPECT_EQ(profile.back(), 36u);
-}
 
 class TreeSweep : public ::testing::TestWithParam<std::uint32_t> {};
 

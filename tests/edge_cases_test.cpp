@@ -11,6 +11,7 @@
 #include "src/topology/builders.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/properties.hpp"
+#include "tests/support/topology_oracles.hpp"
 
 namespace upn {
 namespace {

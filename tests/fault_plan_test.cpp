@@ -125,11 +125,7 @@ TEST(FaultPlanGenerators, UniformRatesAreCoupledAcrossRates) {
   EXPECT_EQ(make_uniform_node_faults(host, 1.0, 77).node_faults().size(), host.num_nodes());
 }
 
-TEST(FaultPlanGenerators, TargetedCutAndRegion) {
-  const FaultPlan cut = make_targeted_cut({{0, 1}, {2, 3}}, 5);
-  EXPECT_EQ(cut.link_faults().size(), 2u);
-  EXPECT_FALSE(cut.link_alive(1, 0, 5));
-
+TEST(FaultPlanGenerators, Region) {
   const Graph mesh = make_mesh(5, 5);
   const FaultPlan region = make_region_fault(mesh, 12, 1, 0);  // center + 4 neighbors
   EXPECT_EQ(region.node_faults().size(), 5u);

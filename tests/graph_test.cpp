@@ -88,18 +88,6 @@ TEST(GraphOps, UnionMergesEdgeSets) {
   EXPECT_TRUE(u.has_edge(1, 2));
 }
 
-TEST(GraphOps, DifferenceRemovesEdges) {
-  GraphBuilder a{3};
-  a.add_edge(0, 1);
-  a.add_edge(1, 2);
-  GraphBuilder b{3};
-  b.add_edge(0, 1);
-  const Graph diff = graph_difference(std::move(a).build(), std::move(b).build(), "d");
-  EXPECT_EQ(diff.num_edges(), 1u);
-  EXPECT_FALSE(diff.has_edge(0, 1));
-  EXPECT_TRUE(diff.has_edge(1, 2));
-}
-
 TEST(GraphOps, UnionRejectsSizeMismatch) {
   GraphBuilder a{3};
   GraphBuilder b{4};

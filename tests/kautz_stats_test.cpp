@@ -4,6 +4,7 @@
 #include "src/topology/kautz.hpp"
 #include "src/topology/properties.hpp"
 #include "src/util/stats.hpp"
+#include "tests/support/topology_oracles.hpp"
 
 namespace upn {
 namespace {

@@ -4,6 +4,7 @@
 #include "src/topology/mesh_of_trees.hpp"
 #include "src/topology/properties.hpp"
 #include "src/util/math.hpp"
+#include "tests/support/topology_oracles.hpp"
 
 namespace upn {
 namespace {

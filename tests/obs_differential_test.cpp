@@ -13,6 +13,7 @@
 #include "src/obs/obs.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/util/par.hpp"
+#include "tests/support/snapshot_text.hpp"
 
 namespace upn {
 namespace {

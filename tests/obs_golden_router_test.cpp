@@ -17,6 +17,7 @@
 #include "src/routing/router.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/snapshot_text.hpp"
 
 namespace upn {
 namespace {
@@ -58,15 +59,14 @@ TEST(ObsGoldenRouter, ButterflyRouteWithFaultsSnapshotIsPinned) {
     packets.push_back(p);
   }
 
-  // Routed by the internal greedy live-subgraph oracle (policy = nullptr):
-  // every hop strictly decreases the surviving-subgraph distance, so the run
-  // terminates under any fault mix (an external full-graph policy can
-  // ping-pong with fault detours).
+  // Routed by the internal greedy live-subgraph oracle: every hop strictly
+  // decreases the surviving-subgraph distance, so the run terminates under
+  // any fault mix.
   SyncRouter router{host, PortModel::kSinglePort};
   FaultRouteOptions faults;
   faults.plan = &plan;
   faults.max_retries = 8;
-  const RouteResult result = router.route_with_faults(std::move(packets), faults, nullptr);
+  const RouteResult result = router.route_with_faults(std::move(packets), faults);
   ASSERT_GT(result.steps, 0u);
   ASSERT_EQ(result.packets.size(), problem.size());
 

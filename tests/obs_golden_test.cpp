@@ -14,6 +14,7 @@
 #include "src/pebble/validator.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/random_regular.hpp"
+#include "tests/support/snapshot_text.hpp"
 
 namespace upn {
 namespace {

@@ -11,6 +11,7 @@
 #include "src/obs/obs.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/par.hpp"
+#include "tests/support/snapshot_text.hpp"
 
 namespace upn::obs {
 namespace {

@@ -18,6 +18,7 @@
 #include "src/topology/properties.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/topology_oracles.hpp"
 
 namespace upn {
 namespace {

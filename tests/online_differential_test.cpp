@@ -8,11 +8,12 @@
 
 #include "src/fault/fault_plan.hpp"
 #include "src/routing/online/online_router.hpp"
-#include "tests/support/table_policy.hpp"
 #include "src/routing/policies.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/mesh.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/routing_oracles.hpp"
+#include "tests/support/table_policy.hpp"
 
 namespace upn {
 namespace {

@@ -12,6 +12,7 @@
 #include "src/routing/online/online_router.hpp"
 #include "src/topology/mesh.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/snapshot_text.hpp"
 
 namespace upn {
 namespace {

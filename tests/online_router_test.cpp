@@ -8,13 +8,14 @@
 #include "src/core/online_adaptive_sim.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/routing/online/online_router.hpp"
-#include "tests/support/table_policy.hpp"
 #include "src/routing/policies.hpp"
 #include "src/topology/builders.hpp"
 #include "src/topology/mesh.hpp"
 #include "src/topology/properties.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/routing_oracles.hpp"
+#include "tests/support/table_policy.hpp"
 
 namespace upn {
 namespace {

@@ -38,6 +38,7 @@
 #include "src/topology/torus.hpp"
 #include "src/topology/torus3d.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/topology_oracles.hpp"
 
 namespace upn {
 namespace {

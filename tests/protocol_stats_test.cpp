@@ -4,7 +4,6 @@
 
 #include "src/core/embedding.hpp"
 #include "src/core/universal_sim.hpp"
-#include "src/lowerbound/counting.hpp"
 #include "src/pebble/stats.hpp"
 #include "src/topology/builders.hpp"
 #include "src/topology/butterfly.hpp"
@@ -12,6 +11,7 @@
 #include "src/topology/properties.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/topology/torus.hpp"
+#include "tests/support/topology_oracles.hpp"
 
 namespace upn {
 namespace {
@@ -61,15 +61,6 @@ TEST(Guard, MultiportProtocolEmissionRejected) {
   options.emit_protocol = true;
   options.port_model = PortModel::kMultiPort;
   EXPECT_THROW((void)sim.run(1, options), std::invalid_argument);
-}
-
-TEST(Counting, MinimumComputationLength) {
-  // ceil(2 sqrt(log2 m)).
-  EXPECT_EQ(minimum_computation_length(1.0), 1u);
-  EXPECT_EQ(minimum_computation_length(16.0), 4u);      // 2*sqrt(4)
-  EXPECT_EQ(minimum_computation_length(512.0), 6u);     // 2*sqrt(9)
-  EXPECT_EQ(minimum_computation_length(1u << 25), 10u); // 2*sqrt(25)
-  EXPECT_EQ(minimum_computation_length(1000.0), 7u);    // ceil(2*sqrt(9.97)) = 7
 }
 
 TEST(Girth, KnownValues) {

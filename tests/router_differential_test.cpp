@@ -24,6 +24,7 @@
 #include "src/topology/random_regular.hpp"
 #include "src/util/rng.hpp"
 #include "tests/support/reference_router.hpp"
+#include "tests/support/snapshot_text.hpp"
 
 namespace upn {
 namespace {
@@ -102,23 +103,19 @@ TEST(RouterDifferential, FaultFreeByteIdentity) {
 }
 
 // Fault-aware runs: permanent link/node faults plus transient drop windows,
-// with an external policy, and with the internal live-subgraph greedy
-// (policy == nullptr).  Retries, reroutes, losses, and dropped transfers
-// must all line up byte-for-byte.
+// every hop from the live-subgraph oracle.  Retries, reroutes, losses, and
+// dropped transfers must all line up byte-for-byte.
 //
-// An external policy is fault-oblivious (its oracle sees the full graph), so
-// after a permanent link fault it can re-pick the same dead link every step:
-// a genuine livelock, and the semantically correct outcome both engines must
-// reach identically.  Each run therefore gets a small step budget and the
-// comparison accepts either identical RouteResults or identical thrown
-// livelock diagnostics -- the same contract the differential fuzzer checks.
+// The oracle routes around every permanent fault, so these runs finish well
+// inside the step budget; the budget only bounds the cost of a regression
+// that would spin.  The comparison therefore still accepts either identical
+// RouteResults or identical thrown livelock diagnostics -- the same contract
+// the differential fuzzer checks.
 TEST(RouterDifferential, FaultedByteIdentity) {
   constexpr std::uint32_t kMaxSteps = 512;
-  const auto run = [](auto& router, const std::vector<Packet>& packets,
-                      const FaultRouteOptions& options, RoutingPolicy* policy) {
+  const auto run = [](const auto& route) {
     try {
-      return dump_route_result(
-          router.route_with_faults(packets, options, policy, true, kMaxSteps));
+      return dump_route_result(route());
     } catch (const std::runtime_error& e) {
       return std::string("<livelock> ") + e.what();
     }
@@ -143,22 +140,14 @@ TEST(RouterDifferential, FaultedByteIdentity) {
           SCOPED_TRACE(host.name() + " seed=" + std::to_string(seed) +
                        " h=" + std::to_string(h) +
                        (model == PortModel::kMultiPort ? " multiport" : " singleport"));
-          {
-            GreedyPolicy fast_policy{host};
-            GreedyPolicy ref_policy{host};
-            SyncRouter fast{host, model};
-            ReferenceRouter ref{host, model};
-            ASSERT_EQ(run(fast, packets, options, &fast_policy),
-                      run(ref, packets, options, &ref_policy))
-                << "greedy policy";
-          }
-          {
-            SyncRouter fast{host, model};
-            ReferenceRouter ref{host, model};
-            ASSERT_EQ(run(fast, packets, options, nullptr),
-                      run(ref, packets, options, nullptr))
-                << "internal oracle";
-          }
+          SyncRouter fast{host, model};
+          ReferenceRouter ref{host, model};
+          ASSERT_EQ(run([&] {
+                      return fast.route_with_faults(packets, options, true, kMaxSteps);
+                    }),
+                    run([&] {
+                      return ref.route_with_faults(packets, options, nullptr, true, kMaxSteps);
+                    }));
         }
       }
     }
@@ -361,13 +350,12 @@ TEST_F(RouterMemo, ChangedInputsMissAndReroute) {
       const FaultPlan plan = make_uniform_drops(host, 0.1, 9, 0, 8);
       FaultRouteOptions options;
       options.plan = &plan;
-      GreedyPolicy policy{host};
       SyncRouter router{host, model};
       const std::uint64_t hits = memo_hits();
       for (std::uint32_t call = 0; call < 2; ++call) {
         SyncRouter fresh{host, model};
-        EXPECT_EQ(dump_route_result(router.route_with_faults(packets, options, &policy, true)),
-                  dump_route_result(fresh.route_with_faults(packets, options, &policy, true)))
+        EXPECT_EQ(dump_route_result(router.route_with_faults(packets, options, true)),
+                  dump_route_result(fresh.route_with_faults(packets, options, true)))
             << "call " << call;
       }
       EXPECT_EQ(memo_hits(), hits) << "fault plan";

@@ -132,20 +132,17 @@ TEST_P(RouterDifferentialFuzz, FastEngineMatchesReferenceOnRandomInstances) {
 
     // Occasionally clamp the step budget hard enough that the run may throw:
     // both engines must then throw the identical livelock diagnostic.  Faulted
-    // runs keep a small budget regardless -- a fault-oblivious external policy
-    // livelocks against a permanently dead link by design, and spinning both
-    // engines to 2^22 steps just to compare the diagnostic is wasted time.
+    // runs route every hop on the live-subgraph oracle and never need more
+    // than a few hundred steps here; their smaller budget only bounds how
+    // long a regression that spins can take before both engines report it.
     const bool clamped = rng.chance(0.25);
     const std::uint32_t max_steps =
         clamped ? static_cast<std::uint32_t>(rng.between(1, 4))
                 : (faulted ? 2048u : (1u << 22));
 
-    auto run = [&](auto& router, RoutingPolicy& policy, std::string& what) -> std::string {
+    auto run = [&](const auto& route, std::string& what) -> std::string {
       try {
-        const RouteResult result =
-            faulted ? router.route_with_faults(packets, options, &policy, true, max_steps)
-                    : router.route(packets, policy, true, max_steps);
-        return testing::dump_route_result(result);
+        return testing::dump_route_result(route());
       } catch (const std::runtime_error& e) {
         what = e.what();
         return "<livelock>";
@@ -161,16 +158,24 @@ TEST_P(RouterDifferentialFuzz, FastEngineMatchesReferenceOnRandomInstances) {
     ValiantPolicy ref_valiant{host, policy_seed};
     SyncRouter fast{host, model};
     testing::ReferenceRouter ref{host, model};
+    RoutingPolicy& fast_policy = use_valiant ? static_cast<RoutingPolicy&>(fast_valiant)
+                                             : static_cast<RoutingPolicy&>(fast_greedy);
+    RoutingPolicy& ref_policy = use_valiant ? static_cast<RoutingPolicy&>(ref_valiant)
+                                            : static_cast<RoutingPolicy&>(ref_greedy);
     std::string fast_what;
     std::string ref_what;
-    const std::string fast_dump =
-        run(fast, use_valiant ? static_cast<RoutingPolicy&>(fast_valiant)
-                              : static_cast<RoutingPolicy&>(fast_greedy),
-            fast_what);
-    const std::string ref_dump =
-        run(ref, use_valiant ? static_cast<RoutingPolicy&>(ref_valiant)
-                             : static_cast<RoutingPolicy&>(ref_greedy),
-            ref_what);
+    const std::string fast_dump = run(
+        [&] {
+          return faulted ? fast.route_with_faults(packets, options, true, max_steps)
+                         : fast.route(packets, fast_policy, true, max_steps);
+        },
+        fast_what);
+    const std::string ref_dump = run(
+        [&] {
+          return faulted ? ref.route_with_faults(packets, options, nullptr, true, max_steps)
+                         : ref.route(packets, ref_policy, true, max_steps);
+        },
+        ref_what);
     ASSERT_EQ(fast_dump, ref_dump);
     ASSERT_EQ(fast_what, ref_what) << "livelock diagnostics must match byte-for-byte";
   }

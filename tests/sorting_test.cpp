@@ -5,9 +5,9 @@
 #include "src/sorting/bitonic.hpp"
 #include "src/sorting/comparator_network.hpp"
 #include "src/sorting/odd_even_merge.hpp"
-#include "src/sorting/oets.hpp"
 #include "src/sorting/sort_route.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/sorting_oracles.hpp"
 
 namespace upn {
 namespace {

@@ -9,6 +9,17 @@
 namespace upn {
 namespace {
 
+TEST(Spreading, ProfileMonotone) {
+  const Graph t = make_torus(6, 6);
+  const auto profile = spreading_profile(t, 7, 8);
+  ASSERT_EQ(profile.size(), 9u);
+  EXPECT_EQ(profile[0], 1u);
+  for (std::size_t i = 1; i < profile.size(); ++i) {
+    EXPECT_GE(profile[i], profile[i - 1]);
+  }
+  EXPECT_EQ(profile.back(), 36u);
+}
+
 TEST(Spreading, TorusIsQuadratic) {
   const Graph t = make_torus(20, 20);
   Rng rng{1};

@@ -1,9 +1,19 @@
-#include "src/sorting/oets.hpp"
+#include "tests/support/sorting_oracles.hpp"
 
 #include <stdexcept>
 #include <string>
 
+#include "src/util/math.hpp"
+
 namespace upn {
+
+std::uint32_t bitonic_depth(std::uint32_t n) {
+  if (!is_power_of_two(n) || n < 2) {
+    throw std::invalid_argument{"bitonic_depth: n must be a power of two >= 2"};
+  }
+  const std::uint32_t k = floor_log2(n);
+  return k * (k + 1) / 2;
+}
 
 ComparatorNetwork make_odd_even_transposition_sorter(std::uint32_t n) {
   if (n < 2) {

@@ -4,6 +4,7 @@
 #include "src/lowerbound/spreading.hpp"
 #include "src/topology/properties.hpp"
 #include "src/topology/torus3d.hpp"
+#include "tests/support/topology_oracles.hpp"
 
 namespace upn {
 namespace {

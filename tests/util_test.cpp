@@ -112,16 +112,6 @@ TEST(Math, Log2BinomialDegenerate) {
   EXPECT_EQ(log2_binomial(5, -0.0), 0.0);  // -0.0 is k == 0, not k < 0
 }
 
-TEST(Math, Log2AddCommutesAndIsCorrect) {
-  EXPECT_NEAR(log2_add(3, 3), 4.0, 1e-12);  // 8 + 8 = 16
-  EXPECT_NEAR(log2_add(0, 0), 1.0, 1e-12);  // 1 + 1 = 2
-  EXPECT_NEAR(log2_add(10, 0), log2_add(0, 10), 1e-12);
-  const double neg_inf = -std::numeric_limits<double>::infinity();
-  EXPECT_NEAR(log2_add(neg_inf, 5.0), 5.0, 1e-12);
-  EXPECT_EQ(log2_add(5.0, neg_inf), 5.0);
-  EXPECT_EQ(log2_add(neg_inf, neg_inf), neg_inf);
-}
-
 TEST(Math, IntegerLogs) {
   EXPECT_EQ(floor_log2(1), 0u);
   EXPECT_EQ(floor_log2(2), 1u);

@@ -8,11 +8,11 @@
 //        operation (lock acquisition, condition-variable wait, IO)
 //        reachable from a ThreadPool task body stalls a pool worker.
 //   dead functions -- free src/ functions whose name is never
-//        referenced outside their own declarations.  Liveness is by name
-//        reference (calls, address-taken uses, using-declarations all
-//        count), so recursion alone does not keep a function alive but any
-//        overload being used keeps the whole name alive -- conservative in
-//        the direction that matters.
+//        referenced outside their own declarations and tests/.  Liveness
+//        is by name reference (calls, address-taken uses,
+//        using-declarations all count), so recursion alone does not keep a
+//        function alive but any overload being used keeps the whole name
+//        alive -- conservative in the direction that matters.
 //
 // Findings are restricted to src/ modules (module_of(file) non-empty): the
 // pool's own tests deliberately lock inside tasks, and fixtures/benches are
@@ -245,9 +245,10 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
   }
   if (candidates.empty()) return out;
 
-  // Liveness by name reference across the WHOLE analyzed set (CLI, tests,
-  // bench, examples are the roots): a name is alive iff it occurs more often
-  // than its own definitions and header prototypes account for.  Any
+  // Liveness by name reference across the analyzed set minus tests/ (CLI,
+  // bench, example and upnbench code are the roots; a function only tests
+  // reach belongs in tests/support): a name is alive iff it occurs more
+  // often than its own definitions and header prototypes account for.  Any
   // reference counts -- calls, address-taken uses, using-declarations -- so
   // the pass errs toward alive, never toward flagging live code (recursion
   // is the documented exception: a self-call keeps a function alive).  Only
@@ -258,6 +259,7 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
   std::map<std::string, std::size_t> mentions;
   std::map<std::string, std::size_t> prototypes;
   for (const Unit& unit : units) {
+    if (unit.path.rfind("tests/", 0) == 0) continue;
     for (const Token& t : unit.tokens) {
       if (t.kind != TokenKind::kIdent) continue;
       const auto it = mentions.find(t.text);
@@ -293,7 +295,7 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
       out.push_back(Finding{file, line, "dead-function",
                             "free function '" + name +
                                 "' is never referenced outside its own declarations "
-                                "anywhere in the analyzed tree; delete it"});
+                                "and tests/; delete it or move it to tests/support"});
     }
   }
 

@@ -349,9 +349,45 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "\n"
      "}  // namespace demo\n"},
 
+    // Dead-function pass, test-only callers: both trees define the same
+    // function and carry the same test that mentions it.  The clean main
+    // also calls it; in the bad tree only the test does, and a unit under
+    // tests/ is not a caller.
+    {"src/core/scaling.cpp",
+     "namespace demo {\n"
+     "\n"
+     "int scaled_twice(int value) {\n"
+     "  return value * 2;\n"
+     "}\n"
+     "\n"
+     "}  // namespace demo\n",
+     "namespace demo {\n"
+     "\n"
+     "int scaled_twice(int value) {\n"
+     "  return value * 2;\n"
+     "}\n"
+     "\n"
+     "}  // namespace demo\n"},
+    {"tests/scaling_test.cpp",
+     "namespace demo {\n"
+     "\n"
+     "int check_scaled_twice() {\n"
+     "  return scaled_twice(4) == 8 ? 0 : 1;\n"
+     "}\n"
+     "\n"
+     "}  // namespace demo\n",
+     "namespace demo {\n"
+     "\n"
+     "int check_scaled_twice() {\n"
+     "  return scaled_twice(4) == 8 ? 0 : 1;\n"
+     "}\n"
+     "\n"
+     "}  // namespace demo\n"},
+
     // Liveness anchor: a main() that references every function the trees
-    // define on purpose, so dead-function fires only on the orphan above.
-    // The bad variant deliberately omits orphaned_scale.
+    // define on purpose, so dead-function fires only on the orphan and the
+    // test-only function above.  The bad variant deliberately omits
+    // orphaned_scale and scaled_twice.
     {"src/core/fixture_main.cpp",
      "namespace demo {\n"
      "\n"
@@ -364,7 +400,7 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "  export_totals(table);\n"
      "  first_then_second();\n"
      "  also_first_then_second();\n"
-     "  return reseed() + identity(9);\n"
+     "  return reseed() + identity(9) + scaled_twice(1);\n"
      "}\n"
      "\n"
      "}  // namespace demo\n"

@@ -17,7 +17,7 @@ const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> catalog = {
       {"dead-function",
        "a free src/ function whose name is never referenced outside its own declarations "
-       "anywhere in the analyzed tree"},
+       "and tests/"},
       {"hotpath-alloc",
        "heap allocation inside a loop in a hotpath-declared module; hoist it or use a "
        "preallocated buffer"},

@@ -156,8 +156,8 @@ struct LayerSpec {
                                                        const std::vector<Unit>& units);
 
 /// Dead functions: free src/ functions whose name is never referenced
-/// outside their own declarations anywhere in the analyzed tree (CLI, test,
-/// bench, and example roots included):
+/// outside their own declarations by non-test code (CLI, bench, example and
+/// upnbench roots; units under tests/ are not callers):
 ///   dead-function
 [[nodiscard]] std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
                                                           const std::vector<Unit>& units);
