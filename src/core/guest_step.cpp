@@ -246,13 +246,17 @@ std::uint32_t emit_generate_rounds(Protocol* protocol,
   for (const auto& bucket : guests_of) {
     rounds = std::max(rounds, static_cast<std::uint32_t>(bucket.size()));
   }
+  // One round's generates, handed to the protocol in one add_step.
+  std::vector<Op> round_ops;
   for (std::uint32_t round = 0; protocol != nullptr && round < rounds; ++round) {
-    protocol->begin_step();
+    round_ops.clear();
     for (std::uint32_t q = 0; q < guests_of.size(); ++q) {
       if (round < guests_of[q].size()) {
-        protocol->add(Op{OpKind::kGenerate, q, PebbleType{guests_of[q][round], t}, 0});
+        round_ops.push_back(Op{OpKind::kGenerate, q, PebbleType{guests_of[q][round], t}, 0});
       }
     }
+    protocol->begin_step();
+    protocol->add_step(round_ops);
   }
   return rounds;
 }

@@ -85,7 +85,13 @@ Protocol read_protocol(std::istream& is) {
   if (n > kMaxProtocolDimension || m > kMaxProtocolDimension || T > kMaxProtocolDimension) {
     fail(line_no, "header count exceeds limit");
   }
-  Protocol protocol{n, m, T};
+  Protocol protocol = [&] {
+    try {
+      return Protocol{n, m, T};
+    } catch (const ProtocolHeaderTooWide& e) {
+      fail(line_no, e.what());
+    }
+  }();
   bool in_step = false;
   while (std::getline(is, line)) {
     ++line_no;
@@ -124,8 +130,6 @@ Protocol read_protocol(std::istream& is) {
                                          : "send/receive missing partner");
     }
     if (tokens.size() > expected_fields) fail(line_no, "trailing garbage");
-    // Parsed unpacked: Protocol::add range-checks the full 32-bit
-    // processor id before Op packs it.
     const std::uint32_t proc = parse_u32(tokens[1], line_no, "processor");
     PebbleType pebble;
     pebble.node = parse_u32(tokens[2], line_no, "pebble node");
@@ -136,7 +140,7 @@ Protocol read_protocol(std::istream& is) {
       if (partner >= m) fail(line_no, "partner out of range");
     }
     try {
-      protocol.add(kind, proc, pebble, partner);
+      protocol.add(Op{kind, proc, pebble, partner});
     } catch (const std::exception& e) {
       fail(line_no, e.what());
     }

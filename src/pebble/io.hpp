@@ -19,9 +19,13 @@
 
 namespace upn {
 
-/// Hostile-input caps enforced by read_protocol.  Dimension caps bound the
-/// allocation a forged header can force (proc_used_step_ is 4 bytes per
-/// host); the length caps bound per-line work.
+/// Hostile-input caps enforced by read_protocol.  Reading allocates by the
+/// ops a file holds, not by its header; the dimension caps bound what a
+/// forged header can make a later reader size up front (the validator's
+/// per-host arrays, ProtocolMetrics' n * T cells).  A header within the caps
+/// is still refused when its ops need more than one 64-bit word
+/// (ProtocolHeaderTooWide: n = m = T = 2^26 needs 107 bits).  The length
+/// caps bound per-line work.
 inline constexpr std::uint32_t kMaxProtocolDimension = 1u << 26;
 inline constexpr std::size_t kMaxProtocolTokenLength = 32;
 inline constexpr std::size_t kMaxProtocolLineLength = 4096;
@@ -30,9 +34,10 @@ void write_protocol(std::ostream& os, const Protocol& protocol);
 
 /// Parses a protocol; throws std::runtime_error with a line number on any
 /// malformed input: non-numeric or negative fields, counts overflowing
-/// uint32_t, header dimensions above kMaxProtocolDimension, overlong lines
-/// or tokens, missing fields, trailing garbage, partners out of range, and
-/// violations of the one-op-per-processor rule.
+/// uint32_t, header dimensions above kMaxProtocolDimension or wider than one
+/// 64-bit word per op, overlong lines or tokens, missing fields, trailing
+/// garbage, partners out of range, and violations of the
+/// one-op-per-processor rule.
 [[nodiscard]] Protocol read_protocol(std::istream& is);
 
 }  // namespace upn

@@ -1,24 +1,55 @@
 #include "src/pebble/protocol.hpp"
 
+#include <bit>
+#include <string>
+
 namespace upn {
+
+namespace {
+
+/// ceil(log2 count): the bits that hold every value below `count`.
+unsigned bits_below(std::uint64_t count) noexcept {
+  return count <= 1 ? 0u : static_cast<unsigned>(std::bit_width(count - 1));
+}
+
+std::uint64_t low_mask(unsigned bits) noexcept { return (std::uint64_t{1} << bits) - 1; }
+
+}  // namespace
+
+ProtocolHeaderTooWide::ProtocolHeaderTooWide(std::uint32_t num_guests, std::uint32_t num_hosts,
+                                             std::uint32_t guest_steps, unsigned bits)
+    : std::length_error{"Protocol: header n=" + std::to_string(num_guests) +
+                        " m=" + std::to_string(num_hosts) + " T=" +
+                        std::to_string(guest_steps) + " needs " + std::to_string(bits) +
+                        " bits per op, more than one 64-bit word"} {}
+
+OpCodec::OpCodec(std::uint32_t num_guests, std::uint32_t num_hosts,
+                 std::uint32_t guest_steps) {
+  const unsigned node_bits = bits_below(num_guests);
+  const unsigned time_bits = bits_below(std::uint64_t{guest_steps} + 1);
+  const unsigned host_bits = bits_below(num_hosts);
+  const unsigned bits = 2 + 2 * host_bits + time_bits + node_bits;
+  if (bits > 64) throw ProtocolHeaderTooWide{num_guests, num_hosts, guest_steps, bits};
+  host_mask_ = low_mask(host_bits);
+  time_mask_ = low_mask(time_bits);
+  node_mask_ = low_mask(node_bits);
+  unsigned offset = kProcShift + host_bits;
+  auto place = [&offset](unsigned field_bits) {
+    const unsigned shift = field_bits == 0 ? 0 : offset;
+    offset += field_bits;
+    return shift;
+  };
+  partner_shift_ = place(host_bits);
+  time_shift_ = place(time_bits);
+  node_shift_ = place(node_bits);
+}
 
 Protocol::Protocol(std::uint32_t num_guests, std::uint32_t num_hosts,
                    std::uint32_t guest_steps)
-    : num_guests_(num_guests), num_hosts_(num_hosts), guest_steps_(guest_steps) {
-  UPN_REQUIRE(num_hosts <= kMaxProtocolHosts,
-              "Protocol: host count exceeds the 30-bit processor field of Op");
-  proc_used_step_.assign(num_hosts, 0);
-}
-
-Protocol::OpFault Protocol::fault_of(OpKind kind, std::uint32_t proc, PebbleType pebble,
-                                     std::uint32_t partner,
-                                     std::uint32_t current) const noexcept {
-  if (proc >= num_hosts_) return OpFault::kProc;
-  if (pebble.node >= num_guests_ || pebble.time > guest_steps_) return OpFault::kPebble;
-  if (kind != OpKind::kGenerate && partner >= num_hosts_) return OpFault::kPartner;
-  if (proc_used_step_[proc] == current) return OpFault::kProcBusy;
-  return OpFault::kNone;
-}
+    : num_guests_(num_guests),
+      num_hosts_(num_hosts),
+      guest_steps_(guest_steps),
+      codec_(num_guests, num_hosts, guest_steps) {}
 
 void Protocol::require_legal(std::uint32_t current, OpFault fault) {
   UPN_REQUIRE(current > 0, "Protocol::add: begin_step() first");
@@ -36,28 +67,31 @@ void Protocol::require_legal(std::uint32_t current, OpFault fault) {
               "at most one operation per processor per host step)");
 }
 
-void Protocol::add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint32_t partner) {
+void Protocol::add(const Op& op) {
   const std::uint32_t current = host_steps();
-  require_legal(current, fault_of(kind, proc, pebble, partner, current));
-  proc_used_step_[proc] = current;
-  ops_.push_back(Op{kind, proc, pebble, partner});
+  require_legal(current, fault_of(op, current));
+  mark_acted(op.proc, current);
+  ops_.push_back(codec_.encode(op));
   ++step_offsets_.back();
 }
 
 void Protocol::add_step(std::span<const Op> ops) {
   const std::uint32_t current = host_steps();
+  // A local copy: stores to the op array cannot alias its fields.
+  const OpCodec codec = codec_;
+  const std::size_t base = ops_.size();
+  ops_.resize(base + ops.size());
+  std::uint64_t* out = ops_.data() + base;
   std::size_t admitted = 0;
   OpFault fault = OpFault::kNone;
-  // With no open step (current == 0) every processor reads as busy, so
-  // nothing is admitted and require_legal throws add()'s begin_step error.
   for (; admitted < ops.size(); ++admitted) {
     const Op& op = ops[admitted];
-    fault = fault_of(op.kind, op.proc, op.pebble, op.partner, current);
+    fault = fault_of(op, current);
     if (fault != OpFault::kNone) break;
-    proc_used_step_[op.proc] = current;
+    mark_acted(op.proc, current);
+    out[admitted] = codec.encode(op);
   }
-  const std::span<const Op> legal = ops.first(admitted);
-  ops_.insert(ops_.end(), legal.begin(), legal.end());
+  ops_.resize(base + admitted);
   step_offsets_.back() += admitted;
   if (admitted < ops.size()) require_legal(current, fault);
 }

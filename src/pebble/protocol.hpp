@@ -15,16 +15,23 @@
 // somewhere.  A Protocol is the full listing of operations; the validator
 // (validator.hpp) replays it against the guest and host graphs.
 //
-// Layout: one flat array of 16-byte ops plus a CSR `step_offsets` array
-// (host step s owns ops [step_offsets[s], step_offsets[s+1])), so emitting,
-// replaying and indexing a protocol are single passes over contiguous memory.
+// Layout: the ops of all host steps in one flat array plus a CSR
+// `step_offsets` array (host step s owns ops [step_offsets[s],
+// step_offsets[s+1])), so emitting, replaying and indexing a protocol are
+// single passes over contiguous memory.  Each op is stored as one 64-bit
+// word (OpCodec) whose field widths the header fixes: 36 bits at n=4356,
+// m=192, T=16.  Emitters write and readers see the plain `Op` struct;
+// step(s) and ops() decode on access, and a reader that visits a step's ops
+// more than once (the validator) decodes the step into a reused buffer.
 // An emitter that builds a whole host step first hands it over with
-// add_step(): the ops are checked one by one exactly as add() checks them,
-// then appended to the flat array in one insert (up to the first illegal op,
-// which throws what add() throws).
+// add_step(): each op is checked exactly as add() checks it and encoded
+// straight into the array (up to the first illegal op, which throws what
+// add() throws).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -46,28 +53,106 @@ struct PebbleType {
 
 enum class OpKind : std::uint8_t { kGenerate, kSend, kReceive };
 
-/// Host processors a Protocol can address: Op packs the processor id into
-/// the 30 bits next to its 2-bit kind.
-inline constexpr std::uint32_t kMaxProtocolHosts = 1u << 30;
-
-/// One operation, packed to 16 bytes: kind and processor share a word.
+/// One operation: what emitters write and readers see.  A generate's
+/// partner is not stored and reads back 0, as .upnp never carries it.
 struct Op {
-  OpKind kind : 2;
-  std::uint32_t proc : 30;  ///< host processor performing the operation
-  PebbleType pebble;        ///< the pebble generated / sent / received
-  std::uint32_t partner;    ///< send: receiver; receive: sender; else unused
-
-  constexpr Op() noexcept : kind(OpKind::kGenerate), proc(0), partner(0) {}
-  /// `op_proc` must be below kMaxProtocolHosts; higher bits are dropped.
-  /// Protocol::add's unpacked overload range-checks untrusted ids first.
-  constexpr Op(OpKind op_kind, std::uint32_t op_proc, PebbleType op_pebble,
-               std::uint32_t op_partner) noexcept
-      : kind(op_kind),
-        proc(op_proc & (kMaxProtocolHosts - 1)),
-        pebble(op_pebble),
-        partner(op_partner) {}
+  OpKind kind = OpKind::kGenerate;
+  std::uint32_t proc = 0;     ///< host processor performing the operation
+  PebbleType pebble;          ///< the pebble generated / sent / received
+  std::uint32_t partner = 0;  ///< send: receiver; receive: sender; generate: 0
 };
-static_assert(sizeof(Op) <= 16, "Op must stay packed: a protocol is an array of them");
+
+/// A header (n, m, T) whose ops do not fit one 64-bit word.
+class ProtocolHeaderTooWide : public std::length_error {
+ public:
+  ProtocolHeaderTooWide(std::uint32_t num_guests, std::uint32_t num_hosts,
+                        std::uint32_t guest_steps, unsigned bits);
+};
+
+/// Packs an Op into one 64-bit word, laid out from the low bits up as
+/// kind | proc | partner | time | node.  Each field is as wide as the
+/// header's range needs: 2 bits of kind, ceil(log2 m) bits each for proc
+/// and partner, ceil(log2 (T+1)) for time and ceil(log2 n) for node.  Kind
+/// and proc sit at fixed offsets, so decoding takes three shifts by a
+/// header-set count.
+class OpCodec {
+ public:
+  /// Throws ProtocolHeaderTooWide when the fields need more than 64 bits.
+  OpCodec(std::uint32_t num_guests, std::uint32_t num_hosts, std::uint32_t guest_steps);
+
+  /// `op`'s fields must lie in the header's ranges (Protocol::add checks
+  /// them); a generate's partner is dropped.
+  [[nodiscard]] std::uint64_t encode(const Op& op) const noexcept {
+    const std::uint64_t partner = op.kind == OpKind::kGenerate ? 0 : op.partner;
+    return static_cast<std::uint64_t>(op.kind) | (std::uint64_t{op.proc} << kProcShift) |
+           (partner << partner_shift_) | (std::uint64_t{op.pebble.time} << time_shift_) |
+           (std::uint64_t{op.pebble.node} << node_shift_);
+  }
+
+  [[nodiscard]] Op decode(std::uint64_t word) const noexcept {
+    Op op;
+    op.kind = static_cast<OpKind>(word & kKindMask);
+    op.proc = static_cast<std::uint32_t>((word >> kProcShift) & host_mask_);
+    op.pebble.node = static_cast<NodeId>((word >> node_shift_) & node_mask_);
+    op.pebble.time = static_cast<std::uint32_t>((word >> time_shift_) & time_mask_);
+    op.partner = static_cast<std::uint32_t>((word >> partner_shift_) & host_mask_);
+    return op;
+  }
+
+ private:
+  static constexpr std::uint64_t kKindMask = 3;
+  static constexpr unsigned kProcShift = 2;
+
+  // A field of width 0 has mask 0 and shift 0: it reads back 0, and no
+  // shift reaches 64.
+  std::uint64_t host_mask_ = 0;
+  std::uint64_t time_mask_ = 0;
+  std::uint64_t node_mask_ = 0;
+  unsigned partner_shift_ = 0;
+  unsigned time_shift_ = 0;
+  unsigned node_shift_ = 0;
+};
+
+/// A run of stored ops, decoded on access: what Protocol::step() and
+/// Protocol::ops() return.  Valid while its protocol lives and does not grow.
+class OpView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Op;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Op;
+
+    iterator(const OpCodec& codec, const std::uint64_t* word) noexcept
+        : codec_(codec), word_(word) {}
+    Op operator*() const noexcept { return codec_.decode(*word_); }
+    iterator& operator++() noexcept {
+      ++word_;
+      return *this;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) noexcept {
+      return a.word_ == b.word_;
+    }
+
+   private:
+    OpCodec codec_;
+    const std::uint64_t* word_;
+  };
+
+  OpView(const OpCodec& codec, std::span<const std::uint64_t> words) noexcept
+      : codec_(codec), words_(words) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return words_.size(); }
+  [[nodiscard]] Op operator[](std::size_t k) const noexcept { return codec_.decode(words_[k]); }
+  [[nodiscard]] iterator begin() const noexcept { return {codec_, words_.data()}; }
+  [[nodiscard]] iterator end() const noexcept { return {codec_, words_.data() + words_.size()}; }
+
+ private:
+  OpCodec codec_;
+  std::span<const std::uint64_t> words_;
+};
 
 /// A simulation protocol S: host steps, each a list of operations (at most
 /// one per processor -- enforced at insertion and again by the validator).
@@ -83,15 +168,11 @@ class Protocol {
   }
 
   /// Adds an operation to the current host step.
-  void add(const Op& op) { add(op.kind, op.proc, op.pebble, op.partner); }
+  void add(const Op& op);
 
-  /// add(Op) on unpacked fields: the full 32-bit processor id is
-  /// range-checked before it is packed (read_protocol's entry point).
-  void add(OpKind kind, std::uint32_t proc, PebbleType pebble, std::uint32_t partner);
-
-  /// add(op) for every op of `ops` in order, appended in one insert.  An
-  /// illegal op throws what add() throws, with the ops before it kept.
-  /// `ops` must not view this protocol's own storage.
+  /// add(op) for every op of `ops` in order, checked and encoded in one
+  /// loop.  An illegal op throws what add() throws, with the ops before it
+  /// kept.
   void add_step(std::span<const Op> ops);
 
   /// Pre-sizes the flat arrays to hold `total_ops` operations in
@@ -108,16 +189,16 @@ class Protocol {
   }
 
   /// Every operation, in step order.
-  [[nodiscard]] std::span<const Op> ops() const {
+  [[nodiscard]] OpView ops() const {
     UPN_ENSURE(step_offsets_.back() == ops_.size(), "Protocol: step offsets must close on ops");
-    return ops_;
+    return {codec_, ops_};
   }
 
   /// The operations of host step `s`.
-  [[nodiscard]] std::span<const Op> step(std::uint32_t s) const {
+  [[nodiscard]] OpView step(std::uint32_t s) const {
     UPN_REQUIRE(s < host_steps(), "Protocol::step: host step out of range");
-    return std::span<const Op>{ops_}.subspan(step_offsets_[s],
-                                             step_offsets_[s + 1] - step_offsets_[s]);
+    return {codec_, std::span<const std::uint64_t>{ops_}.subspan(
+                        step_offsets_[s], step_offsets_[s + 1] - step_offsets_[s])};
   }
 
   [[nodiscard]] std::uint64_t num_ops() const noexcept { return ops_.size(); }
@@ -136,18 +217,40 @@ class Protocol {
  private:
   /// Why an op may not join host step `current`, in add()'s check order.
   enum class OpFault : std::uint8_t { kNone, kProc, kPebble, kPartner, kProcBusy };
-  [[nodiscard]] OpFault fault_of(OpKind kind, std::uint32_t proc, PebbleType pebble,
-                                 std::uint32_t partner, std::uint32_t current) const noexcept;
+  [[nodiscard]] OpFault fault_of(const Op& op, std::uint32_t current) const noexcept {
+    if (op.proc >= num_hosts_) return OpFault::kProc;
+    if (op.pebble.node >= num_guests_ || op.pebble.time > guest_steps_) return OpFault::kPebble;
+    if (op.kind != OpKind::kGenerate && op.partner >= num_hosts_) return OpFault::kPartner;
+    // With no open step (current == 0) every processor reads as busy, so
+    // require_legal throws the begin_step error.  A processor past the end
+    // of proc_used_step_ has not acted yet.
+    const bool busy = op.proc < proc_used_step_.size() ? proc_used_step_[op.proc] == current
+                                                       : current == 0;
+    return busy ? OpFault::kProcBusy : OpFault::kNone;
+  }
   /// Throws what add() throws for an op with `fault` in host step `current`
   /// (current == 0: no open step); returns for a legal op.
   static void require_legal(std::uint32_t current, OpFault fault);
+  /// Records that `proc` (below num_hosts_) acted in host step `current`.
+  /// The table's capacity grows geometrically, so processors added in
+  /// order cost amortized O(1).
+  void mark_acted(std::uint32_t proc, std::uint32_t current) {
+    if (proc >= proc_used_step_.size()) [[unlikely]] {
+      proc_used_step_.resize(std::size_t{proc} + 1, 0);
+    }
+    proc_used_step_[proc] = current;
+  }
 
   std::uint32_t num_guests_;
   std::uint32_t num_hosts_;
   std::uint32_t guest_steps_;
-  std::vector<Op, MappedAllocator<Op>> ops_;
+  OpCodec codec_;
+  std::vector<std::uint64_t, MappedAllocator<std::uint64_t>> ops_;  ///< OpCodec words
   std::vector<std::uint64_t, MappedAllocator<std::uint64_t>> step_offsets_{0};
-  std::vector<std::uint32_t> proc_used_step_;  ///< proc -> last step index + 1
+  /// proc -> last step index + 1 (0: never acted), up to the largest
+  /// processor id added so far: its memory follows the ops, not the
+  /// header's m.
+  std::vector<std::uint32_t> proc_used_step_;
 };
 
 }  // namespace upn

@@ -176,14 +176,21 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
     return len == 1 && *base == v;
   };
 
+  // The current step's ops, decoded once by the first pass for the second
+  // pass and the receives' lookups.  The view is a local, so stores to the
+  // buffer cannot alias its codec: the shifts and masks stay in registers.
+  std::vector<Op> decoded;
   for (std::uint32_t step = 0; step < protocol.host_steps(); ++step) {
     UPN_OBS_STEP(step);
-    const std::span<const Op> ops = protocol.step(step);
+    const OpView stored = protocol.step(step);
+    if (decoded.size() < stored.size()) decoded.resize(stored.size());
+    const std::span<const Op> ops{decoded.data(), stored.size()};
     const std::uint32_t stamp = step + 1;
     // First pass: one operation per processor (checked here too, not only
     // in Protocol::add, so the verdict does not rest on the emitter), and
     // sends -- whose content must already be held at the start of the step.
     for (std::size_t k = 0; k < ops.size(); ++k) {
+      decoded[k] = stored[k];
       const Op& op = ops[k];
       if (acted_in[op.proc] == stamp) {
         return fail("step " + std::to_string(step) + ": " + describe(op) +

@@ -79,7 +79,7 @@ TEST(PebbleIoFuzz, OverlongTokenAndLineAreRejected) {
 }
 
 TEST(PebbleIoFuzz, HugeHeaderDoesNotAllocate) {
-  // 4294967295 hosts would be a 16 GiB proc_used_step_ vector if the parser
+  // 4294967295 hosts would be a 16 GiB per-host table in any reader that
   // trusted the header.
   expect_rejected("upn-protocol 1 4294967295 4294967295 4294967295\n");
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/core/embedding.hpp"
 #include "src/core/universal_sim.hpp"
@@ -69,6 +70,21 @@ TEST(PebbleIo, RoundTripSimulatorProtocolAndRevalidate) {
 TEST(PebbleIo, RejectsBadHeader) {
   std::stringstream buffer{"not-a-protocol 1 2 3 4\n"};
   EXPECT_THROW((void)read_protocol(buffer), std::runtime_error);
+}
+
+TEST(PebbleIo, RefusesAHeaderWiderThanOneWord) {
+  // Each count is within the caps, but an op of this header needs
+  // 2 + 2 * 26 + 27 + 26 = 107 bits.
+  const std::string cap = std::to_string(kMaxProtocolDimension);
+  std::stringstream buffer{"upn-protocol 1 " + cap + ' ' + cap + ' ' + cap + "\nstep\n"};
+  try {
+    (void)read_protocol(buffer);
+    FAIL() << "a 107-bit header was read";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("read_protocol: line 1: ", 0), 0u) << what;
+    EXPECT_NE(what.find("n=" + cap + " m=" + cap + " T=" + cap), std::string::npos) << what;
+  }
 }
 
 TEST(PebbleIo, RejectsOpBeforeStep) {

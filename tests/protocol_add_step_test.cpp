@@ -25,7 +25,7 @@ using Steps = std::vector<std::vector<Op>>;
 Steps steps_of(const Protocol& protocol) {
   Steps steps;
   for (std::uint32_t s = 0; s < protocol.host_steps(); ++s) {
-    const std::span<const Op> ops = protocol.step(s);
+    const OpView ops = protocol.step(s);
     steps.emplace_back(ops.begin(), ops.end());
   }
   return steps;

@@ -2,8 +2,10 @@
 // whose header claims T = kMaxProtocolDimension (2^26) but which holds only
 // a few ops must validate in memory proportional to those ops: a dense
 // holdings table (one n-bit row per host and guest time) would need
-// n * m * T bits = 128 MiB here, and a dense row index 1 GiB.  The test
-// binary runs alone so its peak resident set measures the validator.
+// n * m * T bits = 128 MiB here, and a dense row index 1 GiB.  Reading a
+// .upnp follows its ops too: a header claiming m = 2^26 hosts must not
+// cost a 4-byte entry per host up front (256 MiB).  The test binary runs
+// alone so its peak resident set measures the reader and the validator.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -24,6 +26,18 @@ long peak_rss_kib() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return usage.ru_maxrss;  // KiB on Linux
+}
+
+TEST(ValidatorMemory, ReadingAHugeHostCountStaysSmall) {
+  // 41 bytes: one step, one generate, on a header of m = 2^26 hosts.
+  const std::string text =
+      "upn-protocol 1 4 " + std::to_string(kMaxProtocolDimension) + " 4\nstep\nG 0 0 1\n";
+  std::stringstream buffer{text};
+  const long before = peak_rss_kib();
+  const Protocol protocol = read_protocol(buffer);
+  EXPECT_LT(peak_rss_kib() - before, 8 * 1024) << "reading grew with the header's m";
+  EXPECT_EQ(protocol.num_hosts(), kMaxProtocolDimension);
+  EXPECT_EQ(protocol.num_ops(), 1u);
 }
 
 TEST(ValidatorMemory, HugeHeaderWithFewOpsStaysSmall) {
