@@ -186,6 +186,21 @@ TEST(Regression, EmittedProtocolBytesPinned) {
     EXPECT_EQ(result.protocol->num_ops(), 1248u);
     EXPECT_EQ(upnp_digest(*result.protocol), 10993649518908755404ull);
   }
+  {  // The toy pipeline's size over its horizon: n = 144 on butterfly(2),
+     // T = 16, so guest steps 2..16 route from the route memo.
+    Rng rng{2024};
+    const Graph guest = make_random_regular(144, 8, rng);
+    const Graph host = make_butterfly(2);
+    UniversalSimulator sim{guest, host, make_random_embedding(144, host.num_nodes(), rng)};
+    UniversalSimOptions options;
+    options.emit_protocol = true;
+    options.seed = 555;
+    const UniversalSimResult result = sim.run(16, options);
+    ASSERT_TRUE(result.configs_match);
+    EXPECT_EQ(result.host_steps, 11360u);
+    EXPECT_EQ(result.protocol->num_ops(), 81664u);
+    EXPECT_EQ(upnp_digest(*result.protocol), 17531076391254298303ull);
+  }
   {  // The fault run above with emission on: 10% drops leave SENDs with no
      // RECEIVE, and host 3 dies mid-run.
     Rng rng{1000};
