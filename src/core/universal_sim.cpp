@@ -60,9 +60,18 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
 
   GuestStepKernel kernel{guest, embedding_, options.seed};
   const DeliverFn deliver = std::bind_front(&GuestStepKernel::deliver, &kernel);
+  // Guest step 1's route and the host steps it emitted.  The demand list
+  // (hence every packet's sender tag) is fixed for the run, so a later guest
+  // step routed from the same hop log in as many router steps emits step
+  // 1's block with every pebble time raised by t - 1.  Holding the log pins
+  // its storage: equal addresses mean the same log, never a reused one.
+  TransferLog first_log;
+  std::uint32_t first_route_steps = 0;
+  std::uint32_t first_block_steps = 0;
   for (std::uint32_t t = 1; t <= guest_steps; ++t) {
     UPN_OBS_STEP(t);
     // ---- Phase 1: communication (the h-h routing of Theorem 2.1). ----
+    bool repeats_first = false;
     {
       UPN_OBS_SPAN("sim.universal.route");
       const StepPayloads step = kernel.step_payloads();
@@ -81,11 +90,18 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
         for (const Transfer& tr : routed.transfers) step_ops += tr.dropped == 0 ? 2 : 1;
         result.protocol->reserve(step_ops * guest_steps,
                                  (std::uint64_t{routed.steps} + load_) * guest_steps);
+        first_log = routed.transfers;
+        first_route_steps = routed.steps;
       }
+      repeats_first = options.emit_protocol && t > 1 &&
+                      routed.transfers.data() == first_log.data() &&
+                      routed.steps == first_route_steps;
       // Each router step becomes one protocol step; the single-port router
       // guarantees the transfers of a step form a matching, hence one op
       // per processor.
-      if (options.emit_protocol) emit_route_ops(*result.protocol, routed, t - 1);
+      if (options.emit_protocol && !repeats_first) {
+        emit_route_ops(*result.protocol, routed, t - 1);
+      }
     }
 
     // ---- Phase 2: computation (sequential per host, parallel across). ----
@@ -93,7 +109,12 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
     kernel.compute_lossless("UniversalSimulator");
     result.compute_steps += load_;
     UPN_OBS_COUNT("sim.universal.compute_steps", load_);
-    if (options.emit_protocol) emit_generate_rounds(&*result.protocol, guests_of_, t);
+    if (repeats_first) {
+      result.protocol->repeat_steps(0, first_block_steps, t - 1);
+    } else if (options.emit_protocol) {
+      emit_generate_rounds(&*result.protocol, guests_of_, t);
+      if (t == 1) first_block_steps = result.protocol->host_steps();
+    }
   }
 
   if (options.emit_protocol) {

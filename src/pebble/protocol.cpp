@@ -1,5 +1,6 @@
 #include "src/pebble/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <string>
 
@@ -94,6 +95,42 @@ void Protocol::add_step(std::span<const Op> ops) {
   ops_.resize(base + admitted);
   step_offsets_.back() += admitted;
   if (admitted < ops.size()) require_legal(current, fault);
+}
+
+void Protocol::repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32_t time_delta) {
+  UPN_REQUIRE(first <= last && last <= host_steps(),
+              "Protocol::repeat_steps: step range outside the protocol");
+  const std::uint32_t count = last - first;
+  UPN_REQUIRE(count <= std::numeric_limits<std::uint32_t>::max() - host_steps(),
+              "Protocol::repeat_steps: host step count overflows uint32");
+  if (count == 0) return;
+  const OpCodec codec = codec_;
+  const std::size_t source = step_offsets_[first];
+  const std::size_t size = step_offsets_[last] - source;
+  const std::size_t base = ops_.size();
+  ops_.resize(base + size);
+  // The source lies wholly before `base`, so the two ranges never overlap.
+  const std::uint64_t* in = ops_.data() + source;
+  std::uint64_t* out = ops_.data() + base;
+  const std::uint64_t raise = codec.time_raise(time_delta);
+  std::uint32_t latest = 0;
+  for (std::size_t k = 0; k < size; ++k) {
+    out[k] = in[k] + raise;
+    latest = std::max(latest, codec.time_of(in[k]));
+  }
+  if (size > 0 && std::uint64_t{latest} + time_delta > guest_steps_) {
+    ops_.resize(base);
+    require_legal(host_steps(), OpFault::kPebble);
+  }
+  const std::size_t steps = step_offsets_.size();
+  step_offsets_.resize(steps + count);
+  for (std::uint32_t k = 0; k < count; ++k) {
+    step_offsets_[steps + k] = step_offsets_[first + k + 1] - source + base;
+  }
+  const std::uint32_t current = host_steps();
+  for (std::size_t k = step_offsets_[current - 1]; k < ops_.size(); ++k) {
+    mark_acted(codec.proc_of(ops_[k]), current);
+  }
 }
 
 void Protocol::reserve(std::uint64_t total_ops, std::uint64_t total_steps) {

@@ -26,7 +26,10 @@
 // An emitter that builds a whole host step first hands it over with
 // add_step(): each op is checked exactly as add() checks it and encoded
 // straight into the array (up to the first illegal op, which throws what
-// add() throws).
+// add() throws).  An emitter whose later steps repeat earlier ones at a
+// later guest time (Theorem 2.1's guest steps all route the same relation)
+// appends them with repeat_steps(): one pass that adds the time shift to
+// each stored word, checking only the raised times.
 #pragma once
 
 #include <cstddef>
@@ -89,12 +92,27 @@ class OpCodec {
            (std::uint64_t{op.pebble.node} << node_shift_);
   }
 
+  /// The pebble time and the processor `word` holds: decode(word)'s fields.
+  [[nodiscard]] std::uint32_t time_of(std::uint64_t word) const noexcept {
+    return static_cast<std::uint32_t>((word >> time_shift_) & time_mask_);
+  }
+  [[nodiscard]] std::uint32_t proc_of(std::uint64_t word) const noexcept {
+    return static_cast<std::uint32_t>((word >> kProcShift) & host_mask_);
+  }
+
+  /// What to add to a word to raise its pebble time by `delta`.  The sum
+  /// changes no other field as long as time_of(word) + delta fits the
+  /// header's T (so a zero-width time field takes only delta = 0).
+  [[nodiscard]] std::uint64_t time_raise(std::uint64_t delta) const noexcept {
+    return delta << time_shift_;
+  }
+
   [[nodiscard]] Op decode(std::uint64_t word) const noexcept {
     Op op;
     op.kind = static_cast<OpKind>(word & kKindMask);
-    op.proc = static_cast<std::uint32_t>((word >> kProcShift) & host_mask_);
+    op.proc = proc_of(word);
     op.pebble.node = static_cast<NodeId>((word >> node_shift_) & node_mask_);
-    op.pebble.time = static_cast<std::uint32_t>((word >> time_shift_) & time_mask_);
+    op.pebble.time = time_of(word);
     op.partner = static_cast<std::uint32_t>((word >> partner_shift_) & host_mask_);
     return op;
   }
@@ -174,6 +192,14 @@ class Protocol {
   /// loop.  An illegal op throws what add() throws, with the ops before it
   /// kept.
   void add_step(std::span<const Op> ops);
+
+  /// Appends a copy of host steps [first, last) with every op's pebble time
+  /// raised by `time_delta`, in one pass over the stored words.  Each copied
+  /// step holds the processors of a step add() admitted, so the only check
+  /// left is the raised times: one past T throws what add() throws for it
+  /// and leaves the protocol unchanged.  Afterwards the last copied step is
+  /// the current one, and add() rejects a processor that acted in it.
+  void repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32_t time_delta);
 
   /// Pre-sizes the flat arrays to hold `total_ops` operations in
   /// `total_steps` host steps, so an emitter that knows its size appends

@@ -1,13 +1,17 @@
 // Pebble-game protocol and validator tests: the Section 3.1 rules, enforced.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/pebble/io.hpp"
 #include "src/pebble/protocol.hpp"
 #include "src/pebble/validator.hpp"
 #include "src/topology/builders.hpp"
+#include "src/util/contracts.hpp"
 
 namespace upn {
 namespace {
@@ -172,6 +176,181 @@ TEST(ProtocolCodec, GeneratePartnerReadsBackZero) {
     EXPECT_EQ(op.kind, OpKind::kGenerate);
     EXPECT_EQ(op.partner, 0u);
   }
+}
+
+// ---- repeat_steps: a time-shifted copy of stored steps ----------------------
+
+using StepOps = std::vector<std::vector<Op>>;
+
+/// Opens one host step per entry of `steps` and add()s its ops.
+void add_steps(Protocol& protocol, const StepOps& steps) {
+  for (const std::vector<Op>& ops : steps) {
+    protocol.begin_step();
+    for (const Op& op : ops) protocol.add(op);
+  }
+}
+
+/// The ops of host steps [first, last), each pebble time raised by `delta`.
+StepOps restamped(const Protocol& protocol, std::uint32_t first, std::uint32_t last,
+                  std::uint32_t delta) {
+  StepOps steps;
+  for (std::uint32_t s = first; s < last; ++s) {
+    std::vector<Op>& ops = steps.emplace_back();
+    for (Op op : protocol.step(s)) {
+      op.pebble.time += delta;
+      ops.push_back(op);
+    }
+  }
+  return steps;
+}
+
+std::string upnp_text(const Protocol& protocol) {
+  std::ostringstream os;
+  write_protocol(os, protocol);
+  return os.str();
+}
+
+/// Everything a reader sees: the step sizes, each decoded op and the .upnp
+/// text.
+void expect_same_protocol(const Protocol& got, const Protocol& want) {
+  ASSERT_EQ(got.host_steps(), want.host_steps());
+  ASSERT_EQ(got.num_ops(), want.num_ops());
+  for (std::uint32_t s = 0; s < want.host_steps(); ++s) {
+    ASSERT_EQ(got.step(s).size(), want.step(s).size()) << "step " << s;
+  }
+  const OpView a = got.ops(), b = want.ops();
+  for (std::size_t k = 0; k < b.size(); ++k) {
+    EXPECT_EQ(a[k].kind, b[k].kind) << k;
+    EXPECT_EQ(a[k].proc, b[k].proc) << k;
+    EXPECT_EQ(a[k].pebble, b[k].pebble) << k;
+    EXPECT_EQ(a[k].partner, b[k].partner) << k;
+  }
+  EXPECT_EQ(upnp_text(got), upnp_text(want));
+}
+
+/// A guest step's shape on 4 hosts: two route steps at time `t - 1`, an
+/// empty step and one generate round at time `t`.
+StepOps guest_step_block(std::uint32_t t) {
+  return {
+      {Op{OpKind::kSend, 0, PebbleType{4, t - 1}, 1}, Op{OpKind::kReceive, 1, PebbleType{4, t - 1}, 0},
+       Op{OpKind::kSend, 3, PebbleType{0, t - 1}, 2}, Op{OpKind::kReceive, 2, PebbleType{0, t - 1}, 3}},
+      {Op{OpKind::kSend, 1, PebbleType{4, t - 1}, 2}},
+      {},
+      {Op{OpKind::kGenerate, 0, PebbleType{0, t}, 0}, Op{OpKind::kGenerate, 2, PebbleType{4, t}, 0},
+       Op{OpKind::kGenerate, 3, PebbleType{2, t}, 0}},
+  };
+}
+
+TEST(ProtocolRepeat, EqualsAddingEachOpRestamped) {
+  const std::uint32_t T = 6;
+  for (const auto& [first, last, delta] :
+       {std::tuple{0u, 4u, 1u}, std::tuple{0u, 4u, 5u}, std::tuple{1u, 3u, 2u},
+        std::tuple{3u, 4u, 0u}, std::tuple{0u, 8u, 3u}}) {
+    SCOPED_TRACE("first=" + std::to_string(first) + " last=" + std::to_string(last) +
+                 " delta=" + std::to_string(delta));
+    Protocol got{5, 4, T};
+    add_steps(got, guest_step_block(1));
+    add_steps(got, guest_step_block(2));
+    Protocol want = got;
+    add_steps(want, restamped(got, first, last, delta));
+    got.repeat_steps(first, last, delta);
+    expect_same_protocol(got, want);
+  }
+}
+
+TEST(ProtocolRepeat, TimePastHorizonThrowsWhatAddThrowsAndChangesNothing) {
+  Protocol protocol{5, 4, 3};
+  add_steps(protocol, guest_step_block(1));
+  add_steps(protocol, guest_step_block(2));  // latest time 2
+  const std::string before = upnp_text(protocol);
+  const std::uint32_t steps = protocol.host_steps();
+  const std::uint64_t ops = protocol.num_ops();
+
+  std::string add_error;
+  try {
+    Protocol probe = protocol;
+    probe.begin_step();
+    probe.add(Op{OpKind::kGenerate, 0, PebbleType{0, 4}, 0});
+  } catch (const std::out_of_range& e) {
+    add_error = e.what();
+  }
+  ASSERT_FALSE(add_error.empty());
+  for (const std::uint32_t delta : {2u, 3u, 0xffffffffu}) {
+    try {
+      protocol.repeat_steps(4, 8, delta);
+      FAIL() << "time 2 + " << delta << " > T = 3 was copied";
+    } catch (const std::out_of_range& e) {
+      EXPECT_EQ(std::string{e.what()}, add_error);
+    }
+    EXPECT_EQ(protocol.host_steps(), steps);
+    EXPECT_EQ(protocol.num_ops(), ops);
+    EXPECT_EQ(upnp_text(protocol), before);
+  }
+  // Time 1 + 2 = T is still in range.
+  protocol.repeat_steps(0, 4, 2);
+  EXPECT_EQ(protocol.host_steps(), steps + 4);
+}
+
+TEST(ProtocolRepeat, RaisedTimeNeverCarriesIntoNode) {
+  // T = 0: no time bits, so only delta 0 copies.  T = 1 and T = 2^k - 1:
+  // the time field is full after the raise.  Node, proc and partner sit at
+  // their maxima, where a carry out of the time field would show.
+  for (const std::uint32_t T : {0u, 1u, 7u, 255u}) {
+    SCOPED_TRACE("T=" + std::to_string(T));
+    const std::uint32_t n = 8, m = 4;
+    Protocol protocol{n, m, T};
+    protocol.begin_step();
+    protocol.add(Op{OpKind::kSend, m - 1, PebbleType{n - 1, 0}, m - 2});
+    protocol.add(Op{OpKind::kReceive, m - 2, PebbleType{n - 1, 0}, m - 1});
+    protocol.add(Op{OpKind::kGenerate, 0, PebbleType{n - 1, 0}, 0});
+    Protocol want = protocol;
+    add_steps(want, restamped(protocol, 0, 1, T));
+    protocol.repeat_steps(0, 1, T);
+    expect_same_protocol(protocol, want);
+    for (const Op op : protocol.step(1)) {
+      EXPECT_EQ(op.pebble, (PebbleType{n - 1, T}));
+    }
+    EXPECT_THROW(protocol.repeat_steps(1, 2, 1), std::out_of_range);
+    EXPECT_EQ(protocol.host_steps(), 2u);
+  }
+}
+
+TEST(ProtocolRepeat, LastCopiedStepKeepsItsProcessorsBusy) {
+  Protocol protocol{5, 4, 4};
+  add_steps(protocol, guest_step_block(1));
+  protocol.begin_step();  // processor 1 acts in the step before the copy
+  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 0});
+  protocol.repeat_steps(0, 4, 1);
+  // Processors 0, 2 and 3 generated in the last copied step; 1 did not.
+  for (const std::uint32_t busy : {0u, 2u, 3u}) {
+    EXPECT_THROW(protocol.add(Op{OpKind::kGenerate, busy, PebbleType{1, 2}, 0}),
+                 ContractViolation)
+        << busy;
+  }
+  protocol.add(Op{OpKind::kSend, 1, PebbleType{1, 2}, 0});
+  EXPECT_EQ(protocol.step(protocol.host_steps() - 1).size(), 4u);
+  protocol.begin_step();
+  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 2}, 0});  // fine next step
+}
+
+TEST(ProtocolRepeat, EmptyRangeIsANoOpAndARangePastTheEndIsAContractViolation) {
+  Protocol protocol{5, 4, 2};
+  add_steps(protocol, guest_step_block(1));
+  const std::string before = upnp_text(protocol);
+  protocol.repeat_steps(2, 2, 0xffffffffu);
+  protocol.repeat_steps(4, 4, 1);
+  EXPECT_EQ(upnp_text(protocol), before);
+  // A step without ops carries no time, so any delta copies it.
+  protocol.repeat_steps(2, 3, 0xffffffffu);
+  EXPECT_EQ(protocol.host_steps(), 5u);
+  EXPECT_EQ(protocol.step(4).size(), 0u);
+  EXPECT_THROW(protocol.repeat_steps(0, 6, 0), ContractViolation);
+  EXPECT_THROW(protocol.repeat_steps(3, 2, 0), ContractViolation);
+  EXPECT_EQ(protocol.host_steps(), 5u);
+  Protocol empty{5, 4, 2};
+  empty.repeat_steps(0, 0, 1);
+  EXPECT_EQ(empty.host_steps(), 0u);
+  EXPECT_THROW(empty.repeat_steps(0, 1, 0), ContractViolation);
 }
 
 TEST(Validator, AcceptsMinimalCompleteSimulation) {
