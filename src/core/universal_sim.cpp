@@ -82,14 +82,6 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
       result.comm_steps += routed.steps;
       UPN_OBS_COUNT("sim.universal.comm_steps", routed.steps);
       if (options.emit_protocol && t == 1) {
-        // Every guest step routes the same h-relation and runs the same
-        // rounds, so step 1 times T sizes the whole protocol.  Reserving
-        // before the first op makes the op array one allocation, never a
-        // doubling that briefly holds the old and the new array together.
-        std::uint64_t step_ops = n;  // one GENERATE per guest
-        for (const Transfer& tr : routed.transfers) step_ops += tr.dropped == 0 ? 2 : 1;
-        result.protocol->reserve(step_ops * guest_steps,
-                                 (std::uint64_t{routed.steps} + load_) * guest_steps);
         first_log = routed.transfers;
         first_route_steps = routed.steps;
       }

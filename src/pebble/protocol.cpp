@@ -71,18 +71,23 @@ void Protocol::require_legal(std::uint32_t current, OpFault fault) {
 void Protocol::add(const Op& op) {
   const std::uint32_t current = host_steps();
   require_legal(current, fault_of(op, current));
+  own_current_step();
   mark_acted(op.proc, current);
-  ops_.push_back(codec_.encode(op));
-  ++step_offsets_.back();
+  words_.push_back(codec_.encode(op));
+  ++stored_offsets_.back();
+  latest_.back() = std::max(latest_.back(), op.pebble.time);
+  ++num_ops_;
 }
 
 void Protocol::add_step(std::span<const Op> ops) {
   const std::uint32_t current = host_steps();
-  // A local copy: stores to the op array cannot alias its fields.
+  own_current_step();
+  // A local copy: stores to the word array cannot alias its fields.
   const OpCodec codec = codec_;
-  const std::size_t base = ops_.size();
-  ops_.resize(base + ops.size());
-  std::uint64_t* out = ops_.data() + base;
+  const std::size_t base = words_.size();
+  words_.resize(base + ops.size());
+  std::uint64_t* out = words_.data() + base;
+  std::uint32_t latest = current == 0 ? 0 : latest_.back();
   std::size_t admitted = 0;
   OpFault fault = OpFault::kNone;
   for (; admitted < ops.size(); ++admitted) {
@@ -91,9 +96,14 @@ void Protocol::add_step(std::span<const Op> ops) {
     if (fault != OpFault::kNone) break;
     mark_acted(op.proc, current);
     out[admitted] = codec.encode(op);
+    latest = std::max(latest, op.pebble.time);
   }
-  ops_.resize(base + admitted);
-  step_offsets_.back() += admitted;
+  words_.resize(base + admitted);
+  if (admitted > 0) {
+    stored_offsets_.back() += admitted;
+    latest_.back() = latest;
+    num_ops_ += admitted;
+  }
   if (admitted < ops.size()) require_legal(current, fault);
 }
 
@@ -103,41 +113,40 @@ void Protocol::repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32
   const std::uint32_t count = last - first;
   UPN_REQUIRE(count <= std::numeric_limits<std::uint32_t>::max() - host_steps(),
               "Protocol::repeat_steps: host step count overflows uint32");
+  std::uint64_t ops = 0;
+  for (std::uint32_t s = first; s < last; ++s) {
+    const StepRecord record = steps_[s];
+    const std::size_t size = stored_words(record.stored).size();
+    if (size > 0 &&
+        std::uint64_t{latest_[record.stored]} + record.delta + time_delta > guest_steps_) {
+      require_legal(host_steps(), OpFault::kPebble);
+    }
+    ops += size;
+  }
   if (count == 0) return;
-  const OpCodec codec = codec_;
-  const std::size_t source = step_offsets_[first];
-  const std::size_t size = step_offsets_[last] - source;
-  const std::size_t base = ops_.size();
-  ops_.resize(base + size);
-  // The source lies wholly before `base`, so the two ranges never overlap.
-  const std::uint64_t* in = ops_.data() + source;
-  std::uint64_t* out = ops_.data() + base;
-  const std::uint64_t raise = codec.time_raise(time_delta);
-  std::uint32_t latest = 0;
-  for (std::size_t k = 0; k < size; ++k) {
-    out[k] = in[k] + raise;
-    latest = std::max(latest, codec.time_of(in[k]));
+  for (std::uint32_t s = first; s < last; ++s) {
+    StepRecord record = steps_[s];
+    // A step without ops carries no time, so its delta stays 0.
+    if (!stored_words(record.stored).empty()) record.delta += time_delta;
+    steps_.push_back(record);
   }
-  if (size > 0 && std::uint64_t{latest} + time_delta > guest_steps_) {
-    ops_.resize(base);
-    require_legal(host_steps(), OpFault::kPebble);
-  }
-  const std::size_t steps = step_offsets_.size();
-  step_offsets_.resize(steps + count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    step_offsets_[steps + k] = step_offsets_[first + k + 1] - source + base;
-  }
+  num_ops_ += ops;
+  current_owned_ = false;
   const std::uint32_t current = host_steps();
-  for (std::size_t k = step_offsets_[current - 1]; k < ops_.size(); ++k) {
-    mark_acted(codec.proc_of(ops_[k]), current);
-  }
+  for (const Op op : step(current - 1)) mark_acted(op.proc, current);
 }
 
-void Protocol::reserve(std::uint64_t total_ops, std::uint64_t total_steps) {
-  UPN_REQUIRE(total_ops <= ops_.max_size() && total_steps < step_offsets_.max_size(),
-              "Protocol::reserve: size exceeds the address space");
-  ops_.reserve(static_cast<std::size_t>(total_ops));
-  step_offsets_.reserve(static_cast<std::size_t>(total_steps) + 1);
+void Protocol::own_current_step() {
+  if (current_owned_) return;
+  StepRecord& record = steps_.back();
+  const std::size_t begin = stored_offsets_[record.stored];
+  const std::size_t end = stored_offsets_[record.stored + 1];
+  const std::uint64_t raise = codec_.time_raise(record.delta);
+  for (std::size_t k = begin; k < end; ++k) words_.push_back(words_[k] + raise);
+  stored_offsets_.push_back(words_.size());
+  latest_.push_back(latest_[record.stored] + record.delta);
+  record = {static_cast<std::uint32_t>(latest_.size() - 1), 0};
+  current_owned_ = true;
 }
 
 }  // namespace upn

@@ -15,21 +15,22 @@
 // somewhere.  A Protocol is the full listing of operations; the validator
 // (validator.hpp) replays it against the guest and host graphs.
 //
-// Layout: the ops of all host steps in one flat array plus a CSR
-// `step_offsets` array (host step s owns ops [step_offsets[s],
-// step_offsets[s+1])), so emitting, replaying and indexing a protocol are
-// single passes over contiguous memory.  Each op is stored as one 64-bit
-// word (OpCodec) whose field widths the header fixes: 36 bits at n=4356,
-// m=192, T=16.  Emitters write and readers see the plain `Op` struct;
-// step(s) and ops() decode on access, and a reader that visits a step's ops
-// more than once (the validator) decodes the step into a reused buffer.
-// An emitter that builds a whole host step first hands it over with
-// add_step(): each op is checked exactly as add() checks it and encoded
-// straight into the array (up to the first illegal op, which throws what
-// add() throws).  An emitter whose later steps repeat earlier ones at a
-// later guest time (Theorem 2.1's guest steps all route the same relation)
-// appends them with repeat_steps(): one pass that adds the time shift to
-// each stored word, checking only the raised times.
+// Layout: the distinct host steps' ops are stored once, in one flat array
+// of words with CSR offsets (stored step k owns words [stored_offsets[k],
+// stored_offsets[k+1])).  Every host step is a record of the stored step it
+// reads and a time delta: its ops are that stored step's ops with every
+// pebble time raised by the delta.  Each op is one 64-bit word (OpCodec)
+// whose field widths the header fixes: 36 bits at n=4356, m=192, T=16.
+// Emitters write and readers see the plain `Op` struct; step(s) returns a
+// view that adds the step's time raise to each word and decodes on access,
+// and a reader that visits a step's ops more than once (the validator)
+// decodes the step into a reused buffer.  begin_step() opens a host step
+// with its own stored step (delta 0); add() checks an op and encodes it
+// into the current step, and add_step() hands over a whole step the same
+// way (up to the first illegal op, which throws what add() throws).  An
+// emitter whose later steps repeat earlier ones at a later guest time
+// (Theorem 2.1's guest steps all route the same relation) appends them with
+// repeat_steps(), which adds records and stores no words.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +43,6 @@
 
 #include "src/topology/graph.hpp"
 #include "src/util/contracts.hpp"
-#include "src/util/mapped_allocator.hpp"
 
 namespace upn {
 
@@ -131,8 +131,9 @@ class OpCodec {
   unsigned node_shift_ = 0;
 };
 
-/// A run of stored ops, decoded on access: what Protocol::step() and
-/// Protocol::ops() return.  Valid while its protocol lives and does not grow.
+/// A run of stored ops with their pebble times raised, decoded on access:
+/// what Protocol::step() returns.  Valid while its protocol lives and does
+/// not grow.
 class OpView {
  public:
   class iterator {
@@ -143,9 +144,9 @@ class OpView {
     using pointer = void;
     using reference = Op;
 
-    iterator(const OpCodec& codec, const std::uint64_t* word) noexcept
-        : codec_(codec), word_(word) {}
-    Op operator*() const noexcept { return codec_.decode(*word_); }
+    iterator(const OpCodec& codec, const std::uint64_t* word, std::uint64_t raise) noexcept
+        : codec_(codec), word_(word), raise_(raise) {}
+    Op operator*() const noexcept { return codec_.decode(*word_ + raise_); }
     iterator& operator++() noexcept {
       ++word_;
       return *this;
@@ -157,19 +158,26 @@ class OpView {
    private:
     OpCodec codec_;
     const std::uint64_t* word_;
+    std::uint64_t raise_;
   };
 
-  OpView(const OpCodec& codec, std::span<const std::uint64_t> words) noexcept
-      : codec_(codec), words_(words) {}
+  /// `raise` is OpCodec::time_raise of the view's time delta.
+  OpView(const OpCodec& codec, std::span<const std::uint64_t> words, std::uint64_t raise) noexcept
+      : codec_(codec), words_(words), raise_(raise) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return words_.size(); }
-  [[nodiscard]] Op operator[](std::size_t k) const noexcept { return codec_.decode(words_[k]); }
-  [[nodiscard]] iterator begin() const noexcept { return {codec_, words_.data()}; }
-  [[nodiscard]] iterator end() const noexcept { return {codec_, words_.data() + words_.size()}; }
+  [[nodiscard]] Op operator[](std::size_t k) const noexcept {
+    return codec_.decode(words_[k] + raise_);
+  }
+  [[nodiscard]] iterator begin() const noexcept { return {codec_, words_.data(), raise_}; }
+  [[nodiscard]] iterator end() const noexcept {
+    return {codec_, words_.data() + words_.size(), raise_};
+  }
 
  private:
   OpCodec codec_;
   std::span<const std::uint64_t> words_;
+  std::uint64_t raise_;
 };
 
 /// A simulation protocol S: host steps, each a list of operations (at most
@@ -178,11 +186,14 @@ class Protocol {
  public:
   Protocol(std::uint32_t num_guests, std::uint32_t num_hosts, std::uint32_t guest_steps);
 
-  /// Opens a new host time step.
+  /// Opens a new host time step, with its own (empty) stored step.
   void begin_step() {
     UPN_REQUIRE(host_steps() < std::numeric_limits<std::uint32_t>::max(),
                 "Protocol::begin_step: host step count overflows uint32");
-    step_offsets_.push_back(step_offsets_.back());
+    steps_.push_back({static_cast<std::uint32_t>(latest_.size()), 0});
+    stored_offsets_.push_back(words_.size());
+    latest_.push_back(0);
+    current_owned_ = true;
   }
 
   /// Adds an operation to the current host step.
@@ -193,41 +204,31 @@ class Protocol {
   /// kept.
   void add_step(std::span<const Op> ops);
 
-  /// Appends a copy of host steps [first, last) with every op's pebble time
-  /// raised by `time_delta`, in one pass over the stored words.  Each copied
-  /// step holds the processors of a step add() admitted, so the only check
-  /// left is the raised times: one past T throws what add() throws for it
-  /// and leaves the protocol unchanged.  Afterwards the last copied step is
+  /// Appends host steps [first, last) again with every op's pebble time
+  /// raised by `time_delta`: one record per step, naming the stored step it
+  /// reads and the summed delta, and no stored words.  Each repeated step
+  /// holds the processors of a step add() admitted, so the only check left
+  /// is the raised times: one past T throws what add() throws for it and
+  /// leaves the protocol unchanged.  Afterwards the last repeated step is
   /// the current one, and add() rejects a processor that acted in it.
   void repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32_t time_delta);
-
-  /// Pre-sizes the flat arrays to hold `total_ops` operations in
-  /// `total_steps` host steps, so an emitter that knows its size appends
-  /// without reallocating (and never holds two copies of a large array).
-  void reserve(std::uint64_t total_ops, std::uint64_t total_steps);
 
   [[nodiscard]] std::uint32_t num_guests() const noexcept { return num_guests_; }
   [[nodiscard]] std::uint32_t num_hosts() const noexcept { return num_hosts_; }
   [[nodiscard]] std::uint32_t guest_steps() const noexcept { return guest_steps_; }
   /// T': number of host steps.
   [[nodiscard]] std::uint32_t host_steps() const noexcept {
-    return static_cast<std::uint32_t>(step_offsets_.size() - 1);
-  }
-
-  /// Every operation, in step order.
-  [[nodiscard]] OpView ops() const {
-    UPN_ENSURE(step_offsets_.back() == ops_.size(), "Protocol: step offsets must close on ops");
-    return {codec_, ops_};
+    return static_cast<std::uint32_t>(steps_.size());
   }
 
   /// The operations of host step `s`.
   [[nodiscard]] OpView step(std::uint32_t s) const {
     UPN_REQUIRE(s < host_steps(), "Protocol::step: host step out of range");
-    return {codec_, std::span<const std::uint64_t>{ops_}.subspan(
-                        step_offsets_[s], step_offsets_[s + 1] - step_offsets_[s])};
+    const StepRecord record = steps_[s];
+    return {codec_, stored_words(record.stored), codec_.time_raise(record.delta)};
   }
 
-  [[nodiscard]] std::uint64_t num_ops() const noexcept { return ops_.size(); }
+  [[nodiscard]] std::uint64_t num_ops() const noexcept { return num_ops_; }
 
   /// Slowdown s = T' / T.
   [[nodiscard]] double slowdown() const noexcept {
@@ -266,13 +267,34 @@ class Protocol {
     }
     proc_used_step_[proc] = current;
   }
+  [[nodiscard]] std::span<const std::uint64_t> stored_words(std::uint32_t stored) const {
+    return std::span<const std::uint64_t>{words_}.subspan(
+        stored_offsets_[stored], stored_offsets_[stored + 1] - stored_offsets_[stored]);
+  }
+  /// Makes the current host step read a stored step of its own, copying
+  /// the repeated step's words with their times raised, so that add() never
+  /// writes into a step another host step reads.
+  void own_current_step();
+
+  /// Host step s reads stored step `stored` with every pebble time raised
+  /// by `delta` (0 for a step without ops).
+  struct StepRecord {
+    std::uint32_t stored;
+    std::uint32_t delta;
+  };
 
   std::uint32_t num_guests_;
   std::uint32_t num_hosts_;
   std::uint32_t guest_steps_;
   OpCodec codec_;
-  std::vector<std::uint64_t, MappedAllocator<std::uint64_t>> ops_;  ///< OpCodec words
-  std::vector<std::uint64_t, MappedAllocator<std::uint64_t>> step_offsets_{0};
+  std::vector<std::uint64_t> words_;  ///< OpCodec words of the stored steps
+  std::vector<std::uint64_t> stored_offsets_{0};
+  std::vector<std::uint32_t> latest_;  ///< stored step -> its largest pebble time
+  std::vector<StepRecord> steps_;      ///< host step -> what it reads
+  std::uint64_t num_ops_ = 0;
+  /// Whether the current host step reads a stored step no other host step
+  /// reads (true with no step open: there is nothing to own).
+  bool current_owned_ = true;
   /// proc -> last step index + 1 (0: never acted), up to the largest
   /// processor id added so far: its memory follows the ops, not the
   /// header's m.

@@ -5,19 +5,21 @@ namespace upn {
 ProtocolStats protocol_stats(const Protocol& protocol) {
   ProtocolStats stats;
   std::vector<std::uint64_t> per_proc(protocol.num_hosts(), 0);
-  for (const Op& op : protocol.ops()) {
-    switch (op.kind) {
-      case OpKind::kGenerate:
-        ++stats.generates;
-        break;
-      case OpKind::kSend:
-        ++stats.sends;
-        break;
-      case OpKind::kReceive:
-        ++stats.receives;
-        break;
+  for (std::uint32_t s = 0; s < protocol.host_steps(); ++s) {
+    for (const Op& op : protocol.step(s)) {
+      switch (op.kind) {
+        case OpKind::kGenerate:
+          ++stats.generates;
+          break;
+        case OpKind::kSend:
+          ++stats.sends;
+          break;
+        case OpKind::kReceive:
+          ++stats.receives;
+          break;
+      }
+      ++per_proc[op.proc];
     }
-    ++per_proc[op.proc];
   }
   const std::uint64_t ops = stats.generates + stats.sends + stats.receives;
   const std::uint64_t slots =

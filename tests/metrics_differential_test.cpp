@@ -95,7 +95,7 @@ TEST(MetricsDifferential, MutationCorpusOnTheSelfHealingProtocol) {
 /// True iff every pebble names a guest below n and a time up to T: the
 /// protocols both builders can index, valid or not.
 bool pebbles_in_range(const Protocol& protocol) {
-  for (const Op& op : protocol.ops()) {
+  for (const Op& op : testing::flat_ops(protocol)) {
     if (op.pebble.node >= protocol.num_guests() || op.pebble.time > protocol.guest_steps()) {
       return false;
     }

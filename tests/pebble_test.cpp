@@ -12,6 +12,7 @@
 #include "src/pebble/validator.hpp"
 #include "src/topology/builders.hpp"
 #include "src/util/contracts.hpp"
+#include "tests/support/protocol_corpus.hpp"
 
 namespace upn {
 namespace {
@@ -100,10 +101,10 @@ void expect_round_trip(std::uint32_t n, std::uint32_t m, std::uint32_t T) {
     protocol.add_step({&op, 1});
   }
   ASSERT_EQ(protocol.num_ops(), 2 * ops.size());
-  const OpView stored = protocol.ops();
+  const std::vector<Op> stored = testing::flat_ops(protocol);
   for (std::size_t k = 0; k < stored.size(); ++k) {
     const Op& want = ops[k / 2];
-    const Op got = stored[k];
+    const Op& got = stored[k];
     EXPECT_EQ(got.kind, want.kind) << k;
     EXPECT_EQ(got.proc, want.proc) << k;
     EXPECT_EQ(got.pebble, want.pebble) << k;
@@ -157,7 +158,7 @@ TEST(ProtocolCodec, EmptyFieldsAboveAFullWordReadBackZero) {
   protocol.begin_step();
   protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 0}, m - 1});
   protocol.add_step(std::vector<Op>{Op{OpKind::kReceive, 1, PebbleType{0, 0}, m - 1}});
-  const OpView ops = protocol.ops();
+  const std::vector<Op> ops = testing::flat_ops(protocol);
   ASSERT_EQ(ops.size(), 2u);
   for (const std::uint32_t k : {0u, 1u}) {
     EXPECT_EQ(ops[k].kind, k == 0 ? OpKind::kSend : OpKind::kReceive);
@@ -218,7 +219,7 @@ void expect_same_protocol(const Protocol& got, const Protocol& want) {
   for (std::uint32_t s = 0; s < want.host_steps(); ++s) {
     ASSERT_EQ(got.step(s).size(), want.step(s).size()) << "step " << s;
   }
-  const OpView a = got.ops(), b = want.ops();
+  const std::vector<Op> a = testing::flat_ops(got), b = testing::flat_ops(want);
   for (std::size_t k = 0; k < b.size(); ++k) {
     EXPECT_EQ(a[k].kind, b[k].kind) << k;
     EXPECT_EQ(a[k].proc, b[k].proc) << k;
@@ -254,6 +255,83 @@ TEST(ProtocolRepeat, EqualsAddingEachOpRestamped) {
     Protocol want = got;
     add_steps(want, restamped(got, first, last, delta));
     got.repeat_steps(first, last, delta);
+    expect_same_protocol(got, want);
+  }
+}
+
+/// The flat form of guest steps 1, 2 and 4 of guest_step_block, then host
+/// steps [2, 10) of those again raised by 3: every step add()ed op by op.
+Protocol flat_repeats(std::uint32_t T) {
+  Protocol want{5, 4, T};
+  for (const std::uint32_t t : {1u, 2u, 4u}) add_steps(want, guest_step_block(t));
+  add_steps(want, restamped(want, 2, 10, 3));
+  return want;
+}
+
+/// The same protocol with everything after guest step 1 repeated: steps
+/// 4..7 repeat 0..3 by 1, steps 8..11 repeat those repeats by 2, and steps
+/// 12..19 repeat a range that mixes stored and repeated steps.
+Protocol repeated_repeats(std::uint32_t T) {
+  Protocol got{5, 4, T};
+  add_steps(got, guest_step_block(1));
+  got.repeat_steps(0, 4, 1);
+  got.repeat_steps(4, 8, 2);
+  got.repeat_steps(2, 10, 3);
+  return got;
+}
+
+TEST(ProtocolRepeat, RepeatOfRepeatsAddsTheDeltas) {
+  const std::uint32_t T = 8;
+  Protocol got = repeated_repeats(T);
+  const Protocol want = flat_repeats(T);
+  expect_same_protocol(got, want);
+  // Steps 8..11 sit at delta 3 (latest time 4): a further 4 fits T = 8 and
+  // 5 does not, exactly as for the flat form.
+  const std::string before = upnp_text(got);
+  EXPECT_THROW(got.repeat_steps(8, 12, 5), std::out_of_range);
+  EXPECT_EQ(upnp_text(got), before);
+  Protocol flat = want;
+  EXPECT_THROW(add_steps(flat, restamped(want, 8, 12, 5)), std::out_of_range);
+  got.repeat_steps(8, 12, 4);
+  flat = want;
+  add_steps(flat, restamped(want, 8, 12, 4));
+  expect_same_protocol(got, flat);
+}
+
+TEST(ProtocolRepeat, WriteReadRoundTripEqualsTheFlatForm) {
+  const Protocol got = repeated_repeats(8);
+  const Protocol want = flat_repeats(8);
+  std::istringstream text{upnp_text(got)};
+  const Protocol read = read_protocol(text);
+  expect_same_protocol(read, want);
+  EXPECT_EQ(upnp_text(read), upnp_text(got));
+}
+
+TEST(ProtocolRepeat, AddIntoARepeatOfTheNewestStepLeavesTheSourceUnchanged) {
+  // Step 3, the generate round, is the newest stored step; step 4 reads it
+  // again.  Adding to step 4 must not add to step 3.
+  const Op added{OpKind::kGenerate, 1, PebbleType{1, 1}, 0};
+  for (const bool whole_step : {false, true}) {
+    SCOPED_TRACE(whole_step ? "add_step" : "add");
+    Protocol got{5, 4, 2};
+    add_steps(got, guest_step_block(1));
+    got.repeat_steps(3, 4, 0);
+    Protocol want{5, 4, 2};
+    add_steps(want, guest_step_block(1));
+    add_steps(want, restamped(want, 3, 4, 0));
+    if (whole_step) {
+      got.add_step({&added, 1});
+    } else {
+      got.add(added);
+    }
+    want.add(added);
+    EXPECT_EQ(got.step(3).size(), 3u);
+    EXPECT_EQ(got.step(4).size(), 4u);
+    expect_same_protocol(got, want);
+    // The next step repeats the owned copy, raised by 1.
+    got.repeat_steps(4, 5, 1);
+    add_steps(want, restamped(want, 4, 5, 1));
+    got.add_step({});
     expect_same_protocol(got, want);
   }
 }

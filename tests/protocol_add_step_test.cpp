@@ -41,7 +41,7 @@ std::string dump(const Protocol& protocol, const std::string& error) {
   for (std::uint32_t s = 0; s < protocol.host_steps(); ++s) {
     os << "step " << s << " size " << protocol.step(s).size() << "\n";
   }
-  for (const Op& op : protocol.ops()) {
+  for (const Op& op : testing::flat_ops(protocol)) {
     os << static_cast<int>(op.kind) << ' ' << op.proc << ' ' << op.pebble.node << ' '
        << op.pebble.time << ' ' << op.partner << "\n";
   }

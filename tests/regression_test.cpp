@@ -23,6 +23,7 @@
 #include "src/topology/random_regular.hpp"
 #include "src/topology/torus.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/protocol_corpus.hpp"
 
 namespace upn {
 namespace {
@@ -218,7 +219,7 @@ TEST(Regression, EmittedProtocolBytesPinned) {
     ASSERT_TRUE(result.configs_match);
     EXPECT_EQ(result.host_steps, 791u);
     std::uint64_t sends = 0, receives = 0;
-    for (const Op& op : result.protocol->ops()) {
+    for (const Op& op : testing::flat_ops(*result.protocol)) {
       sends += op.kind == OpKind::kSend;
       receives += op.kind == OpKind::kReceive;
     }

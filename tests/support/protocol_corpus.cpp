@@ -30,6 +30,15 @@ Emitted emit_universal(std::uint32_t n, std::uint32_t degree, Graph host, std::u
   return e;
 }
 
+std::vector<Op> flat_ops(const Protocol& protocol) {
+  std::vector<Op> ops;
+  ops.reserve(protocol.num_ops());
+  for (std::uint32_t s = 0; s < protocol.host_steps(); ++s) {
+    for (const Op& op : protocol.step(s)) ops.push_back(op);
+  }
+  return ops;
+}
+
 Protocol rebuild_with(const Protocol& original,
                       const std::function<bool(std::size_t, Op&)>& mutate) {
   Protocol out{original.num_guests(), original.num_hosts(), original.guest_steps()};
@@ -46,7 +55,7 @@ Protocol rebuild_with(const Protocol& original,
 Emitted mutation_corpus_protocol() { return emit_universal(24, 4, make_butterfly(2), 3, 777); }
 
 std::vector<Protocol> universal_mutants(const Emitted& e, std::size_t target) {
-  const Op& op = e.protocol.ops()[target];
+  const Op op = flat_ops(e.protocol)[target];
   const std::uint32_t T = e.protocol.guest_steps();
   std::vector<Protocol> mutants;
   if (op.kind == OpKind::kReceive) {
@@ -111,7 +120,7 @@ SelfHealing self_healing_protocol() {
 std::vector<HostedMutant> self_healing_mutants(const SelfHealing& healing, std::size_t target) {
   const Protocol& protocol = healing.emitted.protocol;
   const Graph& host = healing.emitted.host;
-  const Op& op = protocol.ops()[target];
+  const Op op = flat_ops(protocol)[target];
   std::vector<HostedMutant> mutants;
   // Lost receive: the packet died without a retransmission.
   if (op.kind == OpKind::kReceive) {

@@ -29,6 +29,10 @@ struct Emitted {
 [[nodiscard]] Emitted emit_universal(std::uint32_t n, std::uint32_t degree, Graph host,
                                      std::uint32_t T, std::uint64_t seed);
 
+/// Every op of every host step, in step order: index k is the flat index
+/// rebuild_with() and the mutants use.
+[[nodiscard]] std::vector<Op> flat_ops(const Protocol& protocol);
+
 /// Rebuilds the protocol applying `mutate` to each op (by flat index); a
 /// mutation returning false drops the op.
 [[nodiscard]] Protocol rebuild_with(const Protocol& original,

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "tests/support/protocol_corpus.hpp"
+
 namespace upn::testing {
 
 namespace {
@@ -99,7 +101,7 @@ ReferenceProtocolMetrics::ReferenceProtocolMetrics(const Protocol& protocol)
   // Fill pass.
   holders_.resize(holder_offsets_.back());
   generators_.resize(generator_offsets_.back());
-  for (const Op& op : protocol.ops()) {
+  for (const Op& op : flat_ops(protocol)) {
     if (op.kind == OpKind::kSend || op.pebble.time == 0) continue;
     const std::size_t cell = index(op.pebble.node, op.pebble.time - 1);
     holders_[holder_offsets_[cell + 1]++] = op.proc;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/util/cli.hpp"
-#include "src/util/mapped_allocator.hpp"
 #include "src/util/math.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/table.hpp"
@@ -239,21 +238,6 @@ TEST(Cli, TracksUnusedFlags) {
   Cli cli{3, argv};
   EXPECT_EQ(cli.unused().size(), 1u);
   EXPECT_EQ(cli.unused()[0], "typo");
-}
-
-TEST(MappedAllocator, VectorKeepsItsValuesAcrossTheMappingThreshold) {
-  // Grows from heap blocks into mapped ones and back down through
-  // shrink_to_fit, so both paths allocate, copy and release.
-  const std::size_t big = 4 * kMappedMinBytes / sizeof(std::uint64_t);
-  std::vector<std::uint64_t, MappedAllocator<std::uint64_t>> values;
-  for (std::uint64_t i = 0; i < big; ++i) values.push_back(i * 2654435761u);
-  for (std::uint64_t i = 0; i < big; i += 4099) ASSERT_EQ(values[i], i * 2654435761u);
-  values.resize(16);
-  values.shrink_to_fit();
-  for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(values[i], i * 2654435761u);
-  std::vector<std::uint64_t, MappedAllocator<std::uint64_t>> copy = values;
-  copy.reserve(big);
-  EXPECT_EQ(copy, values);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "src/pebble/validator.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/random_regular.hpp"
+#include "tests/support/protocol_corpus.hpp"
 
 namespace upn {
 namespace {
@@ -35,25 +36,14 @@ Fixture make_fixture() {
   return fx;
 }
 
-/// Rebuilds the protocol applying `mutate` to each op (by flat index).
-/// A mutation returning false removes the op -- the fault-injection
-/// mutations below use this to model operations lost to hardware failure.
-Protocol rebuild_with(const Protocol& original,
-                      const std::function<bool(std::size_t, Op&)>& mutate) {
-  Protocol out{original.num_guests(), original.num_hosts(), original.guest_steps()};
-  std::size_t index = 0;
-  for (std::uint32_t s = 0; s < original.host_steps(); ++s) {
-    out.begin_step();
-    for (Op op : original.step(s)) {
-      if (mutate(index++, op)) out.add(op);
-    }
-  }
-  return out;
-}
+// A mutation passed to rebuild_with that returns false removes the op: the
+// fault-injection mutations below use this to model operations lost to
+// hardware failure.
+using testing::rebuild_with;
 
 /// Flat index of the first op satisfying `pred`.
 std::size_t find_op(const Protocol& protocol, const std::function<bool(const Op&)>& pred) {
-  const auto ops = protocol.ops();
+  const std::vector<Op> ops = testing::flat_ops(protocol);
   for (std::size_t index = 0; index < ops.size(); ++index) {
     if (pred(ops[index])) return index;
   }
@@ -77,7 +67,7 @@ TEST_F(MutationTest, DroppingReceivesBreaksValidityMostly) {
   // mutations are caught.
   std::size_t tested = 0, rejected = 0;
   std::vector<std::size_t> receive_indices;
-  const auto ops = fx_.protocol.ops();
+  const std::vector<Op> ops = testing::flat_ops(fx_.protocol);
   for (std::size_t index = 0; index < ops.size(); ++index) {
     // Time-0 pebbles are initial (held by everyone), so dropping their
     // receives is legal; only generated pebbles' receives are load-bearing.
@@ -201,7 +191,7 @@ TEST_F(FaultMutationTest, LostReceiveIsRejected) {
   // load-bearing, but at least one must be -- and every rejection must name
   // the missing holding.
   std::vector<std::size_t> receive_indices;
-  const auto ops = protocol_.ops();
+  const std::vector<Op> ops = testing::flat_ops(protocol_);
   for (std::size_t index = 0; index < ops.size(); ++index) {
     if (ops[index].kind == OpKind::kReceive && ops[index].pebble.time >= 1) {
       receive_indices.push_back(index);
