@@ -78,7 +78,7 @@ int main() {
     std::cout << "\nfragment at t0 = 1 (Definition 3.2): sum |B_i| = "
               << fragment.total_b_size() << ", generators b = {";
     for (NodeId i = 0; i < 3; ++i) {
-      std::cout << (i ? ", " : "") << "Q" << fragment.b[i];
+      std::cout << (i ? ", " : "") << "Q" << fragment.b(i);
     }
     std::cout << "}\nlog2 multiplicity bound (Lemma 3.3, c=2): "
               << log2_multiplicity_bound(fragment, 2) << "\n";

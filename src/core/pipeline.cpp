@@ -36,7 +36,7 @@ PipelineReport run_paper_pipeline(const PipelineConfig& config) {
   const G0 g0 = make_g0(report.n, report.m, rng);
   // Lemma 3.12 needs a horizon longer than its dependency trees are deep;
   // fail here rather than after the whole simulation.
-  const std::uint32_t depth = build_block_dependency_tree(g0.layout, 0, g0.block(0)[0]).depth;
+  const std::uint32_t depth = canonical_dependency_tree(g0.layout).depth;
   if (config.guest_steps <= depth) {
     throw std::invalid_argument{"run_paper_pipeline: guest_steps (" +
                                 std::to_string(config.guest_steps) +

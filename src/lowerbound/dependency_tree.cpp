@@ -25,15 +25,15 @@ struct Rect {
 struct Builder {
   const MultitorusLayout* layout;
   std::uint32_t block_x0, block_y0;  ///< top-left of the block in the grid
-  std::uint32_t shift_x, shift_y;    ///< translation so the root is centered
+  BlockShift shift;                  ///< translation so the root is centered
   std::vector<TreeNode> nodes;
   std::vector<std::uint32_t> leaf_candidates;
 
   /// Canonical (x, y) -> global node id, applying the torus translation.
   [[nodiscard]] NodeId to_global(std::uint32_t x, std::uint32_t y) const {
     const std::uint32_t side = layout->block_side;
-    const std::uint32_t gx = block_x0 + (x + shift_x) % side;
-    const std::uint32_t gy = block_y0 + (y + shift_y) % side;
+    const std::uint32_t gx = block_x0 + (x + shift.dx) % side;
+    const std::uint32_t gy = block_y0 + (y + shift.dy) % side;
     return layout->grid().id(gx, gy);
   }
 
@@ -103,7 +103,25 @@ struct Builder {
   }
 };
 
+/// The canonical rectangle of a block: its whole side x side square.
+Rect full_block(const MultitorusLayout& layout) {
+  return Rect{0, layout.block_side - 1, 0, layout.block_side - 1};
+}
+
 }  // namespace
+
+BlockShift canonical_shift(const MultitorusLayout& layout, NodeId root) {
+  const std::uint32_t side = layout.block_side;
+  const auto [cx, cy] = full_block(layout).center();
+  const auto [rx, ry] = layout.local_coords(root);
+  return BlockShift{(rx + side - cx % side) % side, (ry + side - cy % side) % side};
+}
+
+DependencyTree canonical_dependency_tree(const MultitorusLayout& layout) {
+  UPN_REQUIRE(layout.block_side > 0);
+  const auto [cx, cy] = full_block(layout).center();
+  return build_block_dependency_tree(layout, 0, layout.grid().id(cx, cy));
+}
 
 DependencyTree build_block_dependency_tree(const MultitorusLayout& layout, std::uint32_t block,
                                            NodeId root) {
@@ -123,11 +141,9 @@ DependencyTree build_block_dependency_tree(const MultitorusLayout& layout, std::
   builder.block_y0 = (block / layout.blocks_per_row()) * side;
 
   // Translate so the root lands at the canonical rectangle center.
-  const Rect full{0, side - 1, 0, side - 1};
+  const Rect full = full_block(layout);
   const auto [cx, cy] = full.center();
-  const auto [rx, ry] = layout.local_coords(root);
-  builder.shift_x = (rx + side - cx % side) % side;
-  builder.shift_y = (ry + side - cy % side) % side;
+  builder.shift = canonical_shift(layout, root);
 
   const std::uint32_t root_index = builder.add_node(cx, cy, 0, -1);
   if (builder.nodes[root_index].vertex != root) {

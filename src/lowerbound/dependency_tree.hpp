@@ -45,6 +45,22 @@ struct DependencyTree {
 [[nodiscard]] DependencyTree build_block_dependency_tree(const MultitorusLayout& layout,
                                                          std::uint32_t block, NodeId root);
 
+/// The torus translation build_block_dependency_tree applies to put `root`
+/// at the canonical centre: canonical in-block position (x, y) is the node
+/// at in-block coordinates ((x + dx) % block_side, (y + dy) % block_side)
+/// of root's block.
+struct BlockShift {
+  std::uint32_t dx = 0;
+  std::uint32_t dy = 0;
+};
+[[nodiscard]] BlockShift canonical_shift(const MultitorusLayout& layout, NodeId root);
+
+/// The tree of block 0 rooted at the canonical centre, where the shift is
+/// zero: each node's in-block coordinates are its canonical (x, y).  The
+/// construction runs in canonical coordinates only, so every block's tree
+/// for every root is this tree with each node moved by canonical_shift.
+[[nodiscard]] DependencyTree canonical_dependency_tree(const MultitorusLayout& layout);
+
 /// Checks the tree against the Lemma 3.10 promises relative to `graph`
 /// (the multitorus, or any supergraph of it): out-degree <= 2, every
 /// parent-child step is a Gamma-edge (same vertex or a graph edge), leaves

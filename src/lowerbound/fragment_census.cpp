@@ -14,12 +14,12 @@
 namespace upn {
 
 std::uint64_t fragment_hash(const Fragment& fragment) {
-  std::uint64_t h = mix64(0x4652414746524147ULL ^ fragment.t0);
-  for (std::size_t i = 0; i < fragment.B.size(); ++i) {
-    for (const std::uint32_t q : fragment.B[i]) {
+  std::uint64_t h = mix64(0x4652414746524147ULL ^ fragment.t0());
+  for (NodeId i = 0; i < fragment.num_guests(); ++i) {
+    for (const std::uint32_t q : fragment.B(i)) {
       h = mix64(h ^ (static_cast<std::uint64_t>(i) << 32 | q));
     }
-    h = mix64(h ^ (0xb0b0b0b0ULL + fragment.b[i]));
+    h = mix64(h ^ (0xb0b0b0b0ULL + fragment.b(i)));
   }
   return h;
 }

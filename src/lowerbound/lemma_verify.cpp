@@ -4,25 +4,13 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "src/obs/obs.hpp"
+#include "src/util/contracts.hpp"
+
 namespace upn {
 
-namespace {
-
-/// Weight of a dependency tree anchored so its leaves sit at guest time t0:
-/// sum of q_{v, t0 - depth + tau} over all tree nodes (v, tau), Def. 3.11.
-std::uint64_t tree_weight(const DependencyTree& tree, const ProtocolMetrics& metrics,
-                          std::uint32_t t0) {
-  const std::uint32_t base = t0 - tree.depth;
-  std::uint64_t total = 0;
-  for (const TreeNode& node : tree.nodes) {
-    total += metrics.weight(node.vertex, base + node.time);
-  }
-  return total;
-}
-
-}  // namespace
-
 Lemma312Report verify_lemma312(const ProtocolMetrics& metrics, const G0& g0) {
+  UPN_OBS_SPAN("lowerbound.lemma312.verify");
   const std::uint32_t n = metrics.num_guests();
   if (n != g0.num_nodes()) {
     throw std::invalid_argument{"verify_lemma312: protocol and G_0 sizes differ"};
@@ -35,22 +23,60 @@ Lemma312Report verify_lemma312(const ProtocolMetrics& metrics, const G0& g0) {
   Lemma312Report report;
   report.inefficiency = k;
 
-  // Build one dependency tree per (block, candidate root).
-  std::vector<std::vector<DependencyTree>> trees(h);
-  std::vector<std::vector<NodeId>> block_nodes(h);
-  std::size_t max_tree_size = 0;
-  for (std::uint32_t j = 0; j < h; ++j) {
-    block_nodes[j] = g0.block(j);
-    trees[j].reserve(block_nodes[j].size());
-    for (const NodeId root : block_nodes[j]) {
-      trees[j].push_back(build_block_dependency_tree(g0.layout, j, root));
-      max_tree_size = std::max(max_tree_size, trees[j].back().size());
-    }
-  }
-  const std::uint32_t depth = trees[0][0].depth;
+  // Every (block, candidate root) tree is the canonical tree moved by the
+  // root's canonical_shift, so all share its depth and size.
+  const DependencyTree tree = canonical_dependency_tree(g0.layout);
+  const std::uint32_t depth = tree.depth;
   report.tree_depth = depth;
   if (T <= depth) {
     throw std::invalid_argument{"verify_lemma312: protocol too short for the tree depth"};
+  }
+  const std::size_t max_tree_size = tree.size();
+  // Each tree node as (in-block x, in-block y, time offset): block 0's shift
+  // is zero, so its in-block coordinates are the canonical ones.
+  struct CanonicalNode {
+    std::uint32_t x, y, time;
+  };
+  std::vector<CanonicalNode> canonical;
+  canonical.reserve(tree.size());
+  for (const TreeNode& node : tree.nodes) {
+    const auto [x, y] = g0.layout.local_coords(node.vertex);
+    canonical.push_back(CanonicalNode{x, y, node.time});
+  }
+
+  // slot j * side^2 + c is candidate c of block j, c = y * side + x in
+  // in-block coordinates (the order of G0::block); slots[] is its node id.
+  const std::uint32_t side = g0.layout.block_side;
+  const std::size_t candidates = std::size_t{side} * side;
+  std::vector<NodeId> slots;
+  slots.reserve(n);
+  for (std::uint32_t j = 0; j < h; ++j) {
+    const std::vector<NodeId> block = g0.block(j);
+    slots.insert(slots.end(), block.begin(), block.end());
+  }
+  UPN_INVARIANT(slots.size() == n, "the blocks of G_0 partition its nodes");
+
+  // q_of[i * (T + 1) + t] = q_{i,t}.
+  const std::size_t times = std::size_t{T} + 1;
+  std::vector<std::uint32_t> q_of(n * times);
+  for (NodeId i = 0; i < n; ++i) {
+    for (std::uint32_t t = 0; t <= T; ++t) q_of[i * times + t] = metrics.weight(i, t);
+  }
+
+  // tree_w[slot * span + idx]: the weight of the slot's tree at
+  // t0 = depth + 1 + idx, the sum of q_{v, t0 - depth + tau} over its
+  // nodes (v, tau), Def. 3.11.
+  const std::uint32_t span = T - depth;
+  std::vector<std::uint64_t> tree_w(std::size_t{n} * span, 0);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const NodeId* block = &slots[slot / candidates * candidates];
+    const BlockShift shift = canonical_shift(g0.layout, slots[slot]);
+    std::uint64_t* w = &tree_w[slot * span];
+    for (const CanonicalNode& node : canonical) {
+      const NodeId v = block[(node.y + shift.dy) % side * side + (node.x + shift.dx) % side];
+      const std::uint32_t* qv = &q_of[v * times + 1 + node.time];
+      for (std::uint32_t idx = 0; idx < span; ++idx) w[idx] += qv[idx];
+    }
   }
 
   // ---- The averaging step, with exact Markov thresholds. ----
@@ -59,19 +85,15 @@ Lemma312Report verify_lemma312(const ProtocolMetrics& metrics, const G0& g0) {
   // Z' keeps t0 with A <= 4 avg(A); Z'' with Aq <= 4 avg(Aq).  By Markov
   // each excludes < 1/4 of the span, so |Z| >= span/2 -- a theorem for ANY
   // protocol, mirroring the paper's Z' / Z'' construction.
-  const std::uint32_t span = T - depth;
   std::vector<double> tree_totals(span), q_totals(span);
   double sum_tree_totals = 0, sum_q_totals = 0;
   for (std::uint32_t idx = 0; idx < span; ++idx) {
-    const std::uint32_t t0 = depth + 1 + idx;
     double all_trees = 0;
-    for (std::uint32_t j = 0; j < h; ++j) {
-      for (const auto& tree : trees[j]) {
-        all_trees += static_cast<double>(tree_weight(tree, metrics, t0));
-      }
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      all_trees += static_cast<double>(tree_w[slot * span + idx]);
     }
     double all_q = 0;
-    for (NodeId i = 0; i < n; ++i) all_q += metrics.weight(i, t0 - depth);
+    for (NodeId i = 0; i < n; ++i) all_q += q_of[i * times + idx + 1];
     tree_totals[idx] = all_trees;
     q_totals[idx] = all_q;
     sum_tree_totals += all_trees;
@@ -91,15 +113,16 @@ Lemma312Report verify_lemma312(const ProtocolMetrics& metrics, const G0& g0) {
   // tree weight (V'_j) and by root weight (V''_j); the intersection has
   // >= 2a^2 members since each set drops only a^2 of the 4a^2 candidates.
   const double a2 = static_cast<double>(a) * a;
+  std::vector<std::uint64_t> w(candidates), q(candidates);
   for (const std::uint32_t t0 : report.z_set) {
     Lemma312Choice choice;
     choice.t0 = t0;
+    const std::uint32_t idx = t0 - depth - 1;
     for (std::uint32_t j = 0; j < h; ++j) {
-      const std::size_t candidates = block_nodes[j].size();
-      std::vector<std::uint64_t> w(candidates), q(candidates);
+      const std::size_t first = std::size_t{j} * candidates;
       for (std::size_t c = 0; c < candidates; ++c) {
-        w[c] = tree_weight(trees[j][c], metrics, t0);
-        q[c] = metrics.weight(block_nodes[j][c], t0 - depth);
+        w[c] = tree_w[(first + c) * span + idx];
+        q[c] = q_of[slots[first + c] * times + (t0 - depth)];
       }
       const std::size_t keep = candidates - candidates / 4;  // 3a^2 of 4a^2
       std::vector<std::size_t> by_w(candidates), by_q(candidates);
@@ -121,7 +144,7 @@ Lemma312Report verify_lemma312(const ProtocolMetrics& metrics, const G0& g0) {
       if (chosen == candidates) {
         throw std::logic_error{"verify_lemma312: V' and V'' do not intersect"};
       }
-      choice.roots.push_back(block_nodes[j][chosen]);
+      choice.roots.push_back(slots[first + chosen]);
       choice.sum_root_weights += q[chosen];
       choice.sum_tree_weights += w[chosen];
     }
@@ -141,7 +164,7 @@ Lemma312Report verify_lemma312(const ProtocolMetrics& metrics, const G0& g0) {
 
     // Lemma 3.13 (2): sum_i q_{i, t0} (covered by the trees' leaves).
     double sum_q = 0;
-    for (NodeId i = 0; i < n; ++i) sum_q += metrics.weight(i, t0);
+    for (NodeId i = 0; i < n; ++i) sum_q += q_of[i * times + t0];
     report.max_sum_q = std::max(report.max_sum_q, sum_q);
   }
   report.bound_sum_q =

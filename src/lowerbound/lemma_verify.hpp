@@ -12,6 +12,15 @@
 // One deliberate deviation: our constructed dependency trees have measured
 // depth ~2a (see dependency_tree.hpp), so the roots live at t_0 - depth
 // rather than t_0 - a; the averaging argument is depth-independent.
+//
+// Cost: the G_0 torus blocks are vertex-transitive, so every candidate
+// root's tree is the one canonical_dependency_tree moved by the root's
+// canonical_shift.  verify_lemma312 builds that tree once, reads q from one
+// dense n x (T+1) table, and computes each (root, t0) tree weight once into
+// an n x (T - depth) table that both the averaging pass and the Z
+// selection read.  Memory is linear in n T; the selection sums in block and
+// candidate order, so the report is the one the tree-per-root verifier
+// (tests/support/reference_lemma312.hpp) gives, bit for bit.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,13 @@
 //   q_{i,t}    -- |Q_S(i, t)| (Definition 3.11: the weight of (P_i, t));
 //   E_t(tau)   -- Definition 3.16: guests whose generating pebble (P_i, t)
 //                 exists after tau host steps (via first_generation_step).
+//
+// Storage, per (i, t) cell with t >= 1: one m-bit holder row, its popcount
+// (q_{i,t}) and the first generation step; plus the generator sets as a CSR
+// built from the generate ops alone (about n T of them).  A bit row is
+// smaller than 32-bit ids once more than 1/32 of the processors hold a
+// pebble: at t = T/2 of run_paper_pipeline's protocol 29% of them do at
+// m=192 and 9% at m=1024.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +28,10 @@ inline constexpr std::uint32_t kNeverGenerated = 0xffffffffu;
 
 class ProtocolMetrics {
  public:
-  /// Replays the protocol once, marking holders and generators in one m-bit
-  /// row per (i, t), and reads the rows back into sorted sets.  The
-  /// protocol is assumed valid (run validate_protocol first).
+  /// Replays the protocol once, marking the holders of each (i, t) in one
+  /// m-bit row and collecting the (cell, proc) pair of every generate, then
+  /// sorts those pairs into the generator sets.  The protocol is assumed
+  /// valid (run validate_protocol first).
   explicit ProtocolMetrics(const Protocol& protocol);
 
   [[nodiscard]] std::uint32_t num_guests() const noexcept { return n_; }
@@ -39,8 +47,9 @@ class ProtocolMetrics {
                      (static_cast<double>(T_) * n_);
   }
 
-  /// Q_S(i, t): sorted processor ids holding (P_i, t) at the end.  For t = 0
-  /// this is all processors (initial pebbles) and is returned as such.
+  /// Q_S(i, t): sorted processor ids holding (P_i, t) at the end: the set
+  /// bits of the cell's holder row, in ascending order.  For t = 0 this is
+  /// all processors (initial pebbles) and is returned as such.
   /// This and the queries below throw std::out_of_range for i >= n or
   /// t > T (t >= T for generators), t = 0 included.
   [[nodiscard]] std::vector<std::uint32_t> representatives(NodeId i, std::uint32_t t) const;
@@ -76,10 +85,12 @@ class ProtocolMetrics {
   std::uint32_t T_;
   std::uint32_t host_steps_ = 0;
   std::uint64_t placements_ = 0;
-  /// CSR over cells (t-1)*n + i for t >= 1: holders_[holder_offsets_[c] ..
-  /// holder_offsets_[c+1]) are the sorted procs holding (P_i, t).
-  std::vector<std::size_t> holder_offsets_;
-  std::vector<std::uint32_t> holders_;
+  std::size_t words_per_row_;
+  /// One m-bit row per cell (t-1)*n + i for t >= 1: bit q of
+  /// holder_rows_[c * words_per_row_ ..] is set iff proc q holds (P_i, t).
+  std::vector<std::uint64_t> holder_rows_;
+  /// holder_weights_[c]: the row's popcount, q_{i,t}.
+  std::vector<std::uint32_t> holder_weights_;
   /// CSR over cells t*n + i for t <= T-1: sorted procs generating (P_i, t+1).
   std::vector<std::size_t> generator_offsets_;
   std::vector<std::uint32_t> generators_;

@@ -20,6 +20,7 @@
 #include "src/topology/g0.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/reference_fragment.hpp"
 
 namespace upn {
 namespace {
@@ -109,15 +110,13 @@ TEST(ContractAdoption, SpreadingProfileRejectsForeignCenter) {
 }
 
 TEST(ContractAdoption, FragmentMultiplicityNeedsEvenDegree) {
-  Fragment fragment;
-  fragment.B = {{0}};
-  fragment.b = {1};
-  fragment.D = {{0}};
+  const Fragment fragment = testing::make_fragment(0, 2, {{0}}, {1});
   EXPECT_THROW((void)log2_multiplicity_bound(fragment, 3), ContractViolation);
   EXPECT_THROW((void)log2_multiplicity_bound(fragment, 0), ContractViolation);
-  Fragment ragged = fragment;
-  ragged.b.push_back(1);  // |b| != |D|
-  EXPECT_THROW((void)log2_multiplicity_bound(ragged, 2), ContractViolation);
+  // A ragged fragment (|b| != n) or a processor id past the host is
+  // refused when it is built.
+  EXPECT_THROW((void)testing::make_fragment(0, 2, {{0}}, {1, 1}), ContractViolation);
+  EXPECT_THROW((void)testing::make_fragment(0, 2, {{0}}, {2}), ContractViolation);
 }
 
 TEST(ContractAdoption, FragmentCensusNeedsAGuestStep) {

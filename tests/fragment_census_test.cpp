@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/lowerbound/fragment_census.hpp"
+#include "tests/support/reference_fragment.hpp"
 
 namespace upn {
 namespace {
@@ -35,15 +36,10 @@ TEST(FragmentCensus, RunsAndTabulates) {
 
 TEST(FragmentCensus, HashDistinguishesFragments) {
   // Two different B' selections must hash differently.
-  Fragment a;
-  a.t0 = 1;
-  a.B = {{0, 1}, {0, 1}};
-  a.b = {0, 1};
-  Fragment b = a;
-  b.b = {1, 0};
+  const Fragment a = testing::make_fragment(1, 2, {{0, 1}, {0, 1}}, {0, 1});
+  const Fragment b = testing::make_fragment(1, 2, {{0, 1}, {0, 1}}, {1, 0});
   EXPECT_NE(fragment_hash(a), fragment_hash(b));
-  Fragment c = a;
-  c.B[0] = {1};
+  const Fragment c = testing::make_fragment(1, 2, {{1}, {0, 1}}, {0, 1});
   EXPECT_NE(fragment_hash(a), fragment_hash(c));
   EXPECT_EQ(fragment_hash(a), fragment_hash(a));
 }

@@ -1,6 +1,7 @@
 // Fragment extraction (Definition 3.2) and multiplicity bound (Lemma 3.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/pebble/fragment.hpp"
@@ -37,19 +38,18 @@ Protocol sample_protocol() {
 TEST(Fragment, ExtractAtTimeOne) {
   const ProtocolMetrics metrics{sample_protocol()};
   const Fragment fragment = extract_fragment(metrics, 1);
-  ASSERT_EQ(fragment.B.size(), 3u);
-  ASSERT_EQ(fragment.b.size(), 3u);
+  ASSERT_EQ(fragment.num_guests(), 3u);
   // B_i = representatives at t0 = 1: {0, 1} for all i.
   for (NodeId i = 0; i < 3; ++i) {
-    EXPECT_EQ(fragment.B[i], (std::vector<std::uint32_t>{0, 1}));
+    EXPECT_TRUE(std::ranges::equal(fragment.B(i), std::vector<std::uint32_t>{0, 1}));
   }
   // b_i must be a generator of (P_i, 2): Q1 for P0/P1, Q0 for P2.
-  EXPECT_EQ(fragment.b[0], 1u);
-  EXPECT_EQ(fragment.b[1], 1u);
-  EXPECT_EQ(fragment.b[2], 0u);
+  EXPECT_EQ(fragment.b(0), 1u);
+  EXPECT_EQ(fragment.b(1), 1u);
+  EXPECT_EQ(fragment.b(2), 0u);
   // D_i = all guests (both processors hold everything at t0 = 1).
   for (NodeId i = 0; i < 3; ++i) {
-    EXPECT_EQ(fragment.D[i], (std::vector<std::uint32_t>{0, 1, 2}));
+    EXPECT_TRUE(std::ranges::equal(fragment.D(i), std::vector<std::uint32_t>{0, 1, 2}));
   }
   EXPECT_EQ(fragment.total_b_size(), 6u);
 }
@@ -60,7 +60,7 @@ TEST(Fragment, ExtractAtTimeZero) {
   // At t0 = 0 every processor holds every initial pebble: |B_i| = 2.
   EXPECT_EQ(fragment.total_b_size(), 6u);
   // b_i must generate (P_i, 1): all generated at Q0.
-  for (NodeId i = 0; i < 3; ++i) EXPECT_EQ(fragment.b[i], 0u);
+  for (NodeId i = 0; i < 3; ++i) EXPECT_EQ(fragment.b(i), 0u);
 }
 
 TEST(Fragment, MissingGeneratorThrows) {

@@ -73,7 +73,7 @@ TEST_F(PipelineTest, FragmentsExtractAndBoundMultiplicity) {
   // Every guest time t0 < T admits a fragment (our simulator generates all
   // pebbles of every level).
   const Fragment fragment = extract_fragment(metrics, T_ / 2);
-  EXPECT_EQ(fragment.B.size(), n_);
+  EXPECT_EQ(fragment.num_guests(), n_);
   // Lemma 3.3: multiplicity bound must be finite (|D_i| >= c/2) because the
   // generator of (P_i, t0+1) held all 16 neighbor configurations.
   const double log_x = log2_multiplicity_bound(fragment, kGuestDegree);
@@ -84,7 +84,7 @@ TEST_F(PipelineTest, FragmentsExtractAndBoundMultiplicity) {
   // D_i must contain all guest neighbors of i (the generator's holdings).
   for (NodeId i = 0; i < n_; ++i) {
     for (const NodeId nb : guest_.neighbors(i)) {
-      EXPECT_TRUE(std::binary_search(fragment.D[i].begin(), fragment.D[i].end(), nb));
+      EXPECT_TRUE(std::binary_search(fragment.D(i).begin(), fragment.D(i).end(), nb));
     }
   }
 }

@@ -4,7 +4,8 @@
 // on every parsed fuzz text whose pebbles are in range), on
 // emitted protocols at m = 1, 12, 63, 64, 65 and 192 (one, partial and
 // several 64-bit words per row), and on hand-built protocols where one
-// processor places the same pebble twice, every query must answer the same.
+// processor places or generates the same pebble twice or receives an
+// initial pebble, every query must answer the same.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -205,6 +206,56 @@ TEST(MetricsDifferential, RepeatedPlacementsCountOnceInTheSets) {
   EXPECT_EQ(metrics.first_generation_step(2, 1), 8u);
   // Every generate and receive of a non-initial pebble is one placement.
   EXPECT_EQ(metrics.total_placements(), 9u);
+}
+
+// ---- generator sets from the generate ops alone ----------------------------
+
+TEST(MetricsDifferential, OneProcessorGeneratingOnePebbleTwiceIsOneGenerator) {
+  // Path guest 0-1 on a 3-node path host, T = 1.  Q2 generates (P0, 1),
+  // then Q0, then Q2 again: Q2's two generates are not adjacent in op
+  // order, so only a dedup after sorting by processor leaves {0, 2}.
+  Protocol protocol{2, 3, 1};
+  auto gen = [&](std::uint32_t proc, NodeId i) {
+    protocol.begin_step();
+    protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, 1}, 0});
+  };
+  gen(2, 0);
+  gen(0, 0);
+  gen(2, 0);
+  gen(1, 1);
+  const Graph guest = make_path(2);
+  const Graph host = make_path(3);
+  ASSERT_TRUE(expect_same_metrics_if_valid(protocol, guest, host));
+
+  const ProtocolMetrics metrics{protocol};
+  EXPECT_EQ(metrics.generators(0, 0), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(metrics.representatives(0, 1), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(metrics.weight(0, 1), 2u);
+  EXPECT_EQ(metrics.first_generation_step(0, 1), 1u);
+  EXPECT_EQ(metrics.total_placements(), 4u);
+}
+
+TEST(MetricsDifferential, ReceivedInitialPebbleIsNoPlacement) {
+  // Path guest 0-1 on a 2-node path host, T = 1.  Q1 receives P0's initial
+  // pebble (P0, 0) at the first step; that sets no holder row, no generator
+  // and no placement.
+  Protocol protocol{2, 2, 1};
+  protocol.begin_step();
+  protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 0}, 1});
+  protocol.add(Op{OpKind::kReceive, 1, PebbleType{0, 0}, 0});
+  protocol.begin_step();
+  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{0, 1}, 0});
+  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0});
+  const Graph guest = make_path(2);
+  const Graph host = make_path(2);
+  ASSERT_TRUE(expect_same_metrics_if_valid(protocol, guest, host));
+
+  const ProtocolMetrics metrics{protocol};
+  EXPECT_EQ(metrics.representatives(0, 0), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(metrics.representatives(0, 1), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(metrics.generators(0, 0), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(metrics.first_generation_step(0, 1), 2u);
+  EXPECT_EQ(metrics.total_placements(), 2u);
 }
 
 }  // namespace

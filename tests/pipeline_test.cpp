@@ -52,7 +52,7 @@ std::uint32_t lemma312_tree_depth(const PipelineConfig& config) {
   const std::uint32_t m = make_butterfly(config.butterfly_dimension).num_nodes();
   const std::uint32_t a = g0_block_parameter(m);
   const G0 g0 = make_g0(g0_round_guest_size(config.guest_size_hint, a), m, rng);
-  return build_block_dependency_tree(g0.layout, 0, g0.block(0)[0]).depth;
+  return canonical_dependency_tree(g0.layout).depth;
 }
 
 TEST(Pipeline, HorizonNoLongerThanTreeDepthFailsUpFront) {

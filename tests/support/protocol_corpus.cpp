@@ -9,6 +9,7 @@
 #include "src/core/universal_sim.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/fault/surgery.hpp"
+#include "src/lowerbound/dependency_tree.hpp"
 #include "src/pebble/io.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/random_regular.hpp"
@@ -220,6 +221,76 @@ void for_each_random_mutant(const Emitted& base, const MutationSize& size,
       }
     }));
   }
+}
+
+PlantedProtocol pipeline_protocol(const PipelineConfig& config) {
+  Rng rng{config.seed};
+  const Graph host = make_butterfly(config.butterfly_dimension);
+  const std::uint32_t m = host.num_nodes();
+  const std::uint32_t n = g0_round_guest_size(config.guest_size_hint, g0_block_parameter(m));
+  PlantedProtocol planted{"hint " + std::to_string(config.guest_size_hint) + ", d " +
+                              std::to_string(config.butterfly_dimension) + ", T " +
+                              std::to_string(config.guest_steps) + ", seed " +
+                              std::to_string(config.seed),
+                          make_g0(n, m, rng)};
+  const Graph guest = make_random_regular_with_subgraph(planted.g0.graph, kGuestDegree, rng);
+  UniversalSimulator sim{guest, host, make_random_embedding(n, m, rng)};
+  UniversalSimOptions options;
+  options.emit_protocol = true;
+  options.seed = rng();
+  planted.protocol = std::move(*sim.run(config.guest_steps, options).protocol);
+  return planted;
+}
+
+namespace {
+
+PipelineConfig config_of(std::uint32_t hint, std::uint32_t dimension, std::uint32_t steps,
+                         std::uint64_t seed) {
+  PipelineConfig config;
+  config.guest_size_hint = hint;
+  config.butterfly_dimension = dimension;
+  config.guest_steps = steps;
+  config.seed = seed;
+  return config;
+}
+
+/// lemma_verify_test's fixture: n = 64 on butterfly(2), 14 steps.
+PlantedProtocol lemma_verify_fixture() {
+  Rng rng{2024};
+  const std::uint32_t m = 12;
+  const std::uint32_t n = g0_round_guest_size(60, g0_block_parameter(m));
+  PlantedProtocol planted{"lemma_verify_test fixture", make_g0(n, m, rng)};
+  const Graph guest = make_random_regular_with_subgraph(planted.g0.graph, kGuestDegree, rng);
+  const Graph host = make_butterfly(2);
+  UniversalSimulator sim{guest, host, make_random_embedding(n, m, rng)};
+  UniversalSimOptions options;
+  options.emit_protocol = true;
+  planted.protocol = std::move(*sim.run(14, options).protocol);
+  return planted;
+}
+
+}  // namespace
+
+std::vector<PlantedProtocol> lowerbound_corpus() {
+  const PipelineConfig defaults;
+  // The tree depth depends only on the block side, 2a = 4 on butterfly(2).
+  const std::uint32_t depth = canonical_dependency_tree(multitorus_layout(16, 4)).depth;
+
+  std::vector<PipelineConfig> configs = {
+      // pipeline_test's configs.
+      config_of(64, 2, 14, defaults.seed), config_of(64, 2, 12, 99),
+      config_of(64, 2, depth + 1, defaults.seed), config_of(17, 2, 16, defaults.seed),
+      config_of(144, 2, 16, defaults.seed), config_of(1296, 4, 16, 71)};
+  // Seeded protocols: a = 2 on butterfly(2), a = 3 on butterfly(3).
+  for (const std::uint32_t seed : {1u, 2u, 3u}) {
+    configs.push_back(config_of(64, 2, 10 + 3 * seed, seed));
+    configs.push_back(config_of(144, 3, 14 + 2 * seed, seed));
+    configs.push_back(config_of(324, 3, 16, 100 + seed));
+  }
+  std::vector<PlantedProtocol> corpus;
+  corpus.push_back(lemma_verify_fixture());
+  for (const PipelineConfig& config : configs) corpus.push_back(pipeline_protocol(config));
+  return corpus;
 }
 
 }  // namespace upn::testing

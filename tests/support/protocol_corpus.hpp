@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "src/core/pipeline.hpp"
 #include "src/pebble/protocol.hpp"
+#include "src/topology/g0.hpp"
 #include "src/topology/graph.hpp"
 
 namespace upn::testing {
@@ -86,5 +88,22 @@ inline constexpr MutationSize kRandomMutationSizes[] = {
 /// retime or retarget one op).
 void for_each_random_mutant(const Emitted& base, const MutationSize& size,
                             const std::function<void(const Protocol&)>& visit);
+
+/// A protocol emitted for a guest that contains G_0, with that G_0: the
+/// input of the lower-bound stages (Lemma 3.12, fragments).
+struct PlantedProtocol {
+  std::string name;
+  G0 g0;
+  Protocol protocol{1, 1, 1};
+};
+
+/// run_paper_pipeline's G_0 and emitted protocol for `config`: its stages,
+/// in its order, with its random stream.
+[[nodiscard]] PlantedProtocol pipeline_protocol(const PipelineConfig& config);
+
+/// The lower-bound differential corpus: pipeline_test's configs,
+/// lemma_verify_test's fixture, and seeded pipeline protocols with
+/// a = 2 (butterfly(2)) and a = 3 (butterfly(3)).
+[[nodiscard]] std::vector<PlantedProtocol> lowerbound_corpus();
 
 }  // namespace upn::testing
