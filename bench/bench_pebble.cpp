@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
   }
 
   // Emission, ending with the protocol's release.  The n=1296 section (T=16,
-  // about 3 M ops in a ~50 MB op array) is large enough that the array takes
-  // the mapped, huge-page-backed allocation path.
+  // about 3 M ops) stores the words of guest step 1 only, about 1/16 of its
+  // ops: guest steps 2..16 are time-shifted repeats of step 1.
   for (const auto& [n, d, T] :
        {std::tuple{64u, 2u, 2u}, std::tuple{128u, 2u, 2u}, std::tuple{1296u, 4u, 16u}}) {
     Rng rng{3};

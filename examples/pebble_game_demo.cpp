@@ -22,15 +22,13 @@ int main() {
     Protocol protocol{3, 2, 2};
 
     auto generate = [&](std::uint32_t proc, NodeId i, std::uint32_t t) {
-      protocol.begin_step();
-      protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0});
+      protocol.add_step({{Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0}}});
       std::cout << "step " << protocol.host_steps() << ": Q" << proc << " generates (P" << i
                 << "," << t << ")\n";
     };
     auto transfer = [&](std::uint32_t from, std::uint32_t to, NodeId i, std::uint32_t t) {
-      protocol.begin_step();
-      protocol.add(Op{OpKind::kSend, from, PebbleType{i, t}, to});
-      protocol.add(Op{OpKind::kReceive, to, PebbleType{i, t}, from});
+      protocol.add_step({{Op{OpKind::kSend, from, PebbleType{i, t}, to},
+                          Op{OpKind::kReceive, to, PebbleType{i, t}, from}}});
       std::cout << "step " << protocol.host_steps() << ": Q" << from << " sends (P" << i
                 << "," << t << ") to Q" << to << "\n";
     };

@@ -40,12 +40,6 @@ void SyncMachine::run(std::uint32_t steps) {
   for (std::uint32_t i = 0; i < steps; ++i) step();
 }
 
-std::uint64_t SyncMachine::digest() const noexcept {
-  std::uint64_t h = 0x6a09e667f3bcc908ULL;
-  for (const Config c : configs_) h = mix64(h ^ c);
-  return h;
-}
-
 std::vector<Config> run_reference(const Graph& graph, std::uint64_t seed, std::uint32_t steps) {
   SyncMachine machine{graph, seed};
   machine.run(steps);

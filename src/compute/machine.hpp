@@ -11,7 +11,7 @@
 // simulation must reproduce the exact same configurations.  Configurations
 // are 64-bit values evolved by a fixed avalanche mixing function, so any
 // simulation bug (wrong neighbor, stale round, dropped message) changes the
-// final digest with overwhelming probability.
+// final configurations with overwhelming probability.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +48,6 @@ class SyncMachine {
   [[nodiscard]] std::uint32_t time() const noexcept { return time_; }
   [[nodiscard]] Config config(NodeId node) const noexcept { return configs_[node]; }
   [[nodiscard]] const std::vector<Config>& configs() const noexcept { return configs_; }
-
-  /// Order-sensitive digest of the full configuration vector; equal digests
-  /// mean equal global configurations (up to 64-bit hash collisions).
-  [[nodiscard]] std::uint64_t digest() const noexcept;
 
  private:
   const Graph* graph_;

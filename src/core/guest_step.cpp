@@ -232,7 +232,6 @@ void emit_route_ops(Protocol& protocol, const RouteResult& routed, std::uint32_t
       *out++ = Op{OpKind::kSend, tr.from, pebble, tr.to};
       if (tr.dropped == 0) *out++ = Op{OpKind::kReceive, tr.to, pebble, tr.from};
     }
-    protocol.begin_step();
     protocol.add_step({step_ops.data(), out});
   }
 }
@@ -255,7 +254,6 @@ std::uint32_t emit_generate_rounds(Protocol* protocol,
         round_ops.push_back(Op{OpKind::kGenerate, q, PebbleType{guests_of[q][round], t}, 0});
       }
     }
-    protocol->begin_step();
     protocol->add_step(round_ops);
   }
   return rounds;

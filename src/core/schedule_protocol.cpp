@@ -64,16 +64,18 @@ OfflineProtocolResult make_offline_universal_protocol(const Graph& guest,
           ? 1.0
           : static_cast<double>(single_port_steps) / schedule.num_steps;
 
+  std::vector<Op> step_ops;  // one color class's sends and receives
   for (std::uint32_t t = 1; t <= guest_steps; ++t) {
     // Communication: replay the colored schedule; demand d carries the
     // pebble (its sender, t-1).
     for (const auto& matching : sub_steps) {
-      result.protocol.begin_step();
+      step_ops.clear();
       for (const ScheduledMove* move : matching) {
         const PebbleType pebble{demands[move->packet].sender, t - 1};
-        result.protocol.add(Op{OpKind::kSend, move->from, pebble, move->to});
-        result.protocol.add(Op{OpKind::kReceive, move->to, pebble, move->from});
+        step_ops.push_back(Op{OpKind::kSend, move->from, pebble, move->to});
+        step_ops.push_back(Op{OpKind::kReceive, move->to, pebble, move->from});
       }
+      result.protocol.add_step(step_ops);
     }
     // Computation: one generate per hosted guest, round-robin across hosts.
     emit_generate_rounds(&result.protocol, guests_of, t);

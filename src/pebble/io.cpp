@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace upn {
 
@@ -92,7 +93,23 @@ Protocol read_protocol(std::istream& is) {
       fail(line_no, e.what());
     }
   }();
+  // The open step's ops and the line of each, appended with one add_step
+  // at the next `step` line or at end of input.  An illegal op is named by
+  // its own line: add_step keeps the ops before it.
   bool in_step = false;
+  std::vector<Op> step_ops;
+  std::vector<std::size_t> op_lines;
+  auto flush_step = [&] {
+    if (!in_step) return;
+    const std::uint32_t s = protocol.host_steps();
+    try {
+      protocol.add_step(step_ops);
+    } catch (const std::exception& e) {
+      fail(op_lines[protocol.step(s).size()], e.what());
+    }
+    step_ops.clear();
+    op_lines.clear();
+  };
   while (std::getline(is, line)) {
     ++line_no;
     if (line.size() > kMaxProtocolLineLength) fail(line_no, "line too long");
@@ -100,8 +117,8 @@ Protocol read_protocol(std::istream& is) {
     const std::vector<std::string> tokens = tokenize(line, line_no);
     if (tokens.empty()) continue;
     if (tokens[0] == "step") {
+      flush_step();
       if (tokens.size() != 1) fail(line_no, "trailing garbage after 'step'");
-      protocol.begin_step();
       in_step = true;
       continue;
     }
@@ -139,12 +156,10 @@ Protocol read_protocol(std::istream& is) {
       partner = parse_u32(tokens[4], line_no, "partner");
       if (partner >= m) fail(line_no, "partner out of range");
     }
-    try {
-      protocol.add(Op{kind, proc, pebble, partner});
-    } catch (const std::exception& e) {
-      fail(line_no, e.what());
-    }
+    step_ops.push_back(Op{kind, proc, pebble, partner});
+    op_lines.push_back(line_no);
   }
+  flush_step();
   return protocol;
 }
 

@@ -100,16 +100,6 @@ std::uint32_t ProtocolMetrics::first_generation_step(NodeId i, std::uint32_t t) 
   return first_gen_[index(i, t - 1)];
 }
 
-std::uint32_t ProtocolMetrics::generating_count(std::uint32_t t, std::uint32_t tau) const {
-  // first_generation_step range-checks t.
-  std::uint32_t count = 0;
-  for (NodeId i = 0; i < n_; ++i) {
-    const std::uint32_t first = first_generation_step(i, t);
-    if (first != kNeverGenerated && first <= tau) ++count;
-  }
-  return count;
-}
-
 std::uint64_t ProtocolMetrics::total_weight_at(std::uint32_t t) const {
   std::uint64_t total = 0;
   for (NodeId i = 0; i < n_; ++i) total += weight(i, t);

@@ -65,9 +65,6 @@ class ProtocolMetrics {
   /// returns 0 (initial pebbles exist from the start).
   [[nodiscard]] std::uint32_t first_generation_step(NodeId i, std::uint32_t t) const;
 
-  /// |E_t(tau)|, Definition 3.16.
-  [[nodiscard]] std::uint32_t generating_count(std::uint32_t t, std::uint32_t tau) const;
-
   /// Sum over all i of q_{i,t}.
   [[nodiscard]] std::uint64_t total_weight_at(std::uint32_t t) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <string>
 
 namespace upn {
@@ -52,8 +53,7 @@ Protocol::Protocol(std::uint32_t num_guests, std::uint32_t num_hosts,
       guest_steps_(guest_steps),
       codec_(num_guests, num_hosts, guest_steps) {}
 
-void Protocol::require_legal(std::uint32_t current, OpFault fault) {
-  UPN_REQUIRE(current > 0, "Protocol::add: begin_step() first");
+void Protocol::require_legal(OpFault fault) {
   if (fault == OpFault::kProc) {
     throw std::out_of_range{"Protocol::add: host processor out of range"};
   }
@@ -68,26 +68,19 @@ void Protocol::require_legal(std::uint32_t current, OpFault fault) {
               "at most one operation per processor per host step)");
 }
 
-void Protocol::add(const Op& op) {
-  const std::uint32_t current = host_steps();
-  require_legal(current, fault_of(op, current));
-  own_current_step();
-  mark_acted(op.proc, current);
-  words_.push_back(codec_.encode(op));
-  ++stored_offsets_.back();
-  latest_.back() = std::max(latest_.back(), op.pebble.time);
-  ++num_ops_;
-}
-
 void Protocol::add_step(std::span<const Op> ops) {
+  UPN_REQUIRE(host_steps() < std::numeric_limits<std::uint32_t>::max(),
+              "Protocol::add_step: host step count overflows uint32");
+  steps_.push_back({static_cast<std::uint32_t>(latest_.size()), 0});
+  stored_offsets_.push_back(words_.size());
+  latest_.push_back(0);
   const std::uint32_t current = host_steps();
-  own_current_step();
   // A local copy: stores to the word array cannot alias its fields.
   const OpCodec codec = codec_;
   const std::size_t base = words_.size();
   words_.resize(base + ops.size());
   std::uint64_t* out = words_.data() + base;
-  std::uint32_t latest = current == 0 ? 0 : latest_.back();
+  std::uint32_t latest = 0;
   std::size_t admitted = 0;
   OpFault fault = OpFault::kNone;
   for (; admitted < ops.size(); ++admitted) {
@@ -99,12 +92,10 @@ void Protocol::add_step(std::span<const Op> ops) {
     latest = std::max(latest, op.pebble.time);
   }
   words_.resize(base + admitted);
-  if (admitted > 0) {
-    stored_offsets_.back() += admitted;
-    latest_.back() = latest;
-    num_ops_ += admitted;
-  }
-  if (admitted < ops.size()) require_legal(current, fault);
+  stored_offsets_.back() += admitted;
+  latest_.back() = latest;
+  num_ops_ += admitted;
+  require_legal(fault);
 }
 
 void Protocol::repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32_t time_delta) {
@@ -119,11 +110,10 @@ void Protocol::repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32
     const std::size_t size = stored_words(record.stored).size();
     if (size > 0 &&
         std::uint64_t{latest_[record.stored]} + record.delta + time_delta > guest_steps_) {
-      require_legal(host_steps(), OpFault::kPebble);
+      require_legal(OpFault::kPebble);
     }
     ops += size;
   }
-  if (count == 0) return;
   for (std::uint32_t s = first; s < last; ++s) {
     StepRecord record = steps_[s];
     // A step without ops carries no time, so its delta stays 0.
@@ -131,22 +121,6 @@ void Protocol::repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32
     steps_.push_back(record);
   }
   num_ops_ += ops;
-  current_owned_ = false;
-  const std::uint32_t current = host_steps();
-  for (const Op op : step(current - 1)) mark_acted(op.proc, current);
-}
-
-void Protocol::own_current_step() {
-  if (current_owned_) return;
-  StepRecord& record = steps_.back();
-  const std::size_t begin = stored_offsets_[record.stored];
-  const std::size_t end = stored_offsets_[record.stored + 1];
-  const std::uint64_t raise = codec_.time_raise(record.delta);
-  for (std::size_t k = begin; k < end; ++k) words_.push_back(words_[k] + raise);
-  stored_offsets_.push_back(words_.size());
-  latest_.push_back(latest_[record.stored] + record.delta);
-  record = {static_cast<std::uint32_t>(latest_.size() - 1), 0};
-  current_owned_ = true;
 }
 
 }  // namespace upn

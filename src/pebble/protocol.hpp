@@ -24,19 +24,17 @@
 // Emitters write and readers see the plain `Op` struct; step(s) returns a
 // view that adds the step's time raise to each word and decodes on access,
 // and a reader that visits a step's ops more than once (the validator)
-// decodes the step into a reused buffer.  begin_step() opens a host step
-// with its own stored step (delta 0); add() checks an op and encodes it
-// into the current step, and add_step() hands over a whole step the same
-// way (up to the first illegal op, which throws what add() throws).  An
-// emitter whose later steps repeat earlier ones at a later guest time
-// (Theorem 2.1's guest steps all route the same relation) appends them with
+// decodes the step into a reused buffer.  There are two writers, each of
+// whole host steps: add_step() appends one host step with its own stored
+// step (delta 0), checking and encoding its ops in order; an emitter whose
+// later steps repeat earlier ones at a later guest time (Theorem 2.1's
+// guest steps all route the same relation) appends them with
 // repeat_steps(), which adds records and stores no words.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -83,8 +81,8 @@ class OpCodec {
   /// Throws ProtocolHeaderTooWide when the fields need more than 64 bits.
   OpCodec(std::uint32_t num_guests, std::uint32_t num_hosts, std::uint32_t guest_steps);
 
-  /// `op`'s fields must lie in the header's ranges (Protocol::add checks
-  /// them); a generate's partner is dropped.
+  /// `op`'s fields must lie in the header's ranges (Protocol::add_step
+  /// checks them); a generate's partner is dropped.
   [[nodiscard]] std::uint64_t encode(const Op& op) const noexcept {
     const std::uint64_t partner = op.kind == OpKind::kGenerate ? 0 : op.partner;
     return static_cast<std::uint64_t>(op.kind) | (std::uint64_t{op.proc} << kProcShift) |
@@ -186,31 +184,19 @@ class Protocol {
  public:
   Protocol(std::uint32_t num_guests, std::uint32_t num_hosts, std::uint32_t guest_steps);
 
-  /// Opens a new host time step, with its own (empty) stored step.
-  void begin_step() {
-    UPN_REQUIRE(host_steps() < std::numeric_limits<std::uint32_t>::max(),
-                "Protocol::begin_step: host step count overflows uint32");
-    steps_.push_back({static_cast<std::uint32_t>(latest_.size()), 0});
-    stored_offsets_.push_back(words_.size());
-    latest_.push_back(0);
-    current_owned_ = true;
-  }
-
-  /// Adds an operation to the current host step.
-  void add(const Op& op);
-
-  /// add(op) for every op of `ops` in order, checked and encoded in one
-  /// loop.  An illegal op throws what add() throws, with the ops before it
-  /// kept.
+  /// Appends a new host step holding `ops` (none: an empty step), each
+  /// checked and encoded in order.  An op whose processor, pebble or partner
+  /// is out of range throws std::out_of_range, and one whose processor
+  /// already acted in this step throws ContractViolation; either way the
+  /// step keeps the ops before it.
   void add_step(std::span<const Op> ops);
 
   /// Appends host steps [first, last) again with every op's pebble time
   /// raised by `time_delta`: one record per step, naming the stored step it
   /// reads and the summed delta, and no stored words.  Each repeated step
-  /// holds the processors of a step add() admitted, so the only check left
-  /// is the raised times: one past T throws what add() throws for it and
-  /// leaves the protocol unchanged.  Afterwards the last repeated step is
-  /// the current one, and add() rejects a processor that acted in it.
+  /// holds the processors of a step add_step() admitted, so the only check
+  /// left is the raised times: one past T throws what add_step() throws for
+  /// it and leaves the protocol unchanged.
   void repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32_t time_delta);
 
   [[nodiscard]] std::uint32_t num_guests() const noexcept { return num_guests_; }
@@ -242,22 +228,20 @@ class Protocol {
   }
 
  private:
-  /// Why an op may not join host step `current`, in add()'s check order.
+  /// Why an op may not join host step `current` (its index + 1), in
+  /// add_step()'s check order.
   enum class OpFault : std::uint8_t { kNone, kProc, kPebble, kPartner, kProcBusy };
   [[nodiscard]] OpFault fault_of(const Op& op, std::uint32_t current) const noexcept {
     if (op.proc >= num_hosts_) return OpFault::kProc;
     if (op.pebble.node >= num_guests_ || op.pebble.time > guest_steps_) return OpFault::kPebble;
     if (op.kind != OpKind::kGenerate && op.partner >= num_hosts_) return OpFault::kPartner;
-    // With no open step (current == 0) every processor reads as busy, so
-    // require_legal throws the begin_step error.  A processor past the end
-    // of proc_used_step_ has not acted yet.
-    const bool busy = op.proc < proc_used_step_.size() ? proc_used_step_[op.proc] == current
-                                                       : current == 0;
+    // A processor past the end of proc_used_step_ has not acted yet.
+    const bool busy = op.proc < proc_used_step_.size() && proc_used_step_[op.proc] == current;
     return busy ? OpFault::kProcBusy : OpFault::kNone;
   }
-  /// Throws what add() throws for an op with `fault` in host step `current`
-  /// (current == 0: no open step); returns for a legal op.
-  static void require_legal(std::uint32_t current, OpFault fault);
+  /// Throws what add_step() throws for an op with `fault`; returns for a
+  /// legal op.
+  static void require_legal(OpFault fault);
   /// Records that `proc` (below num_hosts_) acted in host step `current`.
   /// The table's capacity grows geometrically, so processors added in
   /// order cost amortized O(1).
@@ -271,10 +255,6 @@ class Protocol {
     return std::span<const std::uint64_t>{words_}.subspan(
         stored_offsets_[stored], stored_offsets_[stored + 1] - stored_offsets_[stored]);
   }
-  /// Makes the current host step read a stored step of its own, copying
-  /// the repeated step's words with their times raised, so that add() never
-  /// writes into a step another host step reads.
-  void own_current_step();
 
   /// Host step s reads stored step `stored` with every pebble time raised
   /// by `delta` (0 for a step without ops).
@@ -292,9 +272,6 @@ class Protocol {
   std::vector<std::uint32_t> latest_;  ///< stored step -> its largest pebble time
   std::vector<StepRecord> steps_;      ///< host step -> what it reads
   std::uint64_t num_ops_ = 0;
-  /// Whether the current host step reads a stored step no other host step
-  /// reads (true with no step open: there is nothing to own).
-  bool current_owned_ = true;
   /// proc -> last step index + 1 (0: never acted), up to the largest
   /// processor id added so far: its memory follows the ops, not the
   /// header's m.

@@ -159,7 +159,7 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
   // index of that op within its step.  A receive finds its send in O(1).
   std::vector<std::uint32_t> acted_in(protocol.num_hosts(), 0);
   std::vector<std::uint32_t> acted_op(protocol.num_hosts(), 0);
-  // Host links straight from the CSR: Protocol::add keeps procs and
+  // Host links straight from the CSR: Protocol::add_step keeps procs and
   // partners below num_hosts, which the size check above ties to the host.
   const std::uint32_t* host_off = host.offsets().data();
   const NodeId* host_adj = host.adjacency().data();
@@ -187,7 +187,7 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
     const std::span<const Op> ops{decoded.data(), stored.size()};
     const std::uint32_t stamp = step + 1;
     // First pass: one operation per processor (checked here too, not only
-    // in Protocol::add, so the verdict does not rest on the emitter), and
+    // in Protocol::add_step, so the verdict does not rest on the emitter), and
     // sends -- whose content must already be held at the start of the step.
     for (std::size_t k = 0; k < ops.size(); ++k) {
       decoded[k] = stored[k];

@@ -559,8 +559,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
         return;
       }
       const std::uint32_t shift = std::min<std::uint32_t>(pk_retries[packet_index], 6u);
-      const std::uint32_t backoff =
-          faults == nullptr ? 1u : std::max(1u, faults->backoff_base << shift);
+      const std::uint32_t backoff = faults == nullptr ? 1u : kBackoffBase << shift;
       UPN_OBS_COUNT("routing.sync.backoff_delays", 1);
       UPN_OBS_HIST("routing.sync.backoff_steps", backoff);
       delayed.push_back(DelayedPacket{step + backoff, packet_index, v});

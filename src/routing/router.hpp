@@ -110,6 +110,10 @@ enum class PortModel : std::uint8_t {
 
 class FaultPlan;
 
+/// A dropped packet's resend delay in host steps is kBackoffBase << retries,
+/// with retries capped at 6.
+inline constexpr std::uint32_t kBackoffBase = 1;
+
 /// Fault-injection parameters for a routing run.  The plan is evaluated at
 /// global host step `step_offset + local_step`, so a long simulation can
 /// thread one plan through many routing phases.
@@ -117,7 +121,6 @@ struct FaultRouteOptions {
   const FaultPlan* plan = nullptr;  ///< nullptr: fault-free routing
   std::uint32_t step_offset = 0;    ///< global host step of local step 0
   std::uint32_t max_retries = 16;   ///< per packet, before declaring it lost
-  std::uint32_t backoff_base = 1;   ///< resend delay; doubles per retry (capped)
 };
 
 class SyncRouter {

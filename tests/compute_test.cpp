@@ -36,7 +36,6 @@ TEST(SyncMachine, DeterministicAcrossRuns) {
   a.run(10);
   b.run(10);
   EXPECT_EQ(a.configs(), b.configs());
-  EXPECT_EQ(a.digest(), b.digest());
   EXPECT_EQ(a.time(), 10u);
 }
 
@@ -45,7 +44,7 @@ TEST(SyncMachine, SeedChangesTrajectory) {
   SyncMachine a{g, 1}, b{g, 2};
   a.run(5);
   b.run(5);
-  EXPECT_NE(a.digest(), b.digest());
+  EXPECT_NE(a.configs(), b.configs());
 }
 
 TEST(SyncMachine, InformationPropagatesAtSpeedOfGraph) {
@@ -95,14 +94,14 @@ TEST(SyncMachine, ZeroStepsKeepsInitialConfigs) {
 
 class MachineSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
-TEST_P(MachineSweep, DigestStableAcrossTopologies) {
+TEST_P(MachineSweep, ConfigsStableAcrossTopologies) {
   Rng rng{GetParam()};
   const Graph g = make_random_regular(64, 6, rng);
   SyncMachine a{g, GetParam()};
   a.run(12);
   SyncMachine b{g, GetParam()};
   b.run(12);
-  EXPECT_EQ(a.digest(), b.digest());
+  EXPECT_EQ(a.configs(), b.configs());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MachineSweep, ::testing::Values(1u, 2u, 3u, 4u));

@@ -74,16 +74,11 @@ TEST(ContractAdoption, EmbeddingLoadRejectsZeroHosts) {
   EXPECT_EQ(embedding_load({}, 0), 0u);  // empty embedding is the one legal m == 0 case
 }
 
-TEST(ContractAdoption, ProtocolAddBeforeBeginStep) {
-  Protocol protocol{2, 2, 1};
-  EXPECT_THROW(protocol.add({OpKind::kGenerate, 0, {0, 1}, 0}), ContractViolation);
-}
-
 TEST(ContractAdoption, ProtocolOneOpPerProcessorPerStep) {
   Protocol protocol{2, 2, 1};
-  protocol.begin_step();
-  protocol.add({OpKind::kGenerate, 0, {0, 1}, 0});
-  EXPECT_THROW(protocol.add({OpKind::kGenerate, 0, {1, 1}, 0}), ContractViolation);
+  EXPECT_THROW(protocol.add_step({{Op{OpKind::kGenerate, 0, {0, 1}, 0},
+                                    Op{OpKind::kGenerate, 0, {1, 1}, 0}}}),
+               ContractViolation);
 }
 
 TEST(ContractAdoption, RouterRejectsForeignPacketEndpoints) {

@@ -93,15 +93,13 @@ TEST(FragmentDifferential, MissingGeneratorsThrowAlike) {
   // t0 = 1 has no fragment while t0 = 0 has one.
   Protocol protocol{3, 2, 2};
   auto gen = [&](std::uint32_t proc, NodeId i, std::uint32_t t) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0});
+    protocol.add_step({{Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0}}});
   };
   gen(0, 0, 1);
   gen(1, 1, 1);
   gen(0, 2, 1);
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 1}, 1});
-  protocol.add(Op{OpKind::kReceive, 1, PebbleType{0, 1}, 0});
+  protocol.add_step({{Op{OpKind::kSend, 0, PebbleType{0, 1}, 1},
+                      Op{OpKind::kReceive, 1, PebbleType{0, 1}, 0}}});
   gen(1, 0, 2);
   gen(1, 1, 2);
   EXPECT_EQ(expect_same_fragments(protocol), 1u);
@@ -114,8 +112,7 @@ TEST(FragmentDifferential, SeveralGeneratorsPickTheLeastLoadedThenTheLowest) {
   // so b_0 = Q0); at t0 = 1 Q0 holds three pebbles and Q1 two, so b_0 = Q1.
   Protocol protocol{3, 2, 2};
   auto gen = [&](std::uint32_t proc, NodeId i, std::uint32_t t) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0});
+    protocol.add_step({{Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0}}});
   };
   for (const std::uint32_t t : {1u, 2u}) {
     gen(1, 0, t);

@@ -15,13 +15,11 @@ namespace {
 Protocol sample_protocol() {
   Protocol protocol{3, 2, 2};
   auto gen = [&](std::uint32_t proc, NodeId i, std::uint32_t t) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0});
+    protocol.add_step({{Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0}}});
   };
   auto transfer = [&](std::uint32_t from, std::uint32_t to, NodeId i, std::uint32_t t) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kSend, from, PebbleType{i, t}, to});
-    protocol.add(Op{OpKind::kReceive, to, PebbleType{i, t}, from});
+    protocol.add_step({{Op{OpKind::kSend, from, PebbleType{i, t}, to},
+                        Op{OpKind::kReceive, to, PebbleType{i, t}, from}}});
   };
   gen(0, 0, 1);
   gen(0, 1, 1);
@@ -65,8 +63,7 @@ TEST(Fragment, ExtractAtTimeZero) {
 
 TEST(Fragment, MissingGeneratorThrows) {
   Protocol protocol{2, 1, 2};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}}});
   const ProtocolMetrics metrics{protocol};
   EXPECT_THROW((void)extract_fragment(metrics, 0), std::invalid_argument);
   EXPECT_THROW((void)extract_fragment(metrics, 2), std::out_of_range);

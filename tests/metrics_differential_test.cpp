@@ -8,7 +8,6 @@
 // initial pebble, every query must answer the same.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -32,27 +31,17 @@ void expect_same_metrics(const Protocol& protocol) {
   const std::uint32_t n = protocol.num_guests();
   const std::uint32_t T = protocol.guest_steps();
   EXPECT_EQ(fast.total_placements(), reference.total_placements());
-  // E_t(tau) changes only at first generation steps: probe each one, the
-  // step before it, and both ends.
-  std::set<std::uint32_t> taus{0, protocol.host_steps()};
   for (std::uint32_t t = 0; t <= T; ++t) {
     EXPECT_EQ(fast.total_weight_at(t), reference.total_weight_at(t)) << "t=" << t;
     for (NodeId i = 0; i < n; ++i) {
       EXPECT_EQ(fast.representatives(i, t), reference.representatives(i, t))
           << "i=" << i << " t=" << t;
       EXPECT_EQ(fast.weight(i, t), reference.weight(i, t)) << "i=" << i << " t=" << t;
-      const std::uint32_t first = reference.first_generation_step(i, t);
-      EXPECT_EQ(fast.first_generation_step(i, t), first) << "i=" << i << " t=" << t;
-      if (first != kNeverGenerated && first > 0) taus.insert({first - 1, first});
+      EXPECT_EQ(fast.first_generation_step(i, t), reference.first_generation_step(i, t))
+          << "i=" << i << " t=" << t;
       if (t < T) {
         EXPECT_EQ(fast.generators(i, t), reference.generators(i, t)) << "i=" << i << " t=" << t;
       }
-    }
-  }
-  for (std::uint32_t t = 0; t <= T; ++t) {
-    for (const std::uint32_t tau : taus) {
-      EXPECT_EQ(fast.generating_count(t, tau), reference.generating_count(t, tau))
-          << "t=" << t << " tau=" << tau;
     }
   }
 }
@@ -175,13 +164,11 @@ TEST(MetricsDifferential, RepeatedPlacementsCountOnceInTheSets) {
   // Triangle guest on a 2-node path host, T = 1.
   Protocol protocol{3, 2, 1};
   auto gen = [&](std::uint32_t proc, NodeId i) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, 1}, 0});
+    protocol.add_step({{Op{OpKind::kGenerate, proc, PebbleType{i, 1}, 0}}});
   };
   auto transfer = [&](std::uint32_t from, std::uint32_t to, NodeId i) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kSend, from, PebbleType{i, 1}, to});
-    protocol.add(Op{OpKind::kReceive, to, PebbleType{i, 1}, from});
+    protocol.add_step({{Op{OpKind::kSend, from, PebbleType{i, 1}, to},
+                        Op{OpKind::kReceive, to, PebbleType{i, 1}, from}}});
   };
   gen(0, 0);
   transfer(0, 1, 0);  // Q1 receives (P0,1) ...
@@ -216,8 +203,7 @@ TEST(MetricsDifferential, OneProcessorGeneratingOnePebbleTwiceIsOneGenerator) {
   // order, so only a dedup after sorting by processor leaves {0, 2}.
   Protocol protocol{2, 3, 1};
   auto gen = [&](std::uint32_t proc, NodeId i) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, 1}, 0});
+    protocol.add_step({{Op{OpKind::kGenerate, proc, PebbleType{i, 1}, 0}}});
   };
   gen(2, 0);
   gen(0, 0);
@@ -240,12 +226,10 @@ TEST(MetricsDifferential, ReceivedInitialPebbleIsNoPlacement) {
   // pebble (P0, 0) at the first step; that sets no holder row, no generator
   // and no placement.
   Protocol protocol{2, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 0}, 1});
-  protocol.add(Op{OpKind::kReceive, 1, PebbleType{0, 0}, 0});
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{0, 1}, 0});
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0});
+  protocol.add_step({{Op{OpKind::kSend, 0, PebbleType{0, 0}, 1},
+                      Op{OpKind::kReceive, 1, PebbleType{0, 0}, 0}}});
+  protocol.add_step({{Op{OpKind::kGenerate, 1, PebbleType{0, 1}, 0},
+                      Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}}});
   const Graph guest = make_path(2);
   const Graph host = make_path(2);
   ASSERT_TRUE(expect_same_metrics_if_valid(protocol, guest, host));

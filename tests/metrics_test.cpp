@@ -12,13 +12,11 @@ namespace {
 Protocol sample_protocol() {
   Protocol protocol{3, 2, 2};
   auto gen = [&](std::uint32_t proc, NodeId i, std::uint32_t t) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0});
+    protocol.add_step({{Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0}}});
   };
   auto transfer = [&](std::uint32_t from, std::uint32_t to, NodeId i, std::uint32_t t) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kSend, from, PebbleType{i, t}, to});
-    protocol.add(Op{OpKind::kReceive, to, PebbleType{i, t}, from});
+    protocol.add_step({{Op{OpKind::kSend, from, PebbleType{i, t}, to},
+                        Op{OpKind::kReceive, to, PebbleType{i, t}, from}}});
   };
   gen(0, 0, 1);        // step 1
   gen(0, 1, 1);        // step 2
@@ -66,12 +64,10 @@ TEST(Metrics, FirstGenerationAndEt) {
   EXPECT_EQ(metrics.first_generation_step(1, 1), 2u);
   EXPECT_EQ(metrics.first_generation_step(2, 1), 3u);
   EXPECT_EQ(metrics.first_generation_step(0, 2), 7u);
-  // E_1(tau): counts of 1-pebbles generated by step tau.
-  EXPECT_EQ(metrics.generating_count(1, 0), 0u);
-  EXPECT_EQ(metrics.generating_count(1, 1), 1u);
-  EXPECT_EQ(metrics.generating_count(1, 3), 3u);
-  // E_0(tau) = n (initial pebbles).
-  EXPECT_EQ(metrics.generating_count(0, 0), 3u);
+  // So E_1(tau) (Definition 3.16), the i with first_generation_step(i, 1)
+  // <= tau, has 0 members at tau = 0, 1 at tau = 1 and 3 at tau = 3; and
+  // E_0(0) = n, since every initial pebble exists from the start.
+  for (NodeId i = 0; i < 3; ++i) EXPECT_EQ(metrics.first_generation_step(i, 0), 0u) << i;
 }
 
 TEST(Metrics, TotalsAndInefficiency) {
@@ -88,8 +84,7 @@ TEST(Metrics, TotalsAndInefficiency) {
 
 TEST(Metrics, NeverGeneratedSentinel) {
   Protocol protocol{2, 1, 2};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}}});
   const ProtocolMetrics metrics{protocol};
   EXPECT_EQ(metrics.first_generation_step(1, 1), kNeverGenerated);
   EXPECT_EQ(metrics.weight(1, 1), 0u);

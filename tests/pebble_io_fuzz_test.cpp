@@ -15,12 +15,10 @@ namespace {
 
 std::string valid_text() {
   Protocol protocol{3, 4, 2};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
-  protocol.add(Op{OpKind::kSend, 1, PebbleType{2, 0}, 2});
-  protocol.add(Op{OpKind::kReceive, 2, PebbleType{2, 0}, 1});
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 0});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0},
+                      Op{OpKind::kSend, 1, PebbleType{2, 0}, 2},
+                      Op{OpKind::kReceive, 2, PebbleType{2, 0}, 1}}});
+  protocol.add_step({{Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 0}}});
   std::ostringstream out;
   write_protocol(out, protocol);
   return out.str();

@@ -17,11 +17,9 @@ namespace {
 
 Protocol tiny_protocol() {
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kSend, 1, PebbleType{2, 0}, 0});
-  protocol.add(Op{OpKind::kReceive, 0, PebbleType{2, 0}, 1});
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
+  protocol.add_step({{Op{OpKind::kSend, 1, PebbleType{2, 0}, 0},
+                      Op{OpKind::kReceive, 0, PebbleType{2, 0}, 1}}});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}}});
   return protocol;
 }
 
@@ -97,15 +95,43 @@ TEST(PebbleIo, RejectsMalformedOp) {
   EXPECT_THROW((void)read_protocol(buffer), std::runtime_error);
 }
 
+/// read_protocol's error for `text`, which it must reject.
+std::string read_error(const std::string& text) {
+  std::stringstream buffer{text};
+  try {
+    (void)read_protocol(buffer);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "read:\n" << text;
+  return {};
+}
+
 TEST(PebbleIo, RejectsDoubleOpPerProc) {
-  std::stringstream buffer{
-      "upn-protocol 1 3 2 1\nstep\nG 0 0 1\nG 0 1 1\n"};
-  EXPECT_THROW((void)read_protocol(buffer), std::runtime_error);
+  const std::string what = read_error("upn-protocol 1 3 2 1\nstep\nG 0 0 1\nG 0 1 1\n");
+  EXPECT_EQ(what.rfind("read_protocol: line 4: ", 0), 0u) << what;
+  EXPECT_NE(what.find("already acted"), std::string::npos) << what;
 }
 
 TEST(PebbleIo, RejectsOutOfRangePebble) {
-  std::stringstream buffer{"upn-protocol 1 3 2 1\nstep\nG 0 5 1\n"};
-  EXPECT_THROW((void)read_protocol(buffer), std::runtime_error);
+  const std::string what = read_error("upn-protocol 1 3 2 1\nstep\nG 0 5 1\n");
+  EXPECT_EQ(what.rfind("read_protocol: line 3: ", 0), 0u) << what;
+  EXPECT_NE(what.find("pebble type out of range"), std::string::npos) << what;
+}
+
+TEST(PebbleIo, NamesTheLineOfAnIllegalOpInsideItsStep) {
+  // The illegal op is neither the first nor the last line of its step, so
+  // neither the `step` line, the step's last op, the next `step` line nor
+  // the end of input is the line to name.
+  const std::string first_step =
+      read_error("upn-protocol 1 3 2 1\nstep\nG 0 0 1\nG 0 1 1\nG 1 2 1\nstep\nG 1 0 1\n");
+  EXPECT_EQ(first_step.rfind("read_protocol: line 4: ", 0), 0u) << first_step;
+  EXPECT_NE(first_step.find("already acted"), std::string::npos) << first_step;
+  const std::string later_step = read_error(
+      "upn-protocol 1 3 2 1\nstep\nG 0 0 1\n\nstep\nG 1 0 1\nS 0 1 0 1\nG 1 1 1\n"
+      "R 0 1 0 1\n");
+  EXPECT_EQ(later_step.rfind("read_protocol: line 8: ", 0), 0u) << later_step;
+  EXPECT_NE(later_step.find("already acted"), std::string::npos) << later_step;
 }
 
 }  // namespace

@@ -23,8 +23,7 @@ Graph host_edge() { return make_path(2); }
 
 TEST(Protocol, TracksBasicCounters) {
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}}});
   EXPECT_EQ(protocol.host_steps(), 1u);
   EXPECT_EQ(protocol.num_ops(), 1u);
   EXPECT_DOUBLE_EQ(protocol.slowdown(), 1.0);
@@ -33,27 +32,32 @@ TEST(Protocol, TracksBasicCounters) {
 
 TEST(Protocol, RejectsTwoOpsSameProcessorSameStep) {
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
-  EXPECT_THROW(protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}), std::logic_error);
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0});  // fine next step
+  EXPECT_THROW(protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0},
+                                    Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}}}),
+               std::logic_error);
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}}});  // fine next step
 }
 
 TEST(Protocol, RejectsOutOfRange) {
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  EXPECT_THROW(protocol.add(Op{OpKind::kGenerate, 2, PebbleType{0, 1}, 0}),
+  EXPECT_THROW(protocol.add_step({{Op{OpKind::kGenerate, 2, PebbleType{0, 1}, 0}}}),
                std::out_of_range);
-  EXPECT_THROW(protocol.add(Op{OpKind::kGenerate, 0, PebbleType{3, 1}, 0}),
+  EXPECT_THROW(protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{3, 1}, 0}}}),
                std::out_of_range);
-  EXPECT_THROW(protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 2}, 0}),
+  EXPECT_THROW(protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 2}, 0}}}),
                std::out_of_range);
 }
 
-TEST(Protocol, AddBeforeBeginStepThrows) {
+TEST(Protocol, AddStepOfNoOpsAppendsAnEmptyStep) {
   Protocol protocol{3, 2, 1};
-  EXPECT_THROW(protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}), std::logic_error);
+  protocol.add_step({});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}}});
+  protocol.add_step({});
+  EXPECT_EQ(protocol.host_steps(), 3u);
+  EXPECT_EQ(protocol.num_ops(), 1u);
+  EXPECT_EQ(protocol.step(0).size(), 0u);
+  EXPECT_EQ(protocol.step(1).size(), 1u);
+  EXPECT_EQ(protocol.step(2).size(), 0u);
 }
 
 // ---- one 64-bit word per op --------------------------------------------------
@@ -86,24 +90,18 @@ std::vector<Op> extreme_ops(std::uint32_t n, std::uint32_t m, std::uint32_t T) {
   return ops;
 }
 
-/// Adds every op of extreme_ops(n, m, T) twice, each in its own host step:
-/// once through add() and once through add_step(), then reads all back
-/// field for field.  A generate's partner reads back 0.
+/// Adds every op of extreme_ops(n, m, T), each in its own host step, then
+/// reads all back field for field.  A generate's partner reads back 0.
 void expect_round_trip(std::uint32_t n, std::uint32_t m, std::uint32_t T) {
   SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m) + " T=" +
                std::to_string(T));
   const std::vector<Op> ops = extreme_ops(n, m, T);
   Protocol protocol{n, m, T};
-  for (const Op& op : ops) {
-    protocol.begin_step();
-    protocol.add(op);
-    protocol.begin_step();
-    protocol.add_step({&op, 1});
-  }
-  ASSERT_EQ(protocol.num_ops(), 2 * ops.size());
+  for (const Op& op : ops) protocol.add_step({&op, 1});
+  ASSERT_EQ(protocol.num_ops(), ops.size());
   const std::vector<Op> stored = testing::flat_ops(protocol);
   for (std::size_t k = 0; k < stored.size(); ++k) {
-    const Op& want = ops[k / 2];
+    const Op& want = ops[k];
     const Op& got = stored[k];
     EXPECT_EQ(got.kind, want.kind) << k;
     EXPECT_EQ(got.proc, want.proc) << k;
@@ -155,9 +153,8 @@ TEST(ProtocolCodec, EmptyFieldsAboveAFullWordReadBackZero) {
   const std::uint32_t m = 1u << 31;
   ASSERT_EQ(op_bits(1, m, 0), 64u);
   Protocol protocol{1, m, 0};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 0}, m - 1});
-  protocol.add_step(std::vector<Op>{Op{OpKind::kReceive, 1, PebbleType{0, 0}, m - 1}});
+  protocol.add_step({{Op{OpKind::kSend, 0, PebbleType{0, 0}, m - 1},
+                      Op{OpKind::kReceive, 1, PebbleType{0, 0}, m - 1}}});
   const std::vector<Op> ops = testing::flat_ops(protocol);
   ASSERT_EQ(ops.size(), 2u);
   for (const std::uint32_t k : {0u, 1u}) {
@@ -170,9 +167,8 @@ TEST(ProtocolCodec, EmptyFieldsAboveAFullWordReadBackZero) {
 
 TEST(ProtocolCodec, GeneratePartnerReadsBackZero) {
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{2, 1}, 1});
-  protocol.add_step(std::vector<Op>{Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 7}});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{2, 1}, 1},
+                      Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 7}}});
   for (const Op op : protocol.step(0)) {
     EXPECT_EQ(op.kind, OpKind::kGenerate);
     EXPECT_EQ(op.partner, 0u);
@@ -183,12 +179,9 @@ TEST(ProtocolCodec, GeneratePartnerReadsBackZero) {
 
 using StepOps = std::vector<std::vector<Op>>;
 
-/// Opens one host step per entry of `steps` and add()s its ops.
+/// Appends one host step per entry of `steps`.
 void add_steps(Protocol& protocol, const StepOps& steps) {
-  for (const std::vector<Op>& ops : steps) {
-    protocol.begin_step();
-    for (const Op& op : ops) protocol.add(op);
-  }
+  for (const std::vector<Op>& ops : steps) protocol.add_step(ops);
 }
 
 /// The ops of host steps [first, last), each pebble time raised by `delta`.
@@ -260,7 +253,7 @@ TEST(ProtocolRepeat, EqualsAddingEachOpRestamped) {
 }
 
 /// The flat form of guest steps 1, 2 and 4 of guest_step_block, then host
-/// steps [2, 10) of those again raised by 3: every step add()ed op by op.
+/// steps [2, 10) of those again raised by 3: every step stored by add_step.
 Protocol flat_repeats(std::uint32_t T) {
   Protocol want{5, 4, T};
   for (const std::uint32_t t : {1u, 2u, 4u}) add_steps(want, guest_step_block(t));
@@ -307,36 +300,7 @@ TEST(ProtocolRepeat, WriteReadRoundTripEqualsTheFlatForm) {
   EXPECT_EQ(upnp_text(read), upnp_text(got));
 }
 
-TEST(ProtocolRepeat, AddIntoARepeatOfTheNewestStepLeavesTheSourceUnchanged) {
-  // Step 3, the generate round, is the newest stored step; step 4 reads it
-  // again.  Adding to step 4 must not add to step 3.
-  const Op added{OpKind::kGenerate, 1, PebbleType{1, 1}, 0};
-  for (const bool whole_step : {false, true}) {
-    SCOPED_TRACE(whole_step ? "add_step" : "add");
-    Protocol got{5, 4, 2};
-    add_steps(got, guest_step_block(1));
-    got.repeat_steps(3, 4, 0);
-    Protocol want{5, 4, 2};
-    add_steps(want, guest_step_block(1));
-    add_steps(want, restamped(want, 3, 4, 0));
-    if (whole_step) {
-      got.add_step({&added, 1});
-    } else {
-      got.add(added);
-    }
-    want.add(added);
-    EXPECT_EQ(got.step(3).size(), 3u);
-    EXPECT_EQ(got.step(4).size(), 4u);
-    expect_same_protocol(got, want);
-    // The next step repeats the owned copy, raised by 1.
-    got.repeat_steps(4, 5, 1);
-    add_steps(want, restamped(want, 4, 5, 1));
-    got.add_step({});
-    expect_same_protocol(got, want);
-  }
-}
-
-TEST(ProtocolRepeat, TimePastHorizonThrowsWhatAddThrowsAndChangesNothing) {
+TEST(ProtocolRepeat, TimePastHorizonThrowsWhatAddStepThrowsAndChangesNothing) {
   Protocol protocol{5, 4, 3};
   add_steps(protocol, guest_step_block(1));
   add_steps(protocol, guest_step_block(2));  // latest time 2
@@ -347,8 +311,7 @@ TEST(ProtocolRepeat, TimePastHorizonThrowsWhatAddThrowsAndChangesNothing) {
   std::string add_error;
   try {
     Protocol probe = protocol;
-    probe.begin_step();
-    probe.add(Op{OpKind::kGenerate, 0, PebbleType{0, 4}, 0});
+    probe.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 4}, 0}}});
   } catch (const std::out_of_range& e) {
     add_error = e.what();
   }
@@ -377,10 +340,9 @@ TEST(ProtocolRepeat, RaisedTimeNeverCarriesIntoNode) {
     SCOPED_TRACE("T=" + std::to_string(T));
     const std::uint32_t n = 8, m = 4;
     Protocol protocol{n, m, T};
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kSend, m - 1, PebbleType{n - 1, 0}, m - 2});
-    protocol.add(Op{OpKind::kReceive, m - 2, PebbleType{n - 1, 0}, m - 1});
-    protocol.add(Op{OpKind::kGenerate, 0, PebbleType{n - 1, 0}, 0});
+    protocol.add_step({{Op{OpKind::kSend, m - 1, PebbleType{n - 1, 0}, m - 2},
+                        Op{OpKind::kReceive, m - 2, PebbleType{n - 1, 0}, m - 1},
+                        Op{OpKind::kGenerate, 0, PebbleType{n - 1, 0}, 0}}});
     Protocol want = protocol;
     add_steps(want, restamped(protocol, 0, 1, T));
     protocol.repeat_steps(0, 1, T);
@@ -391,24 +353,6 @@ TEST(ProtocolRepeat, RaisedTimeNeverCarriesIntoNode) {
     EXPECT_THROW(protocol.repeat_steps(1, 2, 1), std::out_of_range);
     EXPECT_EQ(protocol.host_steps(), 2u);
   }
-}
-
-TEST(ProtocolRepeat, LastCopiedStepKeepsItsProcessorsBusy) {
-  Protocol protocol{5, 4, 4};
-  add_steps(protocol, guest_step_block(1));
-  protocol.begin_step();  // processor 1 acts in the step before the copy
-  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 0});
-  protocol.repeat_steps(0, 4, 1);
-  // Processors 0, 2 and 3 generated in the last copied step; 1 did not.
-  for (const std::uint32_t busy : {0u, 2u, 3u}) {
-    EXPECT_THROW(protocol.add(Op{OpKind::kGenerate, busy, PebbleType{1, 2}, 0}),
-                 ContractViolation)
-        << busy;
-  }
-  protocol.add(Op{OpKind::kSend, 1, PebbleType{1, 2}, 0});
-  EXPECT_EQ(protocol.step(protocol.host_steps() - 1).size(), 4u);
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 2}, 0});  // fine next step
 }
 
 TEST(ProtocolRepeat, EmptyRangeIsANoOpAndARangePastTheEndIsAContractViolation) {
@@ -436,8 +380,7 @@ TEST(Validator, AcceptsMinimalCompleteSimulation) {
   // only initial pebbles.  Generate all three finals on Q0 over 3 steps.
   Protocol protocol{3, 2, 1};
   for (NodeId i = 0; i < 3; ++i) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kGenerate, 0, PebbleType{i, 1}, 0});
+    protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{i, 1}, 0}}});
   }
   const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
   EXPECT_TRUE(result.ok) << result.error;
@@ -446,8 +389,7 @@ TEST(Validator, AcceptsMinimalCompleteSimulation) {
 
 TEST(Validator, RejectsMissingFinalPebble) {
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}}});
   const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("final pebble"), std::string::npos);
@@ -456,8 +398,7 @@ TEST(Validator, RejectsMissingFinalPebble) {
 TEST(Validator, RejectsGenerateWithoutPredecessors) {
   // T = 2: generating (P0, 2) requires (P0,1), (P1,1), (P2,1) at the proc.
   Protocol protocol{3, 2, 2};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 2}, 0});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 2}, 0}}});
   const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("predecessor"), std::string::npos);
@@ -468,13 +409,11 @@ TEST(Validator, SendReceiveMovesPebbles) {
   // also getting (P1,1),(P2,1).
   Protocol protocol{3, 2, 2};
   auto gen = [&](std::uint32_t proc, NodeId i, std::uint32_t t) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0});
+    protocol.add_step({{Op{OpKind::kGenerate, proc, PebbleType{i, t}, 0}}});
   };
   auto transfer = [&](std::uint32_t from, std::uint32_t to, NodeId i, std::uint32_t t) {
-    protocol.begin_step();
-    protocol.add(Op{OpKind::kSend, from, PebbleType{i, t}, to});
-    protocol.add(Op{OpKind::kReceive, to, PebbleType{i, t}, from});
+    protocol.add_step({{Op{OpKind::kSend, from, PebbleType{i, t}, to},
+                        Op{OpKind::kReceive, to, PebbleType{i, t}, from}}});
   };
   gen(0, 0, 1);
   gen(0, 1, 1);
@@ -492,9 +431,8 @@ TEST(Validator, SendReceiveMovesPebbles) {
 
 TEST(Validator, RejectsSendOfUnheldPebble) {
   Protocol protocol{3, 2, 2};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 1}, 1});  // (P0,1) never generated
-  protocol.add(Op{OpKind::kReceive, 1, PebbleType{0, 1}, 0});
+  protocol.add_step({{Op{OpKind::kSend, 0, PebbleType{0, 1}, 1},  // (P0,1) never generated
+                      Op{OpKind::kReceive, 1, PebbleType{0, 1}, 0}}});
   const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("does not hold"), std::string::npos);
@@ -502,8 +440,7 @@ TEST(Validator, RejectsSendOfUnheldPebble) {
 
 TEST(Validator, RejectsReceiveWithoutMatchingSend) {
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kReceive, 1, PebbleType{0, 0}, 0});
+  protocol.add_step({{Op{OpKind::kReceive, 1, PebbleType{0, 0}, 0}}});
   const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("matching send"), std::string::npos);
@@ -512,9 +449,8 @@ TEST(Validator, RejectsReceiveWithoutMatchingSend) {
 TEST(Validator, RejectsSendToNonNeighbor) {
   // Host path(3): Q0-Q1-Q2; Q0 -> Q2 is not an edge.
   Protocol protocol{3, 3, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 0}, 2});
-  protocol.add(Op{OpKind::kReceive, 2, PebbleType{0, 0}, 0});
+  protocol.add_step({{Op{OpKind::kSend, 0, PebbleType{0, 0}, 2},
+                      Op{OpKind::kReceive, 2, PebbleType{0, 0}, 0}}});
   const ValidationResult result = validate_protocol(protocol, triangle(), make_path(3));
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("neighbor"), std::string::npos);
@@ -523,15 +459,11 @@ TEST(Validator, RejectsSendToNonNeighbor) {
 TEST(Validator, InitialPebblesAreEverywhere) {
   // Sending (P_i, 0) works from any processor without generating it.
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kSend, 1, PebbleType{2, 0}, 0});
-  protocol.add(Op{OpKind::kReceive, 0, PebbleType{2, 0}, 1});
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0});
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{2, 1}, 0});
+  protocol.add_step({{Op{OpKind::kSend, 1, PebbleType{2, 0}, 0},
+                      Op{OpKind::kReceive, 0, PebbleType{2, 0}, 1}}});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}}});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}}});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{2, 1}, 0}}});
   const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
   EXPECT_TRUE(result.ok) << result.error;
 }

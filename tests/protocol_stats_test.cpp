@@ -18,11 +18,9 @@ namespace {
 
 TEST(ProtocolStats, CountsByKind) {
   Protocol protocol{3, 2, 1};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 0}, 1});
-  protocol.add(Op{OpKind::kReceive, 1, PebbleType{0, 0}, 0});
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
+  protocol.add_step({{Op{OpKind::kSend, 0, PebbleType{0, 0}, 1},
+                      Op{OpKind::kReceive, 1, PebbleType{0, 0}, 0}}});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0}}});
   const ProtocolStats stats = protocol_stats(protocol);
   EXPECT_EQ(stats.generates, 1u);
   EXPECT_EQ(stats.sends, 1u);

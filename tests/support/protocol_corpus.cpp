@@ -44,11 +44,13 @@ Protocol rebuild_with(const Protocol& original,
                       const std::function<bool(std::size_t, Op&)>& mutate) {
   Protocol out{original.num_guests(), original.num_hosts(), original.guest_steps()};
   std::size_t index = 0;
+  std::vector<Op> ops;
   for (std::uint32_t s = 0; s < original.host_steps(); ++s) {
-    out.begin_step();
+    ops.clear();
     for (Op op : original.step(s)) {
-      if (mutate(index++, op)) out.add(op);
+      if (mutate(index++, op)) ops.push_back(op);
     }
+    out.add_step(ops);
   }
   return out;
 }
@@ -157,12 +159,10 @@ namespace {
 
 std::string valid_text() {
   Protocol protocol{3, 4, 2};
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
-  protocol.add(Op{OpKind::kSend, 1, PebbleType{2, 0}, 2});
-  protocol.add(Op{OpKind::kReceive, 2, PebbleType{2, 0}, 1});
-  protocol.begin_step();
-  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 0});
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0},
+                      Op{OpKind::kSend, 1, PebbleType{2, 0}, 2},
+                      Op{OpKind::kReceive, 2, PebbleType{2, 0}, 1}}});
+  protocol.add_step({{Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 0}}});
   std::ostringstream out;
   write_protocol(out, protocol);
   return out.str();

@@ -32,7 +32,6 @@ class ReferenceProtocolMetrics {
   [[nodiscard]] std::uint32_t weight(NodeId i, std::uint32_t t) const;
   [[nodiscard]] std::vector<std::uint32_t> generators(NodeId i, std::uint32_t t) const;
   [[nodiscard]] std::uint32_t first_generation_step(NodeId i, std::uint32_t t) const;
-  [[nodiscard]] std::uint32_t generating_count(std::uint32_t t, std::uint32_t tau) const;
   [[nodiscard]] std::uint64_t total_weight_at(std::uint32_t t) const;
   [[nodiscard]] std::uint64_t total_placements() const noexcept { return placements_; }
 

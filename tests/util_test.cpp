@@ -1,5 +1,4 @@
-// Unit tests for src/util: RNG, log-domain math, tables, CLI parsing,
-// the mapped allocator.
+// Unit tests for src/util: RNG, log-domain math, tables, CLI parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/pebble/io.hpp"
 #include "src/pebble/validator.hpp"
@@ -130,15 +131,14 @@ void expect_same_send_verdicts(const Graph& host) {
   for (NodeId u = 0; u < m; ++u) {
     for (NodeId v = 0; v < m; ++v) {
       Protocol send{guest.num_nodes(), m, 0};
-      send.begin_step();
-      send.add(Op{OpKind::kSend, u, PebbleType{1, 0}, v});
-      if (v != u) send.add(Op{OpKind::kReceive, v, PebbleType{1, 0}, u});
+      std::vector<Op> ops{Op{OpKind::kSend, u, PebbleType{1, 0}, v}};
+      if (v != u) ops.push_back(Op{OpKind::kReceive, v, PebbleType{1, 0}, u});
+      send.add_step(ops);
       const bool ok = expect_same_verdict(send, guest, host);
       EXPECT_EQ(ok, host.has_edge(u, v)) << u << " -> " << v;
       if (ok) ++legal;
       Protocol receive{guest.num_nodes(), m, 0};
-      receive.begin_step();
-      receive.add(Op{OpKind::kReceive, v, PebbleType{1, 0}, u});
+      receive.add_step({{Op{OpKind::kReceive, v, PebbleType{1, 0}, u}}});
       EXPECT_FALSE(expect_same_verdict(receive, guest, host)) << u << " -> " << v;
     }
   }
@@ -147,7 +147,7 @@ void expect_same_send_verdicts(const Graph& host) {
 
 TEST(ValidatorDifferential, EmptyGuestNeedsNoHoldings) {
   Protocol protocol{0, 2, 1};
-  protocol.begin_step();
+  protocol.add_step({});
   EXPECT_TRUE(expect_same_verdict(protocol, Graph{}, make_path(2)));
 }
 
