@@ -17,6 +17,7 @@
 #include "src/pebble/validator.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/random_regular.hpp"
+#include "src/util/par.hpp"
 #include "src/util/table.hpp"
 
 namespace {
@@ -53,12 +54,10 @@ void print_experiment_table(ThreadPool& pool) {
     emitted.push_back(emit(n, d, T, 42 + n));
     steps.push_back(T);
   }
-  std::vector<ValidationJob> jobs;
-  jobs.reserve(emitted.size());
-  for (const Emitted& e : emitted) {
-    jobs.push_back(ValidationJob{&e.protocol, &e.guest, &e.host});
-  }
-  const std::vector<ValidationResult> verdicts = validate_protocols(jobs, pool);
+  const std::vector<ValidationResult> verdicts =
+      pool.parallel_map<ValidationResult>(emitted.size(), [&](std::size_t i) {
+        return validate_protocol(emitted[i].protocol, emitted[i].guest, emitted[i].host);
+      });
   for (std::size_t i = 0; i < emitted.size(); ++i) {
     const Emitted& e = emitted[i];
     const ProtocolMetrics metrics{e.protocol};
@@ -109,13 +108,11 @@ int main(int argc, char** argv) {
     // The batch path itself: one pool task per protocol.
     std::vector<Emitted> emitted;
     for (const std::uint32_t n : {64u, 128u, 256u}) emitted.push_back(emit(n, 2, 4, 7));
-    std::vector<ValidationJob> jobs;
-    for (const Emitted& e : emitted) {
-      jobs.push_back(ValidationJob{&e.protocol, &e.guest, &e.host});
-    }
     harness.measure("validate_protocols_batch/jobs=3", [&] {
       const std::vector<ValidationResult> verdicts =
-          validate_protocols(jobs, harness.pool());
+          harness.pool().parallel_map<ValidationResult>(emitted.size(), [&](std::size_t i) {
+            return validate_protocol(emitted[i].protocol, emitted[i].guest, emitted[i].host);
+          });
       upn::bench::keep(verdicts.size());
     });
   }

@@ -7,9 +7,9 @@
 // into a small number of single-port steps by edge-coloring its transfer
 // multigraph: the transfers of a step connect adjacent butterfly levels
 // (bipartite) with node degree <= 4, so a greedy coloring needs at most 7
-// colors and Koenig guarantees 4 suffice.  The result is a complete,
-// machine-validated pebble protocol realizing Theorem 2.1's corollary:
-// butterfly + off-line routing, one generate per guest per step.
+// colors and Koenig guarantees 4 suffice.  The result is a complete pebble
+// protocol (schedule_protocol_test validates it) realizing Theorem 2.1's
+// corollary: butterfly + off-line routing, one generate per guest per step.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,9 @@ struct OfflineProtocolResult {
   double expansion_factor = 0.0;  ///< single-port / multiport
 };
 
-/// Builds the validated pebble protocol of the off-line universal simulation
-/// of `guest` on the dimension-d unwrapped butterfly under `embedding`.
+/// Builds the pebble protocol of the off-line universal simulation of
+/// `guest` on the dimension-d unwrapped butterfly under `embedding`.  It
+/// validates nothing; schedule_protocol_test replays it.
 [[nodiscard]] OfflineProtocolResult make_offline_universal_protocol(
     const Graph& guest, std::uint32_t butterfly_dimension,
     const std::vector<NodeId>& embedding, std::uint32_t guest_steps);

@@ -152,10 +152,7 @@ Protocol read_protocol(std::istream& is) {
     pebble.node = parse_u32(tokens[2], line_no, "pebble node");
     pebble.time = parse_u32(tokens[3], line_no, "pebble time");
     std::uint32_t partner = 0;
-    if (expected_fields == 5) {
-      partner = parse_u32(tokens[4], line_no, "partner");
-      if (partner >= m) fail(line_no, "partner out of range");
-    }
+    if (expected_fields == 5) partner = parse_u32(tokens[4], line_no, "partner");
     step_ops.push_back(Op{kind, proc, pebble, partner});
     op_lines.push_back(line_no);
   }

@@ -36,8 +36,9 @@ void write_protocol(std::ostream& os, const Protocol& protocol);
 /// malformed input: non-numeric or negative fields, counts overflowing
 /// uint32_t, header dimensions above kMaxProtocolDimension or wider than one
 /// 64-bit word per op, overlong lines or tokens, missing fields, trailing
-/// garbage, partners out of range, and violations of the
-/// one-op-per-processor rule.
+/// garbage, and processors, pebbles or partners outside the header's ranges
+/// (Protocol::add_step's checks, named by the op's line).  The pebble-game
+/// rules, one op per processor per step included, are validate_protocol's.
 [[nodiscard]] Protocol read_protocol(std::istream& is);
 
 }  // namespace upn

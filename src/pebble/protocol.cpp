@@ -63,9 +63,6 @@ void Protocol::require_legal(OpFault fault) {
   if (fault == OpFault::kPartner) {
     throw std::out_of_range{"Protocol::add: partner out of range"};
   }
-  UPN_REQUIRE(fault != OpFault::kProcBusy,
-              "Protocol::add: processor already acted this step (pebble-game legality: "
-              "at most one operation per processor per host step)");
 }
 
 void Protocol::add_step(std::span<const Op> ops) {
@@ -74,7 +71,6 @@ void Protocol::add_step(std::span<const Op> ops) {
   steps_.push_back({static_cast<std::uint32_t>(latest_.size()), 0});
   stored_offsets_.push_back(words_.size());
   latest_.push_back(0);
-  const std::uint32_t current = host_steps();
   // A local copy: stores to the word array cannot alias its fields.
   const OpCodec codec = codec_;
   const std::size_t base = words_.size();
@@ -85,9 +81,8 @@ void Protocol::add_step(std::span<const Op> ops) {
   OpFault fault = OpFault::kNone;
   for (; admitted < ops.size(); ++admitted) {
     const Op& op = ops[admitted];
-    fault = fault_of(op, current);
+    fault = fault_of(op);
     if (fault != OpFault::kNone) break;
-    mark_acted(op.proc, current);
     out[admitted] = codec.encode(op);
     latest = std::max(latest, op.pebble.time);
   }

@@ -178,25 +178,26 @@ class OpView {
   std::uint64_t raise_;
 };
 
-/// A simulation protocol S: host steps, each a list of operations (at most
-/// one per processor -- enforced at insertion and again by the validator).
+/// A simulation protocol S: host steps, each a list of operations.  It is
+/// a store: it checks only that each op's fields fit the header's ranges,
+/// which its encoding needs.  Every pebble-game rule, one operation per
+/// processor per step included, is the validator's.
 class Protocol {
  public:
   Protocol(std::uint32_t num_guests, std::uint32_t num_hosts, std::uint32_t guest_steps);
 
   /// Appends a new host step holding `ops` (none: an empty step), each
   /// checked and encoded in order.  An op whose processor, pebble or partner
-  /// is out of range throws std::out_of_range, and one whose processor
-  /// already acted in this step throws ContractViolation; either way the
-  /// step keeps the ops before it.
+  /// is out of range throws std::out_of_range, and the step keeps the ops
+  /// before it.  A processor may appear more than once: validate_protocol
+  /// rejects that.
   void add_step(std::span<const Op> ops);
 
   /// Appends host steps [first, last) again with every op's pebble time
   /// raised by `time_delta`: one record per step, naming the stored step it
-  /// reads and the summed delta, and no stored words.  Each repeated step
-  /// holds the processors of a step add_step() admitted, so the only check
-  /// left is the raised times: one past T throws what add_step() throws for
-  /// it and leaves the protocol unchanged.
+  /// reads and the summed delta, and no stored words.  The only check is the
+  /// raised times: one past T throws what add_step() throws for it and
+  /// leaves the protocol unchanged.
   void repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32_t time_delta);
 
   [[nodiscard]] std::uint32_t num_guests() const noexcept { return num_guests_; }
@@ -228,29 +229,17 @@ class Protocol {
   }
 
  private:
-  /// Why an op may not join host step `current` (its index + 1), in
-  /// add_step()'s check order.
-  enum class OpFault : std::uint8_t { kNone, kProc, kPebble, kPartner, kProcBusy };
-  [[nodiscard]] OpFault fault_of(const Op& op, std::uint32_t current) const noexcept {
+  /// Why an op may not join a host step, in add_step()'s check order.
+  enum class OpFault : std::uint8_t { kNone, kProc, kPebble, kPartner };
+  [[nodiscard]] OpFault fault_of(const Op& op) const noexcept {
     if (op.proc >= num_hosts_) return OpFault::kProc;
     if (op.pebble.node >= num_guests_ || op.pebble.time > guest_steps_) return OpFault::kPebble;
     if (op.kind != OpKind::kGenerate && op.partner >= num_hosts_) return OpFault::kPartner;
-    // A processor past the end of proc_used_step_ has not acted yet.
-    const bool busy = op.proc < proc_used_step_.size() && proc_used_step_[op.proc] == current;
-    return busy ? OpFault::kProcBusy : OpFault::kNone;
+    return OpFault::kNone;
   }
   /// Throws what add_step() throws for an op with `fault`; returns for a
   /// legal op.
   static void require_legal(OpFault fault);
-  /// Records that `proc` (below num_hosts_) acted in host step `current`.
-  /// The table's capacity grows geometrically, so processors added in
-  /// order cost amortized O(1).
-  void mark_acted(std::uint32_t proc, std::uint32_t current) {
-    if (proc >= proc_used_step_.size()) [[unlikely]] {
-      proc_used_step_.resize(std::size_t{proc} + 1, 0);
-    }
-    proc_used_step_[proc] = current;
-  }
   [[nodiscard]] std::span<const std::uint64_t> stored_words(std::uint32_t stored) const {
     return std::span<const std::uint64_t>{words_}.subspan(
         stored_offsets_[stored], stored_offsets_[stored + 1] - stored_offsets_[stored]);
@@ -272,10 +261,6 @@ class Protocol {
   std::vector<std::uint32_t> latest_;  ///< stored step -> its largest pebble time
   std::vector<StepRecord> steps_;      ///< host step -> what it reads
   std::uint64_t num_ops_ = 0;
-  /// proc -> last step index + 1 (0: never acted), up to the largest
-  /// processor id added so far: its memory follows the ops, not the
-  /// header's m.
-  std::vector<std::uint32_t> proc_used_step_;
 };
 
 }  // namespace upn

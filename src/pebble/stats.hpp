@@ -23,6 +23,9 @@ struct ProtocolStats {
   double comm_fraction = 0.0;
 };
 
+/// Like ProtocolMetrics, assumes a valid protocol (run validate_protocol
+/// first): with more than one op per processor in a step, `idle_slots`
+/// would wrap.
 [[nodiscard]] ProtocolStats protocol_stats(const Protocol& protocol);
 
 }  // namespace upn

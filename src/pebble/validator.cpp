@@ -186,9 +186,9 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
     if (decoded.size() < stored.size()) decoded.resize(stored.size());
     const std::span<const Op> ops{decoded.data(), stored.size()};
     const std::uint32_t stamp = step + 1;
-    // First pass: one operation per processor (checked here too, not only
-    // in Protocol::add_step, so the verdict does not rest on the emitter), and
-    // sends -- whose content must already be held at the start of the step.
+    // First pass: one operation per processor (checked here alone:
+    // Protocol::add_step stores what it is given), and sends -- whose
+    // content must already be held at the start of the step.
     for (std::size_t k = 0; k < ops.size(); ++k) {
       decoded[k] = stored[k];
       const Op& op = ops[k];
@@ -279,16 +279,6 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
   UPN_OBS_COUNT("pebble.validator.receives", result.pebbles_received);
   UPN_OBS_COUNT("pebble.validator.generates", result.pebbles_generated);
   return result;
-}
-
-std::vector<ValidationResult> validate_protocols(const std::vector<ValidationJob>& jobs,
-                                                 ThreadPool& pool) {
-  return pool.parallel_map<ValidationResult>(jobs.size(), [&](std::size_t i) {
-    const ValidationJob& job = jobs[i];
-    UPN_REQUIRE(job.protocol != nullptr && job.guest != nullptr && job.host != nullptr,
-                "validate_protocols: null job member");
-    return validate_protocol(*job.protocol, *job.guest, *job.host);
-  });
 }
 
 }  // namespace upn

@@ -6,11 +6,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/pebble/protocol.hpp"
 #include "src/topology/graph.hpp"
-#include "src/util/par.hpp"
 
 namespace upn {
 
@@ -26,7 +24,8 @@ struct ValidationResult {
 
 /// Replays `protocol` against the guest and host topologies.  Checks, per
 /// host step and processor:
-///   * at most one operation (already enforced structurally);
+///   * at most one operation (checked here only: Protocol stores a step
+///     in which a processor acts twice);
 ///   * GENERATE (P_i, t): 1 <= t <= T and the processor holds (P_i, t-1)
 ///     and (P_j, t-1) for every guest neighbor j of i;
 ///   * SEND: the pebble is held and the partner is a host neighbor;
@@ -35,20 +34,5 @@ struct ValidationResult {
 ///   * termination: every final pebble (P_i, T) was generated somewhere.
 [[nodiscard]] ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
                                                  const Graph& host);
-
-/// One unit of batch validation: a protocol replayed against its own guest
-/// and host topologies (pointers must stay valid for the whole batch call).
-struct ValidationJob {
-  const Protocol* protocol = nullptr;
-  const Graph* guest = nullptr;
-  const Graph* host = nullptr;
-};
-
-/// Validates every job on the pool, one task per protocol.  Verdicts are
-/// collected by job index, so the result vector (ok flags, error strings,
-/// pebble counts) is byte-identical to validating the jobs serially in
-/// order, for any pool size.
-[[nodiscard]] std::vector<ValidationResult> validate_protocols(
-    const std::vector<ValidationJob>& jobs, ThreadPool& pool);
 
 }  // namespace upn

@@ -18,12 +18,6 @@ struct CccLayout {
   [[nodiscard]] constexpr NodeId id(std::uint32_t corner, std::uint32_t pos) const noexcept {
     return corner * dimension + pos;
   }
-  [[nodiscard]] constexpr std::uint32_t corner_of(NodeId v) const noexcept {
-    return v / dimension;
-  }
-  [[nodiscard]] constexpr std::uint32_t pos_of(NodeId v) const noexcept {
-    return v % dimension;
-  }
 };
 
 [[nodiscard]] Graph make_cube_connected_cycles(std::uint32_t dimension);

@@ -1,11 +1,10 @@
-// Random and structured c-regular graphs: the guest class U'.
+// Random c-regular graphs: the guest class U'.
 //
 // The lower bound (Section 3) ranges over U', the class of 16-regular
 // n-processor networks.  We generate uniform-ish random members via the
 // configuration (pairing) model with local repair of self-loops and parallel
 // edges -- the standard practical sampler; for degrees as high as 16 pure
-// rejection would essentially never terminate.  The circulant graph is a
-// deterministic fallback used in tests.
+// rejection would essentially never terminate.
 #pragma once
 
 #include <cstdint>

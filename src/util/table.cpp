@@ -25,7 +25,7 @@ std::string Table::format_cell(const Cell& cell) const {
       [&](const auto& value) {
         using T = std::decay_t<decltype(value)>;
         if constexpr (std::is_same_v<T, double>) {
-          out << std::setprecision(precision_) << value;
+          out << std::setprecision(kPrecision) << value;
         } else {
           out << value;
         }

@@ -20,9 +20,6 @@ class Table {
  public:
   explicit Table(std::vector<std::string> headers);
 
-  /// Number of significant digits for double cells (default 4).
-  void set_precision(int digits) { precision_ = digits; }
-
   void add_row(std::vector<Cell> cells);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
@@ -42,7 +39,8 @@ class Table {
 
   std::vector<std::string> headers_;
   std::vector<std::vector<Cell>> rows_;
-  int precision_ = 4;
+  /// Significant digits of a double cell.
+  static constexpr int kPrecision = 4;
 };
 
 }  // namespace upn

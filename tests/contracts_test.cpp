@@ -74,11 +74,11 @@ TEST(ContractAdoption, EmbeddingLoadRejectsZeroHosts) {
   EXPECT_EQ(embedding_load({}, 0), 0u);  // empty embedding is the one legal m == 0 case
 }
 
-TEST(ContractAdoption, ProtocolOneOpPerProcessorPerStep) {
+TEST(ContractAdoption, ProtocolStepPastTheEnd) {
   Protocol protocol{2, 2, 1};
-  EXPECT_THROW(protocol.add_step({{Op{OpKind::kGenerate, 0, {0, 1}, 0},
-                                    Op{OpKind::kGenerate, 0, {1, 1}, 0}}}),
-               ContractViolation);
+  protocol.add_step({{Op{OpKind::kGenerate, 0, {0, 1}, 0}}});
+  EXPECT_EQ(protocol.step(0).size(), 1u);
+  EXPECT_THROW((void)protocol.step(1), ContractViolation);
 }
 
 TEST(ContractAdoption, RouterRejectsForeignPacketEndpoints) {

@@ -84,16 +84,17 @@ TEST(ParDifferential, BatchValidationMatchesSerialVerdicts) {
     emitted.push_back(std::move(e));
   }
 
-  std::vector<ValidationJob> jobs;
   std::vector<ValidationResult> serial_verdicts;
   for (const Emitted& e : emitted) {
-    jobs.push_back(ValidationJob{&e.protocol, &e.guest, &e.host});
     serial_verdicts.push_back(validate_protocol(e.protocol, e.guest, e.host));
   }
 
   for (const unsigned threads : kThreadCounts) {
     ThreadPool pool{threads};
-    const std::vector<ValidationResult> batch = validate_protocols(jobs, pool);
+    const std::vector<ValidationResult> batch =
+        pool.parallel_map<ValidationResult>(emitted.size(), [&](std::size_t i) {
+          return validate_protocol(emitted[i].protocol, emitted[i].guest, emitted[i].host);
+        });
     ASSERT_EQ(batch.size(), serial_verdicts.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(batch[i].ok, serial_verdicts[i].ok)

@@ -1,13 +1,16 @@
 // Hostile-input hardening of read_protocol: a malformed corpus that must be
-// rejected with a line-numbered error, plus seeded random mutations of a
-// valid protocol that must either parse or throw -- never crash, hang, or
-// allocate unboundedly.
+// rejected with a line-numbered error, one-op-rule breaches that parse and
+// fail validation, plus seeded random mutations of a valid protocol that
+// must either parse or throw -- never crash, hang, or allocate unboundedly.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "src/pebble/io.hpp"
+#include "src/pebble/validator.hpp"
+#include "src/topology/builders.hpp"
 #include "src/util/rng.hpp"
 
 namespace upn {
@@ -65,10 +68,27 @@ TEST(PebbleIoFuzz, MalformedCorpusIsRejectedWithLineNumbers) {
       "upn-protocol 1 3 4 2\nstep\nG 9 0 1\n",         // processor out of range
       "upn-protocol 1 3 4 2\nstep\nG 0 7 1\n",         // pebble node out of range
       "upn-protocol 1 3 4 2\nstep\nG 0 0 3\n",         // pebble time out of range
-      "upn-protocol 1 3 4 2\nstep\nG 0 0 1\nG 0 1 1\n",  // proc acts twice
-      "upn-protocol 1 3 4 2\nstep\nS 1 2 0 2\nS 1 2 0 2\n",  // duplicate send
   };
   for (const std::string& text : corpus) expect_rejected(text);
+}
+
+TEST(PebbleIoFuzz, OneOpRuleBreachesParseAndFailValidation) {
+  // The one-op-per-processor rule is the validator's: read_protocol stores
+  // such a step, and validate_protocol names the second op.
+  const std::pair<std::string, std::string> cases[] = {
+      {"upn-protocol 1 3 4 2\nstep\nG 0 0 1\nG 0 1 1\n",  // proc acts twice
+       "step 0: generate(P1,1) at proc 0"},
+      {"upn-protocol 1 3 4 2\nstep\nS 1 2 0 2\nS 1 2 0 2\n",  // duplicate send
+       "step 0: send(P2,0) at proc 1"},
+  };
+  for (const auto& [text, op] : cases) {
+    std::stringstream buffer{text};
+    const Protocol protocol = read_protocol(buffer);
+    const ValidationResult result = validate_protocol(protocol, make_cycle(3), make_path(4));
+    EXPECT_FALSE(result.ok) << text;
+    EXPECT_EQ(result.error.rfind(op + ": processor already acted this step", 0), 0u)
+        << result.error;
+  }
 }
 
 TEST(PebbleIoFuzz, OverlongTokenAndLineAreRejected) {

@@ -30,12 +30,18 @@ TEST(Protocol, TracksBasicCounters) {
   EXPECT_DOUBLE_EQ(protocol.inefficiency(), 1.0 * 2 / 3);
 }
 
-TEST(Protocol, RejectsTwoOpsSameProcessorSameStep) {
+TEST(Protocol, StoresTwoOpsOfOneProcessorThatTheValidatorRejects) {
+  // Protocol checks only what its encoding needs; the one-op rule is the
+  // validator's.
   Protocol protocol{3, 2, 1};
-  EXPECT_THROW(protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0},
-                                    Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}}}),
-               std::logic_error);
-  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}}});  // fine next step
+  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0},
+                      Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0}}});
+  EXPECT_EQ(protocol.num_ops(), 2u);
+  const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error,
+            "step 0: generate(P1,1) at proc 0: processor already acted this step (at most one "
+            "operation per processor per host step) [in pebble.validator.replay, step 0]");
 }
 
 TEST(Protocol, RejectsOutOfRange) {
@@ -148,20 +154,21 @@ TEST(ProtocolCodec, SixtyFourBitsFitAndSixtyFiveAreRefused) {
 
 TEST(ProtocolCodec, EmptyFieldsAboveAFullWordReadBackZero) {
   // m = 2^31 fills all 64 bits with kind, proc and partner; time (T = 0)
-  // and node (n = 1) have no bits.  Only partner reaches its maximum here:
-  // proc's would need a 2^31-entry busy table.
+  // and node (n = 1) have no bits.
   const std::uint32_t m = 1u << 31;
   ASSERT_EQ(op_bits(1, m, 0), 64u);
   Protocol protocol{1, m, 0};
-  protocol.add_step({{Op{OpKind::kSend, 0, PebbleType{0, 0}, m - 1},
-                      Op{OpKind::kReceive, 1, PebbleType{0, 0}, m - 1}}});
+  const Op expected[] = {Op{OpKind::kSend, 0, PebbleType{0, 0}, m - 1},
+                         Op{OpKind::kReceive, 1, PebbleType{0, 0}, m - 1},
+                         Op{OpKind::kReceive, m - 1, PebbleType{0, 0}, m - 1}};
+  protocol.add_step(expected);
   const std::vector<Op> ops = testing::flat_ops(protocol);
-  ASSERT_EQ(ops.size(), 2u);
-  for (const std::uint32_t k : {0u, 1u}) {
-    EXPECT_EQ(ops[k].kind, k == 0 ? OpKind::kSend : OpKind::kReceive);
-    EXPECT_EQ(ops[k].proc, k);
-    EXPECT_EQ(ops[k].pebble, (PebbleType{0, 0}));
-    EXPECT_EQ(ops[k].partner, m - 1);
+  ASSERT_EQ(ops.size(), std::size(expected));
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    EXPECT_EQ(ops[k].kind, expected[k].kind);
+    EXPECT_EQ(ops[k].proc, expected[k].proc);
+    EXPECT_EQ(ops[k].pebble, expected[k].pebble);
+    EXPECT_EQ(ops[k].partner, expected[k].partner);
   }
 }
 

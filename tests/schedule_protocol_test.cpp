@@ -70,8 +70,8 @@ TEST(ScheduleProtocol, SinglePortStepsAreMatchings) {
   const auto embedding = make_random_embedding(n, host.num_nodes(), rng);
   const OfflineProtocolResult result =
       make_offline_universal_protocol(guest, d, embedding, 2);
-  // The Protocol class enforces one-op-per-proc structurally; spot-check
-  // that sends and receives pair up inside steps.
+  // The validator checks one op per processor; spot-check that sends and
+  // receives pair up inside steps.
   for (std::uint32_t s = 0; s < result.protocol.host_steps(); ++s) {
     std::size_t sends = 0, receives = 0;
     for (const Op& op : result.protocol.step(s)) {

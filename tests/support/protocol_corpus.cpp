@@ -97,6 +97,19 @@ std::vector<Protocol> universal_mutants(const Emitted& e, std::size_t target) {
       return true;
     }));
   }
+  // The op moved to a processor that already acts in its step: the step's
+  // first op's, or its second's when the op is the first.
+  std::size_t first = 0;
+  std::uint32_t s = 0;
+  while (first + e.protocol.step(s).size() <= target) first += e.protocol.step(s++).size();
+  const OpView step = e.protocol.step(s);
+  if (step.size() >= 2) {
+    const std::uint32_t busy = step[target == first ? 1 : 0].proc;
+    mutants.push_back(rebuild_with(e.protocol, [&](std::size_t i, Op& o) {
+      if (i == target) o.proc = busy;
+      return true;
+    }));
+  }
   return mutants;
 }
 
@@ -130,18 +143,14 @@ std::vector<HostedMutant> self_healing_mutants(const SelfHealing& healing, std::
     mutants.push_back(
         {rebuild_with(protocol, [&](std::size_t i, Op&) { return i != target; }), {&host}});
   }
-  // A generate relocated to the dead processor (unless 0 already acts in
-  // that step -- Protocol::add rejects a second op).
+  // A generate relocated to the dead processor.
   if (op.kind == OpKind::kGenerate && op.pebble.time >= 2) {
-    try {
-      mutants.push_back({rebuild_with(protocol,
-                                      [&](std::size_t i, Op& o) {
-                                        if (i == target) o.proc = 0;
-                                        return true;
-                                      }),
-                         {&host}});
-    } catch (const std::logic_error&) {
-    }
+    mutants.push_back({rebuild_with(protocol,
+                                    [&](std::size_t i, Op& o) {
+                                      if (i == target) o.proc = 0;
+                                      return true;
+                                    }),
+                       {&host}});
   }
   // A send rewired across an edge that died with processor 0.
   if (op.kind == OpKind::kSend && host.has_edge(op.proc, 0)) {

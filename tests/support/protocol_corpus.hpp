@@ -46,7 +46,8 @@ struct Emitted {
 
 /// The validator_mutation_test mutants of op `target` of `e`: a receive
 /// turned into a send of an initial pebble or pointed at another neighbor, a
-/// send of a pebble from the future, a final generate retimed a level down.
+/// send of a pebble from the future, a final generate retimed a level down,
+/// and the op moved to a processor that already acts in its step.
 [[nodiscard]] std::vector<Protocol> universal_mutants(const Emitted& e, std::size_t target);
 
 /// FaultTolerantSimulator's protocol around a dead processor 0, with the

@@ -53,8 +53,15 @@ ValidationResult reference_validate_protocol(const Protocol& protocol, const Gra
   for (std::uint32_t step = 0; step < protocol.host_steps(); ++step) {
     UPN_OBS_STEP(step);
     const auto ops = protocol.step(step);
-    // First pass: verify sends (content must already be held).
+    // First pass: one operation per processor, and sends (content must
+    // already be held).
+    std::unordered_set<std::uint32_t> acted;
     for (const Op& op : ops) {
+      if (!acted.insert(op.proc).second) {
+        return fail("step " + std::to_string(step) + ": " + describe(op) +
+                    ": processor already acted this step (at most one operation per "
+                    "processor per host step)");
+      }
       if (op.kind != OpKind::kSend) continue;
       if (!host.has_edge(op.proc, op.partner)) {
         return fail("step " + std::to_string(step) + ": " + describe(op) +

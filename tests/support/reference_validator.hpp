@@ -8,10 +8,6 @@
 // must never be "optimized": its value is that it checks the Section 3.1
 // rules the slow, obviously-correct way.  tests/validator_differential_test.cpp
 // asserts that both validators return byte-identical ValidationResults.
-//
-// The only intended difference: this oracle trusts Protocol::add to enforce
-// one operation per processor per step, while the fast validator enforces
-// that rule itself.  Differential inputs therefore never break it.
 #pragma once
 
 #include "src/pebble/protocol.hpp"

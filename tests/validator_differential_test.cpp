@@ -30,10 +30,16 @@ std::string dump(const ValidationResult& r) {
 }
 
 /// Asserts both validators agree; returns whether the protocol was legal.
-bool expect_same_verdict(const Protocol& protocol, const Graph& guest, const Graph& host) {
+/// Counts in `*one_op_rejections` a verdict that names the one-op rule.
+bool expect_same_verdict(const Protocol& protocol, const Graph& guest, const Graph& host,
+                         std::size_t* one_op_rejections = nullptr) {
   const ValidationResult fast = validate_protocol(protocol, guest, host);
   const ValidationResult reference = testing::reference_validate_protocol(protocol, guest, host);
   EXPECT_EQ(dump(fast), dump(reference));
+  if (one_op_rejections != nullptr &&
+      reference.error.find("processor already acted this step") != std::string::npos) {
+    ++*one_op_rejections;
+  }
   return reference.ok;
 }
 
@@ -42,13 +48,14 @@ bool expect_same_verdict(const Protocol& protocol, const Graph& guest, const Gra
 TEST(ValidatorDifferential, MutationCorpusOnTheUniversalProtocol) {
   const testing::Emitted e = testing::mutation_corpus_protocol();
   ASSERT_TRUE(expect_same_verdict(e.protocol, e.guest, e.host));
-  std::size_t rejected = 0;
+  std::size_t rejected = 0, one_op = 0;
   for (std::size_t target = 0; target < e.protocol.num_ops(); ++target) {
     for (const Protocol& mutant : testing::universal_mutants(e, target)) {
-      if (!expect_same_verdict(mutant, e.guest, e.host)) ++rejected;
+      if (!expect_same_verdict(mutant, e.guest, e.host, &one_op)) ++rejected;
     }
   }
   EXPECT_GT(rejected, 0u);
+  EXPECT_GT(one_op, 0u) << "no mutant reached the one-op-per-processor check";
 }
 
 TEST(ValidatorDifferential, MutationCorpusOnTheSelfHealingProtocol) {
@@ -68,7 +75,7 @@ TEST(ValidatorDifferential, MutationCorpusOnTheSelfHealingProtocol) {
 /// Validates a parsed protocol against graphs of its own header sizes
 /// (complete graphs: every send has a neighbor), and against a mismatch.
 /// Returns false when the parser rejects the text or its sizes are huge.
-bool expect_same_verdict_on_text(const std::string& text) {
+bool expect_same_verdict_on_text(const std::string& text, std::size_t& one_op_rejections) {
   std::stringstream buffer{text};
   Protocol protocol{1, 1, 1};
   try {
@@ -79,17 +86,19 @@ bool expect_same_verdict_on_text(const std::string& text) {
   if (protocol.num_guests() > 64 || protocol.num_hosts() > 64) return false;
   const Graph guest = make_complete(protocol.num_guests());
   const Graph host = make_complete(protocol.num_hosts());
-  expect_same_verdict(protocol, guest, host);
-  expect_same_verdict(protocol, make_cycle(protocol.num_guests() + 3), host);
+  expect_same_verdict(protocol, guest, host, &one_op_rejections);
+  expect_same_verdict(protocol, make_cycle(protocol.num_guests() + 3), host,
+                      &one_op_rejections);
   return true;
 }
 
 TEST(ValidatorDifferential, PebbleIoFuzzCorpus) {
-  std::size_t validated = 0;
+  std::size_t validated = 0, one_op = 0;
   for (const std::string& text : testing::pebble_io_fuzz_texts()) {
-    if (expect_same_verdict_on_text(text)) ++validated;
+    if (expect_same_verdict_on_text(text, one_op)) ++validated;
   }
   EXPECT_GT(validated, 100u) << "too few fuzz inputs parsed to exercise the validators";
+  EXPECT_GT(one_op, 0u) << "no fuzz input reached the one-op-per-processor check";
 }
 
 // ---- seeded random mutations of emitted protocols --------------------------

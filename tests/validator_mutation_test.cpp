@@ -142,6 +142,32 @@ TEST_F(MutationTest, DroppingFinalGenerateIsRejected) {
   EXPECT_FALSE(result.ok);
 }
 
+TEST_F(MutationTest, SecondOpOnABusyProcessorIsRejected) {
+  // Move a step's last op to the processor of its first op: that processor
+  // now acts twice in one host step.
+  std::size_t end = 0, tested = 0;  // end: flat index past step s
+  for (std::uint32_t s = 0; s < fx_.protocol.host_steps() && tested < 10; ++s) {
+    const OpView step = fx_.protocol.step(s);
+    end += step.size();
+    if (step.size() < 2) continue;
+    ++tested;
+    const std::size_t last = end - 1;
+    const std::uint32_t busy = step[0].proc;
+    const Protocol mutated = rebuild_with(fx_.protocol, [&](std::size_t i, Op& op) {
+      if (i == last) op.proc = busy;
+      return true;
+    });
+    const ValidationResult result = validate_protocol(mutated, fx_.guest, fx_.host);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error.rfind("step " + std::to_string(s) + ": ", 0), 0u) << result.error;
+    EXPECT_NE(result.error.find("processor already acted this step (at most one operation per "
+                                "processor per host step)"),
+              std::string::npos)
+        << result.error;
+  }
+  EXPECT_EQ(tested, 10u);
+}
+
 TEST_F(MutationTest, UnmutatedCopyStaysValid) {
   const Protocol copy = rebuild_with(fx_.protocol, [](std::size_t, Op&) { return true; });
   EXPECT_TRUE(validate_protocol(copy, fx_.guest, fx_.host).ok);
