@@ -25,10 +25,11 @@ namespace {
 using namespace upn;
 
 /// Prints the validator verdict and the summary table; returns the verdict.
+/// The weight row needs ProtocolMetrics, which assumes a valid protocol, so
+/// it is printed only for a legal one.
 bool summarize(const Protocol& protocol, const Graph& guest, const Graph& host) {
   const ValidationResult validation = validate_protocol(protocol, guest, host);
   std::cout << "validator: " << (validation.ok ? "LEGAL" : validation.error) << "\n";
-  const ProtocolMetrics metrics{protocol};
   Table table{{"quantity", "value"}};
   table.add_row({std::string{"guests n"}, std::uint64_t{protocol.num_guests()}});
   table.add_row({std::string{"hosts m"}, std::uint64_t{protocol.num_hosts()}});
@@ -39,8 +40,11 @@ bool summarize(const Protocol& protocol, const Graph& guest, const Graph& host) 
   table.add_row({std::string{"pebbles sent"}, validation.pebbles_sent});
   table.add_row({std::string{"slowdown s"}, protocol.slowdown()});
   table.add_row({std::string{"inefficiency k"}, protocol.inefficiency()});
-  table.add_row({std::string{"sum_i q_{i,T}"},
-                 metrics.total_weight_at(protocol.guest_steps())});
+  if (validation.ok) {
+    const ProtocolMetrics metrics{protocol};
+    table.add_row({std::string{"sum_i q_{i,T}"},
+                   metrics.total_weight_at(protocol.guest_steps())});
+  }
   table.print(std::cout);
   return validation.ok;
 }

@@ -114,17 +114,6 @@ bool FaultPlan::link_ever_fails(NodeId u, NodeId v) const noexcept {
   return false;
 }
 
-std::vector<std::uint32_t> FaultPlan::epochs() const {
-  std::vector<std::uint32_t> steps;
-  steps.reserve(link_faults_.size() + node_faults_.size() + link_repairs_.size());
-  for (const LinkFault& f : link_faults_) steps.push_back(f.step);
-  for (const NodeFault& f : node_faults_) steps.push_back(f.step);
-  for (const LinkRepair& r : link_repairs_) steps.push_back(r.step);
-  std::sort(steps.begin(), steps.end());
-  steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
-  return steps;
-}
-
 FaultPlan FaultPlan::revealed_at(std::uint32_t step) const {
   FaultPlan revealed{seed_};
   // Net view per link: only links whose latest activated event is a fault
@@ -204,7 +193,6 @@ bool FaultClock::advance(std::uint32_t step) {
     }
     ++next_link_;
   }
-  if (changed) faults_active_ = true;
   return changed;
 }
 

@@ -117,10 +117,6 @@ class FaultPlan {
   /// repair later heals the link).
   [[nodiscard]] bool link_ever_fails(NodeId u, NodeId v) const noexcept;
 
-  /// Host steps at which permanent faults or repairs activate, ascending
-  /// and unique.
-  [[nodiscard]] std::vector<std::uint32_t> epochs() const;
-
   /// The plan as revealed to an observer at host step `step`: links and
   /// nodes that are NET-dead at `step` (their latest activated event is a
   /// fault) appear as step-0 faults, future events and already-applied
@@ -159,13 +155,11 @@ class FaultClock {
     return plan_->drops_packet(u, v, step_, packet_id);
   }
   [[nodiscard]] const std::vector<char>& dead_nodes() const noexcept { return dead_nodes_; }
-  [[nodiscard]] bool any_faults_active() const noexcept { return faults_active_; }
 
  private:
   const FaultPlan* plan_;
   std::uint32_t step_ = 0;
   bool started_ = false;
-  bool faults_active_ = false;
   /// One scheduled link state change; repairs sort after faults at the same
   /// step so a same-step kill+heal leaves the link alive.
   struct LinkEvent {

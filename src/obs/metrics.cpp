@@ -78,10 +78,6 @@ std::size_t Histogram::bucket_of(std::uint64_t v) noexcept {
   return v == 0 ? 0 : static_cast<std::size_t>(std::bit_width(v));
 }
 
-std::uint64_t Histogram::bucket_floor(std::size_t b) noexcept {
-  return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
-}
-
 void Histogram::record(std::uint64_t v) noexcept {
   buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);

@@ -99,8 +99,6 @@ class Histogram {
 
   /// Bucket index of a value under the fixed power-of-two layout.
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t v) noexcept;
-  /// Smallest value a bucket admits (0, 1, 2, 4, 8, ...).
-  [[nodiscard]] static std::uint64_t bucket_floor(std::size_t b) noexcept;
 
  private:
   std::atomic<std::uint64_t> buckets_[kHistogramBuckets] = {};

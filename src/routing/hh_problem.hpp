@@ -34,9 +34,6 @@ class HhProblem {
   /// The h of this instance: max over nodes of max(#sourced, #received).
   [[nodiscard]] std::uint32_t h() const;
 
-  /// True iff every node sources <= h and receives <= h packets.
-  [[nodiscard]] bool is_hh(std::uint32_t h) const { return this->h() <= h; }
-
  private:
   std::uint32_t num_nodes_;
   std::vector<Demand> demands_;

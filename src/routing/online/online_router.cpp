@@ -151,54 +151,6 @@ ConvergenceReport OnlineRouter::run_until_stable(std::uint32_t max_rounds) {
   return report;
 }
 
-NodeId OnlineRouter::table_next_hop(NodeId at, NodeId dst) const {
-  UPN_REQUIRE(at < tables_.size() && dst < tables_.size(),
-              "OnlineRouter: endpoints must be host nodes");
-  return at == dst ? at : tables_[at].next_hop(dst);
-}
-
-std::uint32_t OnlineRouter::route_hops(NodeId src, NodeId dst) const {
-  UPN_REQUIRE(src < tables_.size() && dst < tables_.size(),
-              "OnlineRouter: endpoints must be host nodes");
-  NodeId at = src;
-  std::uint32_t hops = 0;
-  while (at != dst) {
-    const NodeId next = tables_[at].next_hop(dst);
-    if (next == kNoRoute || hops >= graph_->num_nodes()) return kNoRouteHops;
-    at = next;
-    ++hops;
-  }
-  return hops;
-}
-
-bool OnlineRouter::loop_free() const {
-  UPN_REQUIRE(tables_.size() == graph_->num_nodes(),
-              "OnlineRouter: one table per host node");
-  const std::uint32_t n = graph_->num_nodes();
-  for (NodeId dst = 0; dst < n; ++dst) {
-    // Loop freedom is owed toward LIVE origins only: a dead origin can
-    // never issue the fresher sequence that resolves a transient loop, so
-    // its leftover routes may freeze arbitrarily.  The data plane already
-    // bounds that damage (dead-endpoint check, TTL, retry budget).
-    if (!clock_.node_alive(dst)) continue;
-    for (NodeId src = 0; src < n; ++src) {
-      if (src == dst || tables_[src].find(dst) == nullptr) continue;
-      // Walk the next-hop chain; > n hops without arriving or running off
-      // the table means some cycle repeated a node.
-      NodeId at = src;
-      std::uint32_t hops = 0;
-      while (at != dst && hops <= n) {
-        const NodeId next = tables_[at].next_hop(dst);
-        if (next == kNoRoute) break;  // incomplete, not a loop
-        at = next;
-        ++hops;
-      }
-      if (at != dst && hops > n) return false;
-    }
-  }
-  return true;
-}
-
 OnlineRouteResult OnlineRouter::route(std::vector<Packet> packets, std::uint32_t max_steps) {
   UPN_REQUIRE(max_steps >= 1, "OnlineRouter: need at least one step to route");
   OnlineRouteResult result;

@@ -107,22 +107,6 @@ class OnlineRouter {
   [[nodiscard]] std::uint32_t now() const noexcept { return now_; }
   [[nodiscard]] const RouteTable& table(NodeId v) const { return tables_[v]; }
 
-  /// Table-driven next hop at `at` toward `dst` (kNoRoute when unknown).
-  [[nodiscard]] NodeId table_next_hop(NodeId at, NodeId dst) const;
-
-  /// Hops from `src` to `dst` following the current tables; kNoRouteHops
-  /// when some node on the way has no entry or the chain exceeds n hops.
-  static constexpr std::uint32_t kNoRouteHops = 0xffffffffu;
-  [[nodiscard]] std::uint32_t route_hops(NodeId src, NodeId dst) const;
-
-  /// True iff no LIVE destination's next-hop chain cycles (chains may be
-  /// incomplete mid-convergence; incompleteness is not a loop).  Routes
-  /// toward a dead origin are exempt: the origin can never issue the
-  /// fresher sequence that resolves a transient loop, so those entries may
-  /// freeze arbitrarily -- the data plane bounds the damage instead
-  /// (dead-endpoint check, TTL, retry budget).
-  [[nodiscard]] bool loop_free() const;
-
  private:
   void compose_hellos(std::vector<std::vector<RouteAnnouncement>>& inbox,
                       OnlineStepStats& stats);

@@ -67,7 +67,6 @@ class RouteTable {
 
   [[nodiscard]] NodeId self() const noexcept { return self_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] const std::vector<RouteEntry>& entries() const noexcept { return entries_; }
 
   /// Applies an announcement heard from the adjacent node `via` at host
   /// step `now`.  The incumbent next hop may update its own route freely

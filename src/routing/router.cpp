@@ -302,6 +302,7 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
   std::vector<std::uint32_t> buffered(n, 0);   // packets queued per node
   std::vector<std::uint32_t> rr_cursor(n, 0);  // round-robin port scan start
 
+  static_assert(sizeof(Packet) == 48, "the cold Packet record is 48 bytes");
   // Structure-of-arrays packet state: the hot fields the kernels touch every
   // hop, split out of the cold 48-byte Packet records.  `target` caches the
   // phase-dependent destination so placement never re-derives it; `phase`

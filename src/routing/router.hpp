@@ -44,7 +44,6 @@ struct Packet {
   std::uint64_t payload = 0; ///< opaque data (a guest configuration)
   std::uint32_t tag = 0;     ///< opaque tag (sending guest node id)
   std::uint32_t tag2 = 0;    ///< opaque tag (receiving guest node id)
-  std::uint32_t injected_at = 0;
   std::int64_t delivered_at = -1;
 
   [[nodiscard]] NodeId current_target() const noexcept { return phase == 0 ? via : dst; }

@@ -57,17 +57,4 @@ void ComparatorNetwork::apply_with_payload(std::span<std::uint64_t> keys,
   }
 }
 
-bool ComparatorNetwork::is_sorting_network() const {
-  if (wires_ > 22) {
-    throw std::invalid_argument{"is_sorting_network: exhaustive check limited to 22 wires"};
-  }
-  std::vector<std::uint64_t> values(wires_);
-  for (std::uint64_t pattern = 0; pattern < (std::uint64_t{1} << wires_); ++pattern) {
-    for (std::uint32_t w = 0; w < wires_; ++w) values[w] = (pattern >> w) & 1u;
-    apply(values);
-    if (!std::is_sorted(values.begin(), values.end())) return false;
-  }
-  return true;
-}
-
 }  // namespace upn

@@ -54,9 +54,6 @@ class ComparatorNetwork {
   void apply_with_payload(std::span<std::uint64_t> keys,
                           std::span<std::uint64_t> payloads) const;
 
-  /// Exhaustive 0-1-principle check; only feasible for wires <= ~22.
-  [[nodiscard]] bool is_sorting_network() const;
-
  private:
   std::uint32_t wires_;
   std::string name_;

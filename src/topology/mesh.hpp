@@ -22,12 +22,6 @@ struct Grid2D {
   }
   [[nodiscard]] constexpr std::uint32_t x_of(NodeId v) const noexcept { return v % width; }
   [[nodiscard]] constexpr std::uint32_t y_of(NodeId v) const noexcept { return v / width; }
-
-  /// L1 distance without wraparound (mesh metric).
-  [[nodiscard]] std::uint32_t mesh_distance(NodeId u, NodeId v) const noexcept;
-
-  /// L1 distance with wraparound in both dimensions (torus metric).
-  [[nodiscard]] std::uint32_t torus_distance(NodeId u, NodeId v) const noexcept;
 };
 
 /// The width x height mesh.

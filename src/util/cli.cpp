@@ -10,7 +10,6 @@ namespace upn {
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc < 1) throw std::invalid_argument{"Cli: empty argv"};
-  program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string token = argv[i];
     if (token.rfind("--", 0) != 0 || token.size() <= 2) {

@@ -26,10 +26,7 @@ class Cli {
   /// Names that were provided but never queried; used to reject typos.
   [[nodiscard]] std::vector<std::string> unused() const;
 
-  [[nodiscard]] const std::string& program() const noexcept { return program_; }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> queried_;
 };

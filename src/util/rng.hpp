@@ -72,9 +72,6 @@ class Rng {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
 
-  /// Bernoulli trial with success probability p.
-  [[nodiscard]] bool chance(double p) noexcept { return uniform() < p; }
-
   /// Fisher-Yates shuffle of a whole vector.
   template <typename T>
   void shuffle(std::vector<T>& items) noexcept {
@@ -87,9 +84,6 @@ class Rng {
 
   /// A uniformly random permutation of [0, n).
   [[nodiscard]] std::vector<std::uint32_t> permutation(std::uint32_t n) noexcept;
-
-  /// Derive an independent child generator (for per-experiment streams).
-  [[nodiscard]] Rng fork() noexcept { return Rng{(*this)()}; }
 
   /// Independent sub-stream for task `task_index` of a parallel region
   /// seeded with `seed`.  Rng state is mutable and unsynchronized, so a

@@ -72,8 +72,4 @@ void Table::write_csv(std::ostream& os) const {
   }
 }
 
-std::string Table::cell_text(std::size_t row, std::size_t col) const {
-  return format_cell(rows_.at(row).at(col));
-}
-
 }  // namespace upn

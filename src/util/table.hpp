@@ -23,16 +23,12 @@ class Table {
   void add_row(std::vector<Cell> cells);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t columns() const noexcept { return headers_.size(); }
 
   /// Render with aligned columns, a header rule, and two-space gutters.
   void print(std::ostream& os) const;
 
   /// Render as RFC-4180-ish CSV (no quoting needed for our content).
   void write_csv(std::ostream& os) const;
-
-  /// Cell rendered as a string (for tests).
-  [[nodiscard]] std::string cell_text(std::size_t row, std::size_t col) const;
 
  private:
   [[nodiscard]] std::string format_cell(const Cell& cell) const;

@@ -578,6 +578,56 @@ TEST(AnalyzeFixtures, TestMentionsDoNotKeepAFunctionAlive) {
   EXPECT_TRUE(dead_at(bad, seam)) << bad.render_text();
 }
 
+// Member functions are candidates too: a method no non-test code names fires
+// (under its qualified name); one named only as `&Class::m` for bind_front,
+// or called only from a bench root, is alive; constructors, destructors and
+// operators, which run without their name being written, stay quiet.
+TEST(AnalyzeDeadFunction, MemberFunctionsOnlyTestsCallAreDead) {
+  Input input;
+  input.jobs = 1;
+  input.files.push_back({"src/core/ledger.hpp",
+                         "#pragma once\n"
+                         "namespace demo {\n"
+                         "class Ledger {\n"
+                         " public:\n"
+                         "  explicit Ledger(int start) : total_(start) {}\n"
+                         "  ~Ledger() {}\n"
+                         "  bool operator==(const Ledger& o) const { return total_ == o.total_; }\n"
+                         "  int operator()(int add) const { return total_ + add; }\n"
+                         "  explicit operator bool() const { return total_ != 0; }\n"
+                         "  int unused_total() const { return total_; }\n"
+                         "  int bound_total(int add) const { return total_ + add; }\n"
+                         "  int bench_total() const { return total_; }\n"
+                         "\n"
+                         " private:\n"
+                         "  int total_ = 0;\n"
+                         "};\n"
+                         "}  // namespace demo\n"});
+  input.files.push_back({"bench/ledger_bench.cpp",
+                         "#include \"src/core/ledger.hpp\"\n"
+                         "int main() { return demo::Ledger{1}.bench_total(); }\n"});
+  input.files.push_back({"examples/ledger_bind.cpp",
+                         "#include <functional>\n"
+                         "#include \"src/core/ledger.hpp\"\n"
+                         "int main() {\n"
+                         "  const demo::Ledger ledger{2};\n"
+                         "  return std::bind_front(&demo::Ledger::bound_total, ledger)(3);\n"
+                         "}\n"});
+  input.files.push_back({"tests/ledger_test.cpp",
+                         "#include \"src/core/ledger.hpp\"\n"
+                         "int probe() { return demo::Ledger{4}.unused_total(); }\n"});
+  const Report report = analyze(input);
+  std::vector<Finding> dead;
+  for (const Finding& f : report.findings) {
+    if (f.rule == "dead-function") dead.push_back(f);
+  }
+  ASSERT_EQ(dead.size(), 1u) << report.render_text();
+  EXPECT_EQ(dead[0].file, "src/core/ledger.hpp");
+  EXPECT_EQ(dead[0].line, 10u);
+  EXPECT_NE(dead[0].message.find("function 'Ledger::unused_total'"), std::string::npos)
+      << dead[0].message;
+}
+
 TEST(AnalyzeFixtures, BadTreeFiresEveryCatalogRule) {
   const Report report = analyze_tree(UPN_ANALYZE_BAD_DIR, kTreePaths);
   for (const RuleInfo& rule : rule_catalog()) {

@@ -9,6 +9,7 @@
 #include "src/topology/butterfly.hpp"
 #include "src/topology/mesh.hpp"
 #include "src/topology/properties.hpp"
+#include "tests/support/fault_oracles.hpp"
 
 namespace upn {
 namespace {
@@ -20,7 +21,7 @@ TEST(FaultPlan, EmptyPlanKeepsEverythingAlive) {
   EXPECT_TRUE(plan.node_alive(7, 1000));
   EXPECT_TRUE(plan.link_alive(0, 1, 1000));
   EXPECT_FALSE(plan.drops_packet(0, 1, 5, 9));
-  EXPECT_TRUE(plan.epochs().empty());
+  EXPECT_TRUE(epochs(plan).empty());
 }
 
 TEST(FaultPlan, LinkFaultActivatesAtItsStep) {
@@ -33,7 +34,7 @@ TEST(FaultPlan, LinkFaultActivatesAtItsStep) {
   EXPECT_TRUE(plan.node_alive(2, 100));
   EXPECT_TRUE(plan.link_ever_fails(5, 2));
   EXPECT_FALSE(plan.link_ever_fails(2, 6));
-  EXPECT_EQ(plan.epochs(), (std::vector<std::uint32_t>{10}));
+  EXPECT_EQ(epochs(plan), (std::vector<std::uint32_t>{10}));
 }
 
 TEST(FaultPlan, NodeFaultKillsIncidentLinks) {
@@ -96,7 +97,6 @@ TEST(FaultClock, TracksActivationsIncrementally) {
   EXPECT_FALSE(clock.advance(0));
   EXPECT_TRUE(clock.link_alive(0, 1));
   EXPECT_TRUE(clock.node_alive(4));
-  EXPECT_FALSE(clock.any_faults_active());
 
   EXPECT_TRUE(clock.advance(2));
   EXPECT_FALSE(clock.link_alive(0, 1));
@@ -107,7 +107,6 @@ TEST(FaultClock, TracksActivationsIncrementally) {
   EXPECT_FALSE(clock.node_alive(4));
   EXPECT_FALSE(clock.link_alive(4, 6));  // incident link dead
   EXPECT_EQ(clock.dead_nodes()[4], 1);
-  EXPECT_TRUE(clock.any_faults_active());
 }
 
 TEST(FaultPlanGenerators, UniformRatesAreCoupledAcrossRates) {
@@ -190,7 +189,7 @@ TEST(FaultPlanRepairs, RepairRestoresLinkUntilNextFault) {
   EXPECT_FALSE(plan.link_alive(1, 2, 12));  // second failure sticks
   // History is not erased by the heal.
   EXPECT_TRUE(plan.link_ever_fails(1, 2));
-  EXPECT_EQ(plan.epochs(), (std::vector<std::uint32_t>{5, 8, 12}));
+  EXPECT_EQ(epochs(plan), (std::vector<std::uint32_t>{5, 8, 12}));
   EXPECT_FALSE(plan.empty());
 }
 

@@ -15,8 +15,6 @@ TEST(HhProblem, ComputesH) {
   p.add(0, 2);
   p.add(3, 2);
   EXPECT_EQ(p.h(), 2u);  // node 0 sources 2, node 2 receives 2
-  EXPECT_TRUE(p.is_hh(2));
-  EXPECT_FALSE(p.is_hh(1));
 }
 
 TEST(HhProblem, EmptyInstance) {

@@ -82,15 +82,6 @@ TEST_F(ObsTest, HistogramBucketLayoutIsPowerOfTwo) {
   EXPECT_EQ(Histogram::bucket_of(7), 3u);
   EXPECT_EQ(Histogram::bucket_of(8), 4u);
   EXPECT_EQ(Histogram::bucket_of(~std::uint64_t{0}), kHistogramBuckets - 1);
-
-  EXPECT_EQ(Histogram::bucket_floor(0), 0u);
-  EXPECT_EQ(Histogram::bucket_floor(1), 1u);
-  EXPECT_EQ(Histogram::bucket_floor(2), 2u);
-  EXPECT_EQ(Histogram::bucket_floor(3), 4u);
-  // floor and bucket_of are inverse on bucket boundaries.
-  for (std::size_t b = 1; b < kHistogramBuckets; ++b) {
-    EXPECT_EQ(Histogram::bucket_of(Histogram::bucket_floor(b)), b) << b;
-  }
 }
 
 TEST_F(ObsTest, HistogramRecordsCountSumAndBuckets) {

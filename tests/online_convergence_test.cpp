@@ -18,6 +18,8 @@
 #include "src/topology/properties.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/fault_oracles.hpp"
+#include "tests/support/table_policy.hpp"
 #include "tests/support/topology_oracles.hpp"
 
 namespace upn {
@@ -50,8 +52,8 @@ void expect_stabilizes(const Graph& host, double churn_rate, std::uint64_t seed)
 
   // Live through the churn: every scheduled event (including trailing
   // repairs) lands while the protocol keeps running.
-  const std::vector<std::uint32_t> epochs = plan.epochs();
-  const std::uint32_t last_epoch = epochs.empty() ? 0 : epochs.back();
+  const std::vector<std::uint32_t> steps = epochs(plan);
+  const std::uint32_t last_epoch = steps.empty() ? 0 : steps.back();
   while (router.now() <= last_epoch) (void)router.step();
 
   // After the last event the network is static: the protocol must quiesce
@@ -63,7 +65,7 @@ void expect_stabilizes(const Graph& host, double churn_rate, std::uint64_t seed)
   EXPECT_TRUE(report.stable) << host.name() << " rate " << churn_rate << " bound " << bound;
 
   // ... into loop-free tables ...
-  EXPECT_TRUE(router.loop_free()) << host.name() << " rate " << churn_rate;
+  EXPECT_TRUE(loop_free(router, plan)) << host.name() << " rate " << churn_rate;
 
   // ... that are complete and shortest-path over the surviving topology.
   for (NodeId s = 0; s < live.num_nodes(); ++s) {
@@ -71,7 +73,7 @@ void expect_stabilizes(const Graph& host, double churn_rate, std::uint64_t seed)
     for (NodeId d = 0; d < live.num_nodes(); ++d) {
       if (s == d) continue;
       if (dist[d] == kUnreachable) continue;  // partitioned away: no claim
-      EXPECT_EQ(router.route_hops(s, d), dist[d])
+      EXPECT_EQ(route_hops(router, s, d), dist[d])
           << host.name() << " rate " << churn_rate << " pair " << s << "->" << d;
     }
   }
@@ -107,11 +109,11 @@ TEST(OnlineConvergence, SurvivesPermanentDamageWithoutStabilityClaim) {
   FaultPlan plan = make_link_churn(host, 0.2, 0x7ea1, 64);
   plan.add_node_fault(NodeFault{7, 20});
   OnlineRouter router{host, plan};
-  const std::uint32_t last = plan.epochs().back();
+  const std::uint32_t last = epochs(plan).back();
   while (router.now() <= last) (void)router.step();
   const ConvergenceReport report = router.run_until_stable(1u << 14);
   EXPECT_TRUE(report.stable);
-  EXPECT_TRUE(router.loop_free());
+  EXPECT_TRUE(loop_free(router, plan));
 }
 
 }  // namespace

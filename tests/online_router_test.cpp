@@ -135,10 +135,10 @@ TEST(OnlineRouter, ConvergesToShortestPathsOnStaticHost) {
   OnlineRouter router{host, plan};
   const ConvergenceReport report = router.run_until_stable(4096);
   EXPECT_TRUE(report.stable);
-  EXPECT_TRUE(router.loop_free());
+  EXPECT_TRUE(loop_free(router, plan));
   const std::vector<std::uint32_t> dist = bfs_distances(host, 0);
   for (NodeId d = 1; d < host.num_nodes(); ++d) {
-    EXPECT_EQ(router.route_hops(0, d), dist[d]) << "dest " << d;
+    EXPECT_EQ(route_hops(router, 0, d), dist[d]) << "dest " << d;
   }
 }
 
@@ -164,12 +164,12 @@ TEST(OnlineRouter, ReroutesAroundALinkDeathDetectedBySilence) {
   plan.add_link_fault(LinkFault{0, 1, 40});
   OnlineRouter router{host, plan};
   (void)router.run_until_stable(30);  // converge BEFORE the fault lands
-  EXPECT_EQ(router.route_hops(0, 1), 1u);
+  EXPECT_EQ(route_hops(router, 0, 1), 1u);
 
   // Step past the fault and let silence expire the dead-link routes.
   (void)router.run_until_stable(4096);
-  EXPECT_TRUE(router.loop_free());
-  EXPECT_EQ(router.route_hops(0, 1), 5u);  // the long way around
+  EXPECT_TRUE(loop_free(router, plan));
+  EXPECT_EQ(route_hops(router, 0, 1), 5u);  // the long way around
 
   Packet p;
   p.src = 0;
@@ -191,8 +191,8 @@ TEST(OnlineRouter, RelearnsRoutesAfterRepair) {
   OnlineRouter router{host, plan};
   while (router.now() <= 60) (void)router.step();  // live through kill AND heal
   (void)router.run_until_stable(4096);
-  EXPECT_TRUE(router.loop_free());
-  EXPECT_EQ(router.route_hops(0, 1), 1u);  // the healed link is back in use
+  EXPECT_TRUE(loop_free(router, plan));
+  EXPECT_EQ(route_hops(router, 0, 1), 1u);  // the healed link is back in use
 }
 
 TEST(OnlineRouter, DeadDestinationIsLostNotFatal) {

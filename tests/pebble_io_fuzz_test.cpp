@@ -1,7 +1,8 @@
 // Hostile-input hardening of read_protocol: a malformed corpus that must be
 // rejected with a line-numbered error, one-op-rule breaches that parse and
-// fail validation, plus seeded random mutations of a valid protocol that
-// must either parse or throw -- never crash, hang, or allocate unboundedly.
+// fail validation, plus the truncations and seeded random mutations of a
+// valid protocol (testing::pebble_io_fuzz_texts) that must either parse or
+// throw -- never crash, hang, or allocate unboundedly.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,21 +12,10 @@
 #include "src/pebble/io.hpp"
 #include "src/pebble/validator.hpp"
 #include "src/topology/builders.hpp"
-#include "src/util/rng.hpp"
+#include "tests/support/protocol_corpus.hpp"
 
 namespace upn {
 namespace {
-
-std::string valid_text() {
-  Protocol protocol{3, 4, 2};
-  protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0},
-                      Op{OpKind::kSend, 1, PebbleType{2, 0}, 2},
-                      Op{OpKind::kReceive, 2, PebbleType{2, 0}, 1}}});
-  protocol.add_step({{Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 0}}});
-  std::ostringstream out;
-  write_protocol(out, protocol);
-  return out.str();
-}
 
 void expect_rejected(const std::string& text) {
   std::stringstream buffer{text};
@@ -102,34 +92,13 @@ TEST(PebbleIoFuzz, HugeHeaderDoesNotAllocate) {
   expect_rejected("upn-protocol 1 4294967295 4294967295 4294967295\n");
 }
 
-TEST(PebbleIoFuzz, TruncationsOfValidInputNeverCrash) {
-  const std::string text = valid_text();
-  for (std::size_t len = 0; len < text.size(); ++len) {
-    std::stringstream buffer{text.substr(0, len)};
+TEST(PebbleIoFuzz, TruncationsAndRandomMutationsNeverCrash) {
+  for (const std::string& text : testing::pebble_io_fuzz_texts()) {
+    std::stringstream buffer{text};
     try {
       (void)read_protocol(buffer);
     } catch (const std::runtime_error&) {
-      // Rejection is fine; crashing or accepting garbage is not.
-    }
-  }
-}
-
-TEST(PebbleIoFuzz, RandomByteMutationsNeverCrash) {
-  const std::string text = valid_text();
-  const char alphabet[] = "0123456789GSR step\n-x";
-  Rng rng{0xf022};
-  for (int iter = 0; iter < 500; ++iter) {
-    std::string mutated = text;
-    const std::size_t edits = 1 + rng.below(4);
-    for (std::size_t e = 0; e < edits; ++e) {
-      const std::size_t pos = rng.below(mutated.size());
-      mutated[pos] = alphabet[rng.below(sizeof(alphabet) - 1)];
-    }
-    std::stringstream buffer{mutated};
-    try {
-      (void)read_protocol(buffer);
-    } catch (const std::runtime_error&) {
-      // Expected for most mutations.
+      // Rejection is fine (and expected for most mutations); crashing is not.
     }
   }
 }

@@ -228,7 +228,7 @@ struct RoutedInstance {
 RoutedInstance route_instance(std::uint64_t seed, PortModel model) {
   Rng rng{seed};
   Graph host = make_butterfly(3);
-  if (rng.chance(0.5)) {
+  if (rng.uniform() < 0.5) {
     for (;;) {
       Graph g = make_random_regular(26, 4, rng);
       if (is_connected(g)) {

@@ -47,8 +47,8 @@ TEST_P(RouterFuzz, InvariantsHoldOnRandomInstances) {
 
     GreedyPolicy greedy{host};
     ValiantPolicy valiant{host, rng()};
-    RoutingPolicy* policy = rng.chance(0.5) ? static_cast<RoutingPolicy*>(&greedy)
-                                            : static_cast<RoutingPolicy*>(&valiant);
+    RoutingPolicy* policy = (rng.uniform() < 0.5) ? static_cast<RoutingPolicy*>(&greedy)
+                                                  : static_cast<RoutingPolicy*>(&valiant);
     SyncRouter router{host, GetParam().port_model};
     std::vector<Packet> packets;
     for (const Demand& d : problem.demands()) {
@@ -117,12 +117,12 @@ TEST_P(RouterDifferentialFuzz, FastEngineMatchesReferenceOnRandomInstances) {
       packets.push_back(p);
     }
     const std::uint64_t policy_seed = rng();
-    const bool use_valiant = rng.chance(0.5);
+    const bool use_valiant = rng.uniform() < 0.5;
 
     // A random fault cocktail on about half the trials: permanent link and
     // node deaths plus a transient drop window, all seeded from the fuzzer
     // stream so failures replay exactly.
-    const bool faulted = rng.chance(0.5);
+    const bool faulted = rng.uniform() < 0.5;
     FaultPlan plan = make_uniform_link_faults(host, 0.06, rng(), /*step=*/1);
     plan = merge_plans(plan, make_uniform_node_faults(host, 0.04, rng(), /*step=*/3));
     plan = merge_plans(plan, make_uniform_drops(host, 0.12, rng(), 0, 16));
@@ -135,7 +135,7 @@ TEST_P(RouterDifferentialFuzz, FastEngineMatchesReferenceOnRandomInstances) {
     // runs route every hop on the live-subgraph oracle and never need more
     // than a few hundred steps here; their smaller budget only bounds how
     // long a regression that spins can take before both engines report it.
-    const bool clamped = rng.chance(0.25);
+    const bool clamped = rng.uniform() < 0.25;
     const std::uint32_t max_steps =
         clamped ? static_cast<std::uint32_t>(rng.between(1, 4))
                 : (faulted ? 2048u : (1u << 22));

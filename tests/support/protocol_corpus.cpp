@@ -185,8 +185,7 @@ std::vector<std::string> pebble_io_fuzz_texts() {
   for (std::size_t len = 0; len <= text.size(); ++len) texts.push_back(text.substr(0, len));
   const char alphabet[] = "0123456789GSR step\n-x";
   Rng rng{0xf022};
-  // The first 500 draws are pebble_io_fuzz_test's corpus; most of them
-  // break the syntax, so keep drawing until enough of them parse.
+  // Most draws break the syntax, so keep drawing until enough of them parse.
   for (int iter = 0; iter < 5000; ++iter) {
     std::string mutated = text;
     const std::size_t edits = 1 + rng.below(4);

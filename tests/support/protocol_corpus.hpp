@@ -70,8 +70,8 @@ struct HostedMutant {
                                                              std::size_t target);
 
 /// The pebble-IO fuzz texts: every prefix of a small valid .upnp text, then
-/// 5000 seeded random edits of it (the first 500 are
-/// pebble_io_fuzz_test's corpus).
+/// 5000 seeded random edits of it.  pebble_io_fuzz_test reads them all; the
+/// differential suites validate the ones that parse.
 [[nodiscard]] std::vector<std::string> pebble_io_fuzz_texts();
 
 /// A size of the random-mutation corpus: n-node `degree`-regular guest on

@@ -450,8 +450,7 @@ std::string dump_route_result(const RouteResult& result) {
     os << "packet id=" << p.id << " src=" << p.src << " dst=" << p.dst << " via=" << p.via
        << " phase=" << static_cast<int>(p.phase) << " lost=" << static_cast<int>(p.lost)
        << " retries=" << p.retries << " payload=" << p.payload << " tag=" << p.tag
-       << " tag2=" << p.tag2 << " injected_at=" << p.injected_at
-       << " delivered_at=" << p.delivered_at << "\n";
+       << " tag2=" << p.tag2 << " delivered_at=" << p.delivered_at << "\n";
   }
   for (const Transfer& t : result.transfers) {
     os << "transfer step=" << t.step << " from=" << t.from << " to=" << t.to

@@ -1,7 +1,9 @@
 #include "tests/support/sorting_oracles.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/util/math.hpp"
 
@@ -27,6 +29,20 @@ ComparatorNetwork make_odd_even_transposition_sorter(std::uint32_t n) {
     }
   }
   return network;
+}
+
+bool is_sorting_network(const ComparatorNetwork& network) {
+  const std::uint32_t wires = network.wires();
+  if (wires > 22) {
+    throw std::invalid_argument{"is_sorting_network: exhaustive check limited to 22 wires"};
+  }
+  std::vector<std::uint64_t> values(wires);
+  for (std::uint64_t pattern = 0; pattern < (std::uint64_t{1} << wires); ++pattern) {
+    for (std::uint32_t w = 0; w < wires; ++w) values[w] = (pattern >> w) & 1u;
+    network.apply(values);
+    if (!std::is_sorted(values.begin(), values.end())) return false;
+  }
+  return true;
 }
 
 }  // namespace upn

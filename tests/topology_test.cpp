@@ -77,13 +77,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MeshSweep,
                                            std::pair{4u, 4u}, std::pair{5u, 3u},
                                            std::pair{8u, 8u}, std::pair{6u, 10u}));
 
-TEST(Mesh, GridDistances) {
-  const Grid2D grid{5, 5};
-  EXPECT_EQ(grid.mesh_distance(grid.id(0, 0), grid.id(4, 4)), 8u);
-  EXPECT_EQ(grid.torus_distance(grid.id(0, 0), grid.id(4, 4)), 2u);
-  EXPECT_EQ(grid.torus_distance(grid.id(1, 1), grid.id(1, 1)), 0u);
-}
-
 TEST(Mesh, SquareValidation) {
   EXPECT_THROW(make_square_mesh(10), std::invalid_argument);
   EXPECT_EQ(make_square_mesh(16).num_nodes(), 16u);

@@ -83,12 +83,6 @@ TEST(Rng, ShufflePreservesMultiset) {
   EXPECT_EQ(shuffled, items);
 }
 
-TEST(Rng, ForkIsIndependent) {
-  Rng a{21};
-  Rng child = a.fork();
-  EXPECT_NE(a(), child());
-}
-
 TEST(Math, Log2FactorialSmallValues) {
   EXPECT_NEAR(log2_factorial(0), 0.0, 1e-12);
   EXPECT_NEAR(log2_factorial(1), 0.0, 1e-12);
@@ -173,12 +167,6 @@ TEST(Table, CsvRoundTrip) {
 TEST(Table, RejectsMismatchedRow) {
   Table table{{"a", "b"}};
   EXPECT_THROW(table.add_row({std::uint64_t{1}}), std::invalid_argument);
-}
-
-TEST(Table, CellTextAccessor) {
-  Table table{{"a"}};
-  table.add_row({std::uint64_t{7}});
-  EXPECT_EQ(table.cell_text(0, 0), "7");
 }
 
 TEST(Cli, ParsesSeparateAndEqualsForms) {

@@ -7,12 +7,14 @@
 //        held-before relation is a potential deadlock, and any blocking
 //        operation (lock acquisition, condition-variable wait, IO)
 //        reachable from a ThreadPool task body stalls a pool worker.
-//   dead functions -- free src/ functions whose name is never
-//        referenced outside their own declarations and tests/.  Liveness
-//        is by name reference (calls, address-taken uses,
-//        using-declarations all count), so recursion alone does not keep a
-//        function alive but any overload being used keeps the whole name
-//        alive -- conservative in the direction that matters.
+//   dead functions -- src/ functions, free or member (constructors and
+//        destructors aside), whose name is never referenced outside their
+//        own declarations and tests/.  Liveness is by name reference
+//        (calls, address-taken uses such as `&Class::m`, using-declarations
+//        all count), so recursion alone does not keep a function alive but
+//        any use of the name -- another overload, another class's method
+//        of that name -- keeps every definition of it alive: conservative
+//        in the direction that matters.
 //
 // Findings are restricted to src/ modules (module_of(file) non-empty): the
 // pool's own tests deliberately lock inside tasks, and fixtures/benches are
@@ -22,6 +24,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "tools/analyze/callgraph.hpp"
@@ -233,14 +236,15 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
   std::vector<Finding> out;
   const std::map<std::string, const Unit*> index = unit_index(units);
 
-  // Candidates: free functions defined under src/.  Methods are reachable
-  // through objects in ways name matching over-approximates badly, and main
-  // plus task bodies are roots by construction.
+  // Candidates: free and member functions defined under src/.  Constructors
+  // and destructors run without their name being written, so they are
+  // exempt (operators never become nodes: the scanner skips `operator`);
+  // main plus task bodies are roots by construction.
   std::map<std::string, std::vector<std::size_t>> candidates;
   for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
     const FunctionNode& node = graph.nodes[id];
-    if (node.module.empty() || !node.class_name.empty()) continue;
-    if (node.is_task_body || node.name == "main") continue;
+    if (node.module.empty() || node.is_task_body || node.name == "main") continue;
+    if (node.name == node.class_name || node.name.front() == '~') continue;
     candidates[node.name].push_back(id);
   }
   if (candidates.empty()) return out;
@@ -281,19 +285,17 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
     const std::size_t seen = mentions.count(name) != 0 ? mentions.at(name) : 0;
     const std::size_t protos = prototypes.count(name) != 0 ? prototypes.at(name) : 0;
     if (seen > ids.size() + protos) continue;  // referenced somewhere
-    std::set<std::pair<std::string, std::size_t>> sites;
+    std::set<std::tuple<std::string, std::size_t, std::string>> sites;
     for (const std::size_t id : ids) {
       const FunctionNode& node = graph.nodes[id];
-      sites.insert({node.file, node.line});
+      sites.insert({node.file, node.line, node.qualified});
     }
-    std::map<std::string, std::size_t> first_per_file;
-    for (const auto& [file, line] : sites) {
-      if (first_per_file.count(file) == 0) first_per_file.emplace(file, line);
-    }
-    for (const auto& [file, line] : first_per_file) {
+    std::set<std::string> reported_files;
+    for (const auto& [file, line, qualified] : sites) {
+      if (!reported_files.insert(file).second) continue;
       if (line_suppressed(index, file, line, "dead-function")) continue;
       out.push_back(Finding{file, line, "dead-function",
-                            "free function '" + name +
+                            "function '" + qualified +
                                 "' is never referenced outside its own declarations "
                                 "and tests/; delete it or move it to tests/support"});
     }

@@ -16,8 +16,8 @@ bool finding_less(const Finding& a, const Finding& b) {
 const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> catalog = {
       {"dead-function",
-       "a free src/ function whose name is never referenced outside its own declarations "
-       "and tests/"},
+       "a src/ function or member function whose name is never referenced outside its own "
+       "declarations and tests/"},
       {"hotpath-alloc",
        "heap allocation inside a loop in a hotpath-declared module; hoist it or use a "
        "preallocated buffer"},

@@ -155,9 +155,10 @@ struct LayerSpec {
 [[nodiscard]] std::vector<Finding> run_lock_order_pass(const CallGraph& graph,
                                                        const std::vector<Unit>& units);
 
-/// Dead functions: free src/ functions whose name is never referenced
-/// outside their own declarations by non-test code (CLI, bench, example and
-/// upnbench roots; units under tests/ are not callers):
+/// Dead functions: src/ functions, free or member (constructors and
+/// destructors exempt), whose name is never referenced outside their own
+/// declarations by non-test code (CLI, bench, example and upnbench roots;
+/// units under tests/ are not callers):
 ///   dead-function
 [[nodiscard]] std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
                                                           const std::vector<Unit>& units);
