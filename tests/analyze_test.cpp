@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -633,6 +634,17 @@ TEST(AnalyzeFixtures, BadTreeFiresEveryCatalogRule) {
   for (const RuleInfo& rule : rule_catalog()) {
     EXPECT_TRUE(has_rule(report.findings, rule.id)) << rule.id;
   }
+}
+
+// The bad tree's whole report, byte for byte, as `upn_analyze --root
+// tests/fixtures-bad/analyze src` prints it; the WILL_FAIL ctest over the same
+// tree checks only the exit code.
+TEST(AnalyzeFixtures, BadTreeReportMatchesGolden) {
+  std::ifstream in{std::string{UPN_ANALYZE_GOLDEN_DIR} + "/bad_report.txt", std::ios::binary};
+  ASSERT_TRUE(in);
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(analyze_tree(UPN_ANALYZE_BAD_DIR, {"src"}).render_text(), golden.str());
 }
 
 TEST(AnalyzeFixtures, DefaultExcludesSkipDirectoriesNotFileNames) {

@@ -1,10 +1,13 @@
 // Whole-program call-graph tests for upn_analyze: overload resolution by
 // arity, method resolution through typed receivers, ThreadPool task-body
 // edges, conservative open edges (virtual / indirect / ambiguous receiver),
-// and the determinism contract for the graph dump at --jobs {1, 2, 7}.
+// the determinism contract for the graph dump at --jobs {1, 2, 7}, and both
+// fixture trees' dumps against their committed goldens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,19 +172,23 @@ TEST(Callgraph, UntypedReceiverWithOneCandidateClassResolves) {
   EXPECT_TRUE(g.opens.empty());
 }
 
-// ---- dump determinism -----------------------------------------------------
+// ---- dump determinism and goldens ---------------------------------------
 
-TEST(CallgraphDeterminism, DumpIsByteIdenticalAtJobs127) {
+std::vector<Unit> fixture_units(const std::string& root, const std::vector<std::string>& paths) {
   TreeOptions options;
-  options.root = UPN_ANALYZE_BAD_DIR;
-  options.paths = {"src"};
+  options.root = root;
+  options.paths = paths;
   options.excludes.clear();
   Input input;
   std::string error;
-  ASSERT_TRUE(collect_tree(options, input, error)) << error;
+  EXPECT_TRUE(collect_tree(options, input, error)) << error;
   std::vector<Unit> units;
   for (const SourceFile& file : input.files) units.push_back(build_unit(file.path, file.content));
+  return units;
+}
 
+TEST(CallgraphDeterminism, DumpIsByteIdenticalAtJobs127) {
+  const std::vector<Unit> units = fixture_units(UPN_ANALYZE_BAD_DIR, {"src"});
   std::string dumps[3];
   const unsigned jobs[] = {1, 2, 7};
   for (int i = 0; i < 3; ++i) {
@@ -192,6 +199,21 @@ TEST(CallgraphDeterminism, DumpIsByteIdenticalAtJobs127) {
   EXPECT_NE(dumps[0].find("task"), std::string::npos) << dumps[0];
   EXPECT_EQ(dumps[0], dumps[1]);
   EXPECT_EQ(dumps[0], dumps[2]);
+}
+
+TEST(CallgraphGolden, FixtureTreeDumpsMatchGoldens) {
+  const std::pair<const char*, const char*> trees[] = {
+      {UPN_ANALYZE_BAD_DIR, "bad_callgraph.txt"}, {UPN_ANALYZE_CLEAN_DIR, "clean_callgraph.txt"}};
+  for (const auto& [root, golden_name] : trees) {
+    std::ifstream in{std::string{UPN_ANALYZE_GOLDEN_DIR} + "/" + golden_name, std::ios::binary};
+    ASSERT_TRUE(in) << golden_name;
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    ThreadPool pool{2};
+    EXPECT_EQ(dump_callgraph(build_callgraph(fixture_units(root, {"src", "tests"}), pool)),
+              golden.str())
+        << golden_name;
+  }
 }
 
 }  // namespace
