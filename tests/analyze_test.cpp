@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "tools/analyze/callgraph.hpp"
 #include "tools/analyze/engine.hpp"
 #include "tools/analyze/ir.hpp"
 #include "tools/analyze/passes.hpp"
@@ -100,6 +101,53 @@ TEST(AnalyzeIr, IndexesPrototypesAndDefinitions) {
   EXPECT_FALSE(unit.decls[0].has_body);
   EXPECT_EQ(unit.decls[1].name, "defined");
   EXPECT_TRUE(unit.decls[1].has_body);
+}
+
+// One scope walker feeds both the declaration index and the call graph.  The
+// shapes below are where the two walkers it replaced disagreed: the index lost
+// `grow` (a prototype after an in-class constructor body) and `use` (a
+// definition after an out-of-line destructor) and indexed `operator()` as a
+// function named "operator"; the call graph already had all of these right.
+TEST(AnalyzeIr, OneWalkerIndexesDeclarationsAndFunctionDefinitions) {
+  const Unit unit = build_unit("src/core/shapes.hpp",
+                               "#pragma once\n"
+                               "namespace demo {\n"
+                               "enum class Mode { kFast, kSlow };\n"
+                               "class Widget {\n"
+                               " public:\n"
+                               "  explicit Widget(int size) : size_(size) {}\n"
+                               "  void grow(int by);\n"
+                               "  Widget();\n"
+                               "  ~Widget();\n"
+                               "  int operator()(int add) const { return size_ + add; }\n"
+                               "  virtual int area() const;\n"
+                               "  int size_ = 0;\n"
+                               "};\n"
+                               "template <typename T>\n"
+                               "T twice(T v) { return v + v; }\n"
+                               "Widget::Widget() : size_(0) {}\n"
+                               "Widget::~Widget() { size_ = 0; }\n"
+                               "int use(Widget& w) { return w.area() + twice(w.size_); }\n"
+                               "}  // namespace demo\n");
+  std::vector<std::string> decls;
+  for (const Declaration& d : unit.decls) {
+    decls.push_back(std::to_string(d.line) + " " + static_cast<char>(d.kind) + " " + d.name +
+                    (d.has_body ? " body" : ""));
+  }
+  EXPECT_EQ(decls, (std::vector<std::string>{"3 t Mode", "3 c kFast", "3 c kSlow", "4 t Widget",
+                                             "7 f grow", "11 f area", "12 c size_",
+                                             "15 f twice body", "16 f Widget body",
+                                             "18 f use body"}));
+
+  const UnitFunctions fns = extract_functions(unit);
+  std::vector<std::string> nodes;
+  for (const FunctionNode& n : fns.nodes) {
+    nodes.push_back(std::to_string(n.line) + " " + n.qualified + "/" + std::to_string(n.arity));
+  }
+  EXPECT_EQ(nodes, (std::vector<std::string>{"6 Widget::Widget/1", "15 twice/1",
+                                             "16 Widget::Widget/0", "17 Widget::~Widget/0",
+                                             "18 use/1"}));
+  EXPECT_EQ(fns.virtual_names, (std::vector<std::string>{"area"}));
 }
 
 // ---- single-file rules (banned patterns + flow) ---------------------------

@@ -1,9 +1,13 @@
 // Generating-pebble expansion dynamics (Def 3.16 / Prop 3.17) tests.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/core/embedding.hpp"
 #include "src/core/universal_sim.hpp"
 #include "src/lowerbound/expansion.hpp"
+#include "src/pebble/validator.hpp"
+#include "src/topology/builders.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/expander.hpp"
 #include "src/topology/random_regular.hpp"
@@ -75,6 +79,38 @@ TEST(Expansion, PhaseGapForcesWork) {
   const ExpansionReport report = analyze_expansion(metrics, 0.2, 1.2);
   ASSERT_GE(report.steps.size(), 2u);
   EXPECT_GT(report.min_gap, 0u);
+}
+
+// A legal protocol that generates a time-2 pebble before the time-1 frontier
+// reaches alpha n: guest path 0-1-2-3, alpha = 3/4 (threshold 3), one
+// processor.  (P_0, 2) needs only (P_0, 1) and (P_1, 1), so it exists at
+// tau_2 = 4, when (P_2, 1) completes the frontier.  The path's sets of at
+// most 3 nodes expand by exactly 4/3 ({0, 1, 2}), and Prop. 3.17's cap
+// (alpha / beta) n = 2.25 holds; claiming beta = 4 caps e_2(tau_2) at 0.75,
+// which the protocol exceeds.
+TEST(Expansion, FrontierAboveTheCapOfAnOverclaimedBetaFails) {
+  Protocol protocol{4, 2, 2};
+  for (const auto& [i, t] : {std::pair<NodeId, std::uint32_t>{0, 1}, {1, 1}, {0, 2}, {2, 1},
+                             {3, 1}, {1, 2}, {2, 2}, {3, 2}}) {
+    protocol.add_step({{Op{OpKind::kGenerate, 0, PebbleType{i, t}, 0}}});
+  }
+  ASSERT_TRUE(validate_protocol(protocol, make_path(4), make_path(2)).ok);
+  const ProtocolMetrics metrics{protocol};
+
+  EXPECT_TRUE(analyze_expansion(metrics, 0.75, 4.0 / 3.0).all_ok);
+
+  const ExpansionReport report = analyze_expansion(metrics, 0.75, 4.0);
+  ASSERT_EQ(report.steps.size(), 2u);
+  EXPECT_EQ(report.steps[0].tau, 0u);
+  EXPECT_EQ(report.steps[0].frontier, 0u);
+  EXPECT_TRUE(report.steps[0].ok);
+  const ExpansionStep& step = report.steps[1];
+  EXPECT_EQ(step.t, 2u);
+  EXPECT_EQ(step.tau, 4u);
+  EXPECT_EQ(step.frontier, 1u);
+  EXPECT_DOUBLE_EQ(step.bound, 0.75);
+  EXPECT_FALSE(step.ok);
+  EXPECT_FALSE(report.all_ok);
 }
 
 }  // namespace

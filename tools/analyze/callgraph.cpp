@@ -1,16 +1,16 @@
 // Whole-program call-graph construction over the shared TU IR.  Two halves:
 //
-//   extract_functions  a per-unit scanner (a sibling of ir.cpp's DeclParser,
-//                      but keeping bodies): function definitions with their
-//                      scope-qualified names and parameter lists, blocking
-//                      operations with the held-lock set, raw call sites,
-//                      and one pseudo-node per lambda handed to
-//                      ThreadPool::parallel_for/map;
+//   extract_functions  per unit, scans the bodies of the function
+//                      definitions the IR's scope walker recorded
+//                      (Unit::functions): scope-qualified names and
+//                      parameter lists, blocking operations with the
+//                      held-lock set, raw call sites, and one pseudo-node per
+//                      lambda handed to ThreadPool::parallel_for/map;
 //   link_callgraph     an ordered merge plus name/arity/receiver-type
 //                      resolution into resolved edges and conservative open
 //                      edges (virtual, indirect, ambiguous receiver).
 //
-// Like the DeclParser this is NOT a C++ parser: it recognizes the shapes
+// Like the scope walker this is NOT a C++ parser: it recognizes the shapes
 // this codebase uses and degrades by dropping a node or widening an edge to
 // "open" rather than inventing a wrong one.
 #include "tools/analyze/callgraph.hpp"
@@ -25,18 +25,6 @@
 
 namespace upn::analyze {
 namespace {
-
-/// Keywords that may directly precede '(' or an identifier without naming a
-/// callee or declaring a variable.
-bool control_keyword(const std::string& t) {
-  static const std::set<std::string> kw = {
-      "return", "else", "new", "delete", "case", "break", "continue", "goto",
-      "throw", "sizeof", "do", "operator", "co_return", "if", "while", "for",
-      "switch", "public", "private", "protected", "typename", "template",
-      "catch", "static_assert", "decltype", "alignof", "alignas", "noexcept",
-      "static_cast", "const_cast", "reinterpret_cast", "dynamic_cast"};
-  return kw.count(t) != 0;
-}
 
 /// Type qualifiers that precede the real type name in a declaration.
 bool qualifier_keyword(const std::string& t) {
@@ -54,76 +42,6 @@ bool io_name(const std::string& t) {
       "ifstream", "ofstream", "fstream", "fopen", "popen", "fread", "fwrite",
       "printf", "fprintf", "getline", "system", "cin", "cout"};
   return names.count(t) != 0;
-}
-
-bool lock_type(const std::string& t) {
-  return t == "lock_guard" || t == "unique_lock" || t == "scoped_lock";
-}
-
-/// Token index just past a balanced group opened at `open` ('(' / '[' / '{');
-/// toks.size() when unbalanced.
-std::size_t skip_group(const std::vector<Token>& toks, std::size_t open) {
-  const std::string& o = toks[open].text;
-  const std::string c = o == "(" ? ")" : o == "[" ? "]" : "}";
-  int depth = 0;
-  for (std::size_t k = open; k < toks.size(); ++k) {
-    if (toks[k].text == o) ++depth;
-    if (toks[k].text == c && --depth == 0) return k + 1;
-  }
-  return toks.size();
-}
-
-/// Token index just past a `<...>` template-argument group at `open`.
-std::size_t skip_angles(const std::vector<Token>& toks, std::size_t open) {
-  int depth = 0;
-  for (std::size_t k = open; k < toks.size(); ++k) {
-    if (toks[k].text == "<") ++depth;
-    if (toks[k].text == ">" && --depth == 0) return k + 1;
-  }
-  return toks.size();
-}
-
-struct ParLambda {
-  std::set<std::string> params;
-  std::size_t body_begin = 0;  ///< first token inside the body braces
-  std::size_t body_end = 0;    ///< the closing '}' token
-  std::size_t open = 0;        ///< the '[' token
-};
-
-/// Parses the lambda whose '[' sits at `open`; false when no body follows.
-bool parse_lambda(const std::vector<Token>& toks, std::size_t open, ParLambda& out) {
-  out.open = open;
-  const std::size_t captures_end = skip_group(toks, open);  // past ']'
-  if (captures_end >= toks.size()) return false;
-  std::size_t k = captures_end;
-  if (k < toks.size() && toks[k].text == "(") {
-    const std::size_t params_end = skip_group(toks, k);  // past ')'
-    std::string last_ident;
-    int depth = 0;
-    for (std::size_t p = k; p < params_end; ++p) {
-      const std::string& t = toks[p].text;
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      if (t == ")" || t == "]" || t == "}") --depth;
-      if (toks[p].kind == TokenKind::kIdent) last_ident = t;
-      if (depth == 1 && (t == "," || t == "=")) {
-        if (!last_ident.empty()) out.params.insert(last_ident);
-        last_ident.clear();
-        if (t == "=") {
-          while (p + 1 < params_end && toks[p + 1].text != "," && toks[p + 1].text != ")") ++p;
-        }
-      }
-    }
-    if (!last_ident.empty()) out.params.insert(last_ident);
-    k = params_end;
-  }
-  while (k < toks.size() && toks[k].text != "{" && toks[k].text != ";" &&
-         toks[k].text != ")") {
-    ++k;
-  }
-  if (k >= toks.size() || toks[k].text != "{") return false;
-  out.body_begin = k + 1;
-  out.body_end = skip_group(toks, k) - 1;  // index of the closing '}'
-  return out.body_end < toks.size();
 }
 
 /// The type name a declaration spells directly before `name_idx`:
@@ -156,62 +74,14 @@ struct TaskSpawn {
   std::vector<TaskSpawn> children;
 };
 
-struct Scanner {
+struct Extractor {
   const Unit& unit;
   UnitFunctions out;
-  std::set<std::string> virtuals;
-  std::size_t i = 0;
 
   [[nodiscard]] const std::vector<Token>& toks() const { return unit.tokens; }
   [[nodiscard]] const std::string& tok(std::size_t k) const { return unit.tokens[k].text; }
 
-  // ---- head parsing ---------------------------------------------------------
-
-  /// The function-name index in a statement head [begin, end): the first
-  /// identifier directly followed by '(' outside parens and template angles,
-  /// with at least one preceding token.  Destructors (`~Name(`) are
-  /// recognized; npos when the head is not a function.
-  [[nodiscard]] std::size_t head_function(std::size_t begin, std::size_t end,
-                                          bool& is_dtor) const {
-    std::size_t b = begin;
-    while (b < end && tok(b) == "template") b = skip_angles(toks(), b + 1);
-    int paren = 0;
-    int angle = 0;
-    for (std::size_t k = b; k < end; ++k) {
-      const std::string& t = tok(k);
-      if (t == "(") ++paren;
-      if (t == ")" && paren > 0) --paren;
-      if (paren > 0) continue;
-      if (t == "<" && k > b && (toks()[k - 1].kind == TokenKind::kIdent || tok(k - 1) == ">")) {
-        ++angle;
-        continue;
-      }
-      if (t == ">" && angle > 0) {
-        --angle;
-        continue;
-      }
-      if (angle > 0) continue;
-      if (toks()[k].kind == TokenKind::kIdent && k + 1 < end && tok(k + 1) == "(" &&
-          k > begin && !control_keyword(t)) {
-        is_dtor = tok(k - 1) == "~";
-        return k;
-      }
-    }
-    return std::string::npos;
-  }
-
-  /// Records virtual method names declared (with or without a body) in a
-  /// statement head.
-  void note_virtuals(std::size_t begin, std::size_t end) {
-    bool saw_virtual = false;
-    for (std::size_t k = begin; k < end; ++k) {
-      if (tok(k) == "virtual") saw_virtual = true;
-    }
-    if (!saw_virtual) return;
-    bool is_dtor = false;
-    const std::size_t fn = head_function(begin, end, is_dtor);
-    if (fn != std::string::npos && !is_dtor) virtuals.insert(tok(fn));
-  }
+  // ---- heads and bodies -----------------------------------------------------
 
   /// Parses the parameter list group starting at `open` ('('): ordered names
   /// plus a name -> declared-type map.
@@ -256,8 +126,6 @@ struct Scanner {
       seg_begin = k + 1;
     }
   }
-
-  // ---- body scanning --------------------------------------------------------
 
   /// Declaration-position identifiers in [b, e): name -> declared type.
   void collect_locals(std::size_t b, std::size_t e,
@@ -326,7 +194,7 @@ struct Scanner {
       const std::string& name = t.text;
 
       // Guard-object lock acquisition: lock_guard<..> name(mutex, ...).
-      if (lock_type(name)) {
+      if (lock_guard_type(name)) {
         std::size_t k = j + 1;
         if (k < e && tok(k) == "<") k = skip_angles(toks(), k);
         if (k < e && toks()[k].kind == TokenKind::kIdent) ++k;  // the guard variable
@@ -375,21 +243,15 @@ struct Scanner {
         continue;
       }
       // ThreadPool task spawn: pool.parallel_for/parallel_map(count, [..](..){..}).
-      if ((name == "parallel_for" || name == "parallel_map") && prev == ".") {
-        std::size_t call = j + 1;
-        if (call < e && tok(call) == "<") call = skip_angles(toks(), call);
-        if (call >= e || tok(call) != "(") continue;
-        const std::size_t call_end = skip_group(toks(), call);
-        std::size_t lam = call + 1;
-        while (lam < call_end && tok(lam) != "[") ++lam;
-        ParLambda lambda;
-        if (lam >= call_end || !parse_lambda(toks(), lam, lambda)) continue;
+      if (task_spawn_at(toks(), j)) {
+        Lambda lambda;
+        if (!parse_task_lambda(toks(), j, e, lambda)) continue;
 
         TaskSpawn spawn;
         FunctionNode& task = spawn.node;
         task.file = node.file;
         task.module = node.module;
-        task.line = toks()[lam].line;
+        task.line = toks()[lambda.open].line;
         task.name = "task@" + std::to_string(task.line);
         task.class_name = node.class_name;
         task.qualified = node.qualified + "/" + task.name;
@@ -404,7 +266,7 @@ struct Scanner {
 
       // Generic call site: ident '(' not preceded by a declaring type name.
       if (j + 1 >= e || tok(j + 1) != "(") continue;
-      if (control_keyword(name) || name == "operator") continue;
+      if (control_keyword(name)) continue;
       const Token* prev_tok = j > 0 ? &toks()[j - 1] : nullptr;
       if (prev_tok != nullptr && prev_tok->kind == TokenKind::kIdent &&
           !control_keyword(prev_tok->text) && !qualifier_keyword(prev_tok->text)) {
@@ -458,8 +320,6 @@ struct Scanner {
     return args;
   }
 
-  // ---- scope walking --------------------------------------------------------
-
   void push_with_tasks(FunctionNode node, std::vector<TaskSpawn> tasks) {
     const std::size_t idx = out.nodes.size();
     out.nodes.push_back(std::move(node));
@@ -469,138 +329,35 @@ struct Scanner {
     }
   }
 
-  void add_function(std::size_t name_idx, bool is_dtor, std::size_t head_begin,
-                    std::size_t head_end, const std::string& scope_class) {
+  void add_function(const FunctionDef& def) {
     FunctionNode node;
     node.file = unit.path;
     node.module = unit.module;
-    node.line = toks()[name_idx].line;
-    node.name = tok(name_idx);
-    node.class_name = scope_class;
-    if (name_idx >= 2 && tok(name_idx - 1 - (is_dtor ? 1 : 0)) == "::") {
-      // Out-of-line member definition: `ret Class::name(...)`.
-      const std::size_t cls = name_idx - 2 - (is_dtor ? 1 : 0);
-      if (toks()[cls].kind == TokenKind::kIdent) node.class_name = tok(cls);
-    }
-    if (is_dtor) {
-      if (node.class_name.empty()) node.class_name = node.name;
-      node.name = "~" + node.name;
-    }
+    node.line = toks()[def.name].line;
+    node.name = def.is_dtor ? "~" + tok(def.name) : tok(def.name);
+    node.class_name = def.class_name;
     node.qualified =
         node.class_name.empty() ? node.name : node.class_name + "::" + node.name;
 
-    const std::size_t params_open = name_idx + 1;  // the '('
+    const std::size_t params_open = def.name + 1;  // the '('
     const std::size_t params_end = skip_group(toks(), params_open);  // past ')'
     std::map<std::string, std::string> param_types;
     parse_params(params_open, params_end, node.params, param_types);
     node.arity = node.params.size();
 
-    for (std::size_t k = head_begin; k < head_end; ++k) {
-      if (tok(k) == "virtual" && !is_dtor) virtuals.insert(node.name);
-    }
-
-    // The body: i currently sits at its '{'.
-    const std::size_t body_begin = i + 1;
-    const std::size_t body_end = skip_group(toks(), i) - 1;  // the closing '}'
-    std::map<std::string, std::string> locals = param_types;
     std::vector<TaskSpawn> tasks;
-    scan_body(node, body_begin, body_end, locals, tasks);
+    scan_body(node, def.body_begin, def.body_end, param_types, tasks);
     push_with_tasks(std::move(node), std::move(tasks));
-    i = body_end + 1;
-  }
-
-  /// Parses one brace scope (namespace, class, or the whole file).
-  void parse_scope(const std::string& class_name, bool in_class) {
-    std::size_t stmt_begin = i;
-    int paren = 0;
-    while (i < toks().size()) {
-      const std::string& t = tok(i);
-      if (t == "(") ++paren;
-      if (t == ")" && paren > 0) --paren;
-      if (paren > 0) {
-        ++i;
-        continue;
-      }
-      // Access specifiers open no statement.
-      if (in_class && stmt_begin == i &&
-          (t == "public" || t == "private" || t == "protected") && i + 1 < toks().size() &&
-          tok(i + 1) == ":") {
-        i += 2;
-        stmt_begin = i;
-        continue;
-      }
-      if (t == ";") {
-        note_virtuals(stmt_begin, i);
-        ++i;
-        stmt_begin = i;
-        continue;
-      }
-      if (t == "}") {
-        ++i;
-        return;
-      }
-      if (t != "{") {
-        ++i;
-        continue;
-      }
-      const std::size_t head_begin = stmt_begin;
-      const std::size_t head_end = i;
-      auto head_has = [&](const char* kw) {
-        for (std::size_t k = head_begin; k < head_end; ++k) {
-          if (tok(k) == kw) return true;
-        }
-        return false;
-      };
-      if (head_has("namespace")) {
-        ++i;
-        parse_scope("", false);
-        stmt_begin = i;
-        continue;
-      }
-      if (head_has("enum")) {
-        i = skip_group(toks(), i);
-        stmt_begin = i;
-        continue;
-      }
-      if (head_has("class") || head_has("struct") || head_has("union")) {
-        std::size_t n = head_begin;
-        while (n < head_end && !(tok(n) == "class" || tok(n) == "struct" || tok(n) == "union")) {
-          ++n;
-        }
-        ++n;
-        std::string name;
-        if (n < head_end && toks()[n].kind == TokenKind::kIdent) name = tok(n);
-        ++i;
-        parse_scope(name, true);
-        stmt_begin = i;
-        continue;
-      }
-      bool is_dtor = false;
-      const std::size_t fn = head_function(head_begin, head_end, is_dtor);
-      if (fn != std::string::npos) {
-        note_virtuals(head_begin, head_end);
-        add_function(fn, is_dtor, head_begin, head_end, class_name);
-        stmt_begin = i;
-        continue;
-      }
-      // Brace initializer / array literal / ...: skip and let ';' finish it.
-      i = skip_group(toks(), i);
-      stmt_begin = i;
-    }
-  }
-
-  [[nodiscard]] UnitFunctions run() {
-    parse_scope("", false);
-    out.virtual_names.assign(virtuals.begin(), virtuals.end());
-    return std::move(out);
   }
 };
 
 }  // namespace
 
 UnitFunctions extract_functions(const Unit& unit) {
-  Scanner scanner{unit, {}, {}, 0};
-  return scanner.run();
+  Extractor extractor{unit, {}};
+  for (const FunctionDef& def : unit.functions) extractor.add_function(def);
+  extractor.out.virtual_names = unit.virtual_names;
+  return std::move(extractor.out);
 }
 
 namespace {

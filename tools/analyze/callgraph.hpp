@@ -1,11 +1,13 @@
 // upn_analyze: the whole-program call graph (the lock-order, task-blocking
 // and dead-function passes ride on it).
 //
-// Function extraction is per-unit and pure, so the engine fans it out on the
-// util/par ThreadPool exactly like unit construction; linking is one ordered
-// merge over the per-unit results, so node ids -- and therefore the dump,
-// the edge list, and every interprocedural finding -- are byte-identical at
-// every --jobs value.
+// Function extraction scans the bodies of the function definitions the IR's
+// scope walker recorded (Unit::functions; it walks no scopes itself).  It is
+// per-unit and pure, so the engine fans it out on the util/par ThreadPool
+// exactly like unit construction; linking is one ordered merge over the
+// per-unit results, so node ids -- and therefore the dump, the edge list,
+// and every interprocedural finding -- are byte-identical at every --jobs
+// value.
 //
 // The graph is deliberately conservative where C++ makes precision
 // expensive (docs/STATIC_ANALYSIS.md spells out the exact contract):
@@ -15,7 +17,7 @@
 //     survive, ALL of them get edges rather than guessing one;
 //   * method calls resolve through declared local/parameter types
 //     (`Type obj; obj.run()` -> Type::run) and explicit `Type::run(...)`
-//     qualification; receivers the scanner cannot type (members, call
+//     qualification; receivers extraction cannot type (members, call
 //     chains) resolve only when exactly one class defines the method;
 //   * virtual methods, calls through locals/parameters (function pointers,
 //     functors), and ambiguous untyped receivers become OPEN edges:
@@ -93,7 +95,7 @@ struct FunctionNode {
 
 /// Per-unit extraction result: the function nodes in source order (each task
 /// pseudo-node directly after its parent) plus every method name the unit
-/// declares `virtual` (the open-edge oracle).
+/// declares `virtual` (Unit::virtual_names, the open-edge oracle).
 struct UnitFunctions {
   std::vector<FunctionNode> nodes;
   std::vector<std::string> virtual_names;  ///< sorted, unique

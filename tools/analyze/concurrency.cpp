@@ -28,15 +28,6 @@
 namespace upn::analyze {
 namespace {
 
-/// Keywords that can precede an identifier without declaring it.
-bool control_keyword(const std::string& t) {
-  static const std::set<std::string> kw = {
-      "return", "else", "new", "delete", "case", "break", "continue", "goto",
-      "throw", "sizeof", "do", "operator", "co_return", "if", "while", "for",
-      "switch", "public", "private", "protected", "typename", "template"};
-  return kw.count(t) != 0;
-}
-
 /// Container/string mutators: a call `name.m(...)` with `m` in this set is a
 /// write to `name`.  Atomic RMW names (fetch_add, store, ...) are absent on
 /// purpose: those operations are safe under concurrency.
@@ -48,85 +39,6 @@ bool mutating_method(const std::string& m) {
   return methods.count(m) != 0;
 }
 
-struct ParLambda {
-  bool ref_default = false;           ///< [&] or [&, ...]
-  std::set<std::string> ref_names;    ///< [&x, ...]
-  std::set<std::string> value_names;  ///< [x, ...] / [x = expr, ...]
-  std::set<std::string> params;       ///< task parameters (the index among them)
-  std::size_t body_begin = 0;         ///< first token inside the body braces
-  std::size_t body_end = 0;           ///< the closing '}' token
-};
-
-/// Token index just past a balanced group opened at `open` ('(' / '[' / '{');
-/// toks.size() when unbalanced.
-std::size_t skip_group(const std::vector<Token>& toks, std::size_t open) {
-  const std::string& o = toks[open].text;
-  const std::string c = o == "(" ? ")" : o == "[" ? "]" : "}";
-  int depth = 0;
-  for (std::size_t k = open; k < toks.size(); ++k) {
-    if (toks[k].text == o) ++depth;
-    if (toks[k].text == c && --depth == 0) return k + 1;
-  }
-  return toks.size();
-}
-
-/// Parses the lambda whose '[' sits at `open`; false when no body follows.
-bool parse_lambda(const std::vector<Token>& toks, std::size_t open, ParLambda& out) {
-  const std::size_t captures_end = skip_group(toks, open);  // past ']'
-  if (captures_end >= toks.size()) return false;
-
-  for (std::size_t k = open + 1; k + 1 < captures_end; ++k) {
-    const Token& t = toks[k];
-    if (t.text == "&") {
-      if (toks[k + 1].kind == TokenKind::kIdent) {
-        out.ref_names.insert(toks[k + 1].text);
-        ++k;
-      } else {
-        out.ref_default = true;
-      }
-    } else if (t.kind == TokenKind::kIdent) {
-      out.value_names.insert(t.text);
-      // `name = expr` init-captures: skip the initializer.
-      if (toks[k + 1].text == "=") {
-        while (k + 1 < captures_end && toks[k + 1].text != ",") ++k;
-      }
-    }
-  }
-
-  std::size_t k = captures_end;
-  if (k < toks.size() && toks[k].text == "(") {
-    const std::size_t params_end = skip_group(toks, k);  // past ')'
-    std::string last_ident;
-    int depth = 0;
-    for (std::size_t p = k; p < params_end; ++p) {
-      const std::string& t = toks[p].text;
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      if (t == ")" || t == "]" || t == "}") --depth;
-      if (toks[p].kind == TokenKind::kIdent) last_ident = t;
-      if (depth == 1 && t == ",") {
-        if (!last_ident.empty()) out.params.insert(last_ident);
-        last_ident.clear();
-      }
-      if (t == "=") {  // default argument: the name came just before
-        if (!last_ident.empty()) out.params.insert(last_ident);
-        while (p + 1 < params_end && toks[p + 1].text != "," && toks[p + 1].text != ")") ++p;
-        last_ident.clear();
-      }
-    }
-    if (!last_ident.empty()) out.params.insert(last_ident);
-    k = params_end;
-  }
-  // Trailing specifiers / return type before the body.
-  while (k < toks.size() && toks[k].text != "{" && toks[k].text != ";" &&
-         toks[k].text != ")") {
-    ++k;
-  }
-  if (k >= toks.size() || toks[k].text != "{") return false;
-  out.body_begin = k + 1;
-  out.body_end = skip_group(toks, k) - 1;  // index of the closing '}'
-  return out.body_end < toks.size();
-}
-
 }  // namespace
 
 std::vector<Finding> run_concurrency_pass(const Unit& unit) {
@@ -134,11 +46,9 @@ std::vector<Finding> run_concurrency_pass(const Unit& unit) {
   std::vector<Finding> out;
 
   auto emit = [&](std::size_t line_no, const char* rule, std::string message) {
-    if (line_no >= 1 && line_no <= unit.raw.size() &&
-        suppressed(unit.raw[line_no - 1], rule)) {
-      return;
+    if (!suppressed(unit, line_no, rule)) {
+      out.push_back(Finding{unit.path, line_no, rule, std::move(message)});
     }
-    out.push_back(Finding{unit.path, line_no, rule, std::move(message)});
   };
 
   // A name declared anywhere in the unit on a line mentioning `atomic` is
@@ -163,35 +73,10 @@ std::vector<Finding> run_concurrency_pass(const Unit& unit) {
   }
 
   for (std::size_t k = 0; k + 1 < toks.size(); ++k) {
-    if (toks[k].kind != TokenKind::kIdent) continue;
-    const std::string& name = toks[k].text;
-    if (name != "parallel_for" && name != "parallel_map") continue;
-    // Call sites only: `pool.parallel_for(...)`; declarations/definitions in
-    // src/util/par.hpp are preceded by a type, not '.'.
-    if (k == 0 || toks[k - 1].text != ".") continue;
-
-    // Skip explicit template arguments, then require the call parens.
-    std::size_t call = k + 1;
-    if (call < toks.size() && toks[call].text == "<") {
-      int depth = 0;
-      while (call < toks.size()) {
-        if (toks[call].text == "<") ++depth;
-        if (toks[call].text == ">" && --depth == 0) {
-          ++call;
-          break;
-        }
-        ++call;
-      }
-    }
-    if (call >= toks.size() || toks[call].text != "(") continue;
-    const std::size_t call_end = skip_group(toks, call);
-
+    if (!task_spawn_at(toks, k)) continue;
     // The task lambda, when written inline.
-    std::size_t lam = call + 1;
-    while (lam < call_end && toks[lam].text != "[") ++lam;
-    if (lam >= call_end) continue;
-    ParLambda lambda;
-    if (!parse_lambda(toks, lam, lambda)) continue;
+    Lambda lambda;
+    if (!parse_task_lambda(toks, k, toks.size(), lambda)) continue;
 
     const std::size_t b = lambda.body_begin;
     const std::size_t e = lambda.body_end;
@@ -200,7 +85,7 @@ std::vector<Finding> run_concurrency_pass(const Unit& unit) {
     bool locked = false;
     for (std::size_t j = b; j < e; ++j) {
       const std::string& t = toks[j].text;
-      if (t == "lock_guard" || t == "unique_lock" || t == "scoped_lock" || t == "mutex") {
+      if (lock_guard_type(t) || t == "mutex") {
         locked = true;
         break;
       }

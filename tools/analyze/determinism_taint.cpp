@@ -262,7 +262,6 @@ bool is_address_source(const std::string& line) {
 
 std::vector<Finding> run_determinism_taint_pass(const Unit& unit) {
   const std::vector<std::string>& code = unit.code;
-  const std::vector<std::string>& raw = unit.raw;
   std::vector<Finding> out;
 
   const bool timing_exempt = unit.path.find("src/obs/") != std::string::npos ||
@@ -420,7 +419,7 @@ std::vector<Finding> run_determinism_taint_pass(const Unit& unit) {
 
       const std::size_t line_no = i + 1;
       auto emit = [&](const std::string& rule, const std::string& message) {
-        if (line_no <= raw.size() && suppressed(raw[line_no - 1], rule)) return;
+        if (suppressed(unit, line_no, rule)) return;
         if (!reported.insert(std::to_string(line_no) + ":" + rule + ":" + message).second) {
           return;
         }

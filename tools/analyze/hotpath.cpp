@@ -35,24 +35,6 @@ bool allocator_name(const std::string& t) {
          t == "realloc";
 }
 
-/// Paren groups opened right after these keywords are control headers, not
-/// parameter lists.
-bool control_header(const std::string& t) {
-  return t == "for" || t == "while" || t == "if" || t == "switch" || t == "catch" ||
-         t == "return" || t == "sizeof";
-}
-
-/// Token index just past the balanced group opened at `open`.
-std::size_t skip_group(const std::vector<Token>& toks, std::size_t open,
-                       const char* o, const char* c) {
-  int depth = 0;
-  for (std::size_t k = open; k < toks.size(); ++k) {
-    if (toks[k].text == o) ++depth;
-    if (toks[k].text == c && --depth == 0) return k + 1;
-  }
-  return toks.size();
-}
-
 /// loop_depth[k] = number of for/while/do bodies enclosing token k.
 std::vector<int> compute_loop_depth(const std::vector<Token>& toks) {
   std::vector<int> delta(toks.size() + 1, 0);
@@ -64,7 +46,7 @@ std::vector<int> compute_loop_depth(const std::vector<Token>& toks) {
       if (k > 0 && toks[k - 1].text == ".") continue;  // .for_each-ish member
       std::size_t open = k + 1;
       if (open >= toks.size() || toks[open].text != "(") continue;
-      body = skip_group(toks, open, "(", ")");
+      body = skip_group(toks, open);
     } else if (t == "do") {
       body = k + 1;
     } else {
@@ -73,7 +55,7 @@ std::vector<int> compute_loop_depth(const std::vector<Token>& toks) {
     if (body >= toks.size()) continue;
     std::size_t end;
     if (toks[body].text == "{") {
-      end = skip_group(toks, body, "{", "}");
+      end = skip_group(toks, body);
     } else {
       end = body;  // braceless body: to the next ';' at depth 0
       int d = 0;
@@ -116,10 +98,7 @@ void audit_unit(const Unit& unit, const std::string& module, std::vector<Finding
 
   auto emit = [&](std::size_t line_no, const char* rule, const std::string& detail,
                   std::string message) {
-    if (line_no >= 1 && line_no <= unit.raw.size() &&
-        suppressed(unit.raw[line_no - 1], rule)) {
-      return;
-    }
+    if (suppressed(unit, line_no, rule)) return;
     if (!reported.insert({line_no, std::string{rule} + ":" + detail}).second) return;
     out.push_back(Finding{unit.path, line_no, rule, std::move(message)});
   };
@@ -131,8 +110,8 @@ void audit_unit(const Unit& unit, const std::string& module, std::vector<Finding
       // depth-1 declarations of the form `std::container<...> name`.
       if (tok.text == "(" &&
           !(k > 0 && toks[k - 1].kind == TokenKind::kIdent &&
-            control_header(toks[k - 1].text))) {
-        const std::size_t close = skip_group(toks, k, "(", ")") - 1;
+            control_keyword(toks[k - 1].text))) {
+        const std::size_t close = skip_group(toks, k) - 1;
         int depth = 0;
         for (std::size_t p = k; p < close && p < toks.size(); ++p) {
           if (toks[p].text == "(") ++depth;
@@ -143,7 +122,7 @@ void audit_unit(const Unit& unit, const std::string& module, std::vector<Finding
           if (!copy_heavy_param_type(toks[p + 2].text)) continue;
           std::size_t after = p + 3;
           if (after < close && toks[after].text == "<") {
-            after = skip_group(toks, after, "<", ">");
+            after = skip_angles(toks, after);
           }
           if (after >= close || toks[after].kind != TokenKind::kIdent) continue;
           const std::string& name = toks[after].text;

@@ -73,10 +73,7 @@ std::vector<Finding> run_include_hygiene_pass(const std::vector<Unit>& units) {
     for (const IncludeEdge& inc : unit.includes) {
       if (!inc.quoted || by_path.count(inc.target) == 0) continue;
       if (stem_of(inc.target) == own_stem) continue;  // own header
-      if (inc.line >= 1 && inc.line <= unit.raw.size() &&
-          suppressed(unit.raw[inc.line - 1], "unused-include")) {
-        continue;
-      }
+      if (suppressed(unit, inc.line, "unused-include")) continue;
       const std::set<std::string>& exported = names_of(names_of, inc.target);
       if (exported.empty()) continue;
       bool any_used = false;

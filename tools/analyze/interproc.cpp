@@ -33,20 +33,12 @@
 namespace upn::analyze {
 namespace {
 
-/// Path -> unit, for suppression lookups at finding lines.
+/// Path -> unit, for suppression lookups at finding lines (every graph node's
+/// file is one of the units).
 std::map<std::string, const Unit*> unit_index(const std::vector<Unit>& units) {
   std::map<std::string, const Unit*> index;
   for (const Unit& unit : units) index.emplace(unit.path, &unit);
   return index;
-}
-
-bool line_suppressed(const std::map<std::string, const Unit*>& units,
-                     const std::string& file, std::size_t line, const std::string& rule) {
-  const auto it = units.find(file);
-  if (it == units.end()) return false;
-  const std::vector<std::string>& raw = it->second->raw;
-  if (line == 0 || line > raw.size()) return false;
-  return suppressed(raw[line - 1], rule);
 }
 
 /// Node ids reachable from `start` over resolved edges (including `start`).
@@ -193,7 +185,7 @@ std::vector<Finding> run_lock_order_pass(const CallGraph& graph,
       if (site.first.empty() || it->second < site) site = it->second;
     }
     if (!site.first.empty() &&
-        !line_suppressed(index, site.first, site.second, "lock-order-cycle")) {
+        !suppressed(*index.at(site.first), site.second, "lock-order-cycle")) {
       out.push_back(Finding{site.first, site.second, "lock-order-cycle",
                             "locks are acquired in inconsistent order: '" + cycle +
                                 "'; pick one global order or merge the critical sections"});
@@ -214,7 +206,7 @@ std::vector<Finding> run_lock_order_pass(const CallGraph& graph,
         const std::string rule =
             op.kind == BlockKind::kIo ? "task-blocking-io" : "task-blocking-call";
         if (!reported.insert({rule, op.what}).second) continue;
-        if (line_suppressed(index, task.file, task.line, rule)) continue;
+        if (suppressed(*index.at(task.file), task.line, rule)) continue;
         const char* verb = op.kind == BlockKind::kLock   ? "acquires lock"
                            : op.kind == BlockKind::kWait ? "waits on"
                                                          : "performs IO via";
@@ -238,7 +230,8 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
 
   // Candidates: free and member functions defined under src/.  Constructors
   // and destructors run without their name being written, so they are
-  // exempt (operators never become nodes: the scanner skips `operator`);
+  // exempt (operators never become nodes: `operator` is a control keyword
+  // to the scope walker);
   // main plus task bodies are roots by construction.
   std::map<std::string, std::vector<std::size_t>> candidates;
   for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
@@ -293,7 +286,7 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
     std::set<std::string> reported_files;
     for (const auto& [file, line, qualified] : sites) {
       if (!reported_files.insert(file).second) continue;
-      if (line_suppressed(index, file, line, "dead-function")) continue;
+      if (suppressed(*index.at(file), line, "dead-function")) continue;
       out.push_back(Finding{file, line, "dead-function",
                             "function '" + qualified +
                                 "' is never referenced outside its own declarations "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <set>
 #include <tuple>
 #include <utility>
 
@@ -95,7 +96,9 @@ bool contains_word(const std::string& code, const std::string& word) {
   return false;
 }
 
-bool suppressed(const std::string& raw_line, const std::string& rule) {
+bool suppressed(const Unit& unit, std::size_t line, const std::string& rule) {
+  if (line == 0 || line > unit.raw.size()) return false;
+  const std::string& raw_line = unit.raw[line - 1];
   // upn-analyze-waive(<rule>: <reason>) -- the reason is mandatory, so a
   // waiver always records WHY the rule does not apply at this site.
   const std::string marker = "upn-analyze-waive(" + rule + ":";
@@ -104,6 +107,113 @@ bool suppressed(const std::string& raw_line, const std::string& rule) {
   std::size_t p = at + marker.size();
   while (p < raw_line.size() && raw_line[p] == ' ') ++p;
   return p < raw_line.size() && raw_line[p] != ')';
+}
+
+bool control_keyword(const std::string& t) {
+  static const std::set<std::string> kw = {
+      "return", "else", "new", "delete", "case", "break", "continue", "goto",
+      "throw", "sizeof", "do", "operator", "co_return", "if", "while", "for",
+      "switch", "public", "private", "protected", "typename", "template",
+      "catch", "static_assert", "decltype", "alignof", "alignas", "noexcept",
+      "static_cast", "const_cast", "reinterpret_cast", "dynamic_cast"};
+  return kw.count(t) != 0;
+}
+
+bool lock_guard_type(const std::string& t) {
+  return t == "lock_guard" || t == "unique_lock" || t == "scoped_lock";
+}
+
+std::size_t skip_group(const std::vector<Token>& toks, std::size_t open) {
+  const std::string& o = toks[open].text;
+  const std::string c = o == "(" ? ")" : o == "[" ? "]" : "}";
+  int depth = 0;
+  for (std::size_t k = open; k < toks.size(); ++k) {
+    if (toks[k].text == o) ++depth;
+    if (toks[k].text == c && --depth == 0) return k + 1;
+  }
+  return toks.size();
+}
+
+std::size_t skip_angles(const std::vector<Token>& toks, std::size_t open) {
+  int depth = 0;
+  for (std::size_t k = open; k < toks.size(); ++k) {
+    if (toks[k].text == "<") ++depth;
+    if (toks[k].text == ">" && --depth == 0) return k + 1;
+  }
+  return toks.size();
+}
+
+bool parse_lambda(const std::vector<Token>& toks, std::size_t open, Lambda& out) {
+  out.open = open;
+  const std::size_t captures_end = skip_group(toks, open);  // past ']'
+  if (captures_end >= toks.size()) return false;
+
+  for (std::size_t k = open + 1; k + 1 < captures_end; ++k) {
+    const Token& t = toks[k];
+    if (t.text == "&") {
+      if (toks[k + 1].kind == TokenKind::kIdent) {
+        out.ref_names.insert(toks[k + 1].text);
+        ++k;
+      } else {
+        out.ref_default = true;
+      }
+    } else if (t.kind == TokenKind::kIdent) {
+      out.value_names.insert(t.text);
+      // `name = expr` init-captures: skip the initializer.
+      if (toks[k + 1].text == "=") {
+        while (k + 1 < captures_end && toks[k + 1].text != ",") ++k;
+      }
+    }
+  }
+
+  std::size_t k = captures_end;
+  if (toks[k].text == "(") {
+    // Each top-level parameter's name is its last identifier before the ','
+    // or a default argument's '='.
+    const std::size_t params_end = skip_group(toks, k);  // past ')'
+    std::string last_ident;
+    int depth = 0;
+    for (std::size_t p = k; p < params_end; ++p) {
+      const std::string& t = toks[p].text;
+      if (t == "(" || t == "[" || t == "{") ++depth;
+      if (t == ")" || t == "]" || t == "}") --depth;
+      if (toks[p].kind == TokenKind::kIdent) last_ident = t;
+      if (depth == 1 && (t == "," || t == "=")) {
+        if (!last_ident.empty()) out.params.insert(last_ident);
+        last_ident.clear();
+        if (t == "=") {
+          while (p + 1 < params_end && toks[p + 1].text != "," && toks[p + 1].text != ")") ++p;
+        }
+      }
+    }
+    if (!last_ident.empty()) out.params.insert(last_ident);
+    k = params_end;
+  }
+  // Trailing specifiers / return type before the body.
+  while (k < toks.size() && toks[k].text != "{" && toks[k].text != ";" &&
+         toks[k].text != ")") {
+    ++k;
+  }
+  if (k >= toks.size() || toks[k].text != "{") return false;
+  out.body_begin = k + 1;
+  out.body_end = skip_group(toks, k) - 1;  // index of the closing '}'
+  return out.body_end < toks.size();
+}
+
+bool task_spawn_at(const std::vector<Token>& toks, std::size_t k) {
+  return (toks[k].text == "parallel_for" || toks[k].text == "parallel_map") && k > 0 &&
+         toks[k - 1].text == ".";
+}
+
+bool parse_task_lambda(const std::vector<Token>& toks, std::size_t k, std::size_t end,
+                       Lambda& out) {
+  std::size_t call = k + 1;
+  if (call < end && toks[call].text == "<") call = skip_angles(toks, call);
+  if (call >= end || toks[call].text != "(") return false;
+  const std::size_t call_end = skip_group(toks, call);
+  std::size_t lam = call + 1;
+  while (lam < call_end && toks[lam].text != "[") ++lam;
+  return lam < call_end && parse_lambda(toks, lam, out);
 }
 
 std::string module_of(const std::string& path) {
@@ -197,51 +307,49 @@ std::vector<IncludeEdge> scan_includes(const std::vector<std::string>& raw) {
   return out;
 }
 
-// ---- declaration extraction -----------------------------------------------
+// ---- the scope walker ------------------------------------------------------
 //
-// A heuristic single-pass recursive parser over the token stream.  It is NOT
-// a C++ parser; it recognizes the declaration shapes this codebase actually
+// A heuristic single-pass recursive walk over the token stream.  It is NOT a
+// C++ parser; it recognizes the declaration shapes this codebase actually
 // uses (see docs/STATIC_ANALYSIS.md for the exact contract) and degrades by
-// dropping a declaration rather than crashing on anything exotic.
+// dropping a declaration rather than crashing on anything exotic.  Each
+// namespace and class scope is walked once: statement heads feed the
+// declaration index and the `virtual` names, function heads followed by a
+// body become FunctionDefs, and bodies are skipped.
 
-bool is_control_keyword(const std::string& t) {
-  return t == "if" || t == "for" || t == "while" || t == "switch" || t == "return" ||
-         t == "sizeof" || t == "case" || t == "new" || t == "delete" || t == "catch" ||
-         t == "throw" || t == "else" || t == "do" || t == "alignas" || t == "alignof" ||
-         t == "static_assert" || t == "decltype" || t == "noexcept";
-}
-
-struct DeclParser {
+struct ScopeWalker {
   const std::vector<Token>& toks;
-  std::vector<Declaration> out;
+  std::vector<Declaration> decls;
+  std::vector<FunctionDef> functions;
+  std::set<std::string> virtuals;
   std::size_t i = 0;
 
-  [[nodiscard]] bool done() const { return i >= toks.size(); }
   [[nodiscard]] const std::string& tok(std::size_t k) const { return toks[k].text; }
 
-  /// Consumes a balanced {...} group (toks[i] must be '{').
-  void skip_braces() {
-    int depth = 0;
-    while (i < toks.size()) {
-      const std::string& t = toks[i++].text;
-      if (t == "{") ++depth;
-      if (t == "}" && --depth == 0) return;
+  [[nodiscard]] bool has_token(std::size_t begin, std::size_t end, const char* text) const {
+    for (std::size_t k = begin; k < end; ++k) {
+      if (tok(k) == text) return true;
     }
+    return false;
   }
 
-  /// Index of the function name in stmt head [begin, end): the first
-  /// identifier directly followed by '(' outside template angles, with at
-  /// least one preceding token (the return type).  npos when none.
-  [[nodiscard]] std::size_t function_name_index(std::size_t begin, std::size_t end) const {
-    int angle = 0;
+  /// Index of the function name in statement head [begin, end): past any
+  /// `template <...>` prefix, the first identifier directly followed by '('
+  /// outside parens and template angles, with at least one token before it
+  /// in the head (the return type, or the `~` of a destructor, which sets
+  /// `is_dtor`).  npos when the head declares no function.
+  [[nodiscard]] std::size_t function_name_index(std::size_t begin, std::size_t end,
+                                                bool& is_dtor) const {
+    std::size_t b = begin;
+    while (b < end && tok(b) == "template") b = skip_angles(toks, b + 1);
     int paren = 0;
-    for (std::size_t k = begin; k < end; ++k) {
+    int angle = 0;
+    for (std::size_t k = b; k < end; ++k) {
       const std::string& t = tok(k);
       if (t == "(") ++paren;
       if (t == ")" && paren > 0) --paren;
       if (paren > 0) continue;
-      if (t == "<" && k > begin &&
-          (toks[k - 1].kind == TokenKind::kIdent || tok(k - 1) == ">")) {
+      if (t == "<" && k > b && (toks[k - 1].kind == TokenKind::kIdent || tok(k - 1) == ">")) {
         ++angle;
         continue;
       }
@@ -250,17 +358,24 @@ struct DeclParser {
         continue;
       }
       if (angle > 0) continue;
-      if (toks[k].kind == TokenKind::kIdent && k + 1 < end && tok(k + 1) == "(" &&
-          k > begin && !is_control_keyword(t)) {
-        if (tok(k - 1) == "~") return std::string::npos;  // destructor
+      if (toks[k].kind == TokenKind::kIdent && k + 1 < end && tok(k + 1) == "(" && k > begin &&
+          !control_keyword(t)) {
+        is_dtor = tok(k - 1) == "~";
         return k;
       }
     }
     return std::string::npos;
   }
 
-  void record(std::string name, std::size_t line, DeclKind kind, bool has_body = false) {
-    out.push_back(Declaration{std::move(name), line, kind, has_body});
+  void record(std::size_t k, DeclKind kind, bool has_body = false) {
+    decls.push_back(Declaration{tok(k), toks[k].line, kind, has_body});
+  }
+
+  /// A head with `virtual` in it names a virtual method (destructors aside).
+  void note_virtual(std::size_t begin, std::size_t end, std::size_t fn, bool is_dtor) {
+    if (fn != std::string::npos && !is_dtor && has_token(begin, end, "virtual")) {
+      virtuals.insert(tok(fn));
+    }
   }
 
   /// Classifies a body-less statement head [begin, end) seen at class or
@@ -270,43 +385,37 @@ struct DeclParser {
     const std::string& first = tok(begin);
     if (first == "friend" || first == "static_assert" || first == "typedef") return;
     std::size_t b = begin;
-    while (b < end && tok(b) == "template") {  // skip `template <...>` prefix
-      int angle = 0;
-      ++b;
-      while (b < end) {
-        if (tok(b) == "<") ++angle;
-        if (tok(b) == ">" && --angle == 0) {
-          ++b;
-          break;
-        }
-        ++b;
-      }
-    }
+    while (b < end && tok(b) == "template") b = skip_angles(toks, b + 1);
     if (b >= end) return;
     if (tok(b) == "using") {
       if (b + 1 < end && tok(b + 1) == "namespace") return;
-      if (b + 1 < end && toks[b + 1].kind == TokenKind::kIdent) {
-        record(tok(b + 1), toks[b + 1].line, DeclKind::kType);
-      }
+      if (b + 1 < end && toks[b + 1].kind == TokenKind::kIdent) record(b + 1, DeclKind::kType);
       return;
     }
     if (tok(b) == "class" || tok(b) == "struct" || tok(b) == "union" || tok(b) == "enum") {
       // Forward declaration (a definition would have ended at '{').
       std::size_t n = b + 1;
       while (n < end && (tok(n) == "class" || toks[n].kind != TokenKind::kIdent)) ++n;
-      if (n < end) record(tok(n), toks[n].line, DeclKind::kType);
+      if (n < end) record(n, DeclKind::kType);
       return;
     }
-    const std::size_t fn = function_name_index(b, end);
-    if (fn != std::string::npos) {
+    bool is_dtor = false;
+    const std::size_t fn = function_name_index(b, end, is_dtor);
+    note_virtual(b, end, fn, is_dtor);
+    if (fn != std::string::npos && !is_dtor) {
       if (!class_name.empty() && tok(fn) == class_name) return;  // constructor
-      record(tok(fn), toks[fn].line, DeclKind::kFunction);
+      record(fn, DeclKind::kFunction);
       return;
     }
-    // Variable / constant / field: the identifier directly before the first
-    // top-level '=', or before the end when there is no initializer.
+    // Variable / constant / field.
+    const std::size_t stop = initializer_index(b, end);
+    if (names_variable(b, stop)) record(stop - 1, DeclKind::kConstant);
+  }
+
+  /// Index of the first '=' in [b, end) outside template angles; `end` when
+  /// there is none.
+  [[nodiscard]] std::size_t initializer_index(std::size_t b, std::size_t end) const {
     int angle = 0;
-    std::size_t stop = end;
     for (std::size_t k = b; k < end; ++k) {
       if (tok(k) == "<" && k > b &&
           (toks[k - 1].kind == TokenKind::kIdent || tok(k - 1) == ">")) {
@@ -314,14 +423,17 @@ struct DeclParser {
       } else if (tok(k) == ">" && angle > 0) {
         --angle;
       } else if (tok(k) == "=" && angle == 0) {
-        stop = k;
-        break;
+        return k;
       }
     }
-    if (stop > b && toks[stop - 1].kind == TokenKind::kIdent && stop - 1 > b &&
-        !is_control_keyword(tok(stop - 1))) {
-      record(tok(stop - 1), toks[stop - 1].line, DeclKind::kConstant);
-    }
+    return end;
+  }
+
+  /// True iff the token before `stop` (an initializer's '=' or the statement
+  /// end) names a variable declared by the statement starting at `b`.
+  [[nodiscard]] bool names_variable(std::size_t b, std::size_t stop) const {
+    return stop > b + 1 && toks[stop - 1].kind == TokenKind::kIdent &&
+           !control_keyword(tok(stop - 1));
   }
 
   /// Consumes an enum definition body and records the enumerators.
@@ -342,7 +454,7 @@ struct DeclParser {
         if (t.text == ",") {
           expect_name = true;
         } else if (expect_name && t.kind == TokenKind::kIdent) {
-          record(t.text, t.line, DeclKind::kConstant);
+          record(i, DeclKind::kConstant);
           expect_name = false;
         } else {
           expect_name = false;
@@ -352,7 +464,30 @@ struct DeclParser {
     }
   }
 
-  /// Parses one brace scope (namespace, class, or the whole file).
+  /// Records the definition whose head [head_begin, i) names `fn` and
+  /// consumes its body (toks[i] is the body's '{').
+  void add_function(std::size_t head_begin, std::size_t fn, bool is_dtor,
+                    const std::string& class_name) {
+    note_virtual(head_begin, i, fn, is_dtor);
+    if (!is_dtor && (class_name.empty() || tok(fn) != class_name)) {
+      record(fn, DeclKind::kFunction, true);
+    }
+    FunctionDef def;
+    def.name = fn;
+    def.is_dtor = is_dtor;
+    def.class_name = class_name;
+    const std::size_t first = is_dtor ? fn - 1 : fn;  // `~` or the name
+    if (first >= 2 && tok(first - 1) == "::" && toks[first - 2].kind == TokenKind::kIdent) {
+      def.class_name = tok(first - 2);  // out-of-line: `ret Class::name(...)`
+    }
+    if (is_dtor && def.class_name.empty()) def.class_name = tok(fn);
+    def.body_begin = i + 1;
+    def.body_end = skip_group(toks, i) - 1;
+    i = def.body_end + 1;
+    functions.push_back(std::move(def));
+  }
+
+  /// Walks one brace scope (namespace, class, or the whole file).
   void parse_scope(const std::string& class_name, bool in_class) {
     std::size_t stmt_begin = i;
     int paren = 0;
@@ -389,31 +524,24 @@ struct DeclParser {
       // '{' at paren depth 0: classify the head [stmt_begin, i).
       const std::size_t head_begin = stmt_begin;
       const std::size_t head_end = i;
-      auto head_has = [&](const char* kw) {
-        for (std::size_t k = head_begin; k < head_end; ++k) {
-          if (tok(k) == kw) return true;
-        }
-        return false;
-      };
-      if (head_has("namespace")) {
+      if (has_token(head_begin, head_end, "namespace")) {
         ++i;  // consume '{'
         parse_scope("", false);
         stmt_begin = i;
         continue;
       }
-      if (head_has("enum")) {
+      if (has_token(head_begin, head_end, "enum")) {
         std::size_t n = head_begin;
         while (n < head_end && tok(n) != "enum") ++n;
         ++n;
         if (n < head_end && tok(n) == "class") ++n;
-        if (n < head_end && toks[n].kind == TokenKind::kIdent) {
-          record(tok(n), toks[n].line, DeclKind::kType);
-        }
+        if (n < head_end && toks[n].kind == TokenKind::kIdent) record(n, DeclKind::kType);
         consume_enum_body();
         stmt_begin = i;
         continue;
       }
-      if (head_has("class") || head_has("struct") || head_has("union")) {
+      if (has_token(head_begin, head_end, "class") || has_token(head_begin, head_end, "struct") ||
+          has_token(head_begin, head_end, "union")) {
         std::size_t n = head_begin;
         while (n < head_end &&
                !(tok(n) == "class" || tok(n) == "struct" || tok(n) == "union")) {
@@ -423,7 +551,7 @@ struct DeclParser {
         std::string name;
         if (n < head_end && toks[n].kind == TokenKind::kIdent) {
           name = tok(n);
-          record(name, toks[n].line, DeclKind::kType);
+          record(n, DeclKind::kType);
         }
         ++i;  // consume '{'
         parse_scope(name, true);
@@ -431,18 +559,20 @@ struct DeclParser {
         stmt_begin = i;
         continue;
       }
-      const std::size_t fn = function_name_index(head_begin, head_end);
-      if (fn != std::string::npos &&
-          (class_name.empty() || tok(fn) != class_name)) {
-        record(tok(fn), toks[fn].line, DeclKind::kFunction, true);
-        skip_braces();
+      bool is_dtor = false;
+      const std::size_t fn = function_name_index(head_begin, head_end, is_dtor);
+      if (fn != std::string::npos) {
+        add_function(head_begin, fn, is_dtor, class_name);
         stmt_begin = i;
         continue;
       }
-      // Constructor definition, initializer list, lambda initializer, array
-      // initializer, ...: skip the braces and let the ';' branch finish the
-      // statement.
-      skip_braces();
+      // Any other brace group is skipped.  An initializer (`name = {...}`,
+      // `name = [] {...}()`) leaves its statement to the ';' branch; any other
+      // group (a macro-made block, a body whose head names no function) ends
+      // the statement.
+      i = skip_group(toks, i);
+      const std::size_t eq = initializer_index(head_begin, head_end);
+      if (eq == head_end || !names_variable(head_begin, eq)) stmt_begin = i;
     }
     // File scope may end without a closing '}': flush the tail statement.
     classify_statement(stmt_begin, i, class_name);
@@ -461,8 +591,8 @@ Unit build_unit(const std::string& path, const std::string& content) {
   unit.tokens = tokenize(unit.code);
   unit.includes = scan_includes(unit.raw);
 
-  // Macros come from the raw directive lines; everything else from the
-  // recursive statement parser.
+  // Macros come from the raw directive lines; everything else from the scope
+  // walker.
   for (std::size_t li = 0; li < unit.code.size(); ++li) {
     const std::string& line = unit.code[li];
     std::size_t i = 0;
@@ -481,9 +611,11 @@ Unit build_unit(const std::string& path, const std::string& content) {
     }
   }
 
-  DeclParser parser{unit.tokens, {}};
-  parser.parse_scope("", false);
-  for (Declaration& d : parser.out) unit.decls.push_back(std::move(d));
+  ScopeWalker walker{unit.tokens, {}, {}, {}};
+  walker.parse_scope("", false);
+  for (Declaration& d : walker.decls) unit.decls.push_back(std::move(d));
+  unit.functions = std::move(walker.functions);
+  unit.virtual_names.assign(walker.virtuals.begin(), walker.virtuals.end());
   std::sort(unit.decls.begin(), unit.decls.end(),
             [](const Declaration& a, const Declaration& b) {
               return std::tie(a.line, a.name) < std::tie(b.line, b.name);

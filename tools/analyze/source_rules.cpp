@@ -118,7 +118,7 @@ std::vector<Finding> run_single_file_rules(const Unit& unit) {
 
   std::vector<Finding> out;
   auto emit = [&](std::size_t line_no, const char* rule, std::string message) {
-    if (line_no >= 1 && line_no <= raw.size() && suppressed(raw[line_no - 1], rule)) return;
+    if (suppressed(unit, line_no, rule)) return;
     out.push_back(Finding{path, line_no, rule, std::move(message)});
   };
 
