@@ -103,11 +103,10 @@ TEST(AnalyzeIr, IndexesPrototypesAndDefinitions) {
   EXPECT_TRUE(unit.decls[1].has_body);
 }
 
-// One scope walker feeds both the declaration index and the call graph.  The
-// shapes below are where the two walkers it replaced disagreed: the index lost
-// `grow` (a prototype after an in-class constructor body) and `use` (a
-// definition after an out-of-line destructor) and indexed `operator()` as a
-// function named "operator"; the call graph already had all of these right.
+// One scope walk feeds both the declaration index and the call graph, so they
+// agree on these shapes: a prototype after an in-class constructor body
+// (`grow`) and a definition after an out-of-line destructor (`use`) are
+// indexed, and an `operator()` body yields neither a declaration nor a node.
 TEST(AnalyzeIr, OneWalkerIndexesDeclarationsAndFunctionDefinitions) {
   const Unit unit = build_unit("src/core/shapes.hpp",
                                "#pragma once\n"

@@ -230,8 +230,9 @@ std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
 
   // Candidates: free and member functions defined under src/.  Constructors
   // and destructors run without their name being written, so they are
-  // exempt (operators never become nodes: `operator` is a control keyword
-  // to the scope walker);
+  // exempt (`operator` is a control keyword to the scope walker, so an
+  // operator definition yields no node; a conversion operator's node carries
+  // its type's name, which every use of the type keeps alive);
   // main plus task bodies are roots by construction.
   std::map<std::string, std::vector<std::size_t>> candidates;
   for (std::size_t id = 0; id < graph.nodes.size(); ++id) {
