@@ -172,6 +172,31 @@ TEST(Callgraph, UntypedReceiverWithOneCandidateClassResolves) {
   EXPECT_TRUE(g.opens.empty());
 }
 
+// `class` inside a template parameter list declares no class scope, so a
+// function template is a function and a class template still a class; a
+// constructor's brace member initializers are not its body.
+TEST(Callgraph, TemplateParametersAndBraceMemberInitializers) {
+  const CallGraph g = graph_of({{"src/core/t.cpp",
+                                 "namespace demo {\n"
+                                 "int helper(int v) { return v + 1; }\n"
+                                 "template <class Id, class Route>\n"
+                                 "int relay(Id id, Route route) { return helper(route(id)); }\n"
+                                 "template <class T>\n"
+                                 "struct Box {\n"
+                                 "  int get() const { return helper(1); }\n"
+                                 "};\n"
+                                 "struct Holder {\n"
+                                 "  explicit Holder(int v) : value_{v}, other_(v) { helper(v); }\n"
+                                 "  int value_;\n"
+                                 "  int other_;\n"
+                                 "};\n"
+                                 "}  // namespace demo\n"}});
+  const std::size_t helper = node_id(g, "helper", 1);
+  EXPECT_TRUE(has_edge(g, node_id(g, "relay", 2), helper, EdgeKind::kDirect));
+  EXPECT_TRUE(has_edge(g, node_id(g, "Box::get", 0), helper, EdgeKind::kDirect));
+  EXPECT_TRUE(has_edge(g, node_id(g, "Holder::Holder", 1), helper, EdgeKind::kDirect));
+}
+
 // ---- dump determinism and goldens ---------------------------------------
 
 std::vector<Unit> fixture_units(const std::string& root, const std::vector<std::string>& paths) {

@@ -9,7 +9,7 @@ int run_all(Pool& pool) {
   export_totals(table);
   first_then_second();
   also_first_then_second();
-  return reseed() + identity(9) + scaled_twice(1);
+  return reseed() + identity(9) + scaled_twice(1) + held_value(3);
 }
 
 }  // namespace demo

@@ -464,6 +464,18 @@ struct ScopeWalker {
     }
   }
 
+  /// Moves i from the first '{' after a constructor's mem-initializer colon
+  /// to its body's '{'.  A brace initializer's '{' follows its member's name
+  /// (or a template's '>'); the body's follows the last initializer's ')' or
+  /// '}'.
+  void skip_member_initializers() {
+    while (i < toks.size() && tok(i) == "{" &&
+           (toks[i - 1].kind == TokenKind::kIdent || tok(i - 1) == ">")) {
+      i = skip_group(toks, i);
+      while (i < toks.size() && tok(i) != "{") i = tok(i) == "(" ? skip_group(toks, i) : i + 1;
+    }
+  }
+
   /// Records the definition whose head [head_begin, i) names `fn` and
   /// consumes its body (toks[i] is the body's '{').
   void add_function(std::size_t head_begin, std::size_t fn, bool is_dtor,
@@ -481,6 +493,7 @@ struct ScopeWalker {
       def.class_name = tok(first - 2);  // out-of-line: `ret Class::name(...)`
     }
     if (is_dtor && def.class_name.empty()) def.class_name = tok(fn);
+    if (fn + 1 < i && has_token(skip_group(toks, fn + 1), i, ":")) skip_member_initializers();
     def.body_begin = i + 1;
     def.body_end = skip_group(toks, i) - 1;
     i = def.body_end + 1;
@@ -540,9 +553,15 @@ struct ScopeWalker {
         stmt_begin = i;
         continue;
       }
-      if (has_token(head_begin, head_end, "class") || has_token(head_begin, head_end, "struct") ||
-          has_token(head_begin, head_end, "union")) {
-        std::size_t n = head_begin;
+      // A `template <class T>` prefix declares no class: look past it.
+      std::size_t after_template = head_begin;
+      while (after_template < head_end && tok(after_template) == "template") {
+        after_template = skip_angles(toks, after_template + 1);
+      }
+      if (has_token(after_template, head_end, "class") ||
+          has_token(after_template, head_end, "struct") ||
+          has_token(after_template, head_end, "union")) {
+        std::size_t n = after_template;
         while (n < head_end &&
                !(tok(n) == "class" || tok(n) == "struct" || tok(n) == "union")) {
           ++n;
