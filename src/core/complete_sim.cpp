@@ -70,7 +70,7 @@ CompleteSimResult run_complete_simulation(std::uint32_t n, const Graph& host,
     const DeliverFn deliver = [&](std::uint32_t d, Config payload) {
       received[demands[d].receiver] = payload;
     };
-    result.host_steps += route_demands(router, policy, false, {demands, payloads}, deliver).steps;
+    result.host_steps += route_demands(router, policy, {}, {demands, payloads}, deliver).steps;
     for (NodeId j = 0; j < n; ++j) next[j] = complete_next_config(configs[j], received[j]);
     configs.swap(next);
     result.host_steps += load;

@@ -69,6 +69,7 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
     UPN_OBS_SPAN("sim.fault.route");
     std::vector<std::uint32_t> ids(step.demands.size());
     std::iota(ids.begin(), ids.end(), 0u);
+    std::vector<NodeId> senders;  // guest whose pebble packet i of an attempt carries
     for (std::uint32_t attempt = 0; !ids.empty(); ++attempt) {
       if (attempt > 0) {
         UPN_OBS_COUNT("sim.fault.reinjections", ids.size());
@@ -77,13 +78,18 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
       result.packets_routed += ids.size();
       UPN_OBS_COUNT("sim.fault.packets_routed", ids.size());
       route_opts.step_offset = H;
+      TransferSink emit;
+      if (options.emit_protocol) {
+        senders.resize(ids.size());
+        for (std::size_t i = 0; i < ids.size(); ++i) senders[i] = step.demands[ids[i]].sender;
+        emit = emit_route_ops(*result.protocol, senders, pebble_time);
+      }
       const RouteResult routed =
-          route_demands_with_faults(router, route_opts, options.emit_protocol, step, ids, deliver);
+          route_demands_with_faults(router, route_opts, emit, step, ids, deliver);
       H += routed.steps;
       result.comm_steps += routed.steps;
       result.retransmissions += routed.retransmissions;
       result.reroutes += routed.reroutes;
-      if (options.emit_protocol) emit_route_ops(*result.protocol, routed, pebble_time);
       std::size_t kept = 0;  // the lost packets, re-injected next attempt
       for (std::size_t i = 0; i < ids.size(); ++i) {
         if (routed.packets[i].lost != 0) ids[kept++] = ids[i];

@@ -122,17 +122,17 @@ bool GuestStepKernel::configs_match() const {
   return run_reference(*guest_, seed_, step_ - 1) == configs_;
 }
 
-RouteResult route_demands(SyncRouter& router, RoutingPolicy& policy, bool record_transfers,
+RouteResult route_demands(SyncRouter& router, RoutingPolicy& policy, const TransferSink& sink,
                           StepPayloads step, const DeliverFn& deliver) {
   UPN_REQUIRE(step.payloads.size() == step.demands.size(), "route_demands: one payload per demand");
   return route_and_deliver(static_cast<std::uint32_t>(step.demands.size()), std::identity{}, step,
                            deliver, [&](std::vector<Packet> packets) {
-                             return router.route(std::move(packets), policy, record_transfers);
+                             return router.route(std::move(packets), policy, sink);
                            });
 }
 
 RouteResult route_demands_with_faults(SyncRouter& router, const FaultRouteOptions& faults,
-                                      bool record_transfers, StepPayloads step,
+                                      const TransferSink& sink, StepPayloads step,
                                       std::span<const std::uint32_t> ids,
                                       const DeliverFn& deliver) {
   UPN_REQUIRE(step.payloads.size() == step.demands.size(),
@@ -140,7 +140,7 @@ RouteResult route_demands_with_faults(SyncRouter& router, const FaultRouteOption
   return route_and_deliver(
       static_cast<std::uint32_t>(ids.size()), [&](std::uint32_t i) { return ids[i]; }, step,
       deliver, [&](std::vector<Packet> packets) {
-        return router.route_with_faults(std::move(packets), faults, record_transfers);
+        return router.route_with_faults(std::move(packets), faults, sink);
       });
 }
 
@@ -209,31 +209,25 @@ std::uint64_t sort_demands(const HhProblem& relation, const ComparatorNetwork& s
   return delivery.stats.comparator_steps;
 }
 
-void emit_route_ops(Protocol& protocol, const RouteResult& routed, std::uint32_t pebble_time) {
+TransferSink emit_route_ops(Protocol& protocol, std::span<const NodeId> senders,
+                            std::uint32_t pebble_time) {
   UPN_REQUIRE(pebble_time < protocol.guest_steps(),
               "emit_route_ops: pebble time outside the protocol's guest horizon");
-  // Each hop looks up its packet's sender in a compact copy of the tags
-  // rather than in the wide Packet records.
-  std::vector<NodeId> sender_of(routed.packets.size());
-  for (std::size_t i = 0; i < routed.packets.size(); ++i) sender_of[i] = routed.packets[i].tag;
-  // One router step's ops, built here and handed to the protocol in one
-  // add_step; it grows to the largest step's two ops per transfer.
-  std::vector<Op> step_ops;
-  const TransferLog& log = routed.transfers;
-  std::size_t cursor = 0;
-  for (std::uint32_t step = 0; step < routed.steps; ++step) {
-    std::size_t end = cursor;
-    while (end < log.size() && log[end].step == step) ++end;
-    if (step_ops.size() < 2 * (end - cursor)) step_ops.resize(2 * (end - cursor));
+  // One router step's ops, built in a buffer the sink keeps and handed to
+  // the protocol in one add_step; it grows to the largest step's two ops
+  // per transfer.
+  return [&protocol, senders, pebble_time,
+          step_ops = std::vector<Op>{}](std::span<const Transfer> hops) mutable {
+    if (step_ops.size() < 2 * hops.size()) step_ops.resize(2 * hops.size());
     Op* out = step_ops.data();
-    for (; cursor < end; ++cursor) {
-      const Transfer& tr = log[cursor];
-      const PebbleType pebble{sender_of[tr.packet], pebble_time};
+    for (const Transfer& tr : hops) {
+      UPN_REQUIRE(tr.packet < senders.size(), "emit_route_ops: packet without a sender");
+      const PebbleType pebble{senders[tr.packet], pebble_time};
       *out++ = Op{OpKind::kSend, tr.from, pebble, tr.to};
       if (tr.dropped == 0) *out++ = Op{OpKind::kReceive, tr.to, pebble, tr.from};
     }
     protocol.add_step({step_ops.data(), out});
-  }
+  };
 }
 
 std::uint32_t emit_generate_rounds(Protocol* protocol,

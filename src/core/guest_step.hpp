@@ -109,18 +109,19 @@ class GuestStepKernel {
 // Router packets carry tag = sender and tag2 = receiver.
 
 /// Fault-free synchronous router: packet i is demand i, routed under
-/// `policy`; every packet that arrives is delivered.
+/// `policy` with its transfers streamed to `sink`; every packet that
+/// arrives is delivered.
 [[nodiscard]] RouteResult route_demands(SyncRouter& router, RoutingPolicy& policy,
-                                        bool record_transfers, StepPayloads step,
+                                        const TransferSink& sink, StepPayloads step,
                                         const DeliverFn& deliver);
 
 /// Fault router: routes demands[ids[i]] as packet i under `faults` (on the
-/// router's live-subgraph oracle) and delivers every packet that arrived
-/// as deliver(ids[i], payload).  Lost packets stay marked in the result for
-/// the caller to re-inject.
+/// router's live-subgraph oracle), streams its transfers to `sink`, and
+/// delivers every packet that arrived as deliver(ids[i], payload).  Lost
+/// packets stay marked in the result for the caller to re-inject.
 [[nodiscard]] RouteResult route_demands_with_faults(SyncRouter& router,
                                                     const FaultRouteOptions& faults,
-                                                    bool record_transfers, StepPayloads step,
+                                                    const TransferSink& sink, StepPayloads step,
                                                     std::span<const std::uint32_t> ids,
                                                     const DeliverFn& deliver);
 
@@ -149,10 +150,14 @@ std::uint64_t sort_demands(const HhProblem& relation, const ComparatorNetwork& s
                            StepPayloads step, const DeliverFn& deliver);
 
 // ---- Protocol emission ---------------------------------------------------
-/// One protocol step per router step: every transfer is a SEND of the
-/// pebble (P_tag, pebble_time) plus the mirrored RECEIVE, unless the copy
-/// was dropped in flight.
-void emit_route_ops(Protocol& protocol, const RouteResult& routed, std::uint32_t pebble_time);
+/// The transfer sink that emits a route as it runs: each router step it is
+/// handed becomes one protocol step, checked by one Protocol::add_step, in
+/// which every transfer of packet i is a SEND of the pebble
+/// (P_senders[i], pebble_time) plus the mirrored RECEIVE, unless the copy
+/// was dropped in flight.  `protocol` and `senders` must outlive the
+/// routing call.
+[[nodiscard]] TransferSink emit_route_ops(Protocol& protocol, std::span<const NodeId> senders,
+                                          std::uint32_t pebble_time);
 
 /// The computation rounds of guest time `t`: host q generates
 /// guests_of[q][round] in round `round`.  Emits one protocol step per round

@@ -60,39 +60,48 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
 
   GuestStepKernel kernel{guest, embedding_, options.seed};
   const DeliverFn deliver = std::bind_front(&GuestStepKernel::deliver, &kernel);
-  // Guest step 1's route and the host steps it emitted.  The demand list
-  // (hence every packet's sender tag) is fixed for the run, so a later guest
-  // step routed from the same hop log in as many router steps emits step
-  // 1's block with every pebble time raised by t - 1.  Holding the log pins
-  // its storage: equal addresses mean the same log, never a reused one.
-  TransferLog first_log;
-  std::uint32_t first_route_steps = 0;
-  std::uint32_t first_block_steps = 0;
+  // Packet i of every route is demand i, whose pebble is its sender's.  The
+  // demand list is fixed for the run.
+  std::vector<NodeId> senders;
+  if (options.emit_protocol) {
+    for (const GuestDemand& d : kernel.step_payloads().demands) senders.push_back(d.sender);
+  }
+  // The last block of host steps emitted op by op: [block_first,
+  // block_last), for guest time block_time from a route of
+  // block_route_steps router steps.  The router is this run's own, and
+  // every call brings the same policy and the same endpoints, so a call the
+  // router reports as a replay replays the route that emitted this block:
+  // its protocol block is this one with every pebble time raised.
+  std::uint32_t block_first = 0;
+  std::uint32_t block_last = 0;
+  std::uint32_t block_time = 0;
+  std::uint32_t block_route_steps = 0;
   for (std::uint32_t t = 1; t <= guest_steps; ++t) {
     UPN_OBS_STEP(t);
     // ---- Phase 1: communication (the h-h routing of Theorem 2.1). ----
-    bool repeats_first = false;
+    bool replayed = false;
     {
       UPN_OBS_SPAN("sim.universal.route");
       const StepPayloads step = kernel.step_payloads();
       result.packets_routed += step.demands.size();
       UPN_OBS_COUNT("sim.universal.packets_routed", step.demands.size());
-      const RouteResult routed =
-          route_demands(router, *policy, options.emit_protocol, step, deliver);
+      // Each router step becomes one protocol step as soon as it is routed;
+      // the single-port router guarantees the transfers of a step form a
+      // matching, hence one op per processor.
+      const std::uint32_t first = options.emit_protocol ? result.protocol->host_steps() : 0;
+      const TransferSink emit = options.emit_protocol
+                                    ? emit_route_ops(*result.protocol, senders, t - 1)
+                                    : TransferSink{};
+      const RouteResult routed = route_demands(router, *policy, emit, step, deliver);
       result.comm_steps += routed.steps;
       UPN_OBS_COUNT("sim.universal.comm_steps", routed.steps);
-      if (options.emit_protocol && t == 1) {
-        first_log = routed.transfers;
-        first_route_steps = routed.steps;
-      }
-      repeats_first = options.emit_protocol && t > 1 &&
-                      routed.transfers.data() == first_log.data() &&
-                      routed.steps == first_route_steps;
-      // Each router step becomes one protocol step; the single-port router
-      // guarantees the transfers of a step form a matching, hence one op
-      // per processor.
-      if (options.emit_protocol && !repeats_first) {
-        emit_route_ops(*result.protocol, routed, t - 1);
+      replayed = options.emit_protocol && routed.replayed;
+      if (replayed) {
+        UPN_INVARIANT(block_time > 0 && routed.steps == block_route_steps,
+                      "a replayed route repeats the route that emitted the last block");
+      } else if (options.emit_protocol) {
+        block_first = first;
+        block_route_steps = routed.steps;
       }
     }
 
@@ -101,11 +110,12 @@ UniversalSimResult UniversalSimulator::run(std::uint32_t guest_steps,
     kernel.compute_lossless("UniversalSimulator");
     result.compute_steps += load_;
     UPN_OBS_COUNT("sim.universal.compute_steps", load_);
-    if (repeats_first) {
-      result.protocol->repeat_steps(0, first_block_steps, t - 1);
+    if (replayed) {
+      result.protocol->repeat_steps(block_first, block_last, t - block_time);
     } else if (options.emit_protocol) {
       emit_generate_rounds(&*result.protocol, guests_of_, t);
-      if (t == 1) first_block_steps = result.protocol->host_steps();
+      block_last = result.protocol->host_steps();
+      block_time = t;
     }
   }
 

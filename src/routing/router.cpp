@@ -23,12 +23,14 @@
 //  * Route memo    A fault-free GreedyPolicy call with the previous call's
 //                  endpoints replays the stored schedule instead of running
 //                  the step loop (docs/ROUTER_ENGINE.md, "Route memo").
+//  * Transfer sink Each step's transfers go to the caller's sink at the end
+//                  of the step, from one reused buffer; no hop log is kept.
 //
 // The engine is bit-identical to the pre-rewrite implementation, which is
 // preserved verbatim as tests/support/reference_router.{hpp,cpp}: the
 // differential suites (tests/router_differential_test.cpp and the fuzzer in
 // tests/router_fuzz_test.cpp) execute both engines on identical inputs and
-// assert equal RouteResults including the full transfer log, and the golden
+// assert equal RouteResults and equal streamed transfers, and the golden
 // `routing.sync.*` snapshots pin every counter byte-for-byte.  Any change
 // here must keep the placement order, matching order, tie-breaking, and obs
 // instrumentation sequence exactly as the reference computes them.
@@ -157,26 +159,26 @@ class LiveRouteOracle {
 }  // namespace
 
 RouteResult SyncRouter::route(std::vector<Packet> packets, RoutingPolicy& policy,
-                              bool record_transfers, std::uint32_t max_steps) {
-  return route_impl(std::move(packets), &policy, nullptr, record_transfers, max_steps);
+                              const TransferSink& sink, std::uint32_t max_steps) {
+  return route_impl(std::move(packets), &policy, nullptr, sink, max_steps);
 }
 
 RouteResult SyncRouter::route_with_faults(std::vector<Packet> packets,
                                           const FaultRouteOptions& faults,
-                                          bool record_transfers, std::uint32_t max_steps) {
+                                          const TransferSink& sink, std::uint32_t max_steps) {
   if (faults.plan == nullptr) {
     throw std::invalid_argument{"SyncRouter::route_with_faults: need a fault plan"};
   }
-  return route_impl(std::move(packets), nullptr, &faults, record_transfers, max_steps);
+  return route_impl(std::move(packets), nullptr, &faults, sink, max_steps);
 }
 
 bool SyncRouter::memo_matches(const std::vector<Packet>& packets, const RoutingPolicy* policy,
-                              bool record_transfers, std::uint32_t max_steps) const {
+                              std::uint32_t max_steps) const {
   const RouteMemo& m = memo_;
   if (m.policy == nullptr || m.policy != policy || packets.size() != m.endpoints.size()) {
     return false;
   }
-  if (m.step_max_queue.size() > max_steps || (record_transfers && !m.has_transfers)) return false;
+  if (m.step_max_queue.size() > max_steps) return false;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     if (packets[i].src != m.endpoints[i].first || packets[i].dst != m.endpoints[i].second) {
       return false;
@@ -185,12 +187,13 @@ bool SyncRouter::memo_matches(const std::vector<Packet>& packets, const RoutingP
   return true;
 }
 
-RouteResult SyncRouter::replay_memo(std::vector<Packet> packets, bool record_transfers) const {
+RouteResult SyncRouter::replay_memo(std::vector<Packet> packets) const {
   const RouteMemo& m = memo_;
   RouteResult result;
   result.steps = static_cast<std::uint32_t>(m.step_max_queue.size());
   result.total_transfers = m.total_transfers;
   result.max_queue = m.max_queue;
+  result.replayed = true;
   for (std::uint32_t i = 0; i < packets.size(); ++i) {
     packets[i].id = i;
     packets[i].lost = 0;
@@ -198,7 +201,6 @@ RouteResult SyncRouter::replay_memo(std::vector<Packet> packets, bool record_tra
     packets[i].delivered_at = m.delivered_at[i];
   }
   result.packets = std::move(packets);
-  if (record_transfers) result.transfers = m.transfers;  // shared, not copied
   for (const std::uint32_t queue : m.step_max_queue) {
     UPN_OBS_HIST("routing.sync.step_max_queue", queue);
   }
@@ -207,7 +209,7 @@ RouteResult SyncRouter::replay_memo(std::vector<Packet> packets, bool record_tra
 }
 
 void SyncRouter::remember_route(const RouteResult& result, const RoutingPolicy* policy,
-                                bool record_transfers, std::vector<std::uint32_t> step_log) {
+                                std::vector<std::uint32_t> step_log) {
   RouteMemo& m = memo_;
   m.policy = policy;
   m.endpoints.resize(result.packets.size());
@@ -221,12 +223,10 @@ void SyncRouter::remember_route(const RouteResult& result, const RoutingPolicy* 
   m.step_max_queue = std::move(step_log);
   m.total_transfers = result.total_transfers;
   m.max_queue = result.max_queue;
-  m.has_transfers = record_transfers;
-  if (record_transfers) m.transfers = result.transfers;  // shared, not copied
 }
 
 RouteResult SyncRouter::route_impl(std::vector<Packet> packets, RoutingPolicy* policy,
-                                   const FaultRouteOptions* faults, bool record_transfers,
+                                   const FaultRouteOptions* faults, const TransferSink& sink,
                                    std::uint32_t max_steps) {
   UPN_OBS_SPAN("routing.sync.route");
   UPN_OBS_STEP(0);
@@ -248,14 +248,14 @@ RouteResult SyncRouter::route_impl(std::vector<Packet> packets, RoutingPolicy* p
       std::all_of(packets.begin(), packets.end(), [](const Packet& p) { return p.phase == 1; });
   RouteResult result;
   if (!memoizable) {
-    result = run_steps(std::move(packets), policy, faults, record_transfers, max_steps, nullptr);
-  } else if (memo_matches(packets, policy, record_transfers, max_steps)) {
-    result = replay_memo(std::move(packets), record_transfers);
+    result = run_steps(std::move(packets), policy, faults, sink, max_steps, nullptr);
+  } else if (memo_matches(packets, policy, max_steps)) {
+    result = replay_memo(std::move(packets));
   } else {
     memo_ = RouteMemo{};
     std::vector<std::uint32_t> step_log;
-    result = run_steps(std::move(packets), policy, faults, record_transfers, max_steps, &step_log);
-    remember_route(result, policy, record_transfers, std::move(step_log));
+    result = run_steps(std::move(packets), policy, faults, sink, max_steps, &step_log);
+    remember_route(result, policy, std::move(step_log));
   }
 
   UPN_ENSURE(result.steps <= max_steps, "router must respect its step budget");
@@ -277,7 +277,7 @@ RouteResult SyncRouter::route_impl(std::vector<Packet> packets, RoutingPolicy* p
 }
 
 RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* policy,
-                                  const FaultRouteOptions* faults, bool record_transfers,
+                                  const FaultRouteOptions* faults, const TransferSink& sink,
                                   std::uint32_t max_steps, std::vector<std::uint32_t>* step_log) {
   const Graph& g = *graph_;
   const std::uint32_t n = g.num_nodes();
@@ -286,7 +286,9 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
   const NodeId* adj = csr_adjacency_;
 
   RouteResult result;
-  std::vector<Transfer> hops;  // the hop log, when record_transfers
+  // This step's transfers, handed to the sink when the step ends.
+  const bool streaming = static_cast<bool>(sink);
+  std::vector<Transfer> step_hops;
 
   // Per-(node, port) FIFO queues as one intrusive linked list: slot s is the
   // directed link adj[s] out of its owning node; each slot carries its
@@ -536,8 +538,8 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
       const std::uint32_t packet_index = pop_front(v, slot);
       ++result.total_transfers;
       const bool dropped = clock && clock->drops_packet(v, w, packet_index);
-      if (record_transfers) {
-        hops.push_back(
+      if (streaming) {
+        step_hops.push_back(
             Transfer{step, v, w, packet_index,
                      // Bool to byte, range {0,1}:
                      static_cast<std::uint8_t>(dropped ? 1 : 0)});  // upn-analyze-waive(narrowing-cast: bool to byte)
@@ -628,13 +630,16 @@ RouteResult SyncRouter::run_steps(std::vector<Packet> packets, RoutingPolicy* po
     // histogram is identical for serial and pool-swept callers.
     UPN_OBS_HIST("routing.sync.step_max_queue", step_max_queue);
     if (step_log != nullptr) step_log->push_back(step_max_queue);
+    if (streaming) {
+      sink(step_hops);
+      step_hops.clear();
+    }
     ++step;
   }
 
   result.steps = step;
   for (std::uint32_t i = 0; i < num_packets; ++i) packets[i].retries = pk_retries[i];
   result.packets = std::move(packets);
-  if (record_transfers) result.transfers = TransferLog{std::move(hops)};
   return result;
 }
 

@@ -24,8 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -49,7 +50,7 @@ struct Packet {
   [[nodiscard]] NodeId current_target() const noexcept { return phase == 0 ? via : dst; }
 };
 
-/// One packet hop, for protocol emission and debugging.
+/// One packet hop, as a transfer sink receives it.
 struct Transfer {
   std::uint32_t step = 0;  ///< 0-based router step at which the hop happened
   NodeId from = 0;
@@ -59,26 +60,11 @@ struct Transfer {
                               ///< in flight (emit a SEND with no RECEIVE)
 };
 
-/// A route's hop log in step order: immutable once routed, and shared, so
-/// copying a RouteResult or replaying the route memo hands out the same
-/// storage for the cost of a reference count.  Empty when not recorded.
-class TransferLog {
- public:
-  TransferLog() = default;
-  /// Takes over `hops` without copying them.
-  explicit TransferLog(std::vector<Transfer>&& hops)
-      : hops_(std::make_shared<const std::vector<Transfer>>(std::move(hops))) {}
-
-  [[nodiscard]] const Transfer* data() const noexcept { return hops_ ? hops_->data() : nullptr; }
-  [[nodiscard]] std::size_t size() const noexcept { return hops_ ? hops_->size() : 0; }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-  [[nodiscard]] const Transfer* begin() const noexcept { return data(); }
-  [[nodiscard]] const Transfer* end() const noexcept { return data() + size(); }
-  [[nodiscard]] const Transfer& operator[](std::size_t i) const noexcept { return data()[i]; }
-
- private:
-  std::shared_ptr<const std::vector<Transfer>> hops_;
-};
+/// Receives a routed call's hops as the router runs them: called once per
+/// router step, in step order, with that step's transfers in kernel order
+/// (an empty span for a step that moved nothing).  The span is valid only
+/// during the call.  The router keeps no hop log.
+using TransferSink = std::function<void(std::span<const Transfer>)>;
 
 struct RouteResult {
   std::uint32_t steps = 0;          ///< steps until the last delivery
@@ -88,7 +74,9 @@ struct RouteResult {
   std::uint64_t retransmissions = 0;///< resends after transient drops
   std::uint64_t reroutes = 0;       ///< detours around permanently dead links
   std::vector<Packet> packets;      ///< with delivered_at filled in
-  TransferLog transfers;            ///< full hop log if requested
+  /// The route memo replayed the router's last memoized route (schedule
+  /// for schedule) instead of running the steps; the sink got nothing.
+  bool replayed = false;
 };
 
 /// Chooses the outgoing neighbor for a packet.  Policies may keep per-run
@@ -126,10 +114,11 @@ class SyncRouter {
  public:
   SyncRouter(const Graph& graph, PortModel port_model);
 
-  /// Routes all packets to their destinations.  Throws on livelock
-  /// (no delivery progress within the step limit).
+  /// Routes all packets to their destinations, streaming each router step's
+  /// transfers to `sink` when it is set (not on a memo replay).  Throws on
+  /// livelock (no delivery progress within the step limit).
   [[nodiscard]] RouteResult route(std::vector<Packet> packets, RoutingPolicy& policy,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
-                                  bool record_transfers = false,
+                                  const TransferSink& sink = {},
                                   std::uint32_t max_steps = 1u << 22);
 
   /// Fault-aware routing: consults `faults.plan` every step.  Packets on
@@ -142,7 +131,7 @@ class SyncRouter {
   /// live subgraph.  Throws std::invalid_argument when `faults.plan` is null.
   [[nodiscard]] RouteResult route_with_faults(std::vector<Packet> packets,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
                                               const FaultRouteOptions& faults,
-                                              bool record_transfers = false,
+                                              const TransferSink& sink = {},
                                               std::uint32_t max_steps = 1u << 22);
 
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
@@ -161,23 +150,19 @@ class SyncRouter {
     std::vector<std::uint32_t> step_max_queue;         ///< per router step
     std::uint64_t total_transfers = 0;
     std::uint32_t max_queue = 0;
-    bool has_transfers = false;
-    TransferLog transfers;  ///< the hop log, when has_transfers
   };
 
   [[nodiscard]] bool memo_matches(const std::vector<Packet>& packets, const RoutingPolicy* policy,
-                                  bool record_transfers, std::uint32_t max_steps) const;
-  [[nodiscard]] RouteResult replay_memo(std::vector<Packet> packets,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
-                                        bool record_transfers) const;
+                                  std::uint32_t max_steps) const;
+  [[nodiscard]] RouteResult replay_memo(std::vector<Packet> packets) const;  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
   void remember_route(const RouteResult& result, const RoutingPolicy* policy,
-                      bool record_transfers,
                       std::vector<std::uint32_t> step_log);  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the memo in the .cpp)
 
   [[nodiscard]] RouteResult route_impl(std::vector<Packet> packets, RoutingPolicy* policy,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
-                                       const FaultRouteOptions* faults, bool record_transfers,
+                                       const FaultRouteOptions* faults, const TransferSink& sink,
                                        std::uint32_t max_steps);
   [[nodiscard]] RouteResult run_steps(std::vector<Packet> packets, RoutingPolicy* policy,  // upn-analyze-waive(hotpath-by-value-param: sink parameter, moved into the result in the .cpp)
-                                      const FaultRouteOptions* faults, bool record_transfers,
+                                      const FaultRouteOptions* faults, const TransferSink& sink,
                                       std::uint32_t max_steps,
                                       std::vector<std::uint32_t>* step_log);
 

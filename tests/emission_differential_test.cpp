@@ -1,11 +1,11 @@
 // UniversalSimulator's emitted protocol against a step-by-step reference.
 //
-// With the route memo, guest steps 2..T reuse guest step 1's hop log, and
-// the simulator appends guest step 1's block of host steps again with every
-// pebble time raised (Protocol::repeat_steps) instead of emitting it op by
-// op.  The reference here routes every guest step on a fresh SyncRouter, so
-// no route is ever replayed, and emits each one through emit_route_ops and
-// emit_generate_rounds.  Both protocols must agree step by step and op by
+// With the route memo, guest steps 2..T replay guest step 1's route, which
+// streams no transfers, and the simulator appends guest step 1's block of
+// host steps again with every pebble time raised (Protocol::repeat_steps)
+// instead of emitting it op by op.  The reference here routes every guest
+// step on a fresh SyncRouter, so no route is ever replayed, and emits each
+// one through the emit_route_ops sink and emit_generate_rounds.  Both protocols must agree step by step and op by
 // op (each stored word is a one-to-one encoding of the op read back), and
 // both must validate.
 #include <gtest/gtest.h>
@@ -40,9 +40,12 @@ Protocol reference_protocol(const Graph& guest, const Graph& host,
   const DeliverFn deliver = std::bind_front(&GuestStepKernel::deliver, &kernel);
   for (std::uint32_t t = 1; t <= guest_steps; ++t) {
     SyncRouter router{host, PortModel::kSinglePort};
+    const StepPayloads step = kernel.step_payloads();
+    std::vector<NodeId> senders;
+    for (const GuestDemand& d : step.demands) senders.push_back(d.sender);
     const RouteResult routed =
-        route_demands(router, policy, true, kernel.step_payloads(), deliver);
-    emit_route_ops(protocol, routed, t - 1);
+        route_demands(router, policy, emit_route_ops(protocol, senders, t - 1), step, deliver);
+    EXPECT_FALSE(routed.replayed);
     kernel.compute_lossless("reference_protocol");
     emit_generate_rounds(&protocol, guests_of, t);
   }
@@ -216,8 +219,8 @@ TEST_F(EmissionDifferential, NonMemoizablePolicyEmitsEveryGuestStepInFull) {
 
 TEST_F(EmissionDifferential, RouteOfEqualLengthOverOtherLinksIsEmittedInFull) {
   // Guest step t routes the edge's two packets around the 4-cycle the
-  // other way from guest step t - 1, in as many router steps: only the hop
-  // log tells the routes apart.
+  // other way from guest step t - 1, in as many router steps: only the
+  // streamed transfers tell the routes apart.
   const Graph guest = make_path(2);
   const Graph host = make_cycle(4);
   const std::vector<NodeId> embedding{0, 2};

@@ -5,6 +5,7 @@
 #include "src/routing/router.hpp"
 #include "src/topology/builders.hpp"
 #include "src/topology/mesh.hpp"
+#include "tests/support/hop_recorder.hpp"
 
 namespace upn {
 namespace {
@@ -132,14 +133,15 @@ TEST(FaultRouter, TransientDropsAreRetransmittedAndDeterministic) {
     packets.push_back(make_packet(2, 3));
   }
   SyncRouter router{graph, PortModel::kSinglePort};
-  const RouteResult a = router.route_with_faults(packets, opts, true);
+  testing::HopRecorder streamed;
+  const RouteResult a = router.route_with_faults(packets, opts, streamed.sink());
   EXPECT_EQ(a.packets_lost, 0u);
   EXPECT_GT(a.retransmissions, 0u);
   bool saw_dropped_transfer = false;
-  for (const Transfer& tr : a.transfers) saw_dropped_transfer |= tr.dropped != 0;
+  for (const Transfer& tr : streamed.hops()) saw_dropped_transfer |= tr.dropped != 0;
   EXPECT_TRUE(saw_dropped_transfer);
 
-  const RouteResult b = router.route_with_faults(packets, opts, true);
+  const RouteResult b = router.route_with_faults(packets, opts);
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.retransmissions, b.retransmissions);
   ASSERT_EQ(a.packets.size(), b.packets.size());

@@ -114,7 +114,7 @@ TEST(GuestStep, RouterMutationIsDetected) {
   SyncRouter router{f.host, PortModel::kSinglePort};
   GreedyPolicy policy{f.host};
   expect_corruption_detected(f, [&](StepPayloads step, const DeliverFn& deliver) {
-    (void)route_demands(router, policy, false, step, deliver);
+    (void)route_demands(router, policy, {}, step, deliver);
   });
 }
 
@@ -180,7 +180,7 @@ TEST(GuestStep, FaultRouterMutationIsDetected) {
     std::vector<std::uint32_t> ids(step.demands.size());
     for (std::uint32_t d = 0; d < ids.size(); ++d) ids[d] = d;
     const RouteResult routed =
-        route_demands_with_faults(router, faults, false, step, ids, deliver);
+        route_demands_with_faults(router, faults, {}, step, ids, deliver);
     ASSERT_EQ(routed.packets_lost, 0u);
   });
 }
@@ -277,7 +277,7 @@ TEST(GuestStep, LosslessStaleSlotThrows) {
     }
     kernel.deliver(d, payload);
   };
-  (void)route_demands(router, policy, false, kernel.step_payloads(), drop_one);
+  (void)route_demands(router, policy, {}, kernel.step_payloads(), drop_one);
   try {
     kernel.compute_lossless("UniversalSimulator");
     FAIL() << "a stale slot on a lossless backend must throw";

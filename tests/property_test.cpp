@@ -36,6 +36,7 @@
 #include "src/topology/random_regular.hpp"
 #include "src/topology/shuffle_exchange.hpp"
 #include "src/topology/torus.hpp"
+#include "tests/support/hop_recorder.hpp"
 #include "src/topology/torus3d.hpp"
 #include "src/util/rng.hpp"
 #include "tests/support/topology_oracles.hpp"
@@ -216,13 +217,15 @@ TEST(ArtifactRoundTrip, ProtocolWriteReadWriteIsByteIdentical) {
 
 // ---- Router step invariants (the data-oriented engine's contract) --------
 //
-// The transfer log is the engine's ground truth: these properties replay it
-// and check the per-step guarantees the port models advertise, plus that the
-// scalar summaries (max_queue, delivered_at) are faithful to the log.
+// The streamed transfers are the engine's ground truth: these properties
+// replay them and check the per-step guarantees the port models advertise,
+// plus that the scalar summaries (max_queue, delivered_at) are faithful to
+// them.
 
 struct RoutedInstance {
   Graph host;
   RouteResult result;
+  testing::HopRecorder streamed;
 };
 
 RoutedInstance route_instance(std::uint64_t seed, PortModel model) {
@@ -249,26 +252,24 @@ RoutedInstance route_instance(std::uint64_t seed, PortModel model) {
   }
   GreedyPolicy policy{host};
   SyncRouter router{host, model};
-  RouteResult result = router.route(std::move(packets), policy, /*record_transfers=*/true);
-  return RoutedInstance{std::move(host), std::move(result)};
+  testing::HopRecorder streamed;
+  RouteResult result = router.route(std::move(packets), policy, streamed.sink());
+  EXPECT_EQ(streamed.steps().size(), result.steps) << "one sink call per router step";
+  return RoutedInstance{std::move(host), std::move(result), std::move(streamed)};
 }
 
-// Groups the (step-sorted) transfer log into per-step slices and applies `fn`.
+// Applies `fn` to every streamed router step's transfers, in step order.
 template <typename Fn>
-void for_each_step(const RouteResult& result, Fn&& fn) {
-  std::size_t i = 0;
-  while (i < result.transfers.size()) {
-    const std::uint32_t step = result.transfers[i].step;
-    const std::size_t begin = i;
-    while (i < result.transfers.size() && result.transfers[i].step == step) ++i;
-    fn(step, std::span<const Transfer>{result.transfers.data() + begin, i - begin});
+void for_each_step(const testing::HopRecorder& streamed, Fn&& fn) {
+  for (std::uint32_t step = 0; step < streamed.steps().size(); ++step) {
+    fn(step, std::span<const Transfer>{streamed.steps()[step]});
   }
 }
 
 TEST(RouterStepInvariants, SinglePortStepsFormMatchings) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const RoutedInstance instance = route_instance(seed, PortModel::kSinglePort);
-    for_each_step(instance.result, [&](std::uint32_t step, std::span<const Transfer> slice) {
+    for_each_step(instance.streamed, [&](std::uint32_t step, std::span<const Transfer> slice) {
       std::vector<NodeId> touched;
       for (const Transfer& tr : slice) {
         touched.push_back(tr.from);
@@ -284,7 +285,7 @@ TEST(RouterStepInvariants, SinglePortStepsFormMatchings) {
 TEST(RouterStepInvariants, MultiPortUsesEachDirectedLinkAtMostOncePerStep) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const RoutedInstance instance = route_instance(seed, PortModel::kMultiPort);
-    for_each_step(instance.result, [&](std::uint32_t step, std::span<const Transfer> slice) {
+    for_each_step(instance.streamed, [&](std::uint32_t step, std::span<const Transfer> slice) {
       std::vector<std::uint64_t> links;
       for (const Transfer& tr : slice) {
         links.push_back((static_cast<std::uint64_t>(tr.from) << 32) | tr.to);
@@ -301,7 +302,7 @@ TEST(RouterStepInvariants, MaxQueueIsTheTrueRunningPeak) {
     for (const std::uint64_t seed : {6u, 7u, 8u}) {
       const RoutedInstance instance = route_instance(seed, model);
       const RouteResult& result = instance.result;
-      // Replay buffer occupancy from the log: a packet occupies its source
+      // Replay buffer occupancy from the hops: a packet occupies its source
       // queue unless delivered on the spot, leaves `from` when it hops, and
       // occupies `to` afterwards unless that hop delivered it.
       std::vector<std::uint32_t> occupancy(instance.host.num_nodes(), 0);
@@ -309,7 +310,7 @@ TEST(RouterStepInvariants, MaxQueueIsTheTrueRunningPeak) {
         if (p.delivered_at != 0) ++occupancy[p.src];
       }
       std::uint32_t peak = *std::max_element(occupancy.begin(), occupancy.end());
-      for_each_step(result, [&](std::uint32_t step, std::span<const Transfer> slice) {
+      for_each_step(instance.streamed, [&](std::uint32_t step, std::span<const Transfer> slice) {
         for (const Transfer& tr : slice) {
           ASSERT_GT(occupancy[tr.from], 0u);
           --occupancy[tr.from];
@@ -332,7 +333,7 @@ TEST(RouterStepInvariants, MaxQueueIsTheTrueRunningPeak) {
   }
 }
 
-TEST(RouterStepInvariants, DeliveredAtIsMonotoneWithTheTransferLog) {
+TEST(RouterStepInvariants, DeliveredAtIsMonotoneWithTheStreamedTransfers) {
   for (const PortModel model : {PortModel::kMultiPort, PortModel::kSinglePort}) {
     for (const std::uint64_t seed : {9u, 10u, 11u}) {
       const RoutedInstance instance = route_instance(seed, model);
@@ -340,14 +341,14 @@ TEST(RouterStepInvariants, DeliveredAtIsMonotoneWithTheTransferLog) {
       // Per packet: hop steps strictly increase, and delivery happens exactly
       // one step after the final hop (0 for packets born at their target).
       std::vector<std::int64_t> last_hop(result.packets.size(), -1);
-      for (const Transfer& tr : result.transfers) {
+      for (const Transfer& tr : instance.streamed.hops()) {
         ASSERT_GT(static_cast<std::int64_t>(tr.step), last_hop[tr.packet])
-            << "transfer log not strictly increasing for packet " << tr.packet;
+            << "streamed hops not strictly increasing for packet " << tr.packet;
         last_hop[tr.packet] = tr.step;
       }
       for (std::size_t i = 0; i < result.packets.size(); ++i) {
         ASSERT_EQ(result.packets[i].delivered_at, last_hop[i] + 1)
-            << "delivered_at disagrees with the last logged hop (packet " << i << ")";
+            << "delivered_at disagrees with the last streamed hop (packet " << i << ")";
       }
     }
   }

@@ -1,7 +1,8 @@
 // Engine-vs-engine differential suite: the data-oriented SyncRouter
 // (src/routing/router.cpp) must be byte-identical to the preserved
 // pre-rewrite ReferenceRouter (tests/support/reference_router.cpp) on
-// identical inputs -- full RouteResult including the transfer log -- across
+// identical inputs -- full RouteResult plus the transfers each engine
+// streams to its sink, router step by router step -- across
 // both port models, fault-free and under FaultPlans, on every host family
 // the paper's experiments exercise.  Results are compared as canonical
 // dump_route_result() strings so a failure names the first diverging field.
@@ -23,14 +24,24 @@
 #include "src/topology/properties.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/hop_recorder.hpp"
 #include "tests/support/reference_router.hpp"
 #include "tests/support/snapshot_text.hpp"
 
 namespace upn {
 namespace {
 
+using testing::HopRecorder;
 using testing::ReferenceRouter;
 using testing::dump_route_result;
+
+/// The dump of `route(sink)` with the transfers it streamed to `sink`.
+template <class Route>
+std::string dump_streamed(const Route& route) {
+  HopRecorder streamed;
+  const RouteResult result = route(streamed.sink());
+  return dump_route_result(result, &streamed);
+}
 
 std::vector<Graph> differential_hosts() {
   std::vector<Graph> hosts;
@@ -83,18 +94,26 @@ TEST(RouterDifferential, FaultFreeByteIdentity) {
             GreedyPolicy ref_policy{host};
             SyncRouter fast{host, model};
             ReferenceRouter ref{host, model};
-            const RouteResult a = fast.route(packets, fast_policy, /*record_transfers=*/true);
-            const RouteResult b = ref.route(packets, ref_policy, /*record_transfers=*/true);
-            ASSERT_EQ(dump_route_result(a), dump_route_result(b)) << "greedy";
+            ASSERT_EQ(dump_streamed([&](const TransferSink& sink) {
+                        return fast.route(packets, fast_policy, sink);
+                      }),
+                      dump_streamed([&](const TransferSink& sink) {
+                        return ref.route(packets, ref_policy, sink);
+                      }))
+                << "greedy";
           }
           {
             ValiantPolicy fast_policy{host, seed ^ 0x5eedf00du};
             ValiantPolicy ref_policy{host, seed ^ 0x5eedf00du};
             SyncRouter fast{host, model};
             ReferenceRouter ref{host, model};
-            const RouteResult a = fast.route(packets, fast_policy, /*record_transfers=*/true);
-            const RouteResult b = ref.route(packets, ref_policy, /*record_transfers=*/true);
-            ASSERT_EQ(dump_route_result(a), dump_route_result(b)) << "valiant";
+            ASSERT_EQ(dump_streamed([&](const TransferSink& sink) {
+                        return fast.route(packets, fast_policy, sink);
+                      }),
+                      dump_streamed([&](const TransferSink& sink) {
+                        return ref.route(packets, ref_policy, sink);
+                      }))
+                << "valiant";
           }
         }
       }
@@ -115,7 +134,7 @@ TEST(RouterDifferential, FaultedByteIdentity) {
   constexpr std::uint32_t kMaxSteps = 512;
   const auto run = [](const auto& route) {
     try {
-      return dump_route_result(route());
+      return dump_streamed(route);
     } catch (const std::runtime_error& e) {
       return std::string("<livelock> ") + e.what();
     }
@@ -142,11 +161,11 @@ TEST(RouterDifferential, FaultedByteIdentity) {
                        (model == PortModel::kMultiPort ? " multiport" : " singleport"));
           SyncRouter fast{host, model};
           ReferenceRouter ref{host, model};
-          ASSERT_EQ(run([&] {
-                      return fast.route_with_faults(packets, options, true, kMaxSteps);
+          ASSERT_EQ(run([&](const TransferSink& sink) {
+                      return fast.route_with_faults(packets, options, sink, kMaxSteps);
                     }),
-                    run([&] {
-                      return ref.route_with_faults(packets, options, nullptr, true, kMaxSteps);
+                    run([&](const TransferSink& sink) {
+                      return ref.route_with_faults(packets, options, nullptr, sink, kMaxSteps);
                     }));
         }
       }
@@ -169,13 +188,13 @@ TEST(RouterDifferential, LivelockDiagnosticsMatch) {
     std::string fast_what;
     std::string ref_what;
     try {
-      const RouteResult r = fast.route(packets, fast_policy, false, /*max_steps=*/2);
+      const RouteResult r = fast.route(packets, fast_policy, {}, /*max_steps=*/2);
       FAIL() << "fast engine finished a 2-step run that must hit the limit";
     } catch (const std::runtime_error& e) {
       fast_what = e.what();
     }
     try {
-      const RouteResult r = ref.route(packets, ref_policy, false, /*max_steps=*/2);
+      const RouteResult r = ref.route(packets, ref_policy, {}, /*max_steps=*/2);
       FAIL() << "reference engine finished a 2-step run that must hit the limit";
     } catch (const std::runtime_error& e) {
       ref_what = e.what();
@@ -189,7 +208,8 @@ TEST(RouterDifferential, LivelockDiagnosticsMatch) {
 // A SyncRouter replays its last fault-free GreedyPolicy route when the next
 // call brings the same endpoints.  Every result below is checked against a
 // fresh router (no memo) and, where the engines are compared, against the
-// reference engine; `routing.sync.memo_hits` shows whether a call replayed.
+// reference engine; `routing.sync.memo_hits` and RouteResult::replayed show
+// whether a call replayed, and a replay streams nothing to the sink.
 
 class RouterMemo : public ::testing::Test {
  protected:
@@ -216,10 +236,10 @@ class RouterMemo : public ::testing::Test {
 
   /// What a router that has never routed before returns for this call.
   static std::string fresh_route(const Graph& host, PortModel model,
-                                 const std::vector<Packet>& packets, bool record_transfers) {
+                                 const std::vector<Packet>& packets) {
     GreedyPolicy policy{host};
     SyncRouter router{host, model};
-    return dump_route_result(router.route(packets, policy, record_transfers));
+    return dump_route_result(router.route(packets, policy));
   }
 };
 
@@ -230,7 +250,6 @@ TEST_F(RouterMemo, RepeatedRelationMatchesFreshAndReferenceRouters) {
       GreedyPolicy policy{host};
       SyncRouter router{host, model};
       const std::uint64_t hits_before = memo_hits();
-      const Transfer* shared_log = nullptr;
       for (std::uint32_t call = 0; call < 3; ++call) {
         // Same endpoints every call; payloads and tags ride along untouched.
         std::vector<Packet> packets = relation(host, 17);
@@ -238,22 +257,29 @@ TEST_F(RouterMemo, RepeatedRelationMatchesFreshAndReferenceRouters) {
           p.payload += call;
           p.tag2 += call;
         }
-        const RouteResult routed = router.route(packets, policy, true);
-        // The miss hands its log to the memo and every hit hands out that
-        // same storage: identity, not just equal contents.
-        ASSERT_FALSE(routed.transfers.empty());
-        if (call == 0) shared_log = routed.transfers.data();
-        EXPECT_EQ(routed.transfers.data(), shared_log) << "call " << call;
+        HopRecorder streamed;
+        const RouteResult routed = router.route(packets, policy, streamed.sink());
+        // The miss routes and streams every step; each hit says it replayed
+        // and streams nothing.
+        EXPECT_EQ(routed.replayed, call > 0) << "call " << call;
+        EXPECT_EQ(streamed.steps().size(), call == 0 ? routed.steps : 0u) << "call " << call;
         const std::string memo = dump_route_result(routed);
-        ASSERT_EQ(memo, fresh_route(host, model, packets, true)) << "call " << call;
+        ASSERT_EQ(memo, fresh_route(host, model, packets)) << "call " << call;
         GreedyPolicy ref_policy{host};
         ReferenceRouter ref{host, model};
-        ASSERT_EQ(memo, dump_route_result(ref.route(packets, ref_policy, true))) << "call " << call;
+        HopRecorder ref_streamed;
+        const RouteResult ref_routed = ref.route(packets, ref_policy, ref_streamed.sink());
+        ASSERT_EQ(memo, dump_route_result(ref_routed)) << "call " << call;
+        if (call == 0) {
+          ASSERT_EQ(dump_route_result(routed, &streamed),
+                    dump_route_result(ref_routed, &ref_streamed));
+        }
       }
-      // A hit without a requested log returns none, like a fresh router.
+      // A hit without a sink is the same replay.
       const std::vector<Packet> packets = relation(host, 17);
-      ASSERT_EQ(dump_route_result(router.route(packets, policy, false)),
-                fresh_route(host, model, packets, false));
+      const RouteResult replay = router.route(packets, policy);
+      EXPECT_TRUE(replay.replayed);
+      ASSERT_EQ(dump_route_result(replay), fresh_route(host, model, packets));
       EXPECT_EQ(memo_hits() - hits_before, 3u);
     }
   }
@@ -277,7 +303,8 @@ TEST_F(RouterMemo, ObsSnapshotMatchesFreshRoutersApartFromMemoHits) {
     obs::registry().reset();
     SyncRouter router{host, model};
     for (std::uint32_t call = 0; call < kCalls; ++call) {
-      static_cast<void>(router.route(packets, policy, true));
+      HopRecorder streamed;
+      static_cast<void>(router.route(packets, policy, streamed.sink()));
     }
     EXPECT_EQ(memo_hits(), kCalls - 1);
     const std::string reused = snapshot_without_memo_hits();
@@ -285,7 +312,8 @@ TEST_F(RouterMemo, ObsSnapshotMatchesFreshRoutersApartFromMemoHits) {
     obs::registry().reset();
     for (std::uint32_t call = 0; call < kCalls; ++call) {
       SyncRouter fresh{host, model};
-      static_cast<void>(fresh.route(packets, policy, true));
+      HopRecorder streamed;
+      static_cast<void>(fresh.route(packets, policy, streamed.sink()));
     }
     EXPECT_EQ(memo_hits(), 0u);
     EXPECT_NE(reused.find("routing.sync.step_max_queue"), std::string::npos) << reused;
@@ -301,37 +329,26 @@ TEST_F(RouterMemo, ChangedInputsMissAndReroute) {
     {  // One endpoint changed.
       GreedyPolicy policy{host};
       SyncRouter router{host, model};
-      static_cast<void>(router.route(packets, policy, true));
+      static_cast<void>(router.route(packets, policy));
       std::vector<Packet> moved = packets;
       moved[3].dst = (moved[3].dst + 1) % host.num_nodes();
       moved[3].via = moved[3].dst;
       const std::uint64_t hits = memo_hits();
-      EXPECT_EQ(dump_route_result(router.route(moved, policy, true)),
-                fresh_route(host, model, moved, true));
+      const RouteResult rerouted = router.route(moved, policy);
+      EXPECT_FALSE(rerouted.replayed);
+      EXPECT_EQ(dump_route_result(rerouted), fresh_route(host, model, moved));
       EXPECT_EQ(memo_hits(), hits) << "endpoint change";
     }
     {  // A different GreedyPolicy object.
       GreedyPolicy first{host};
       GreedyPolicy second{host};
       SyncRouter router{host, model};
-      static_cast<void>(router.route(packets, first, true));
+      static_cast<void>(router.route(packets, first));
       const std::uint64_t hits = memo_hits();
-      EXPECT_EQ(dump_route_result(router.route(packets, second, true)),
-                fresh_route(host, model, packets, true));
+      const RouteResult rerouted = router.route(packets, second);
+      EXPECT_FALSE(rerouted.replayed);
+      EXPECT_EQ(dump_route_result(rerouted), fresh_route(host, model, packets));
       EXPECT_EQ(memo_hits(), hits) << "policy object";
-    }
-    {  // A transfer log asked for after an unrecorded call.
-      GreedyPolicy policy{host};
-      SyncRouter router{host, model};
-      static_cast<void>(router.route(packets, policy, false));
-      const std::uint64_t hits = memo_hits();
-      EXPECT_EQ(dump_route_result(router.route(packets, policy, true)),
-                fresh_route(host, model, packets, true));
-      EXPECT_EQ(memo_hits(), hits) << "record_transfers";
-      // The reroute stored the log, so the next recorded call replays it.
-      EXPECT_EQ(dump_route_result(router.route(packets, policy, true)),
-                fresh_route(host, model, packets, true));
-      EXPECT_EQ(memo_hits(), hits + 1) << "recorded replay";
     }
     {  // ValiantPolicy: phase 0 after prepare, never memoized.
       ValiantPolicy policy{host, 5};
@@ -340,8 +357,12 @@ TEST_F(RouterMemo, ChangedInputsMissAndReroute) {
       const std::uint64_t hits = memo_hits();
       for (std::uint32_t call = 0; call < 2; ++call) {
         SyncRouter fresh{host, model};
-        EXPECT_EQ(dump_route_result(router.route(packets, policy, true)),
-                  dump_route_result(fresh.route(packets, fresh_policy, true)))
+        EXPECT_EQ(dump_streamed([&](const TransferSink& sink) {
+                    return router.route(packets, policy, sink);
+                  }),
+                  dump_streamed([&](const TransferSink& sink) {
+                    return fresh.route(packets, fresh_policy, sink);
+                  }))
             << "call " << call;
       }
       EXPECT_EQ(memo_hits(), hits) << "valiant";
@@ -354,12 +375,37 @@ TEST_F(RouterMemo, ChangedInputsMissAndReroute) {
       const std::uint64_t hits = memo_hits();
       for (std::uint32_t call = 0; call < 2; ++call) {
         SyncRouter fresh{host, model};
-        EXPECT_EQ(dump_route_result(router.route_with_faults(packets, options, true)),
-                  dump_route_result(fresh.route_with_faults(packets, options, true)))
+        EXPECT_EQ(dump_streamed([&](const TransferSink& sink) {
+                    return router.route_with_faults(packets, options, sink);
+                  }),
+                  dump_streamed([&](const TransferSink& sink) {
+                    return fresh.route_with_faults(packets, options, sink);
+                  }))
             << "call " << call;
       }
       EXPECT_EQ(memo_hits(), hits) << "fault plan";
     }
+  }
+}
+
+TEST_F(RouterMemo, HitStreamsNothingWhateverTheMissStreamed) {
+  // The memo keeps no hops: a sink on a hit after a miss without one gets
+  // nothing, and the result says it was a replay.
+  const Graph host = make_butterfly(3);
+  const std::vector<Packet> packets = relation(host, 37);
+  for (const PortModel model : {PortModel::kMultiPort, PortModel::kSinglePort}) {
+    SCOPED_TRACE(model == PortModel::kMultiPort ? "multiport" : "singleport");
+    GreedyPolicy policy{host};
+    SyncRouter router{host, model};
+    const RouteResult routed = router.route(packets, policy);
+    EXPECT_FALSE(routed.replayed);
+    const std::uint64_t hits = memo_hits();
+    HopRecorder streamed;
+    const RouteResult replay = router.route(packets, policy, streamed.sink());
+    EXPECT_TRUE(replay.replayed);
+    EXPECT_TRUE(streamed.steps().empty());
+    EXPECT_EQ(dump_route_result(replay), fresh_route(host, model, packets));
+    EXPECT_EQ(memo_hits(), hits + 1);
   }
 }
 
@@ -372,7 +418,7 @@ TEST_F(RouterMemo, StepLimitBelowMemoizedStepsStillThrows) {
     const std::uint32_t steps = router.route(packets, policy).steps;
     ASSERT_GT(steps, 1u);
     try {
-      static_cast<void>(router.route(packets, policy, false, steps - 1));
+      static_cast<void>(router.route(packets, policy, {}, steps - 1));
       FAIL() << "a " << steps - 1 << "-step budget must not replay a " << steps << "-step route";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string{e.what()}.find("step limit exceeded"), std::string::npos) << e.what();
@@ -380,9 +426,9 @@ TEST_F(RouterMemo, StepLimitBelowMemoizedStepsStillThrows) {
     // A miss releases the memo before routing, so the failed call left none:
     // the exact budget re-routes, and the call after it replays.
     const std::uint64_t hits = memo_hits();
-    EXPECT_EQ(router.route(packets, policy, false, steps).steps, steps);
+    EXPECT_EQ(router.route(packets, policy, {}, steps).steps, steps);
     EXPECT_EQ(memo_hits(), hits);
-    EXPECT_EQ(router.route(packets, policy, false, steps).steps, steps);
+    EXPECT_EQ(router.route(packets, policy, {}, steps).steps, steps);
     EXPECT_EQ(memo_hits(), hits + 1);
   }
 }

@@ -7,8 +7,9 @@
 // Part 2 (differential): the same randomized instances -- plus random
 // FaultPlans and adversarially small step limits -- are driven through BOTH
 // engines, the data-oriented SyncRouter and the preserved pre-rewrite
-// ReferenceRouter, asserting byte-identical RouteResults (full transfer log)
-// or byte-identical thrown livelock diagnostics.
+// ReferenceRouter, asserting byte-identical RouteResults (and the transfers
+// each engine streams, step by step) or byte-identical thrown livelock
+// diagnostics.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include "src/topology/properties.hpp"
 #include "src/topology/random_regular.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/hop_recorder.hpp"
 #include "tests/support/reference_router.hpp"
 
 namespace upn {
@@ -59,12 +61,15 @@ TEST_P(RouterFuzz, InvariantsHoldOnRandomInstances) {
       p.payload = (static_cast<std::uint64_t>(d.src) << 32) | d.dst;
       packets.push_back(p);
     }
-    const RouteResult result = router.route(std::move(packets), *policy, true);
+    testing::HopRecorder streamed;
+    const RouteResult result = router.route(std::move(packets), *policy, streamed.sink());
 
     // Every packet delivered with intact payload, and transfer counts add up.
     ASSERT_EQ(result.packets.size(), problem.size());
+    ASSERT_EQ(streamed.steps().size(), result.steps) << "one sink call per router step";
+    const std::vector<Transfer> transfers = streamed.hops();
     std::vector<std::uint32_t> hops(result.packets.size(), 0);
-    for (const Transfer& tr : result.transfers) {
+    for (const Transfer& tr : transfers) {
       ASSERT_LT(tr.packet, result.packets.size());
       ASSERT_TRUE(host.has_edge(tr.from, tr.to));
       ++hops[tr.packet];
@@ -78,7 +83,7 @@ TEST_P(RouterFuzz, InvariantsHoldOnRandomInstances) {
       // Hop count at least the shortest-path distance (via detours allowed).
       ASSERT_GE(hops[i], oracle.to(p.dst)[p.src]);
     }
-    ASSERT_EQ(result.total_transfers, result.transfers.size());
+    ASSERT_EQ(result.total_transfers, transfers.size());
   }
 }
 
@@ -141,8 +146,10 @@ TEST_P(RouterDifferentialFuzz, FastEngineMatchesReferenceOnRandomInstances) {
                 : (faulted ? 2048u : (1u << 22));
 
     auto run = [&](const auto& route, std::string& what) -> std::string {
+      testing::HopRecorder streamed;
       try {
-        return testing::dump_route_result(route());
+        const RouteResult result = route(streamed.sink());
+        return testing::dump_route_result(result, &streamed);
       } catch (const std::runtime_error& e) {
         what = e.what();
         return "<livelock>";
@@ -165,15 +172,15 @@ TEST_P(RouterDifferentialFuzz, FastEngineMatchesReferenceOnRandomInstances) {
     std::string fast_what;
     std::string ref_what;
     const std::string fast_dump = run(
-        [&] {
-          return faulted ? fast.route_with_faults(packets, options, true, max_steps)
-                         : fast.route(packets, fast_policy, true, max_steps);
+        [&](const TransferSink& sink) {
+          return faulted ? fast.route_with_faults(packets, options, sink, max_steps)
+                         : fast.route(packets, fast_policy, sink, max_steps);
         },
         fast_what);
     const std::string ref_dump = run(
-        [&] {
-          return faulted ? ref.route_with_faults(packets, options, nullptr, true, max_steps)
-                         : ref.route(packets, ref_policy, true, max_steps);
+        [&](const TransferSink& sink) {
+          return faulted ? ref.route_with_faults(packets, options, nullptr, sink, max_steps)
+                         : ref.route(packets, ref_policy, sink, max_steps);
         },
         ref_what);
     ASSERT_EQ(fast_dump, ref_dump);

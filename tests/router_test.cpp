@@ -11,6 +11,7 @@
 #include "src/topology/properties.hpp"
 #include "src/topology/torus.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/hop_recorder.hpp"
 
 namespace upn {
 namespace {
@@ -100,14 +101,14 @@ TEST(SinglePort, TransfersFormMatchings) {
   GreedyPolicy policy{host};
   Rng rng{77};
   const HhProblem problem = random_h_relation(host.num_nodes(), 3, rng);
-  const RouteResult result = router.route(to_packets(problem), policy, true);
-  // Group transfers by step; within a step every node appears at most once.
-  std::size_t i = 0;
-  while (i < result.transfers.size()) {
-    const std::uint32_t step = result.transfers[i].step;
+  testing::HopRecorder streamed;
+  const RouteResult result = router.route(to_packets(problem), policy, streamed.sink());
+  ASSERT_EQ(streamed.steps().size(), result.steps);
+  // Within a streamed step every node appears at most once.
+  for (std::uint32_t step = 0; step < result.steps; ++step) {
     std::vector<char> busy(host.num_nodes(), 0);
-    for (; i < result.transfers.size() && result.transfers[i].step == step; ++i) {
-      const Transfer& tr = result.transfers[i];
+    for (const Transfer& tr : streamed.steps()[step]) {
+      EXPECT_EQ(tr.step, step);
       EXPECT_TRUE(host.has_edge(tr.from, tr.to));
       EXPECT_FALSE(busy[tr.from]) << "node sent/received twice in step " << step;
       EXPECT_FALSE(busy[tr.to]);
@@ -123,13 +124,13 @@ TEST(MultiPort, RespectsLinkCapacity) {
   GreedyPolicy policy{host};
   Rng rng{78};
   const HhProblem problem = random_h_relation(host.num_nodes(), 4, rng);
-  const RouteResult result = router.route(to_packets(problem), policy, true);
-  std::size_t i = 0;
-  while (i < result.transfers.size()) {
-    const std::uint32_t step = result.transfers[i].step;
+  testing::HopRecorder streamed;
+  const RouteResult result = router.route(to_packets(problem), policy, streamed.sink());
+  ASSERT_EQ(streamed.steps().size(), result.steps);
+  for (std::uint32_t step = 0; step < result.steps; ++step) {
     std::set<std::pair<NodeId, NodeId>> used;
-    for (; i < result.transfers.size() && result.transfers[i].step == step; ++i) {
-      const Transfer& tr = result.transfers[i];
+    for (const Transfer& tr : streamed.steps()[step]) {
+      EXPECT_EQ(tr.step, step);
       EXPECT_TRUE(used.emplace(tr.from, tr.to).second)
           << "directed link used twice in step " << step;
     }
@@ -182,7 +183,7 @@ TEST(Router, StepLimitDetectsLivelock) {
   packets[0].via = 2;
   // neighbors(0) = {1, 3}; always picking 1... the packet will reach 2 going
   // 0->1->0->1...: neighbors(1) = {0, 2}, front is 0 -> ping-pong forever.
-  EXPECT_THROW((void)router.route(std::move(packets), policy, false, 100),
+  EXPECT_THROW((void)router.route(std::move(packets), policy, {}, 100),
                std::runtime_error);
 }
 

@@ -6,6 +6,7 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,6 +15,7 @@
 #include "src/obs/obs.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/hop_recorder.hpp"
 
 namespace upn::testing {
 
@@ -111,26 +113,26 @@ class LiveRouteOracle {
 }  // namespace
 
 RouteResult ReferenceRouter::route(std::vector<Packet> packets, RoutingPolicy& policy,
-                                   bool record_transfers, std::uint32_t max_steps) {
-  return route_impl(std::move(packets), &policy, nullptr, record_transfers, max_steps);
+                                   const TransferSink& sink, std::uint32_t max_steps) {
+  return route_impl(std::move(packets), &policy, nullptr, sink, max_steps);
 }
 
 RouteResult ReferenceRouter::route_with_faults(std::vector<Packet> packets,
                                                const FaultRouteOptions& faults,
-                                               RoutingPolicy* policy, bool record_transfers,
+                                               RoutingPolicy* policy, const TransferSink& sink,
                                                std::uint32_t max_steps) {
   if (faults.plan == nullptr) {
     if (policy == nullptr) {
       throw std::invalid_argument{
           "SyncRouter::route_with_faults: need a policy when no plan is given"};
     }
-    return route_impl(std::move(packets), policy, nullptr, record_transfers, max_steps);
+    return route_impl(std::move(packets), policy, nullptr, sink, max_steps);
   }
-  return route_impl(std::move(packets), policy, &faults, record_transfers, max_steps);
+  return route_impl(std::move(packets), policy, &faults, sink, max_steps);
 }
 
 RouteResult ReferenceRouter::route_impl(std::vector<Packet> packets, RoutingPolicy* policy,
-                                        const FaultRouteOptions* faults, bool record_transfers,
+                                        const FaultRouteOptions* faults, const TransferSink& sink,
                                         std::uint32_t max_steps) {
   UPN_OBS_SPAN("routing.sync.route");
   UPN_OBS_STEP(0);
@@ -145,6 +147,7 @@ RouteResult ReferenceRouter::route_impl(std::vector<Packet> packets, RoutingPoli
   if (policy != nullptr) policy->prepare(g, packets);
 
   RouteResult result;
+  const bool record_transfers = static_cast<bool>(sink);
   std::vector<Transfer> hops;  // the hop log, when record_transfers
   std::vector<NodeState> nodes(n);
   for (NodeId v = 0; v < n; ++v) nodes[v].ports.resize(g.degree(v));
@@ -421,7 +424,15 @@ RouteResult ReferenceRouter::route_impl(std::vector<Packet> packets, RoutingPoli
 
   result.steps = step;
   result.packets = std::move(packets);
-  if (record_transfers) result.transfers = TransferLog{std::move(hops)};
+  if (record_transfers) {
+    // The log, one router step per sink call, empty steps included.
+    std::size_t cursor = 0;
+    for (std::uint32_t s = 0; s < result.steps; ++s) {
+      const std::size_t begin = cursor;
+      while (cursor < hops.size() && hops[cursor].step == s) ++cursor;
+      sink(std::span<const Transfer>{hops.data() + begin, cursor - begin});
+    }
+  }
   UPN_ENSURE(result.steps <= max_steps, "router must respect its step budget");
   std::uint64_t delivered = 0;
   for (const Packet& p : result.packets) {
@@ -440,7 +451,7 @@ RouteResult ReferenceRouter::route_impl(std::vector<Packet> packets, RoutingPoli
   return result;
 }
 
-std::string dump_route_result(const RouteResult& result) {
+std::string dump_route_result(const RouteResult& result, const HopRecorder* streamed) {
   std::ostringstream os;
   os << "steps=" << result.steps << " total_transfers=" << result.total_transfers
      << " max_queue=" << result.max_queue << " packets_lost=" << result.packets_lost
@@ -452,9 +463,14 @@ std::string dump_route_result(const RouteResult& result) {
        << " retries=" << p.retries << " payload=" << p.payload << " tag=" << p.tag
        << " tag2=" << p.tag2 << " delivered_at=" << p.delivered_at << "\n";
   }
-  for (const Transfer& t : result.transfers) {
-    os << "transfer step=" << t.step << " from=" << t.from << " to=" << t.to
-       << " packet=" << t.packet << " dropped=" << static_cast<int>(t.dropped) << "\n";
+  if (streamed == nullptr) return os.str();
+  os << "streamed steps=" << streamed->steps().size() << "\n";
+  for (std::size_t s = 0; s < streamed->steps().size(); ++s) {
+    os << "router step " << s << "\n";
+    for (const Transfer& t : streamed->steps()[s]) {
+      os << "transfer step=" << t.step << " from=" << t.from << " to=" << t.to
+         << " packet=" << t.packet << " dropped=" << static_cast<int>(t.dropped) << "\n";
+    }
   }
   return os.str();
 }

@@ -9,9 +9,11 @@
 // analysis ratchet never sees its deques -- and it must never be "optimized":
 // its entire value is that it computes the router semantics the slow,
 // obviously-correct way.  tests/router_differential_test.cpp and the
-// differential fuzzer assert byte-identical RouteResults (including the
-// full transfer log) from both engines on identical inputs, for both port
-// models, fault-free and under FaultPlans.
+// differential fuzzer assert byte-identical RouteResults (and the same
+// streamed transfers, step by step) from both engines on identical inputs,
+// for both port models, fault-free and under FaultPlans.  This engine still
+// logs every hop of the call and streams the log to the sink once the call
+// has routed.
 //
 // The API mirrors SyncRouter exactly; policies, packets, fault options, and
 // results are the shared types from src/routing/router.hpp.
@@ -33,14 +35,14 @@ class ReferenceRouter {
 
   /// Reference semantics of SyncRouter::route.
   [[nodiscard]] RouteResult route(std::vector<Packet> packets, RoutingPolicy& policy,
-                                  bool record_transfers = false,
+                                  const TransferSink& sink = {},
                                   std::uint32_t max_steps = 1u << 22);
 
   /// Reference semantics of SyncRouter::route_with_faults.
   [[nodiscard]] RouteResult route_with_faults(std::vector<Packet> packets,
                                               const FaultRouteOptions& faults,
                                               RoutingPolicy* policy = nullptr,
-                                              bool record_transfers = false,
+                                              const TransferSink& sink = {},
                                               std::uint32_t max_steps = 1u << 22);
 
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
@@ -48,17 +50,21 @@ class ReferenceRouter {
 
  private:
   [[nodiscard]] RouteResult route_impl(std::vector<Packet> packets, RoutingPolicy* policy,
-                                       const FaultRouteOptions* faults, bool record_transfers,
+                                       const FaultRouteOptions* faults, const TransferSink& sink,
                                        std::uint32_t max_steps);
 
   const Graph* graph_;
   PortModel port_model_;
 };
 
-/// Canonical byte dump of a RouteResult: every field of every packet and
-/// every transfer-log entry, one token stream.  Two results are bit-identical
-/// iff their dumps compare equal, so differential tests diff strings and
-/// failures show the first diverging field.
-[[nodiscard]] std::string dump_route_result(const RouteResult& result);
+class HopRecorder;
+
+/// Canonical byte dump of a RouteResult: every field of every packet (but
+/// not `replayed`) and, when `streamed` is given, every router step it
+/// recorded with its transfers, one token stream.  Two results are
+/// bit-identical iff their dumps compare equal, so differential tests diff
+/// strings and failures show the first diverging field.
+[[nodiscard]] std::string dump_route_result(const RouteResult& result,
+                                            const HopRecorder* streamed = nullptr);
 
 }  // namespace upn::testing
