@@ -65,6 +65,40 @@ TEST(Lemma312, HoldsOnSimulatorProtocol) {
   }
 }
 
+// Breaks the premise behind the roots_ok and trees_ok bounds: G_0's blocks
+// are 2a x 2a, so a root among the lightest 3a^2 of a block's 4a^2
+// candidates weighs (and its tree weighs) at most the block's total / a^2.
+// The fixture's blocks have side 4 (a = 2); read with a claimed a = 10, both
+// bounds shrink 25-fold below what the selection guarantees, and the chosen
+// roots and trees no longer fit under them.
+TEST(Lemma312, ChoiceAboveTheBoundsOfAnOverclaimedBlockParameterFails) {
+  const Fixture fx = make_fixture(14);
+  ASSERT_EQ(fx.g0.a, 2u);
+  G0 overclaimed = fx.g0;
+  overclaimed.a = 10;
+  const ProtocolMetrics metrics{fx.protocol};
+  const Lemma312Report report = verify_lemma312(metrics, overclaimed);
+  ASSERT_FALSE(report.choices.empty());
+  const Lemma312Choice& first = report.choices.front();
+  EXPECT_EQ(first.t0, 7u);
+  EXPECT_EQ(first.sum_root_weights, 37u);
+  // z2_bound = 4 * mean_t0 sum_i q_{i, t0 - depth} = 2836, over a^2 = 100.
+  EXPECT_DOUBLE_EQ(first.bound_roots, 2836.0 / 100.0);
+  EXPECT_FALSE(first.roots_ok);
+  EXPECT_EQ(first.sum_tree_weights, 2211u);
+  // z1_bound = 4 * mean_t0 of all candidate trees' weights = 136640.
+  EXPECT_DOUBLE_EQ(first.bound_trees, 136640.0 / 100.0);
+  EXPECT_FALSE(first.trees_ok);
+  // The true block parameter keeps the same roots under the bound.
+  const Lemma312Report honest = verify_lemma312(metrics, fx.g0);
+  ASSERT_FALSE(honest.choices.empty());
+  EXPECT_EQ(honest.choices.front().sum_root_weights, 37u);
+  EXPECT_DOUBLE_EQ(honest.choices.front().bound_roots, 2836.0 / 4.0);
+  EXPECT_TRUE(honest.choices.front().roots_ok);
+  EXPECT_DOUBLE_EQ(honest.choices.front().bound_trees, 136640.0 / 4.0);
+  EXPECT_TRUE(honest.choices.front().trees_ok);
+}
+
 TEST(Lemma312, RejectsTooShortProtocol) {
   const Fixture fx = make_fixture(2);
   const ProtocolMetrics metrics{fx.protocol};
