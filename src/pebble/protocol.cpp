@@ -53,6 +53,40 @@ Protocol::Protocol(std::uint32_t num_guests, std::uint32_t num_hosts,
       guest_steps_(guest_steps),
       codec_(num_guests, num_hosts, guest_steps) {}
 
+Protocol::Protocol(const Protocol& other)
+    : num_guests_(other.num_guests_),
+      num_hosts_(other.num_hosts_),
+      guest_steps_(other.guest_steps_),
+      codec_(other.codec_),
+      chunks_(other.chunks_),
+      stored_(other.stored_),
+      steps_(other.steps_),
+      num_ops_(other.num_ops_) {
+  // Each stored step reads the same words of this protocol's copy of its
+  // chunk.
+  for (StoredStep& step : stored_) {
+    if (step.words == nullptr) continue;
+    const std::uint64_t* from = other.chunks_[step.chunk].words.get();
+    step.words = chunks_[step.chunk].words.get() + (step.words - from);
+  }
+}
+
+Protocol::Chunk::Chunk(std::size_t capacity_words)
+    : words(std::make_unique_for_overwrite<std::uint64_t[]>(capacity_words)),
+      capacity(capacity_words) {}
+
+Protocol::Chunk::Chunk(const Chunk& other) : Chunk(other.capacity) {
+  std::copy_n(other.words.get(), other.size, words.get());
+  size = other.size;
+}
+
+void Protocol::open_chunk(std::size_t count) {
+  std::size_t stored_so_far = 0;
+  for (const Chunk& chunk : chunks_) stored_so_far += chunk.size;
+  chunks_.emplace_back(
+      std::max(count, std::clamp(stored_so_far, kFirstChunkWords, kMaxChunkWords)));
+}
+
 void Protocol::require_legal(OpFault fault) {
   if (fault == OpFault::kProc) {
     throw std::out_of_range{"Protocol::add: host processor out of range"};
@@ -68,14 +102,20 @@ void Protocol::require_legal(OpFault fault) {
 void Protocol::add_step(std::span<const Op> ops) {
   UPN_REQUIRE(host_steps() < std::numeric_limits<std::uint32_t>::max(),
               "Protocol::add_step: host step count overflows uint32");
-  steps_.push_back({static_cast<std::uint32_t>(latest_.size()), 0});
-  stored_offsets_.push_back(words_.size());
-  latest_.push_back(0);
-  // A local copy: stores to the word array cannot alias its fields.
+  steps_.push_back({static_cast<std::uint32_t>(stored_.size()), 0});
+  StoredStep& stored = stored_.emplace_back();
+  if (ops.empty()) return;
+  if (chunks_.empty() || ops.size() > chunks_.back().capacity - chunks_.back().size) {
+    open_chunk(ops.size());
+  }
+  Chunk& chunk = chunks_.back();
+  UPN_INVARIANT(ops.size() <= chunk.capacity - chunk.size,
+                "Protocol::add_step: the step does not fit its chunk");
+  // A local copy: stores to the chunk cannot alias its fields.
   const OpCodec codec = codec_;
-  const std::size_t base = words_.size();
-  words_.resize(base + ops.size());
-  std::uint64_t* out = words_.data() + base;
+  std::uint64_t* out = chunk.words.get() + chunk.size;
+  stored.words = out;
+  stored.chunk = static_cast<std::uint32_t>(chunks_.size() - 1);
   std::uint32_t latest = 0;
   std::size_t admitted = 0;
   OpFault fault = OpFault::kNone;
@@ -86,9 +126,9 @@ void Protocol::add_step(std::span<const Op> ops) {
     out[admitted] = codec.encode(op);
     latest = std::max(latest, op.pebble.time);
   }
-  words_.resize(base + admitted);
-  stored_offsets_.back() += admitted;
-  latest_.back() = latest;
+  chunk.size += admitted;
+  stored.size = admitted;
+  stored.latest = latest;
   num_ops_ += admitted;
   require_legal(fault);
 }
@@ -104,7 +144,7 @@ void Protocol::repeat_steps(std::uint32_t first, std::uint32_t last, std::uint32
     const StepRecord record = steps_[s];
     const std::size_t size = stored_words(record.stored).size();
     if (size > 0 &&
-        std::uint64_t{latest_[record.stored]} + record.delta + time_delta > guest_steps_) {
+        std::uint64_t{stored_[record.stored].latest} + record.delta + time_delta > guest_steps_) {
       require_legal(OpFault::kPebble);
     }
     ops += size;

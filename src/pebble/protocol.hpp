@@ -15,11 +15,16 @@
 // somewhere.  A Protocol is the full listing of operations; the validator
 // (validator.hpp) replays it against the guest and host graphs.
 //
-// Layout: the distinct host steps' ops are stored once, in one flat array
-// of words with CSR offsets (stored step k owns words [stored_offsets[k],
-// stored_offsets[k+1])).  Every host step is a record of the stored step it
-// reads and a time delta: its ops are that stored step's ops with every
-// pebble time raised by the delta.  Each op is one 64-bit word (OpCodec)
+// Layout: the distinct host steps' ops are stored once, as words in chunks
+// that never move.  A stored step's words are one contiguous run inside one
+// chunk; a step that does not fit the rest of the current chunk opens the
+// next.  Each new chunk holds as many words as the protocol has stored so
+// far, from kFirstChunkWords up to kMaxChunkWords, and a step larger than
+// that gets a chunk of its own size.  So growing never copies words or
+// holds two blocks for one, and a chunk's unwritten tail is not zeroed.
+// Every host step is a record of the stored step it reads and a time delta:
+// its ops are that stored step's ops with every pebble time raised by the
+// delta.  Each op is one 64-bit word (OpCodec)
 // whose field widths the header fixes: 36 bits at n=4356, m=192, T=16.
 // Emitters write and readers see the plain `Op` struct; step(s) returns a
 // view that adds the step's time raise to each word and decodes on access,
@@ -35,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -184,7 +190,17 @@ class OpView {
 /// processor per step included, is the validator's.
 class Protocol {
  public:
+  /// The smallest and the largest chunk a step's words are stored in, in
+  /// words; a step larger than kMaxChunkWords gets a chunk of its own size.
+  static constexpr std::size_t kFirstChunkWords = 512;
+  static constexpr std::size_t kMaxChunkWords = std::size_t{1} << 21;
+
   Protocol(std::uint32_t num_guests, std::uint32_t num_hosts, std::uint32_t guest_steps);
+  /// A copy stores its words in chunks of its own.
+  Protocol(const Protocol& other);
+  Protocol(Protocol&&) noexcept = default;
+  Protocol& operator=(const Protocol& other) { return *this = Protocol{other}; }
+  Protocol& operator=(Protocol&&) noexcept = default;
 
   /// Appends a new host step holding `ops` (none: an empty step), each
   /// checked and encoded in order.  An op whose processor, pebble or partner
@@ -241,9 +257,32 @@ class Protocol {
   /// legal op.
   static void require_legal(OpFault fault);
   [[nodiscard]] std::span<const std::uint64_t> stored_words(std::uint32_t stored) const {
-    return std::span<const std::uint64_t>{words_}.subspan(
-        stored_offsets_[stored], stored_offsets_[stored + 1] - stored_offsets_[stored]);
+    const StoredStep& step = stored_[stored];
+    return {step.words, step.size};
   }
+  /// Appends a chunk with room for at least `count` words.
+  void open_chunk(std::size_t count);
+
+  /// A block of OpCodec words that never moves; words from `size` on are
+  /// not written yet.  A copy gets a block of its own.
+  struct Chunk {
+    explicit Chunk(std::size_t capacity_words);
+    Chunk(const Chunk& other);
+    Chunk(Chunk&&) noexcept = default;
+
+    std::unique_ptr<std::uint64_t[]> words;
+    std::size_t capacity;
+    std::size_t size = 0;
+  };
+
+  /// A stored step's words: `size` of them from `words`, inside chunk
+  /// `chunk`.  `words` is null for a step that opened no chunk.
+  struct StoredStep {
+    const std::uint64_t* words = nullptr;
+    std::size_t size = 0;
+    std::uint32_t chunk = 0;
+    std::uint32_t latest = 0;  ///< the largest pebble time of its ops
+  };
 
   /// Host step s reads stored step `stored` with every pebble time raised
   /// by `delta` (0 for a step without ops).
@@ -256,10 +295,9 @@ class Protocol {
   std::uint32_t num_hosts_;
   std::uint32_t guest_steps_;
   OpCodec codec_;
-  std::vector<std::uint64_t> words_;  ///< OpCodec words of the stored steps
-  std::vector<std::uint64_t> stored_offsets_{0};
-  std::vector<std::uint32_t> latest_;  ///< stored step -> its largest pebble time
-  std::vector<StepRecord> steps_;      ///< host step -> what it reads
+  std::vector<Chunk> chunks_;
+  std::vector<StoredStep> stored_;
+  std::vector<StepRecord> steps_;  ///< host step -> what it reads
   std::uint64_t num_ops_ = 0;
 };
 
